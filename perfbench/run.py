@@ -8,6 +8,11 @@ same checkout. One client sends the next request only when the previous
 one has returned (a planning worker waiting for its policy), and checks
 every response; a request that fails a check or raises counts as failed.
 
+Timings are reported at a reference speed: a speed probe runs between
+requests, and each request's time is scaled by how fast the probe ran
+around it (``speed.py``), so that the host's changing speed does not move
+the figures.
+
 ``--trace 0`` prints the end-to-end metrics. ``--trace 1`` serves every
 request twice, untraced and then with spans recorded around the program's
 layers, and prints the per-layer metrics plus the tracing overhead. The
@@ -28,12 +33,16 @@ import sys
 import time
 from pathlib import Path
 
+from speed import REFERENCE_S, SpeedProbe
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 WORK = BENCH_DIR / ".work"
 
-SETUP_REPEATS = 3       # setup_s is the median of this many full set-ups
+SETUP_REPEATS = 3       # setup_s is the median of at least this many full set-ups,
+SETUP_SECONDS = 2.0     # and of more while they have taken less than this together
+SETUP_PROBES = 5        # speed probes before and after each set-up
 MIN_SAMPLES = 100       # fewer leaves under 10 samples beyond p90
 IMPORT_PROBE = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
                 "start = time.perf_counter(); import btpolicy; "
@@ -68,20 +77,27 @@ def metric(value: float, unit: str) -> dict:
 
 
 class Tally:
-    """Latencies, failures and running sums of what requests served; the
-    per-request results themselves are not kept, so the benchmark's own
-    memory stays flat however many requests a run makes."""
+    """Latencies, failures and running sums of what requests served; of
+    each request only its end, latency, fixed wait and replay time are kept,
+    so the benchmark's own memory stays small however many requests a run
+    makes."""
 
     SUMMED = ("llm_calls", "prompt_chars", "policy_nodes", "rounds", "rejected",
-              "replay_ticks", "replay_s")
+              "replay_ticks")
 
     def __init__(self):
+        self.ends: list[float] = []
         self.latencies: list[float] = []
+        self.waits: list[float] = []
+        self.replay_s: list[float] = []
         self.sums = dict.fromkeys(self.SUMMED, 0)
         self.failed = 0
 
-    def add(self, latency: float, served) -> None:
+    def add(self, latency: float, served, wait_s: float = 0.0) -> None:
+        self.ends.append(_now())
         self.latencies.append(latency)
+        self.waits.append(wait_s)
+        self.replay_s.append(served.replay_s)
         for key in self.SUMMED:
             self.sums[key] += getattr(served, key)
         if served.error is not None:
@@ -94,6 +110,17 @@ class Tally:
 
     def p50_ms(self) -> float:
         return statistics.median(self.latencies) * 1000
+
+    def scaled(self, probe) -> tuple[list[float], float]:
+        """Latencies and total replay time at the probe's reference speed.
+        A request's fixed wait (the stub's stated delay) is not scaled."""
+        latencies, replay_s = [], 0.0
+        for end, latency, wait, replay in zip(self.ends, self.latencies, self.waits,
+                                              self.replay_s):
+            scale = probe.scale_at(end)
+            latencies.append((latency - wait) * scale + wait)
+            replay_s += replay * scale
+        return latencies, replay_s
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,22 +139,30 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # run the clean-ups
 
     workdir = WORK / args.workload
-    imports, loads = [], []
+    imports, loads, scaled = [], [], []
     try:
-        for _ in range(SETUP_REPEATS):
+        setup_start = _now()
+        while len(scaled) < SETUP_REPEATS or _now() - setup_start < SETUP_SECONDS:
+            probe = SpeedProbe()
+            for _ in range(SETUP_PROBES):
+                probe.probe()
             imports.append(import_seconds())
             start = _now()
             workload = WORKLOADS[args.workload](args.seed, workdir)
             info = workload.setup()
             loads.append(_now() - start)
+            for _ in range(SETUP_PROBES):
+                probe.probe()
+            scaled.append((imports[-1] + loads[-1]) * probe.scale())
     except (SetupError, subprocess.SubprocessError) as e:
         print(f"error: set-up failed: {e}", file=sys.stderr)
         return 1
     for line in info:
         print(line)
-    setup_s = statistics.median(i + l for i, l in zip(imports, loads))
-    print(f"setup: {setup_s:.3f} s (median of {SETUP_REPEATS}; "
-          f"import {statistics.median(imports):.3f} s, load {statistics.median(loads):.3f} s)")
+    setup_s = statistics.median(scaled)
+    print(f"setup: {setup_s:.3f} s at reference speed (median of {len(scaled)}: "
+          f"{' '.join(f'{s:.3f}' for s in scaled)}; measured: import "
+          f"{statistics.median(imports):.3f} s, load {statistics.median(loads):.3f} s)")
 
     try:
         workload.start()
@@ -146,32 +181,41 @@ def main(argv: list[str] | None = None) -> int:
 def untraced_run(workload, args, order, setup_s: float) -> dict:
     from workloads import serve
     tally = Tally()
+    probe = SpeedProbe()
+    probe.probe()
     start = _now()
     deadline = start + args.seconds
     while True:
-        tally.add(*serve(workload, next(order)))
+        latency, served = serve(workload, next(order))
+        tally.add(latency, served, served.llm_calls * workload.wait_per_call_s)
+        probe.due()
         if _now() >= deadline:
             break
+    probe.probe()
     elapsed = _now() - start
     n = len(tally.latencies)
-    p90 = percentile(tally.latencies, 90)
-    beyond = sum(1 for x in tally.latencies if x > p90)
+    latencies, replay_s = tally.scaled(probe)
+    p90 = percentile(latencies, 90)
+    beyond = sum(1 for x in latencies if x > p90)
     print(f"samples: {n} requests in {elapsed:.2f} s, {beyond} beyond p90, "
           f"{tally.failed} failed")
+    print(f"speed: {len(probe.took)} probes, median {statistics.median(probe.took) * 1000:.3f} ms "
+          f"(reference {REFERENCE_S * 1000:g} ms); measured request p50 {tally.p50_ms():.4f} ms, "
+          f"p90 {percentile(tally.latencies, 90) * 1000:.4f} ms, {n / elapsed:.4f} requests/s")
     if n < MIN_SAMPLES:
         print(f"warning: fewer than {MIN_SAMPLES} requests; p90 rests on few samples",
               file=sys.stderr)
     metrics = {
         "setup_s": metric(setup_s, "s"),
-        "request_ms.p50": metric(tally.p50_ms(), "ms"),
+        "request_ms.p50": metric(statistics.median(latencies) * 1000, "ms"),
         "request_ms.p90": metric(p90 * 1000, "ms"),
-        "requests_per_s": metric(n / elapsed, "1/s"),
+        "requests_per_s": metric(n / sum(latencies), "1/s"),
         "success_ratio": metric((n - tally.failed) / n, "ratio"),
         "llm_calls_per_policy": metric(tally.mean("llm_calls"), "count"),
         "prompt_kchars_per_policy": metric(tally.mean("prompt_chars") / 1000, "kchars"),
         "policy_nodes_per_request": metric(tally.mean("policy_nodes"), "count"),
-        "ticks_per_s": metric(tally.sums["replay_ticks"] / tally.sums["replay_s"]
-                              if tally.sums["replay_s"] else 0.0, "1/s"),
+        "ticks_per_s": metric(tally.sums["replay_ticks"] / replay_s
+                              if replay_s else 0.0, "1/s"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     for name, entry in metrics.items():
@@ -189,6 +233,8 @@ def traced_run(workload, args, order, imports: list[float], loads: list[float]) 
     instrumentation = Instrumentation(tracer, TARGETS)
     request_span = tracer.name_id(REQUEST_SPAN)
     plain, traced = Tally(), Tally()
+    probe = SpeedProbe()
+    probe.probe()
     deadline = _now() + args.seconds
     while True:
         item = next(order)
@@ -202,8 +248,10 @@ def traced_run(workload, args, order, imports: list[float], loads: list[float]) 
             tracer.finish(span)
             instrumentation.uninstall()
         traced.add(*outcome)
+        probe.due()
         if _now() >= deadline:
             break
+    probe.probe()
 
     n = len(traced.latencies)
     stats = summarize(tracer)
@@ -220,6 +268,10 @@ def traced_run(workload, args, order, imports: list[float], loads: list[float]) 
     metrics["setup.load_s"] = (statistics.median(loads), "s")
     metrics["trace.overhead_ms"] = (traced.p50_ms() - plain.p50_ms(), "ms")
     metrics["trace.spans_per_request"] = (len(tracer) / n, "count")
+    scale = probe.scale()   # per-layer times at the reference speed, as request_ms is
+    for name, (value, unit) in metrics.items():
+        if unit == "ms":
+            metrics[name] = (value * scale, unit)
 
     WORK.mkdir(parents=True, exist_ok=True)
     spans_path = WORK / f"spans-{args.workload}.tsv"

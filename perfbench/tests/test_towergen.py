@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 from btpolicy.sim import bundled_data_path, load_scenario
@@ -34,6 +35,11 @@ def test_sizes_are_stratified_and_feasible(tmp_path):
     for size in batch.sizes:
         assert towergen.MIN_CUBES <= size.cubes <= towergen.MAX_CUBES
         assert 2 * size.conjuncts + size.blockers <= size.cubes
+        assert 0 <= size.on_destinations <= size.blockers
+    for combo in pairs:
+        splits = sorted(s.on_destinations for s in batch.sizes
+                        if (s.conjuncts, s.blockers) == combo)
+        assert splits == towergen.spread(0, combo[1], 2)
 
 
 def test_generated_files_pass_the_scenario_loader(tmp_path):
@@ -46,3 +52,18 @@ def test_generated_files_pass_the_scenario_loader(tmp_path):
         assert goal_count == size.conjuncts
         blocked = [lit for lit in scenario.initial.true if lit.args[1] != "table"]
         assert len(blocked) == size.blockers
+        pairs = re.findall(r"on\((\w+), (\w+)\)", scenario.oracle_goals)
+        destinations = {b for _, b in pairs}
+        support = {lit.args[0]: lit.args[1] for lit in scenario.initial.true}
+
+        def base(cube):
+            while support[cube] != "table":
+                cube = support[cube]
+            return cube
+
+        on_destinations = [lit for lit in blocked if base(lit.args[0]) in destinations]
+        assert len(on_destinations) == size.on_destinations
+        heights = Counter(base(lit.args[0]) for lit in blocked)
+        for side in (destinations, {a for a, _ in pairs}):
+            side_heights = [heights[cube] for cube in side]
+            assert max(side_heights) - min(side_heights) <= 1

@@ -9,9 +9,14 @@ the same templates.
 
 Sizes are drawn stratified: every (conjunct count, blocker count) pair
 appears equally often in a batch whose size is a multiple of eight, with
-its cube counts spread over the feasible range, and the seed draws the
-cube counts within that spread, the order and every arrangement. Two seeds
-therefore give different worlds with the same mix of sizes, which keeps
+its cube counts spread evenly over the feasible range and its split of
+blockers between source cubes (which trip ``blocked_grasp``) and
+destination cubes (``blocked_place``) spread evenly from all on sources to
+all on destinations, the two paired as in a Latin square. Each side's
+blockers are dealt out in turn over its cubes. The seed orders the batch
+and draws the arrangement: which cubes are goals, pairs and blockers, and
+which cube of a side gets the taller stacks. Two seeds therefore give
+different worlds with the same mix of sizes and fault kinds, which keeps
 run-to-run spread down without fixing the inputs.
 
 The output is plain ``scenario/v1`` and ``domain/v1`` files, so the program
@@ -50,9 +55,10 @@ class TowerSize:
     cubes: int
     conjuncts: int
     blockers: int
+    on_destinations: int   # blockers stacked on destination cubes; the rest on sources
 
     def __str__(self) -> str:
-        return f"{self.cubes}c/{self.conjuncts}g/{self.blockers}b"
+        return f"{self.cubes}c/{self.conjuncts}g/{self.blockers}b/{self.on_destinations}d"
 
 
 @dataclass(frozen=True)
@@ -66,22 +72,32 @@ class TowerBatch:
     digest: str
 
 
+def spread(low: int, high: int, count: int) -> list[int]:
+    """``count`` whole numbers spread evenly over ``low..high``: the
+    midpoints of as many equal slices of the range."""
+    span = high - low + 1
+    return [low + (2 * i + 1) * span // (2 * count) for i in range(count)]
+
+
 def draw_sizes(rng: random.Random, count: int) -> list[TowerSize]:
     """``count`` sizes: each (conjuncts, blockers) pair ``count / 8`` times,
-    its cube counts drawn one from each of as many equal slices of the
-    feasible range, in a seeded order."""
+    with cube counts and blocker splits each spread evenly over their
+    feasible ranges, in a seeded order. Cube counts and splits are paired
+    as in a Latin square, each pair of counts rotating the splits by one
+    more place, so that no seed draws a batch heavy in large worlds with
+    all blockers on one side."""
     combos = [(k, b) for k in CONJUNCTS for b in BLOCKERS]
     if count % len(combos):
         raise ValueError(f"count must be a multiple of {len(combos)}, got {count}")
     per_combo = count // len(combos)
     sizes = []
-    for k, b in combos:
+    for index, (k, b) in enumerate(combos):
         low = max(MIN_CUBES, 2 * k + b)   # goal pairs and blockers are distinct cubes
-        span = MAX_CUBES - low + 1
-        for i in range(per_combo):
-            first = low + i * span // per_combo
-            last = max(first, low + (i + 1) * span // per_combo - 1)
-            sizes.append(TowerSize(rng.randint(first, last), k, b))
+        splits = spread(0, b, per_combo)
+        turn = index % per_combo
+        splits = splits[turn:] + splits[:turn]
+        sizes += [TowerSize(cubes, k, b, split)
+                  for cubes, split in zip(spread(low, MAX_CUBES, per_combo), splits)]
     rng.shuffle(sizes)
     return sizes
 
@@ -105,10 +121,15 @@ def tower_scenario(rng: random.Random, scenario_id: str, size: TowerSize) -> dic
     goal_cubes = cubes[:2 * size.conjuncts]
     pairs = [(goal_cubes[2 * i], goal_cubes[2 * i + 1]) for i in range(size.conjuncts)]
     blockers = cubes[2 * size.conjuncts:2 * size.conjuncts + size.blockers]
+    # Each side's blockers are dealt out in turn over its cubes, in a seeded
+    # order, so stacks on one side differ in height by at most one.
+    sources = rng.sample([a for a, _ in pairs], len(pairs))
+    destinations = rng.sample([b for _, b in pairs], len(pairs))
+    bases = [destinations[i % len(pairs)] for i in range(size.on_destinations)]
+    bases += [sources[i % len(pairs)] for i in range(size.blockers - size.on_destinations)]
     support = {c: "table" for c in cubes}
     top = {c: c for c in goal_cubes}
-    for blocker in blockers:
-        base = rng.choice(goal_cubes)
+    for blocker, base in zip(blockers, bases):
         support[blocker] = top[base]
         top[base] = blocker
     goals = " & ".join(f"on({a}, {b})" for a, b in pairs)

@@ -103,7 +103,7 @@ def load_towers(seed: int, count: int, workdir: Path) -> tuple[towergen.TowerBat
 
 def describe_towers(batch: towergen.TowerBatch) -> list[str]:
     return [f"towers: seed {batch.seed}, {len(batch.paths)} scenarios, digest {batch.digest}",
-            "tower sizes (cubes/goal conjuncts/blockers): "
+            "tower sizes (cubes/goal conjuncts/blockers/blockers on destinations): "
             + " ".join(str(s) for s in batch.sizes)]
 
 
@@ -128,6 +128,7 @@ def synthesize(scenario: Scenario, backend: Any) -> SynthesisRun:
 
 class Workload:
     name = ""
+    wait_per_call_s = 0.0   # fixed wait per backend completion, outside the program
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
@@ -213,6 +214,7 @@ class RemoteStub(Synthesis):
     """The bundled requests, answered over HTTP by the loopback stub."""
 
     name = "remote-stub"
+    wait_per_call_s = STUB_DELAY_MS / 1000
 
     def __init__(self, seed: int, workdir: Path):
         super().__init__(seed, workdir)
