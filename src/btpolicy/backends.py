@@ -3,11 +3,13 @@
 Three implementations: Scripted replays fixture responses keyed by request
 id and role; Oracle synthesizes grammar-valid answers from scenario ground
 truth; Remote speaks the chat-completion wire format over HTTPS with
-temperature 0 and bounded retries on transport errors only.
+temperature 0 and bounded retries on transport errors and rate limits,
+waiting the server's Retry-After when it gives one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -117,9 +119,12 @@ class RemoteBackend:
         url = self.endpoint.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: Exception | None = None
+        retry_after: float | None = None    # the server's wait from a 429
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(min(retry_after, self.timeout) if retry_after is not None
+                           else self.backoff * 2 ** (attempt - 1))
+                retry_after = None
             try:
                 with self._gate:
                     response = self._post(url, payload, headers)
@@ -146,8 +151,11 @@ class RemoteBackend:
 
 
 def _parse_retry_after(response) -> float | None:
+    """Retry-After in seconds; None when absent, a date, or not a finite
+    non-negative number."""
     value = response.headers.get("Retry-After")
     try:
-        return float(value) if value is not None else None
-    except ValueError:
+        seconds = float(value)
+    except (TypeError, ValueError):
         return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None

@@ -52,10 +52,6 @@ class TreeNode:
     payload: Literal | GroundAction | None = None
 
     @property
-    def is_leaf(self) -> bool:
-        return self.kind in (NodeKind.CONDITION, NodeKind.ACTION)
-
-    @property
     def is_control(self) -> bool:
         return self.kind in _CONTROL_KINDS
 
@@ -155,18 +151,6 @@ class BehaviorTree:
         if self.root.id == node_id:
             return None
         raise UnknownNode(node_id)
-
-    def ancestors_of(self, node_id: int) -> list[tuple[TreeNode, int]]:
-        """Ancestor chain as (ancestor, child index taken), root first."""
-        path = self.id_index.get(node_id)
-        if path is None:
-            raise UnknownNode(node_id)
-        chain = []
-        node = self.root
-        for idx in path:
-            chain.append((node, idx))
-            node = node.children[idx]
-        return chain
 
     def validate(self) -> None:
         """Check structural invariants; raise TreeInvalid on violation."""

@@ -12,9 +12,10 @@ docs/formats.md for the layout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import yaml
 
@@ -78,7 +79,12 @@ class WorldState:
     """Closed world: ``true`` holds every true positive ground literal.
 
     ``hidden`` is per-scenario fault state living beside the visible
-    literals; planning never reads it, fault guards may."""
+    literals; planning never reads it, fault guards may.
+
+    Facts are also indexed by predicate, built on first use and cached on
+    the value outside its fields, so equality and hashing ignore it. A
+    state stays a plain immutable value; two threads racing on a fresh
+    state at worst build the same index twice."""
 
     objects: tuple[ObjectRef, ...] = ()
     true: frozenset[Literal] = frozenset()
@@ -87,6 +93,27 @@ class WorldState:
     @property
     def object_names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.objects)
+
+    @cached_property
+    def registry(self) -> frozenset[str]:
+        """Object names as a set, for membership tests."""
+        return frozenset(o.name for o in self.objects)
+
+    def rows(self, predicate: str, *,
+             include_hidden: bool = False) -> frozenset[tuple[str, ...]]:
+        """Argument tuples of the facts on ``predicate``."""
+        index = self._index_with_hidden if include_hidden else self._index
+        return index.get(predicate, frozenset())
+
+    @cached_property
+    def _index(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        return _index_by_predicate(self.true)
+
+    @cached_property
+    def _index_with_hidden(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        if not self.hidden:
+            return self._index
+        return _index_by_predicate(self.true | self.hidden)
 
     def with_changes(self, add: set[Literal] = frozenset(),
                      remove: set[Literal] = frozenset()) -> "WorldState":
@@ -101,6 +128,32 @@ class WorldState:
 
     def sorted_literals(self) -> list[str]:
         return sorted(str(lit) for lit in self.true)
+
+
+def _index_by_predicate(facts: frozenset[Literal]) -> dict[str, frozenset[tuple[str, ...]]]:
+    rows: dict[str, set[tuple[str, ...]]] = {}
+    for fact in facts:
+        rows.setdefault(fact.predicate, set()).add(fact.args)
+    return {pred: frozenset(args) for pred, args in rows.items()}
+
+
+def _rows_matching(pattern: tuple[str, ...], rows: frozenset[tuple[str, ...]],
+                   allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
+    """Rows equal to ``pattern`` outside its wildcard positions.
+
+    With ``allowed`` given, a wildcard position only matches those names."""
+    arity = len(pattern)
+    fixed = [(i, arg) for i, arg in enumerate(pattern) if arg != ANY_OBJECT]
+    free = [i for i, arg in enumerate(pattern) if arg == ANY_OBJECT]
+    for row in rows:
+        if len(row) != arity:
+            continue
+        for i, arg in fixed:
+            if row[i] != arg:
+                break
+        else:
+            if allowed is None or all(row[i] in allowed for i in free):
+                yield row
 
 
 @dataclass
@@ -173,38 +226,29 @@ class Domain:
 
         A positive wildcard literal is existential; a negated one is
         universal (true iff no object satisfies the positive form)."""
+        args = lit.args
         pred = self.predicate(lit.predicate)
-        if len(lit.args) != pred.arity:
-            raise ArityMismatch(lit.predicate, pred.arity, len(lit.args))
-        for arg in lit.args:
+        if len(args) != pred.arity:
+            raise ArityMismatch(lit.predicate, pred.arity, len(args))
+        for arg in args:
             if is_param(arg) or is_placeholder(arg):
                 raise UnboundSlot(arg[1:], str(lit))
-        facts = state.true | state.hidden if include_hidden else state.true
-        positive_true = self._matches_any(facts, lit.positive(), state.object_names)
-        return not positive_true if lit.negated else positive_true
-
-    def _matches_any(self, facts: frozenset[Literal], positive: Literal,
-                     object_names: tuple[str, ...]) -> bool:
-        if not positive.has_wildcard:
-            return positive in facts
-        slots = [i for i, a in enumerate(positive.args) if is_wildcard(a)]
-        for combo in itertools.product(object_names, repeat=len(slots)):
-            args = list(positive.args)
-            for i, value in zip(slots, combo):
-                args[i] = value
-            if Literal(positive.predicate, tuple(args)) in facts:
-                return True
-        return False
+        rows = state.rows(lit.predicate, include_hidden=include_hidden)
+        if ANY_OBJECT in args:
+            # Wildcards range over the state's object registry only.
+            positive_true = any(_rows_matching(args, rows, state.registry))
+        else:
+            positive_true = args in rows
+        return positive_true != lit.negated
 
     # -- effects ---------------------------------------------------------------
 
     def ground_effects(self, action: GroundAction,
                        effects: tuple[Literal, ...]) -> list[Literal]:
-        binding = action.as_dict()
+        binding = {k: v for k, v in action.binding if isinstance(v, str)}
         grounded = []
         for template in effects:
-            lit = template.substitute({k: v for k, v in binding.items()
-                                       if isinstance(v, str)})
+            lit = template.substitute(binding)
             for arg in lit.args:
                 if is_param(arg):
                     raise UnboundSlot(arg[1:], f"effect {template} of {action.skill}")
@@ -221,17 +265,15 @@ class Domain:
         remove: set[Literal] = set()
         add: set[Literal] = set()
         for lit in grounded:
-            if lit.negated:
-                pos = lit.positive()
-                if pos.has_wildcard:
-                    remove.update(f for f in state.true
-                                  if _wildcard_match(pos, f))
-                else:
-                    remove.add(pos)
-            else:
-                if lit.has_wildcard:
+            if not lit.negated:
+                if ANY_OBJECT in lit.args:
                     raise UnboundSlot(ANY_OBJECT, f"positive effect {lit} of {action.skill}")
                 add.add(lit)
+            elif ANY_OBJECT in lit.args:
+                remove.update(Literal(lit.predicate, args) for args in
+                              _rows_matching(lit.args, state.rows(lit.predicate)))
+            else:
+                remove.add(lit.positive())
         return state.with_changes(add=add, remove=remove)
 
     def apply_hidden_effects(self, state: WorldState, action: GroundAction) -> WorldState:
@@ -290,12 +332,6 @@ def _unify_effect(template: Literal, target: Literal) -> dict[str, str] | None:
             if not is_wildcard(g_arg) and t_arg != g_arg:
                 return None
     return binding
-
-
-def _wildcard_match(pattern: Literal, fact: Literal) -> bool:
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
-        return False
-    return all(is_wildcard(p) or p == f for p, f in zip(pattern.args, fact.args))
 
 
 # --- domain file loading -----------------------------------------------------

@@ -112,12 +112,11 @@ def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
     Values fixed by unification must still be admissible for their slots;
     a binding that puts an object in a slot whose category excludes it
     yields nothing."""
-    registry = {o.name for o in state.objects}
     for slot in skill.object_slots:
         value = partial.get(slot.name)
         if value is None:
             continue
-        if value not in registry:
+        if value not in state.registry:
             return
         if slot.category and domain.objects[value].category \
                 not in domain.categories_of(slot.category):
@@ -169,7 +168,8 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
     # Clean candidates displace dirty ones entirely; when only dirty ones
     # exist (clearing a block inevitably fills the hand) keep them, least
     # destructive first. Ties follow skill declaration, then binding order.
-    relied_on = _tree_condition_literals(tree)
+    relied_on = [lit for lit in _tree_condition_literals(tree)
+                 if domain.holds(state, lit)]
     candidates: list[tuple[int, int, GroundAction]] = []
     seen: set[GroundAction] = set()
     for index, (skill, partial) in enumerate(achievers):
@@ -180,9 +180,7 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
             after = domain.apply_effects(state, action)
             if not domain.holds(after, target):
                 continue
-            broken = sum(1 for lit in relied_on
-                         if domain.holds(state, lit)
-                         and not domain.holds(after, lit))
+            broken = sum(1 for lit in relied_on if not domain.holds(after, lit))
             candidates.append((broken, index, action))
     if not candidates:
         raise NoAchiever(target)

@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import bt
 from .backends import Backend, RequestMeta
-from .bt import BehaviorTree, NodeKind, iter_preorder
+from .bt import BehaviorTree, NodeKind, _node_to_obj, iter_preorder
 from .domain import Domain, Slot, WorldState
 from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
@@ -91,7 +90,12 @@ def records_to_jsonl(records: list[ResolutionRecord]) -> str:
 
 
 def tree_fingerprint(tree: BehaviorTree) -> str:
-    return hashlib.sha256(bt.serialize(tree).encode()).hexdigest()[:12]
+    """Short hash of the tree's structure, node ids and payloads.
+
+    Hashes compact JSON of the ``bt/v1`` node objects: equal for trees that
+    serialize identically, and far cheaper than the indented file form."""
+    text = json.dumps(_node_to_obj(tree.root), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _guarding_literals(tree: BehaviorTree, action_id: int) -> list[Literal]:

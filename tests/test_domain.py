@@ -1,12 +1,16 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btpolicy.domain import load_domain, make_state, parse_domain
-from btpolicy.errors import (ArityMismatch, SchemaError, UnboundSlot,
+from btpolicy.domain import WorldState, load_domain, make_state, parse_domain
+from btpolicy.errors import (ArityMismatch, BtError, SchemaError, UnboundSlot,
                              UnknownPredicate)
 from btpolicy.grammar import parse_literal
-from btpolicy.terms import GroundAction, Literal
+from btpolicy.terms import GroundAction, Literal, ObjectRef
+from oracles import reference_apply_effects, reference_holds
 
 
 def lit(text):
@@ -219,3 +223,123 @@ def test_literal_str_forms():
     assert str(Literal("on", ("a", "b"))) == "on(a, b)"
     assert str(Literal("on", ("a", "b"), True)) == "~on(a, b)"
     assert str(Literal("ready")) == "ready"
+
+
+# --- indexed evaluation against the plain references ---------------------------
+
+_INDEX_DOMAIN = parse_domain({
+    "schema": "domain/v1", "name": "index_props",
+    "predicates": [{"name": "ready", "arity": 0}, {"name": "tag", "arity": 1},
+                   {"name": "rel", "arity": 2}, {"name": "tri", "arity": 3}],
+    "objects": [{"name": n, "category": "thing"} for n in ("a", "b", "c", "d")],
+    "skills": [
+        {"name": "link", "params": [{"name": "x"}, {"name": "y"}],
+         "effects": ["~rel($x, any_object)", "rel($x, $y)"]},
+        {"name": "wipe", "params": [{"name": "x"}],
+         "effects": ["~rel(any_object, any_object)",
+                     "~tri($x, any_object, any_object)", "tag($x)"]},
+        {"name": "drop", "params": [{"name": "x"}],
+         "effects": ["~tag($x)", "~tri(any_object, $x, any_object)", "~ready"]},
+        {"name": "stack", "params": [{"name": "x"}, {"name": "y"}],
+         "effects": ["~tag(any_object)", "tri($x, $y, $x)", "ready"]},
+    ],
+})
+# "stray" is in no registry: facts may still name it, wildcards never match it.
+_INDEX_NAMES = ("a", "b", "c", "d", "stray")
+
+
+@st.composite
+def index_literals(draw, *, ground: bool = False):
+    name = draw(st.sampled_from(sorted(_INDEX_DOMAIN.predicates)))
+    arity = _INDEX_DOMAIN.predicates[name].arity
+    pool = _INDEX_NAMES if ground else _INDEX_NAMES + ("any_object",) * 3
+    args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+    return Literal(name, args, False if ground else draw(st.booleans()))
+
+
+@st.composite
+def index_states(draw):
+    registry = draw(st.lists(st.sampled_from(_INDEX_NAMES[:4]), unique=True))
+    facts = st.frozensets(index_literals(ground=True), max_size=12)
+    return WorldState(tuple(ObjectRef(n, "thing") for n in registry),
+                      draw(facts), draw(facts))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BtError as e:
+        return type(e)
+
+
+@given(index_states(), index_literals(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_indexed_holds_matches_enumeration(state, probe, include_hidden):
+    assert _INDEX_DOMAIN.holds(state, probe, include_hidden=include_hidden) == \
+        reference_holds(_INDEX_DOMAIN, state, probe, include_hidden=include_hidden)
+
+
+@given(index_states(),
+       st.sampled_from(sorted(_INDEX_DOMAIN.predicates) + ["levitating"]),
+       st.lists(st.sampled_from(_INDEX_NAMES + ("any_object", "$x", "@y")), max_size=3),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_indexed_holds_raises_like_enumeration(state, name, args, negated):
+    """Unknown predicates, wrong arities and unbound slots raise the same."""
+    probe = Literal(name, tuple(args), negated)
+    assert _outcome(_INDEX_DOMAIN.holds, state, probe) == \
+        _outcome(reference_holds, _INDEX_DOMAIN, state, probe)
+
+
+@given(index_states(), st.sampled_from(sorted(_INDEX_DOMAIN.skills)),
+       st.sampled_from(_INDEX_NAMES), st.sampled_from(_INDEX_NAMES),
+       st.lists(index_literals(), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_indexed_apply_effects_matches_scan(state, skill, x, y, probes):
+    params = [s.name for s in _INDEX_DOMAIN.skill(skill).params]
+    action = GroundAction.from_mapping(skill, dict(zip(params, (x, y))))
+    _INDEX_DOMAIN.holds(state, probes[0])          # build the parent's index first
+    after = _INDEX_DOMAIN.apply_effects(state, action)
+    expected = reference_apply_effects(_INDEX_DOMAIN, state, action)
+    assert (after.true, after.hidden) == (expected.true, expected.hidden)
+    for probe in probes:
+        assert _INDEX_DOMAIN.holds(after, probe) == \
+            reference_holds(_INDEX_DOMAIN, expected, probe)
+
+
+def test_index_is_not_part_of_the_value(cube_domain, blocked_cube_state):
+    fresh = WorldState(blocked_cube_state.objects, blocked_cube_state.true,
+                       blocked_cube_state.hidden)
+    assert cube_domain.holds(blocked_cube_state, lit("on(any_object, blue_cube)"))
+    assert blocked_cube_state == fresh
+    assert hash(blocked_cube_state) == hash(fresh)
+    assert repr(blocked_cube_state) == repr(fresh)
+
+
+def test_concurrent_queries_on_fresh_states(cube_domain):
+    """Threads racing to build one state's index all see the right answers."""
+    probes = [lit(t) for t in ("on(any_object, blue_cube)", "~on(any_object, any_object)",
+                               "on(red_cube, blue_cube)", "~grasped(any_object)")]
+    base = make_state(cube_domain, ["on(red_cube, blue_cube)", "on(blue_cube, table)"])
+    states = [WorldState(base.objects, base.true, base.hidden) for _ in range(200)]
+    expected = [reference_holds(cube_domain, base, p) for p in probes]
+    wrong: list = []
+
+    def worker():
+        for state in states:
+            answers = [cube_domain.holds(state, p) for p in probes]
+            if answers != expected:
+                wrong.append(answers)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

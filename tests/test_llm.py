@@ -336,12 +336,42 @@ def test_remote_rate_limited_retries_then_raises(monkeypatch):
         return Limited()
 
     monkeypatch.setattr("requests.post", post)
+    monkeypatch.setattr("time.sleep", lambda seconds: None)
     backend = RemoteBackend(model="m", endpoint="https://api.example",
                             api_key="k", max_retries=1, backoff=0.0)
     with pytest.raises(RateLimited) as err:
         backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "x"))
     assert err.value.retry_after == 7.0
     assert calls["n"] == 2
+
+
+@pytest.mark.parametrize("retry_after, waited", [
+    ("7", [7.0]),            # the server's wait
+    ("600", [60.0]),         # capped at the request timeout
+    (None, [1.5]),           # no header: the client's own backoff
+    ("Wed, 21 Oct 2015 07:28:00 GMT", [1.5]),
+    ("-3", [1.5]),
+])
+def test_remote_rate_limited_waits_retry_after(monkeypatch, retry_after, waited):
+    class Limited:
+        status_code = 429
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+
+    class Ok:
+        status_code = 200
+        headers = {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ANSWER: ok"}}]}
+
+    responses = [Limited(), Ok()]
+    sleeps = []
+    monkeypatch.setattr(RemoteBackend, "_post", lambda self, *a: responses.pop(0))
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    backend = RemoteBackend(model="m", endpoint="https://api.example", api_key="k",
+                            timeout=60.0, backoff=1.5)
+    assert backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "x")) == "ANSWER: ok"
+    assert sleeps == waited
 
 
 def test_scripted_backend_tolerates_concurrent_calls():

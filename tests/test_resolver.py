@@ -1,5 +1,6 @@
 import pytest
 
+from btpolicy import bt
 from btpolicy.backends import ScriptedBackend
 from btpolicy.bt import NodeKind, iter_preorder
 from btpolicy.errors import BackendUnavailable
@@ -7,8 +8,9 @@ from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, plan
 from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request,
                                records_to_jsonl, resolve,
-                               resolve_until_success)
+                               resolve_until_success, tree_fingerprint)
 from btpolicy.sim import bundled_data_path, execute
+from btpolicy.terms import Quantity
 
 
 def lit(text):
@@ -306,3 +308,27 @@ expected:
                       "hammer": Quantity(37.2, "N")}
     replay = execute(result.tree, scenario)
     assert replay.outcome == "success"
+
+
+class TestFingerprint:
+    def golden_tree(self):
+        return bt.parse(bundled_data_path("goldens", "cube_stack_after.json").read_text())
+
+    def test_survives_serialize_parse_round_trip(self):
+        tree = self.golden_tree()
+        assert tree_fingerprint(bt.parse(bt.serialize(tree))) == tree_fingerprint(tree)
+
+    def test_changes_on_sibling_reorder(self):
+        tree = self.golden_tree()
+        before = tree_fingerprint(tree)
+        children = next(n.children for n, _ in iter_preorder(tree.root)
+                        if len(n.children) > 1)
+        children[0], children[1] = children[1], children[0]
+        assert tree_fingerprint(tree) != before
+
+    def test_changes_on_payload_rebinding(self):
+        tree = self.golden_tree()
+        before = tree_fingerprint(tree)
+        leaf = action_leaves(tree)[0]
+        leaf.payload = leaf.action.with_slot("speed", Quantity(0.1, "m/s"))
+        assert tree_fingerprint(tree) != before
