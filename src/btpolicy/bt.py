@@ -104,11 +104,23 @@ class TickContext:
     step_action: Callable[[TreeNode], NodeStatus]
 
 
+_Entry = tuple[TreeNode, "TreeNode | None", int]
+_MISSING: _Entry = (None, None, 0)  # type: ignore[assignment]
+
+
 class BehaviorTree:
-    """A tree plus its id allocator and an id -> path index."""
+    """A tree plus its id allocator and a checked id -> (node, parent,
+    child index) index.
+
+    Every answer is checked against the tree: each recorded parent up to the
+    root must still hold its child at the recorded index. A miss rebuilds
+    the index once, so edits made directly to ``children`` or ``root`` need
+    no invalidation (README, Semantics notes).
+    """
 
     def __init__(self, root: TreeNode, next_id: int | None = None):
         self.root = root
+        self._index: dict[int, _Entry] = {}
         if next_id is None:
             next_id = max((n.id for n, _ in iter_preorder(root)), default=-1) + 1
         self._next_id = next_id
@@ -128,29 +140,61 @@ class BehaviorTree:
     def new_action(self, action: GroundAction) -> TreeNode:
         return self.new_node(NodeKind.ACTION, payload=action)
 
+    def _reindex(self) -> dict[int, _Entry]:
+        index: dict[int, _Entry] = {}
+
+        def walk(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
+            index.setdefault(node.id, (node, parent, slot))
+            for i, child in enumerate(node.children):
+                walk(child, node, i)
+
+        walk(self.root, None, 0)
+        self._index = index  # published whole: readers never see it half built
+        return index
+
+    def _locate(self, node_id: int) -> _Entry:
+        index = self._index
+        entry = node, parent, slot = index.get(node_id, _MISSING)
+        while parent is not None and slot < len(parent.children) \
+                and parent.children[slot] is node:
+            node, parent, slot = index[parent.id]
+        if parent is not None or node is not self.root:
+            entry = self._reindex().get(node_id)
+            if entry is None:
+                raise UnknownNode(node_id)
+        return entry
+
     @property
     def id_index(self) -> dict[int, tuple[int, ...]]:
         """Map from node id to the child-index path from the root."""
-        index: dict[int, tuple[int, ...]] = {}
-        for node, path in _iter_paths(self.root):
-            index[node.id] = path
-        return index
+        return {node_id: tuple(i for _, i in self.ancestry(node_id))
+                for node_id in self._reindex()}
 
     def find(self, node_id: int) -> TreeNode:
-        for node, _ in iter_preorder(self.root):
-            if node.id == node_id:
-                return node
-        raise UnknownNode(node_id)
+        return self._locate(node_id)[0]
 
     def parent_of(self, node_id: int) -> tuple[TreeNode, int] | None:
         """Return (parent, child index) or None for the root."""
-        for node, _ in iter_preorder(self.root):
-            for i, child in enumerate(node.children):
-                if child.id == node_id:
-                    return node, i
-        if self.root.id == node_id:
-            return None
-        raise UnknownNode(node_id)
+        _, parent, slot = self._locate(node_id)
+        return None if parent is None else (parent, slot)
+
+    def ancestry(self, node_id: int) -> list[tuple[TreeNode, int]]:
+        """(ancestor, index of the child leading to the node), root first."""
+        _, parent, slot = self._locate(node_id)
+        steps = []
+        while parent is not None:
+            steps.append((parent, slot))
+            _, parent, slot = self._index[parent.id]
+        return steps[::-1]
+
+    def replace(self, node_id: int, new: TreeNode) -> None:
+        """Put ``new`` where the node sits (the root included); ``new`` may
+        hold the replaced node, which is how wraps are made."""
+        _, parent, slot = self._locate(node_id)
+        if parent is None:
+            self.root = new
+        else:
+            parent.children[slot] = new
 
     def validate(self) -> None:
         """Check structural invariants; raise TreeInvalid on violation."""
@@ -174,27 +218,14 @@ class BehaviorTree:
                 if node.kind is NodeKind.ACTION and not isinstance(node.payload, GroundAction):
                     raise TreeInvalid(f"action node {node.id} lacks an action payload")
 
-    def clone(self) -> "BehaviorTree":
-        return BehaviorTree(_clone_node(self.root), self._next_id)
-
     def node_count(self) -> int:
         return sum(1 for _ in iter_preorder(self.root))
-
-
-def _clone_node(node: TreeNode) -> TreeNode:
-    return TreeNode(node.id, node.kind, [_clone_node(c) for c in node.children], node.payload)
 
 
 def iter_preorder(node: TreeNode, depth: int = 0) -> Iterator[tuple[TreeNode, int]]:
     yield node, depth
     for child in node.children:
         yield from iter_preorder(child, depth + 1)
-
-
-def _iter_paths(node: TreeNode, path: tuple[int, ...] = ()) -> Iterator[tuple[TreeNode, tuple[int, ...]]]:
-    yield node, path
-    for i, child in enumerate(node.children):
-        yield from _iter_paths(child, path + (i,))
 
 
 # --- ticking ---------------------------------------------------------------
@@ -272,26 +303,17 @@ def insert_preconditions(tree: BehaviorTree, action_id: int,
     bare under a Fallback (or at the root) is first wrapped in a singleton
     Sequence so it gains a canonical precondition slot.
     """
-    target = tree.find(action_id)
+    target, parent, _ = tree._locate(action_id)
     if target.kind is not NodeKind.ACTION:
         raise InvalidTarget(f"node {action_id} is {target.kind.value}, not an action")
     if not conds:
         return tree
 
-    parent_info = tree.parent_of(action_id)
-    if parent_info is None or parent_info[0].kind is not NodeKind.SEQUENCE:
-        wrapper = tree.new_node(NodeKind.SEQUENCE, children=[target])
-        if parent_info is None:
-            tree.root = wrapper
-        else:
-            parent, idx = parent_info
-            parent.children[idx] = wrapper
-        enclosing = wrapper
-    else:
-        enclosing = parent_info[0]
+    if parent is None or parent.kind is not NodeKind.SEQUENCE:
+        parent = tree.new_node(NodeKind.SEQUENCE, children=[target])
+        tree.replace(action_id, parent)
 
-    new_leaves = [tree.new_condition(lit) for lit in conds]
-    enclosing.children[:0] = new_leaves
+    parent.children[:0] = [tree.new_condition(lit) for lit in conds]
     return tree
 
 

@@ -285,7 +285,10 @@ def _bench_scenarios(args, prefix: str):
             backend = _make_backend(args, scenario)
             try:
                 result = resolve_until_success(scenario, backend, config)
-                if result.outcome is Outcome.SUCCESS:
+                # a case counts once its policy also replays from the
+                # initial world with faults on and no backend to repair it
+                if result.outcome is Outcome.SUCCESS and \
+                        execute(result.tree, scenario, config.exec).succeeded:
                     successes += 1
                 if result.goal_exchange is not None:
                     exchanges.append(result.goal_exchange)

@@ -81,9 +81,6 @@ class _Tokens:
             raise ParseError(f"unexpected token {got!r}", line=line, column=col,
                              expected=repr(value))
 
-    def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
-
     def require_end(self) -> None:
         tok = self.peek()
         if tok is not None:

@@ -27,7 +27,7 @@ from .errors import (EvaluationError, InvalidTarget, NoAchiever,
 from .terms import GroundAction, Literal
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
-           "insert_preconditions"]
+           "insert_preconditions", "guarding_literals"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,15 @@ def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
         return False
     parent, idx = info
     return parent.kind is NodeKind.FALLBACK and idx == 0 and len(parent.children) > 1
+
+
+def guarding_literals(tree: BehaviorTree, action_id: int) -> list[Literal] | None:
+    """Head literals of the subtrees in the action's enclosing Sequence;
+    None when the action does not sit in a Sequence."""
+    info = tree.parent_of(action_id)
+    if info is None or info[0].kind is not NodeKind.SEQUENCE:
+        return None
+    return [lit for lit in map(_head_literal, info[0].children) if lit is not None]
 
 
 def _head_literal(node: TreeNode) -> Literal | None:
@@ -190,18 +199,13 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
         candidates.sort(key=lambda c: (c[0], c[1]))
     actions = [action for _, _, action in candidates]
 
-    parent_info = tree.parent_of(cond_id)
     fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
     for action in actions:
         leaves: list[TreeNode] = [tree.new_condition(lit)
                                   for lit in domain.ground_preconditions(action)]
         leaves.append(tree.new_action(action))
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
-    if parent_info is None:
-        tree.root = fallback
-    else:
-        parent, idx = parent_info
-        parent.children[idx] = fallback
+    tree.replace(cond_id, fallback)
     return tree
 
 
@@ -294,15 +298,10 @@ def _sequence_scoped(tree: BehaviorTree, action_id: int, cond_id: int) -> bool:
 
 def _lowest_common_ancestor(tree: BehaviorTree, a_id: int,
                             b_id: int) -> tuple[TreeNode, int, int]:
-    index = tree.id_index
-    pa, pb = index[a_id], index[b_id]
-    i = 0
-    while i < len(pa) and i < len(pb) and pa[i] == pb[i]:
-        i += 1
-    node = tree.root
-    for step in pa[:i]:
-        node = node.children[step]
-    return node, pa[i], pb[i]
+    for (node, a_idx), (_, b_idx) in zip(tree.ancestry(a_id), tree.ancestry(b_id)):
+        if a_idx != b_idx:
+            return node, a_idx, b_idx
+    raise InvalidTarget(f"nodes {a_id} and {b_id} lie on one path from the root")
 
 
 def _reorder_for_conflict(tree: BehaviorTree, action_id: int, cond_id: int) -> None:

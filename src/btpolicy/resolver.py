@@ -24,10 +24,9 @@ from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   condition_catalog, extract_reasoning, parse_goal_response,
                   parse_param_response, parse_precondition_response,
                   scene_from_state)
-from .planner import (GoalSpec, PlanConfig, _head_literal, goals_of,
+from .planner import (GoalSpec, PlanConfig, goals_of, guarding_literals,
                       insert_preconditions, plan)
 from .sim import ExecConfig, ExecutionTrace, FailureEvent, Scenario, execute
-from .terms import Literal
 
 
 class Outcome(Enum):
@@ -98,19 +97,6 @@ def tree_fingerprint(tree: BehaviorTree) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _guarding_literals(tree: BehaviorTree, action_id: int) -> list[Literal]:
-    """Head literals of the subtrees in the action's enclosing Sequence."""
-    info = tree.parent_of(action_id)
-    if info is None or info[0].kind is not NodeKind.SEQUENCE:
-        return []
-    out = []
-    for child in info[0].children:
-        head = _head_literal(child)
-        if head is not None:
-            out.append(head)
-    return out
-
-
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
             backend: Backend, config: ResolveConfig | None = None, *,
             instruction: str = "", key: str = "",
@@ -138,7 +124,7 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
                                                       objects=world.object_names)
     exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
 
-    existing = _guarding_literals(tree, event.action_id)
+    existing = guarding_literals(tree, event.action_id) or []
     fresh = [lit for lit in literals if lit not in existing]
     if not fresh:
         record = ResolutionRecord("precondition", round_index, exchange,
@@ -284,7 +270,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
 
         Re-run after every repair: re-planning can introduce new actions
         whose open slots also need values."""
-        nonlocal rounds, tree
+        nonlocal rounds
         while True:
             request = find_param_request(tree, domain, scenario.open_params)
             if request is None:
@@ -292,7 +278,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
             if rounds >= config.max_resolution_rounds:
                 return False
             rounds += 1
-            tree, record = resolve_parameter(
+            _, record = resolve_parameter(
                 tree, request, domain, backend,
                 instruction=scenario.instruction, key=scenario.id,
                 world=scenario.initial.visible_only(), round_index=rounds)
@@ -321,11 +307,9 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 pass
             fill_parameters()
             result.outcome = Outcome.SUCCESS
-            result.tree = tree
             return result
         if trace.pending_event is None:
             result.outcome = Outcome.FAILURE
-            result.tree = tree
             return result
         event = trace.pending_event
         if rounds >= config.max_resolution_rounds:
@@ -333,13 +317,12 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
             return result
         rounds += 1
         try:
-            tree, record = resolve(tree, event, domain, backend, config,
-                                   instruction=scenario.instruction,
-                                   key=scenario.id, round_index=rounds)
+            _, record = resolve(tree, event, domain, backend, config,
+                                instruction=scenario.instruction,
+                                key=scenario.id, round_index=rounds)
             result.records.append(record)
             if not fill_parameters():
                 result.outcome = Outcome.EXHAUSTED
-                result.tree = tree
                 return result
         except ParseError as e:
             result.records.append(ResolutionRecord(
@@ -347,6 +330,4 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 error=f"{type(e).__name__}: {e}"))
         except Unsolvable:
             result.outcome = Outcome.UNSOLVABLE
-            result.tree = tree
             return result
-        result.tree = tree

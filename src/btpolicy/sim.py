@@ -276,7 +276,7 @@ def execute(tree: BehaviorTree, scenario: Scenario,
         fired = None
         fired_status = None
         tick_events = []
-        status, _ = tick(tree, ctx)
+        status, _ = tick(tree, ctx, record_trace=False)
         trace.ticks.append(TickRecord(
             index, status.value,
             fired.id if fired is not None else None,

@@ -59,11 +59,6 @@ class Literal:
         return ("~" + body) if self.negated else body
 
     @property
-    def is_ground(self) -> bool:
-        """Ground enough to evaluate: no unresolved template parameters."""
-        return not any(is_param(a) or is_placeholder(a) for a in self.args)
-
-    @property
     def has_wildcard(self) -> bool:
         return any(is_wildcard(a) for a in self.args)
 
@@ -74,10 +69,10 @@ class Literal:
         return Literal(self.predicate, self.args, not self.negated)
 
     def substitute(self, binding: Mapping[str, str]) -> "Literal":
-        """Replace ``$slot`` arguments with their bound values.
+        """Replace ``$slot`` and ``@slot`` arguments with their bound values.
 
-        Unbound slots are left in place; callers that require ground
-        literals check ``is_ground`` afterwards.
+        Unbound slots are left in place; ``Domain.check_literal`` and
+        ``Domain.holds`` reject them with ``UnboundSlot``.
         """
         new_args = []
         for a in self.args:

@@ -16,7 +16,7 @@ from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick, tree_equal)
 from .domain import Domain, WorldState
 from .errors import UnknownObject
-from .planner import GoalSpec, _groundings, _head_literal
+from .planner import GoalSpec, _groundings, guarding_literals
 from .terms import GroundAction, Quantity
 
 CHECKS = (
@@ -143,16 +143,14 @@ def _check_precondition_rows(tree: BehaviorTree, domain: Domain,
             continue  # binding problems are action_bindings findings
         if not required:
             continue
-        info = tree.parent_of(node.id)
-        if info is None or info[0].kind is not NodeKind.SEQUENCE:
+        guarding = guarding_literals(tree, node.id)
+        if guarding is None:
             report.violations.append(Violation(
                 "precondition_rows", node.id,
                 f"{node.action} declares preconditions but sits outside a Sequence"))
             continue
-        guarding = {str(_head_literal(child)) for child in info[0].children
-                    if _head_literal(child) is not None}
         for lit in required:
-            if str(lit) not in guarding:
+            if lit not in guarding:
                 report.violations.append(Violation(
                     "precondition_rows", node.id,
                     f"{node.action} lacks declared precondition {lit}"))

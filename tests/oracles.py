@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package internals: the tick
 oracle folds over tuple-trees, the plan oracle is a breadth-first search
-over the ground state space, and the literal-evaluation references are the
-plain enumerate-and-scan forms the indexed world state replaced.
+over the ground state space, the literal-evaluation references are the
+plain enumerate-and-scan forms the indexed world state replaced, and the
+tree lookups are the preorder scans the tree's checked index replaced.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from btpolicy.bt import NodeStatus
+from btpolicy.bt import BehaviorTree, NodeStatus, TreeNode, iter_preorder
 from btpolicy.domain import Domain, WorldState
-from btpolicy.errors import ArityMismatch, UnboundSlot
+from btpolicy.errors import ArityMismatch, UnboundSlot, UnknownNode
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, is_param,
                             is_placeholder, is_wildcard)
 
@@ -60,6 +61,38 @@ def reference_holds(domain: Domain, state: WorldState, lit: Literal, *,
             found = True
             break
     return not found if lit.negated else found
+
+
+def scan_id_index(tree: BehaviorTree) -> dict[int, tuple[int, ...]]:
+    """Map from node id to the child-index path from the root."""
+    index: dict[int, tuple[int, ...]] = {}
+    for node, path in _iter_paths(tree.root):
+        index[node.id] = path
+    return index
+
+
+def scan_find(tree: BehaviorTree, node_id: int) -> TreeNode:
+    for node, _ in iter_preorder(tree.root):
+        if node.id == node_id:
+            return node
+    raise UnknownNode(node_id)
+
+
+def scan_parent_of(tree: BehaviorTree, node_id: int) -> tuple[TreeNode, int] | None:
+    """Return (parent, child index) or None for the root."""
+    for node, _ in iter_preorder(tree.root):
+        for i, child in enumerate(node.children):
+            if child.id == node_id:
+                return node, i
+    if tree.root.id == node_id:
+        return None
+    raise UnknownNode(node_id)
+
+
+def _iter_paths(node: TreeNode, path: tuple[int, ...] = ()):
+    yield node, path
+    for i, child in enumerate(node.children):
+        yield from _iter_paths(child, path + (i,))
 
 
 def reference_apply_effects(domain: Domain, state: WorldState,

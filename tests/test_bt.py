@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,10 @@ from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext,
                          TreeNode, failing_action, insert_preconditions,
                          iter_preorder, tick, tree_equal)
 from btpolicy.errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
+from btpolicy.planner import _reorder_for_conflict
 from btpolicy.terms import GroundAction, Literal
 
-from oracles import oracle_status
+from oracles import oracle_status, scan_find, scan_id_index, scan_parent_of
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -299,3 +303,176 @@ def test_insert_preconditions_wraps_root_action():
     assert [c.kind for c in tree.root.children] == \
         [NodeKind.CONDITION, NodeKind.ACTION]
     tree.validate()
+
+
+# --- checked id index ---------------------------------------------------------
+
+def golden_tree_text() -> str:
+    from btpolicy.sim import bundled_data_path
+    return (bundled_data_path("goldens") / "cube_stack_after.json").read_text()
+
+
+def assert_lookups_match_scans(tree: BehaviorTree, absent: set[int]) -> None:
+    """find, parent_of, ancestry and id_index agree with the preorder scans."""
+    paths = scan_id_index(tree)
+    assert tree.id_index == paths
+    for node_id, path in paths.items():
+        assert tree.find(node_id) is scan_find(tree, node_id)
+        got, want = tree.parent_of(node_id), scan_parent_of(tree, node_id)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got[0] is want[0] and got[1] == want[1]
+        node, steps = tree.root, []
+        for index in path:
+            steps.append((node, index))
+            node = node.children[index]
+        got_steps = tree.ancestry(node_id)
+        assert [i for _, i in got_steps] == [i for _, i in steps]
+        assert all(a is b for (a, _), (b, _) in zip(got_steps, steps))
+    for node_id in absent - paths.keys():
+        with pytest.raises(UnknownNode):
+            tree.find(node_id)
+        with pytest.raises(UnknownNode):
+            tree.parent_of(node_id)
+
+
+def _pick(items: list, seed: int):
+    return items[seed % len(items)] if items else None
+
+
+def _nodes(node: TreeNode) -> list[TreeNode]:
+    return [n for n, _ in iter_preorder(node)]
+
+
+def _controls(tree: BehaviorTree) -> list[TreeNode]:
+    return [n for n in _nodes(tree.root) if n.is_control]
+
+
+def _wrap(tree: BehaviorTree, seed: int, root_only: bool = False) -> None:
+    node = tree.root if root_only else _pick(_nodes(tree.root), seed)
+    before = scan_parent_of(tree, node.id)
+    kind = NodeKind.SEQUENCE if seed % 2 else NodeKind.FALLBACK
+    wrapper = tree.new_node(kind, children=[node])
+    tree.replace(node.id, wrapper)
+    after = scan_parent_of(tree, wrapper.id)
+    if before is None:
+        assert after is None and tree.root is wrapper
+    else:
+        assert after is not None and after[0] is before[0] and after[1] == before[1]
+    assert scan_parent_of(tree, node.id) == (wrapper, 0)
+
+
+def _insert(tree: BehaviorTree, seed: int) -> None:
+    actions = [n for n in _nodes(tree.root) if n.kind is NodeKind.ACTION]
+    action = _pick(actions, seed)
+    if action is None:
+        return
+    lits = [Literal(f"p{seed % 5}"), Literal(f"q{seed % 3}")][:1 + seed % 2]
+    insert_preconditions(tree, action.id, lits)
+    parent, index = scan_parent_of(tree, action.id)
+    assert parent.kind is NodeKind.SEQUENCE
+    assert [c.payload for c in parent.children[:len(lits)]] == lits
+    assert parent.children[index] is action
+
+
+def _swap(tree: BehaviorTree, seed: int) -> None:
+    seqs = [n for n in _nodes(tree.root)
+            if n.kind is NodeKind.SEQUENCE and len(n.children) > 1]
+    seq = _pick(seqs, seed)
+    if seq is None:
+        return
+    a = 1 + seed % (len(seq.children) - 1)
+    c = (a + 1 + seed // 7 % (len(seq.children) - 1)) % len(seq.children)
+    moved, other = seq.children[a], seq.children[a - 1]
+    mover = _pick(_nodes(seq.children[a]), seed // 11)
+    guard = _pick(_nodes(seq.children[c]), seed // 13)
+    _reorder_for_conflict(tree, mover.id, guard.id)
+    assert seq.children[a - 1] is moved and seq.children[a] is other
+
+
+def _front(tree: BehaviorTree, seed: int) -> None:
+    _pick(_controls(tree), seed).children[:0] = [tree.new_condition(Literal("front"))]
+
+
+def _append(tree: BehaviorTree, seed: int) -> None:
+    _pick(_controls(tree), seed).children.append(tree.new_action(GroundAction("act_s")))
+
+
+def _pop(tree: BehaviorTree, seed: int) -> None:
+    wide = [n for n in _controls(tree) if len(n.children) > 1]
+    if wide:
+        _pick(wide, seed).children.pop()
+
+
+def _assign_root(tree: BehaviorTree, seed: int) -> None:
+    if seed % 2:
+        tree.root = tree.new_node(NodeKind.SEQUENCE, children=[tree.root])
+    else:
+        tree.root = _pick(_controls(tree), seed // 2)
+
+
+EDITS = {"wrap": _wrap, "root_wrap": lambda t, s: _wrap(t, s, root_only=True),
+         "insert": _insert, "swap": _swap, "front": _front, "append": _append,
+         "pop": _pop, "assign_root": _assign_root}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(EDITS) + ["check"]),
+                          st.integers(0, 10_000)), max_size=30))
+def test_index_matches_scans_after_random_edits(edits):
+    tree = bt.parse(golden_tree_text())
+    seen = set(scan_id_index(tree)) | {-1}
+    for name, seed in edits:
+        if name == "check":
+            assert_lookups_match_scans(tree, seen)
+        else:
+            EDITS[name](tree, seed)
+            seen |= scan_id_index(tree).keys()
+        seen.add(max(seen) + 1)
+    assert_lookups_match_scans(tree, seen)
+
+
+def test_concurrent_queries_on_fresh_trees():
+    """Threads racing to build one tree's index all see the scans' answers."""
+    text = golden_tree_text()
+    reference = bt.parse(text)
+    expected_paths = scan_id_index(reference)
+    expected_parents = {i: (None if p is None else (p[0].id, p[1]))
+                        for i in expected_paths
+                        for p in [scan_parent_of(reference, i)]}
+    trees = [bt.parse(text) for _ in range(200)]
+    start = threading.Barrier(8)
+    wrong: list = []
+
+    def worker(first: int):
+        # threads start at different ids; odd ones build through id_index
+        order = list(expected_paths)
+        order = order[first:] + order[:first]
+        try:
+            for tree in trees:
+                start.wait(timeout=30)
+                if first % 2 and tree.id_index != expected_paths:
+                    wrong.append("id_index")
+                for node_id in order:
+                    info = tree.parent_of(node_id)
+                    got = None if info is None else (info[0].id, info[1])
+                    if tree.find(node_id).id != node_id or got != expected_parents[node_id]:
+                        wrong.append(node_id)
+                if tree.id_index != expected_paths:
+                    wrong.append("id_index")
+        except Exception as e:  # noqa: BLE001 - any raise is a wrong answer
+            wrong.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(3 * i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -137,6 +137,17 @@ class TestBenchCommand:
         assert len(lines) == 6
         assert all(l.endswith("1/1") for l in lines)
 
+    def test_scenario_suite_counts_only_replayed_successes(self, monkeypatch, capsys):
+        from btpolicy.sim import ExecutionTrace
+        monkeypatch.setattr("btpolicy.cli.execute",
+                            lambda *args, **kwargs: ExecutionTrace(outcome="failure"))
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "params", "--backend", "oracle")
+        assert code == EXIT_OK
+        lines = [l for l in out.splitlines() if l.startswith("param_")]
+        assert len(lines) == 6
+        assert all(l.endswith("0/1") for l in lines)
+
     def test_goals_suite_oracle_hundred_percent(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--suite", "goals", "--backend", "oracle")
