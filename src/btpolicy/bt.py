@@ -223,9 +223,14 @@ class BehaviorTree:
 
 
 def iter_preorder(node: TreeNode, depth: int = 0) -> Iterator[tuple[TreeNode, int]]:
-    yield node, depth
-    for child in node.children:
-        yield from iter_preorder(child, depth + 1)
+    """Nodes with their depths, in preorder, from one explicit stack."""
+    stack = [(node, depth)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if node.children:
+            depth += 1
+            stack.extend([(child, depth) for child in reversed(node.children)])
 
 
 # --- ticking ---------------------------------------------------------------

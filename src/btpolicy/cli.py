@@ -109,9 +109,7 @@ def _exchanges_jsonl(exchanges: list[LlmExchange]) -> str:
 def cmd_plan(args) -> int:
     if args.scenario:
         scenario = _find_scenario(args.scenario)
-        domain = scenario.domain
-        state = scenario.initial
-        instruction = args.instruction or scenario.instruction
+        backend = _make_backend(args, scenario)
     else:
         if not args.domain or not args.instruction:
             print("plan needs --scenario or both --domain and --instruction",
@@ -119,25 +117,13 @@ def cmd_plan(args) -> int:
             return EXIT_FAILURE
         domain = load_domain(args.domain)
         literals = [t.strip() for t in (args.state or "").split("&") if t.strip()]
-        state = make_state(domain, literals)
-        instruction = args.instruction
-        scenario = None
-
-    if scenario is not None:
-        backend = _make_backend(args, scenario)
-        goals, exchange = interpret_goals(scenario, backend)
-    else:
+        scenario = Scenario(id="adhoc", domain=domain, domain_ref=args.domain,
+                            initial=make_state(domain, literals),
+                            instruction=args.instruction)
         backend = _make_backend(args, None)
-        spec = PromptSpec(Role.GOAL_INTERPRETATION, instruction, state.objects,
-                          condition_catalog(domain), domain.goal_examples,
-                          scene_from_state(domain, state.visible_only()))
-        raw = backend.complete(build_prompt(spec),
-                               RequestMeta(Role.GOAL_INTERPRETATION, "adhoc"))
-        parsed, reasoning = parse_goal_response(raw, domain,
-                                                objects=state.object_names)
-        goals, exchange = parsed, LlmExchange(spec, raw, parsed, reasoning)
+    goals, exchange = interpret_goals(scenario, backend)
 
-    tree = plan(goals, domain, state,
+    tree = plan(goals, scenario.domain, scenario.initial,
                 PlanConfig(max_expansions=args.budget_expansions,
                            max_conflict_reorders=args.budget_reorders,
                            max_sim_ticks=args.budget_ticks))

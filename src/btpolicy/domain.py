@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 import yaml
 
@@ -69,7 +69,7 @@ class SkillTemplate:
                 return s
         raise KeyError(name)
 
-    @property
+    @cached_property
     def object_slots(self) -> tuple[Slot, ...]:
         return tuple(s for s in self.params if s.kind == "object")
 
@@ -201,22 +201,24 @@ class Domain:
             names.extend(sorted(o.name for o in registry if o.category == cat))
         return names
 
-    def check_literal(self, lit: Literal, *, objects: tuple[str, ...] | None = None,
+    def check_literal(self, lit: Literal, *, objects: Collection[str] | None = None,
                       allow_params: bool = False) -> None:
-        """Validate predicate, arity, and argument symbols."""
+        """Validate predicate, arity, and argument symbols.
+
+        Literals pass it where they enter (domain and scenario files, parsed
+        answers, goals, the tree gate ``sim.check_tree_domain``); evaluation
+        trusts them after."""
         pred = self.predicate(lit.predicate)
         if len(lit.args) != pred.arity:
             raise ArityMismatch(lit.predicate, pred.arity, len(lit.args))
-        known = set(objects) if objects is not None else set(self.objects)
+        known = self.objects if objects is None else objects
         for arg in lit.args:
-            if is_wildcard(arg):
+            if arg in known or is_wildcard(arg):
                 continue
-            if is_param(arg) or is_placeholder(arg):
-                if not allow_params:
-                    raise UnboundSlot(arg[1:], str(lit))
-                continue
-            if arg not in known:
+            if not (is_param(arg) or is_placeholder(arg)):
                 raise UnknownObject(arg)
+            if not allow_params:
+                raise UnboundSlot(arg[1:], str(lit))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -225,14 +227,9 @@ class Domain:
         """Closed-world truth of a ground or wildcard literal.
 
         A positive wildcard literal is existential; a negated one is
-        universal (true iff no object satisfies the positive form)."""
+        universal (true iff no object satisfies the positive form). The
+        literal is trusted to have passed ``check_literal``."""
         args = lit.args
-        pred = self.predicate(lit.predicate)
-        if len(args) != pred.arity:
-            raise ArityMismatch(lit.predicate, pred.arity, len(args))
-        for arg in args:
-            if is_param(arg) or is_placeholder(arg):
-                raise UnboundSlot(arg[1:], str(lit))
         rows = state.rows(lit.predicate, include_hidden=include_hidden)
         if ANY_OBJECT in args:
             # Wildcards range over the state's object registry only.
@@ -245,15 +242,9 @@ class Domain:
 
     def ground_effects(self, action: GroundAction,
                        effects: tuple[Literal, ...]) -> list[Literal]:
+        """Substitute the action's object binding into literal templates."""
         binding = {k: v for k, v in action.binding if isinstance(v, str)}
-        grounded = []
-        for template in effects:
-            lit = template.substitute(binding)
-            for arg in lit.args:
-                if is_param(arg):
-                    raise UnboundSlot(arg[1:], f"effect {template} of {action.skill}")
-            grounded.append(lit)
-        return grounded
+        return [template.substitute(binding) for template in effects]
 
     def apply_effects(self, state: WorldState, action: GroundAction) -> WorldState:
         """Delete-then-add application of the action's visible effects.
@@ -266,8 +257,6 @@ class Domain:
         add: set[Literal] = set()
         for lit in grounded:
             if not lit.negated:
-                if ANY_OBJECT in lit.args:
-                    raise UnboundSlot(ANY_OBJECT, f"positive effect {lit} of {action.skill}")
                 add.add(lit)
             elif ANY_OBJECT in lit.args:
                 remove.update(Literal(lit.predicate, args) for args in

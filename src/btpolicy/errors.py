@@ -84,10 +84,6 @@ class UnboundSlot(BtError):
         super().__init__(f"unbound slot ${slot}{suffix}")
 
 
-class EvaluationError(BtError):
-    """A leaf payload references a predicate or skill the domain lacks."""
-
-
 class UnknownNode(BtError):
     def __init__(self, node_id: int):
         self.node_id = node_id
@@ -123,7 +119,7 @@ class PlanBudgetExceeded(BtError):
 
 
 class DomainMismatch(BtError):
-    """Tree and scenario reference different domains."""
+    """A tree leaf does not fit the domain it is run or verified against."""
 
 
 class TickBudgetExceeded(BtError):

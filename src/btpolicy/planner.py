@@ -22,8 +22,7 @@ from typing import Iterator
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
                  TreeNode, insert_preconditions, iter_preorder, tick)
 from .domain import Domain, SkillTemplate, WorldState
-from .errors import (EvaluationError, InvalidTarget, NoAchiever,
-                     PlanBudgetExceeded, UnknownPredicate, Unsolvable)
+from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
 from .terms import GroundAction, Literal
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
@@ -220,15 +219,6 @@ class _SimResult:
     ticks: int = 0
 
 
-def _condition_eval(domain: Domain, get_state):
-    def eval_condition(lit: Literal) -> bool:
-        try:
-            return domain.holds(get_state(), lit)
-        except UnknownPredicate as e:
-            raise EvaluationError(str(e)) from e
-    return eval_condition
-
-
 def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
               max_ticks: int) -> _SimResult:
     """Tick until success, failure, conflict, or a state cycle.
@@ -243,14 +233,11 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
 
     def step_action(leaf: TreeNode) -> NodeStatus:
         nonlocal current, fired
-        try:
-            current = domain.apply_effects(current, leaf.action)
-        except UnknownPredicate as e:
-            raise EvaluationError(str(e)) from e
+        current = domain.apply_effects(current, leaf.action)
         fired = leaf
         return NodeStatus.RUNNING
 
-    ctx = TickContext(_condition_eval(domain, lambda: current), step_action)
+    ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
 
     for tick_i in range(max_ticks):
         fired = None
@@ -338,10 +325,15 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     conflict moves the offending subtree left; success returns the tree.
     Raises Unsolvable when a needed literal has no achiever and
     PlanBudgetExceeded (with the partial tree attached) when budgets run out.
+
+    The goals are checked against the domain and the state's registry. A
+    ``tree`` to grow is trusted as given, unchecked: the resolver builds it
+    from checked goals, domain templates and parsed answers. Trees from
+    elsewhere pass ``sim.check_tree_domain`` first.
     """
     config = config or PlanConfig()
     for lit in goals.conjuncts:
-        domain.check_literal(lit, objects=state.object_names)
+        domain.check_literal(lit, objects=state.registry)
     if tree is None:
         tree = init_tree(goals)
     start = state.visible_only()

@@ -24,10 +24,10 @@ from .backends import OracleBackend, RequestMeta
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick)
 from .domain import Domain, WorldState, load_domain, make_state
-from .errors import (DomainMismatch, EvaluationError, ParseError, SchemaError,
-                     TickBudgetExceeded, UnknownPredicate, UnknownObject)
+from .errors import (BtError, DomainMismatch, ParseError, SchemaError,
+                     TickBudgetExceeded)
 from .llm import Role
-from .terms import GroundAction, Literal
+from .terms import GroundAction, Literal, is_param, is_placeholder
 
 SCENARIO_SCHEMA = "scenario/v1"
 
@@ -200,16 +200,30 @@ class ExecutionTrace:
 
 
 def check_tree_domain(tree: BehaviorTree, domain: Domain) -> None:
-    """Raise DomainMismatch if a leaf references vocabulary the domain lacks."""
+    """Raise DomainMismatch naming the first leaf that does not fit the domain.
+
+    Every condition must pass ``Domain.check_literal``; every action must
+    name a known skill and bind each object slot to a domain object. This is
+    the one gate for trees from outside the planner: ticking trusts a tree
+    that passed it."""
     for node, _ in iter_preorder(tree.root):
         if node.kind is NodeKind.CONDITION:
-            if node.literal.predicate not in domain.predicates:
-                raise DomainMismatch(f"condition {node.literal} uses a predicate "
-                                     f"unknown to domain {domain.name}")
+            try:
+                domain.check_literal(node.literal)
+            except BtError as e:
+                raise DomainMismatch(f"condition {node.literal} (node {node.id}) "
+                                     f"does not fit domain {domain.name}: {e}") from e
         elif node.kind is NodeKind.ACTION:
-            if node.action.skill not in domain.skills:
-                raise DomainMismatch(f"action {node.action} uses a skill "
+            action = node.action
+            skill = domain.skills.get(action.skill)
+            if skill is None:
+                raise DomainMismatch(f"action {action} (node {node.id}) uses a skill "
                                      f"unknown to domain {domain.name}")
+            for slot in skill.object_slots:
+                if action.get(slot.name) not in domain.objects:
+                    raise DomainMismatch(
+                        f"action {action} (node {node.id}) does not bind object "
+                        f"slot {slot.name!r} to an object of domain {domain.name}")
 
 
 def execute(tree: BehaviorTree, scenario: Scenario,
@@ -217,8 +231,10 @@ def execute(tree: BehaviorTree, scenario: Scenario,
             world: WorldState | None = None,
             faults: bool = True) -> ExecutionTrace:
     """Run the tree against the scenario world until success, failure, or
-    the first failure event. Fully deterministic; raises TickBudgetExceeded
-    when the tick budget runs out or the world stops changing."""
+    the first failure event. Fully deterministic; raises DomainMismatch
+    before the first tick when a leaf does not fit the scenario's domain,
+    and TickBudgetExceeded when the tick budget runs out or the world stops
+    changing."""
     config = config or ExecConfig()
     domain = scenario.domain
     check_tree_domain(tree, domain)
@@ -231,10 +247,7 @@ def execute(tree: BehaviorTree, scenario: Scenario,
     tick_events: list[FailureEvent] = []
 
     def eval_condition(lit: Literal) -> bool:
-        try:
-            return domain.holds(state, lit, include_hidden=True)
-        except UnknownPredicate as e:
-            raise EvaluationError(str(e)) from e
+        return domain.holds(state, lit, include_hidden=True)
 
     def step_action(leaf: TreeNode) -> NodeStatus:
         nonlocal state, fired, fired_status
@@ -261,11 +274,8 @@ def execute(tree: BehaviorTree, scenario: Scenario,
                                             rule.id))
             fired_status = NodeStatus.FAILURE
             return fired_status
-        try:
-            state = domain.apply_effects(state, action)
-            state = domain.apply_hidden_effects(state, action)
-        except (UnknownPredicate, UnknownObject) as e:
-            raise EvaluationError(str(e)) from e
+        state = domain.apply_effects(state, action)
+        state = domain.apply_hidden_effects(state, action)
         fired_status = NodeStatus.RUNNING
         return fired_status
 
@@ -345,7 +355,8 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     except Exception as e:
         fail(f"bad initial state: {e}")
 
-    def parse_rule_literals(texts, rule_id: str) -> tuple[Literal, ...]:
+    def parse_rule_literals(texts, rule_id: str, skill: str) -> tuple[Literal, ...]:
+        slots = {s.name for s in domain.skills[skill].object_slots}
         literals = []
         for text in texts or ():
             try:
@@ -353,9 +364,13 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
             except ParseError as e:
                 fail(f"rule {rule_id!r}: bad literal {text!r}: {e}")
             try:
-                domain.check_literal(lit, objects=state.object_names, allow_params=True)
+                domain.check_literal(lit, objects=state.registry, allow_params=True)
             except Exception as e:
                 fail(f"rule {rule_id!r}: invalid literal {text!r}: {e}")
+            for arg in lit.args:
+                if (is_param(arg) or is_placeholder(arg)) and arg[1:] not in slots:
+                    fail(f"rule {rule_id!r}: literal {text!r} names {arg}, "
+                         f"which is no object slot of skill {skill!r}")
             literals.append(lit)
         return tuple(literals)
 
@@ -385,9 +400,9 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
                 fail(f"rule {rule_id!r}: bad where pattern {pattern!r}")
         rules.append(FaultRule(
             rule_id, entry["skill"], tuple(where), tuple(where_category),
-            parse_rule_literals(entry.get("guard"), rule_id),
+            parse_rule_literals(entry.get("guard"), rule_id, entry["skill"]),
             entry["message"],
-            parse_rule_literals(entry.get("clears_when"), rule_id),
+            parse_rule_literals(entry.get("clears_when"), rule_id, entry["skill"]),
             phase, mode))
     rule_ids = [rule.id for rule in rules]
     if len(set(rule_ids)) != len(rule_ids):

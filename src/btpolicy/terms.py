@@ -71,8 +71,9 @@ class Literal:
     def substitute(self, binding: Mapping[str, str]) -> "Literal":
         """Replace ``$slot`` and ``@slot`` arguments with their bound values.
 
-        Unbound slots are left in place; ``Domain.check_literal`` and
-        ``Domain.holds`` reject them with ``UnboundSlot``.
+        Unbound slots are left in place; ``Domain.check_literal`` rejects
+        them with ``UnboundSlot`` where literals enter, and evaluation
+        (``Domain.holds``) trusts what it is given.
         """
         new_args = []
         for a in self.args:

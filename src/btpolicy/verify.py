@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick, tree_equal)
 from .domain import Domain, WorldState
-from .errors import UnknownObject
 from .planner import GoalSpec, _groundings, guarding_literals
+from .sim import check_tree_domain
 from .terms import GroundAction, Quantity
 
 CHECKS = (
@@ -64,13 +64,16 @@ class VerificationReport:
 def verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
                 initial_state: WorldState | None = None,
                 max_sim_ticks: int = 500) -> VerificationReport:
-    """Run every check; findings land in the report, nothing raises."""
+    """Run every check; findings land in the report. Only the livelock
+    check ticks the tree, so only then does a tree whose leaves do not fit
+    the domain raise DomainMismatch instead."""
     report = VerificationReport(CHECKS)
     _check_action_bindings(tree, domain, report)
     _check_goal_coverage(tree, goals, report)
     _check_precondition_rows(tree, domain, report)
     _check_distinct_fallback_children(tree, report)
     if initial_state is not None and len(initial_state.objects) <= LIVELOCK_OBJECT_LIMIT:
+        check_tree_domain(tree, domain)
         _check_bounded_livelock(tree, domain, initial_state, max_sim_ticks, report)
     return report
 
@@ -137,10 +140,10 @@ def _check_precondition_rows(tree: BehaviorTree, domain: Domain,
     for node, _ in iter_preorder(tree.root):
         if node.kind is not NodeKind.ACTION or node.action.skill not in domain.skills:
             continue
-        try:
-            required = domain.ground_preconditions(node.action)
-        except Exception:
+        skill = domain.skills[node.action.skill]
+        if any(not isinstance(node.action.get(s.name), str) for s in skill.object_slots):
             continue  # binding problems are action_bindings findings
+        required = domain.ground_preconditions(node.action)
         if not required:
             continue
         guarding = guarding_literals(tree, node.id)
@@ -180,12 +183,8 @@ def reachable_states(domain: Domain, initial: WorldState,
     while queue and len(order) < limit:
         state = queue.popleft()
         for action in _all_ground_actions(domain, state):
-            try:
-                applicable = all(domain.holds(state, lit)
-                                 for lit in domain.ground_preconditions(action))
-            except UnknownObject:
-                continue
-            if not applicable:
+            if not all(domain.holds(state, lit)
+                       for lit in domain.ground_preconditions(action)):
                 continue
             nxt = domain.apply_effects(state, action)
             if nxt.true not in seen:

@@ -5,16 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btpolicy import sim
+from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
 from btpolicy.domain import WorldState, load_domain, make_state, parse_domain
-from btpolicy.errors import (ArityMismatch, BtError, SchemaError, UnboundSlot,
-                             UnknownPredicate)
+from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, SchemaError,
+                             UnboundSlot, UnknownPredicate)
 from btpolicy.grammar import parse_literal
-from btpolicy.terms import GroundAction, Literal, ObjectRef
+from btpolicy.sim import Scenario, check_tree_domain, execute
+from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef
 from oracles import reference_apply_effects, reference_holds
 
 
 def lit(text):
     return parse_literal(text)
+
+
+def one_leaf_tree(payload: Literal | GroundAction) -> BehaviorTree:
+    tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+    tree.root.children.append(tree.new_condition(payload) if isinstance(payload, Literal)
+                              else tree.new_action(payload))
+    return tree
+
+
+def execute_untickable(domain, payload, monkeypatch):
+    """``execute`` a one-leaf tree whose first tick fails the test.
+
+    Evaluation trusts its inputs, so a bad leaf must be stopped by the tree
+    gate before anything is ticked."""
+    def no_tick(*args, **kwargs):
+        raise AssertionError("the tree was ticked")
+
+    monkeypatch.setattr(sim, "tick", no_tick)
+    scenario = Scenario(id="gate", domain=domain, domain_ref="",
+                        initial=make_state(domain, []), instruction="")
+    return execute(one_leaf_tree(payload), scenario)
 
 
 class TestHolds:
@@ -39,20 +63,21 @@ class TestHolds:
         state = make_state(cube_domain, ["grasped(red_cube)"])
         assert cube_domain.holds(state, lit("grasped(any_object)"))
 
-    def test_unknown_predicate(self, cube_domain):
-        state = make_state(cube_domain, [])
-        with pytest.raises(UnknownPredicate):
-            cube_domain.holds(state, lit("levitating(red_cube)"))
+    def test_unknown_predicate(self, cube_domain, monkeypatch):
+        with pytest.raises(DomainMismatch) as err:
+            execute_untickable(cube_domain, lit("levitating(red_cube)"), monkeypatch)
+        assert isinstance(err.value.__cause__, UnknownPredicate)
+        assert "levitating(red_cube) (node 1)" in str(err.value)
 
-    def test_arity_mismatch(self, cube_domain):
-        state = make_state(cube_domain, [])
-        with pytest.raises(ArityMismatch):
-            cube_domain.holds(state, lit("on(red_cube)"))
+    def test_arity_mismatch(self, cube_domain, monkeypatch):
+        with pytest.raises(DomainMismatch) as err:
+            execute_untickable(cube_domain, lit("on(red_cube)"), monkeypatch)
+        assert isinstance(err.value.__cause__, ArityMismatch)
 
-    def test_unbound_slot_rejected(self, cube_domain):
-        state = make_state(cube_domain, [])
-        with pytest.raises(UnboundSlot):
-            cube_domain.holds(state, lit("grasped($obj)"))
+    def test_unbound_slot_rejected(self, cube_domain, monkeypatch):
+        with pytest.raises(DomainMismatch) as err:
+            execute_untickable(cube_domain, lit("grasped($obj)"), monkeypatch)
+        assert isinstance(err.value.__cause__, UnboundSlot)
 
     def test_hidden_invisible_by_default(self, cafe_domain):
         state = make_state(cafe_domain, [], ["Locked(Cupboard)"])
@@ -134,10 +159,10 @@ class TestApplyEffects:
         state = make_state(domain, ["p"])
         assert domain.apply_effects(state, GroundAction("wait")).true == state.true
 
-    def test_unbound_object_slot_raises(self, cube_domain):
-        state = make_state(cube_domain, [])
-        with pytest.raises(UnboundSlot):
-            cube_domain.apply_effects(state, GroundAction("grasp"))
+    def test_unbound_object_slot_raises(self, cube_domain, monkeypatch):
+        with pytest.raises(DomainMismatch) as err:
+            execute_untickable(cube_domain, GroundAction("grasp"), monkeypatch)
+        assert "slot 'obj'" in str(err.value)
 
     def test_hidden_untouched_by_visible_effects(self, cafe_domain):
         state = make_state(cafe_domain, ["Grasped(Plate)"], ["Locked(Cupboard)"])
@@ -285,10 +310,16 @@ def test_indexed_holds_matches_enumeration(state, probe, include_hidden):
        st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_indexed_holds_raises_like_enumeration(state, name, args, negated):
-    """Unknown predicates, wrong arities and unbound slots raise the same."""
+    """The tree gate rejects a one-condition tree exactly when the
+    enumerating reference raises (unknown predicate, wrong arity, unbound
+    slot) or an argument is neither a domain object nor the wildcard."""
     probe = Literal(name, tuple(args), negated)
-    assert _outcome(_INDEX_DOMAIN.holds, state, probe) == \
-        _outcome(reference_holds, _INDEX_DOMAIN, state, probe)
+    reference = _outcome(reference_holds, _INDEX_DOMAIN, state, probe)
+    expected = isinstance(reference, type) or any(
+        arg not in _INDEX_DOMAIN.objects and arg != ANY_OBJECT for arg in args)
+    gate = _outcome(check_tree_domain, one_leaf_tree(probe), _INDEX_DOMAIN)
+    assert gate in (None, DomainMismatch)
+    assert (gate is DomainMismatch) == expected
 
 
 @given(index_states(), st.sampled_from(sorted(_INDEX_DOMAIN.skills)),

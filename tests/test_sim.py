@@ -166,6 +166,15 @@ class TestScenarioLoading:
         with pytest.raises(SchemaError):
             load_scenario(tmp_path / "broken.yaml")
 
+    def test_rule_placeholder_must_name_an_object_slot(self, tmp_path):
+        broken = self._portable_source().replace(
+            'guard: ["on(any_object, @obj)"]', 'guard: ["on(any_object, @ghost)"]')
+        assert "@ghost" in broken
+        (tmp_path / "broken.yaml").write_text(broken)
+        with pytest.raises(SchemaError) as err:
+            load_scenario(tmp_path / "broken.yaml")
+        assert "blocked_grasp" in str(err.value) and "@ghost" in str(err.value)
+
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         (tmp_path / "bad.yaml").write_text("schema: scenario/v1\nid: [unclosed\n")
         with pytest.raises(SchemaError) as err:

@@ -1,5 +1,8 @@
+import pytest
+
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
 from btpolicy.domain import make_state, parse_domain
+from btpolicy.errors import DomainMismatch
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec
 from btpolicy.resolver import resolve_until_success
@@ -45,6 +48,22 @@ class TestViolations:
         tree.root.children.append(tree.new_action(GroundAction("levitate")))
         report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
         assert any(v.check == "action_bindings" for v in report.violations)
+
+    def test_livelock_check_gates_the_tree(self, cube_domain, blocked_cube_state):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.append(tree.new_condition(lit("grasped(red_cube)")))
+        tree.root.children.append(tree.new_action(GroundAction("levitate")))
+        with pytest.raises(DomainMismatch):
+            verify_tree(tree, cube_domain, goal("grasped(red_cube)"),
+                        initial_state=blocked_cube_state)
+
+    def test_unbound_object_slot_is_a_binding_finding_only(self, cube_domain):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.append(tree.new_condition(lit("grasped(red_cube)")))
+        tree.root.children.append(tree.new_action(
+            GroundAction.from_mapping("place", {"dst": "green_cube"})))
+        report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
+        assert [v.check for v in report.violations] == ["action_bindings"]
 
     def test_missing_declared_precondition_detected(self, cube_domain):
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
