@@ -108,6 +108,10 @@ def _exchanges_jsonl(exchanges: list[LlmExchange]) -> str:
 
 def cmd_plan(args) -> int:
     if args.scenario:
+        if args.instruction:
+            print("--instruction goes with --domain; a scenario brings its own "
+                  "instruction", file=sys.stderr)
+            return EXIT_FAILURE
         scenario = _find_scenario(args.scenario)
         backend = _make_backend(args, scenario)
     else:
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_plan)
     p_plan.add_argument("--scenario", help="scenario id or path supplying the world")
     p_plan.add_argument("--domain", help="domain file (with --instruction)")
-    p_plan.add_argument("--instruction")
+    p_plan.add_argument("--instruction", help="instruction text (with --domain)")
     p_plan.add_argument("--state", help="initial literals joined by '&'")
     p_plan.add_argument("--out", default="out")
     p_plan.set_defaults(func=cmd_plan)

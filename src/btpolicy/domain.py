@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NamedTuple
 
 import yaml
 
@@ -73,6 +73,35 @@ class SkillTemplate:
     def object_slots(self) -> tuple[Slot, ...]:
         return tuple(s for s in self.params if s.kind == "object")
 
+    def grounded(self, action: GroundAction) -> _Grounded:
+        """The action's preconditions, effects and hidden effects with its
+        binding substituted.
+
+        Memoized by the binding's ``str`` values, the only part substitution
+        reads, so numeric values never grow the memo: it holds one entry per
+        combination of object names and categorical values seen. The
+        template is immutable, so entries never go stale; two threads can
+        at worst compute one entry twice."""
+        key = tuple((k, v) for k, v in action.binding if isinstance(v, str))
+        memo = self._grounded_memo
+        entry = memo.get(key)
+        if entry is None:
+            binding = dict(key)
+            entry = memo[key] = _Grounded(
+                *(tuple(t.substitute(binding) for t in templates) for templates in
+                  (self.preconditions, self.effects, self.hidden_effects)))
+        return entry
+
+    @cached_property
+    def _grounded_memo(self) -> dict[tuple[tuple[str, str], ...], _Grounded]:
+        return {}
+
+
+class _Grounded(NamedTuple):
+    preconditions: tuple[Literal, ...]
+    effects: tuple[Literal, ...]
+    hidden_effects: tuple[Literal, ...]
+
 
 @dataclass(frozen=True)
 class WorldState:
@@ -83,8 +112,11 @@ class WorldState:
 
     Facts are also indexed by predicate, built on first use and cached on
     the value outside its fields, so equality and hashing ignore it. A
-    state stays a plain immutable value; two threads racing on a fresh
-    state at worst build the same index twice."""
+    state derived from one whose index is built inherits a copy of it,
+    rebuilt only on the predicates the change touched; the copy is in
+    place before the derived state is returned. A state stays a plain
+    immutable value; two threads racing on a fresh state at worst build
+    the same index twice."""
 
     objects: tuple[ObjectRef, ...] = ()
     true: frozenset[Literal] = frozenset()
@@ -105,39 +137,87 @@ class WorldState:
         index = self._index_with_hidden if include_hidden else self._index
         return index.get(predicate, frozenset())
 
+    def changed_rows(self, add: Collection[Literal],
+                     remove: Collection[Literal]) -> dict[str, set[tuple[str, ...]]]:
+        """Visible rows of each predicate ``add`` or ``remove`` touches, as
+        ``with_changes(add, remove)`` would hold them (delete, then add)."""
+        index = self._index
+        after: dict[str, set[tuple[str, ...]]] = {}
+        for lit in remove:
+            rows = after.get(lit.predicate)
+            if rows is None:
+                rows = after[lit.predicate] = set(index.get(lit.predicate, ()))
+            rows.discard(lit.args)
+        for lit in add:
+            rows = after.get(lit.predicate)
+            if rows is None:
+                rows = after[lit.predicate] = set(index.get(lit.predicate, ()))
+            rows.add(lit.args)
+        return after
+
     @cached_property
     def _index(self) -> dict[str, frozenset[tuple[str, ...]]]:
-        return _index_by_predicate(self.true)
+        return {pred: frozenset(args)
+                for pred, args in _args_by_predicate(self.true).items()}
 
     @cached_property
     def _index_with_hidden(self) -> dict[str, frozenset[tuple[str, ...]]]:
         if not self.hidden:
             return self._index
-        return _index_by_predicate(self.true | self.hidden)
+        index = dict(self._index)
+        for pred, args in _args_by_predicate(self.hidden).items():
+            index[pred] = index.get(pred, frozenset()).union(args)
+        return index
 
     def with_changes(self, add: set[Literal] = frozenset(),
                      remove: set[Literal] = frozenset()) -> "WorldState":
-        return WorldState(self.objects, (self.true - remove) | add, self.hidden)
+        child = WorldState(self.objects, (self.true - remove) | add, self.hidden)
+        if "_index" in self.__dict__:
+            index = dict(self._index)
+            for pred, rows in self.changed_rows(add, remove).items():
+                if rows:
+                    index[pred] = frozenset(rows)
+                else:
+                    index.pop(pred, None)
+            child.__dict__.update(registry=self.registry, _index=index)
+        return child
 
     def with_hidden_changes(self, add: set[Literal] = frozenset(),
                             remove: set[Literal] = frozenset()) -> "WorldState":
-        return WorldState(self.objects, self.true, (self.hidden - remove) | add)
+        hidden = (self.hidden - remove) | add
+        return self if hidden == self.hidden else self._with_hidden(hidden)
 
     def visible_only(self) -> "WorldState":
-        return WorldState(self.objects, self.true, frozenset())
+        return self._with_hidden(frozenset()) if self.hidden else self
+
+    def _with_hidden(self, hidden: frozenset[Literal]) -> "WorldState":
+        """The same visible facts, and with them the built caches."""
+        child = WorldState(self.objects, self.true, hidden)
+        child.__dict__.update((name, self.__dict__[name]) for name in ("registry", "_index")
+                              if name in self.__dict__)
+        return child
 
     def sorted_literals(self) -> list[str]:
         return sorted(str(lit) for lit in self.true)
 
 
-def _index_by_predicate(facts: frozenset[Literal]) -> dict[str, frozenset[tuple[str, ...]]]:
+def _args_by_predicate(facts: Collection[Literal]) -> dict[str, set[tuple[str, ...]]]:
     rows: dict[str, set[tuple[str, ...]]] = {}
     for fact in facts:
         rows.setdefault(fact.predicate, set()).add(fact.args)
-    return {pred: frozenset(args) for pred, args in rows.items()}
+    return rows
 
 
-def _rows_matching(pattern: tuple[str, ...], rows: frozenset[tuple[str, ...]],
+def literal_holds(lit: Literal, rows: Collection[tuple[str, ...]],
+                  registry: frozenset[str]) -> bool:
+    """Truth of ``lit`` given the rows of its predicate; wildcards range
+    over the ``registry`` names only."""
+    if ANY_OBJECT in lit.args:
+        return any(_rows_matching(lit.args, rows, registry)) != lit.negated
+    return (lit.args in rows) != lit.negated
+
+
+def _rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
                    allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
     """Rows equal to ``pattern`` outside its wildcard positions.
 
@@ -229,33 +309,20 @@ class Domain:
         A positive wildcard literal is existential; a negated one is
         universal (true iff no object satisfies the positive form). The
         literal is trusted to have passed ``check_literal``."""
-        args = lit.args
-        rows = state.rows(lit.predicate, include_hidden=include_hidden)
-        if ANY_OBJECT in args:
-            # Wildcards range over the state's object registry only.
-            positive_true = any(_rows_matching(args, rows, state.registry))
-        else:
-            positive_true = args in rows
-        return positive_true != lit.negated
+        return literal_holds(lit, state.rows(lit.predicate, include_hidden=include_hidden),
+                             state.registry)
 
     # -- effects ---------------------------------------------------------------
 
-    def ground_effects(self, action: GroundAction,
-                       effects: tuple[Literal, ...]) -> list[Literal]:
-        """Substitute the action's object binding into literal templates."""
-        binding = {k: v for k, v in action.binding if isinstance(v, str)}
-        return [template.substitute(binding) for template in effects]
+    def effect_delta(self, state: WorldState,
+                     action: GroundAction) -> tuple[set[Literal], set[Literal]]:
+        """The (add, remove) fact sets of the action's visible effects.
 
-    def apply_effects(self, state: WorldState, action: GroundAction) -> WorldState:
-        """Delete-then-add application of the action's visible effects.
-
-        Negated effects with wildcards delete every matching ground literal.
-        The hidden part of the state is never touched here."""
-        skill = self.skill(action.skill)
-        grounded = self.ground_effects(action, skill.effects)
+        Negated effects with wildcards delete every matching ground literal;
+        additions win over deletions (delete-then-add)."""
         remove: set[Literal] = set()
         add: set[Literal] = set()
-        for lit in grounded:
+        for lit in self.skill(action.skill).grounded(action).effects:
             if not lit.negated:
                 add.add(lit)
             elif ANY_OBJECT in lit.args:
@@ -263,18 +330,23 @@ class Domain:
                               _rows_matching(lit.args, state.rows(lit.predicate)))
             else:
                 remove.add(lit.positive())
+        return add, remove
+
+    def apply_effects(self, state: WorldState, action: GroundAction) -> WorldState:
+        """Delete-then-add application of the action's visible effects.
+
+        The hidden part of the state is never touched here."""
+        add, remove = self.effect_delta(state, action)
         return state.with_changes(add=add, remove=remove)
 
     def apply_hidden_effects(self, state: WorldState, action: GroundAction) -> WorldState:
-        skill = self.skill(action.skill)
-        grounded = self.ground_effects(action, skill.hidden_effects)
+        grounded = self.skill(action.skill).grounded(action).hidden_effects
         remove = {lit.positive() for lit in grounded if lit.negated}
         add = {lit for lit in grounded if not lit.negated}
         return state.with_hidden_changes(add=add, remove=remove)
 
-    def ground_preconditions(self, action: GroundAction) -> list[Literal]:
-        skill = self.skill(action.skill)
-        return self.ground_effects(action, skill.preconditions)
+    def ground_preconditions(self, action: GroundAction) -> tuple[Literal, ...]:
+        return self.skill(action.skill).grounded(action).preconditions
 
     # -- backchaining support ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
                  TreeNode, insert_preconditions, iter_preorder, tick)
-from .domain import Domain, SkillTemplate, WorldState
+from .domain import Domain, SkillTemplate, WorldState, literal_holds
 from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
 from .terms import GroundAction, Literal
 
@@ -104,13 +104,8 @@ def _head_literal(node: TreeNode) -> Literal | None:
 
 def _tree_condition_literals(tree: BehaviorTree) -> list[Literal]:
     """Distinct condition-leaf literals, in first-appearance order."""
-    seen: set[str] = set()
-    out: list[Literal] = []
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is NodeKind.CONDITION and str(node.literal) not in seen:
-            seen.add(str(node.literal))
-            out.append(node.literal)
-    return out
+    return list(dict.fromkeys(node.literal for node, _ in iter_preorder(tree.root)
+                              if node.kind is NodeKind.CONDITION))
 
 
 def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
@@ -176,8 +171,13 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
     # Clean candidates displace dirty ones entirely; when only dirty ones
     # exist (clearing a block inevitably fills the hand) keep them, least
     # destructive first. Ties follow skill declaration, then binding order.
-    relied_on = [lit for lit in _tree_condition_literals(tree)
-                 if domain.holds(state, lit)]
+    # A candidate is scored on the rows its effects touch: a literal whose
+    # predicate it leaves alone keeps its truth (the target stays false).
+    relied_on: dict[str, list[Literal]] = {}
+    for lit in _tree_condition_literals(tree):
+        if domain.holds(state, lit):
+            relied_on.setdefault(lit.predicate, []).append(lit)
+    registry = state.registry
     candidates: list[tuple[int, int, GroundAction]] = []
     seen: set[GroundAction] = set()
     for index, (skill, partial) in enumerate(achievers):
@@ -185,10 +185,13 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
             if action in seen:
                 continue
             seen.add(action)
-            after = domain.apply_effects(state, action)
-            if not domain.holds(after, target):
+            after = state.changed_rows(*domain.effect_delta(state, action))
+            rows = after.get(target.predicate)
+            if rows is None or not literal_holds(target, rows, registry):
                 continue
-            broken = sum(1 for lit in relied_on if not domain.holds(after, lit))
+            broken = sum(not literal_holds(lit, touched, registry)
+                         for pred, touched in after.items()
+                         for lit in relied_on.get(pred, ()))
             candidates.append((broken, index, action))
     if not candidates:
         raise NoAchiever(target)

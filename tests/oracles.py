@@ -3,8 +3,10 @@
 These deliberately share no code with the package internals: the tick
 oracle folds over tuple-trees, the plan oracle is a breadth-first search
 over the ground state space, the literal-evaluation references are the
-plain enumerate-and-scan forms the indexed world state replaced, and the
-tree lookups are the preorder scans the tree's checked index replaced.
+plain enumerate-and-scan forms the indexed world state replaced, the
+tree lookups are the preorder scans the tree's checked index replaced, and
+the expansion reference scores each candidate on a fully built successor
+state, as the planner did before it scored from effect deltas.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from btpolicy.bt import BehaviorTree, NodeStatus, TreeNode, iter_preorder
+from btpolicy.bt import BehaviorTree, NodeKind, NodeStatus, TreeNode, iter_preorder
 from btpolicy.domain import Domain, WorldState
-from btpolicy.errors import ArityMismatch, UnboundSlot, UnknownNode
+from btpolicy.errors import (ArityMismatch, InvalidTarget, NoAchiever, UnboundSlot,
+                             UnknownNode)
+from btpolicy.planner import _groundings, is_expanded
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, is_param,
                             is_placeholder, is_wildcard)
 
@@ -120,6 +124,66 @@ def reference_apply_effects(domain: Domain, state: WorldState,
                       if f.predicate == pos.predicate and len(f.args) == len(pos.args)
                       and all(is_wildcard(p) or p == a for p, a in zip(pos.args, f.args)))
     return WorldState(state.objects, (state.true - remove) | add, state.hidden)
+
+
+def reference_expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
+                               state: WorldState) -> BehaviorTree:
+    """``planner.expand_condition`` scoring every candidate on the state
+    ``Domain.apply_effects`` builds for it."""
+    node = tree.find(cond_id)
+    if node.kind is not NodeKind.CONDITION:
+        raise InvalidTarget(f"node {cond_id} is {node.kind.value}, not a condition")
+    if is_expanded(tree, node):
+        raise InvalidTarget(f"condition {cond_id} was already expanded")
+    target = node.literal
+    if domain.holds(state, target):
+        raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
+
+    achievers = domain.achievers(target)
+    if not achievers:
+        raise NoAchiever(target)
+
+    relied_on = [lit for lit in _tree_condition_literals(tree)
+                 if domain.holds(state, lit)]
+    candidates: list[tuple[int, int, GroundAction]] = []
+    seen: set[GroundAction] = set()
+    for index, (skill, partial) in enumerate(achievers):
+        for action in _groundings(domain, state, skill, partial):
+            if action in seen:
+                continue
+            seen.add(action)
+            after = domain.apply_effects(state, action)
+            if not domain.holds(after, target):
+                continue
+            broken = sum(1 for lit in relied_on if not domain.holds(after, lit))
+            candidates.append((broken, index, action))
+    if not candidates:
+        raise NoAchiever(target)
+    if any(broken == 0 for broken, _, _ in candidates):
+        candidates = [c for c in candidates if c[0] == 0]
+    else:
+        candidates.sort(key=lambda c: (c[0], c[1]))
+    actions = [action for _, _, action in candidates]
+
+    fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
+    for action in actions:
+        leaves: list[TreeNode] = [tree.new_condition(lit)
+                                  for lit in domain.ground_preconditions(action)]
+        leaves.append(tree.new_action(action))
+        fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
+    tree.replace(cond_id, fallback)
+    return tree
+
+
+def _tree_condition_literals(tree: BehaviorTree) -> list[Literal]:
+    """Distinct condition-leaf literals, in first-appearance order."""
+    seen: set[str] = set()
+    out: list[Literal] = []
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is NodeKind.CONDITION and str(node.literal) not in seen:
+            seen.add(str(node.literal))
+            out.append(node.literal)
+    return out
 
 
 def ground_actions(domain: Domain, state: WorldState) -> list[GroundAction]:

@@ -1,8 +1,8 @@
 import json
 
 from btpolicy import bt
-from btpolicy.cli import (EXIT_BACKEND, EXIT_OK, EXIT_PARSE, EXIT_SCHEMA,
-                          EXIT_VIOLATIONS, main)
+from btpolicy.cli import (EXIT_BACKEND, EXIT_FAILURE, EXIT_OK, EXIT_PARSE,
+                          EXIT_SCHEMA, EXIT_VIOLATIONS, main)
 from btpolicy.sim import bundled_data_path
 
 
@@ -38,6 +38,15 @@ class TestPlanCommand:
         assert code == EXIT_OK
         tree = bt.parse((tmp_path / "out" / "tree.json").read_text())
         assert tree.node_count() == 2  # root plus the single goal condition
+
+    def test_plan_rejects_instruction_with_scenario(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "plan", "--scenario", "precond_01_blocked_cube",
+            "--instruction", "Put the red cube on the table",
+            "--backend", "oracle", "--out", str(tmp_path / "out"))
+        assert code == EXIT_FAILURE
+        assert "--instruction goes with --domain" in err
+        assert not (tmp_path / "out").exists()
 
     def test_plan_unknown_symbol_exits_parse_code(self, tmp_path, capsys):
         domain = bundled_data_path("domains", "cube_tabletop.yaml")

@@ -2,18 +2,21 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btpolicy import sim
+from btpolicy import bt, sim
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
-from btpolicy.domain import WorldState, load_domain, make_state, parse_domain
+from btpolicy.domain import (WorldState, literal_holds, load_domain, make_state,
+                             parse_domain)
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, SchemaError,
                              UnboundSlot, UnknownPredicate)
 from btpolicy.grammar import parse_literal
-from btpolicy.sim import Scenario, check_tree_domain, execute
-from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef
-from oracles import reference_apply_effects, reference_holds
+from btpolicy.planner import GoalSpec, expand_condition, init_tree
+from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
+from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity
+from oracles import (reference_apply_effects, reference_expand_condition,
+                     reference_holds)
 
 
 def lit(text):
@@ -259,12 +262,14 @@ _INDEX_DOMAIN = parse_domain({
     "objects": [{"name": n, "category": "thing"} for n in ("a", "b", "c", "d")],
     "skills": [
         {"name": "link", "params": [{"name": "x"}, {"name": "y"}],
-         "effects": ["~rel($x, any_object)", "rel($x, $y)"]},
+         "effects": ["~rel($x, any_object)", "rel($x, $y)"],
+         "hidden_effects": ["tag($y)", "~ready"]},
         {"name": "wipe", "params": [{"name": "x"}],
          "effects": ["~rel(any_object, any_object)",
                      "~tri($x, any_object, any_object)", "tag($x)"]},
         {"name": "drop", "params": [{"name": "x"}],
-         "effects": ["~tag($x)", "~tri(any_object, $x, any_object)", "~ready"]},
+         "effects": ["~tag($x)", "~tri(any_object, $x, any_object)", "~ready"],
+         "hidden_effects": ["rel($x, $x)", "~tag(a)"]},
         {"name": "stack", "params": [{"name": "x"}, {"name": "y"}],
          "effects": ["~tag(any_object)", "tri($x, $y, $x)", "ready"]},
     ],
@@ -338,6 +343,101 @@ def test_indexed_apply_effects_matches_scan(state, skill, x, y, probes):
             reference_holds(_INDEX_DOMAIN, expected, probe)
 
 
+def _index_action(skill, x, y):
+    params = [s.name for s in _INDEX_DOMAIN.skill(skill).params]
+    return GroundAction.from_mapping(skill, dict(zip(params, (x, y))))
+
+
+@given(index_states(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_derived_index_equals_fresh_index(state, data):
+    """Each state of a random chain of changes, and each state it was
+    derived from, indexes its facts as a state built from scratch does,
+    and both agree with a plain scan of the facts."""
+    facts = st.sets(index_literals(ground=True), max_size=4)
+    chain = [state]
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        if data.draw(st.booleans(), label="index parent first"):
+            state.rows("rel", include_hidden=data.draw(st.booleans()))
+        present = st.sets(st.sampled_from(sorted(state.true, key=str))) \
+            if state.true else st.just(set())
+        op = data.draw(st.sampled_from(
+            ["apply", "apply_hidden", "change", "empty", "hidden", "visible"]))
+        if op in ("apply", "apply_hidden"):
+            action = _index_action(data.draw(st.sampled_from(sorted(_INDEX_DOMAIN.skills))),
+                                   data.draw(st.sampled_from(_INDEX_NAMES)),
+                                   data.draw(st.sampled_from(_INDEX_NAMES)))
+            apply = _INDEX_DOMAIN.apply_effects if op == "apply" \
+                else _INDEX_DOMAIN.apply_hidden_effects
+            state = apply(state, action)
+        elif op == "change":    # deletes of absent facts included
+            state = state.with_changes(add=data.draw(facts),
+                                       remove=data.draw(facts) | data.draw(present))
+        elif op == "empty":
+            pred = data.draw(st.sampled_from(sorted(_INDEX_DOMAIN.predicates)))
+            state = state.with_changes(remove={f for f in state.true if f.predicate == pred})
+        elif op == "hidden":    # hidden facts overlapping visible ones
+            state = state.with_hidden_changes(add=data.draw(facts) | data.draw(present),
+                                              remove=data.draw(facts))
+        else:
+            state = state.visible_only()
+        chain.append(state)
+    for derived in chain:
+        fresh = WorldState(derived.objects, derived.true, derived.hidden)
+        for pred in _INDEX_DOMAIN.predicates:
+            visible = {f.args for f in derived.true if f.predicate == pred}
+            everything = {f.args for f in derived.true | derived.hidden if f.predicate == pred}
+            assert derived.rows(pred) == fresh.rows(pred) == visible
+            assert derived.rows(pred, include_hidden=True) == \
+                fresh.rows(pred, include_hidden=True) == everything
+        assert derived._index == fresh._index
+        assert derived._index_with_hidden == fresh._index_with_hidden
+        assert derived.registry == fresh.registry
+
+
+@given(index_states(), st.sampled_from(sorted(_INDEX_DOMAIN.skills)),
+       st.sampled_from(_INDEX_NAMES), st.sampled_from(_INDEX_NAMES),
+       st.lists(index_literals(), min_size=1, max_size=4))
+@example(  # link deletes rel(a, any_object), then adds rel(a, b) back
+    WorldState(tuple(ObjectRef(n, "thing") for n in "ab"),
+               frozenset({Literal("rel", ("a", "b"))})),
+    "link", "a", "b", [Literal("rel", ("a", "b"))])
+@settings(max_examples=400, deadline=None)
+def test_holds_after_delta_matches_applied_state(state, skill, x, y, probes):
+    """A literal judged on the rows an action's effects touch (or, when it
+    touches none of the literal's predicate, on the state before) holds
+    exactly when it holds on the state the action leads to."""
+    action = _index_action(skill, x, y)
+    after = state.changed_rows(*_INDEX_DOMAIN.effect_delta(state, action))
+    applied = _INDEX_DOMAIN.apply_effects(state, action)
+    for probe in probes:
+        rows = after.get(probe.predicate)
+        got = _INDEX_DOMAIN.holds(state, probe) if rows is None \
+            else literal_holds(probe, rows, state.registry)
+        assert got == reference_holds(_INDEX_DOMAIN, applied, probe)
+
+
+@given(index_states(), st.lists(index_literals(), min_size=1, max_size=5))
+@example(  # wipe(x=c) deletes no tri fact: the goal stays false, c is no achiever
+    WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
+               frozenset({Literal("tri", ("a", "b", "a"))})),
+    [Literal("tri", (ANY_OBJECT, "b", ANY_OBJECT), True)])
+@settings(max_examples=300, deadline=None)
+def test_expand_condition_matches_applied_scoring(state, goals):
+    """Expanding each failing goal in turn builds the same tree as the
+    reference that scores every candidate on a fully applied state."""
+    trees = [init_tree(GoalSpec(tuple(goals))) for _ in range(2)]
+    for cond_id, goal in enumerate(goals, start=1):
+        if _INDEX_DOMAIN.holds(state, goal):
+            continue
+        raised = []
+        for expand, tree in zip((expand_condition, reference_expand_condition), trees):
+            outcome = _outcome(expand, tree, cond_id, _INDEX_DOMAIN, state)
+            raised.append(None if outcome is tree else outcome)
+        assert raised[0] == raised[1]
+        assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+
+
 def test_index_is_not_part_of_the_value(cube_domain, blocked_cube_state):
     fresh = WorldState(blocked_cube_state.objects, blocked_cube_state.true,
                        blocked_cube_state.hidden)
@@ -348,24 +448,42 @@ def test_index_is_not_part_of_the_value(cube_domain, blocked_cube_state):
 
 
 def test_concurrent_queries_on_fresh_states(cube_domain):
-    """Threads racing to build one state's index all see the right answers."""
+    """Threads racing to build one state's index, and to fill a fresh
+    domain's grounded-effects memos, all see the right answers; numeric
+    slot values, different in every thread, add no memo entries."""
     probes = [lit(t) for t in ("on(any_object, blue_cube)", "~on(any_object, any_object)",
                                "on(red_cube, blue_cube)", "~grasped(any_object)")]
     base = make_state(cube_domain, ["on(red_cube, blue_cube)", "on(blue_cube, table)"])
     states = [WorldState(base.objects, base.true, base.hidden) for _ in range(200)]
     expected = [reference_holds(cube_domain, base, p) for p in probes]
+    household = load_domain(bundled_data_path("domains", "household.yaml"))
+    home = make_state(household, ["on(egg, table)", "in(sand, bucket)"])
+    bindings = [("grasp", {"obj": "egg"}, "force"), ("grasp", {"obj": "plate"}, "force"),
+                ("put", {"obj": "egg", "dst": "tray"}, "speed"),
+                ("put_in", {"obj": "plate", "cont": "crib"}, "speed")]
+    actions = [GroundAction.from_mapping(skill, objects) for skill, objects, _ in bindings]
+    expected_effects = [reference_apply_effects(household, home, a).true for a in actions]
+    expected_pre = [tuple(t.substitute(dict(a.binding))
+                          for t in household.skill(a.skill).preconditions) for a in actions]
     wrong: list = []
 
-    def worker():
+    def worker(n):
+        numeric = [a.with_slot(slot, Quantity(float(n), "N" if slot == "force" else "m/s"))
+                   for a, (_, _, slot) in zip(actions, bindings)]
         for state in states:
             answers = [cube_domain.holds(state, p) for p in probes]
             if answers != expected:
                 wrong.append(answers)
+            home_copy = WorldState(home.objects, home.true, home.hidden)
+            for action, effects, pre in zip(numeric, expected_effects, expected_pre):
+                if household.apply_effects(home_copy, action).true != effects or \
+                        household.ground_preconditions(action) != pre:
+                    wrong.append(action)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -374,3 +492,6 @@ def test_concurrent_queries_on_fresh_states(cube_domain):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    memo_sizes = {skill.name: len(skill._grounded_memo)
+                  for skill in household.skills.values() if skill.name in ("grasp", "put", "put_in")}
+    assert memo_sizes == {"grasp": 2, "put": 1, "put_in": 1}
