@@ -80,16 +80,6 @@ class TickTrace:
 
     entries: list[TraceEntry] = field(default_factory=list)
 
-    @property
-    def root_status(self) -> NodeStatus:
-        return self.entries[0].status
-
-    def status_of(self, node_id: int) -> NodeStatus | None:
-        for entry in self.entries:
-            if entry.node_id == node_id:
-                return entry.status
-        return None
-
 
 @dataclass
 class TickContext:

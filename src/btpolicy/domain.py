@@ -213,12 +213,12 @@ def literal_holds(lit: Literal, rows: Collection[tuple[str, ...]],
     """Truth of ``lit`` given the rows of its predicate; wildcards range
     over the ``registry`` names only."""
     if ANY_OBJECT in lit.args:
-        return any(_rows_matching(lit.args, rows, registry)) != lit.negated
+        return any(rows_matching(lit.args, rows, registry)) != lit.negated
     return (lit.args in rows) != lit.negated
 
 
-def _rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
-                   allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
+def rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
+                  allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
     """Rows equal to ``pattern`` outside its wildcard positions.
 
     With ``allowed`` given, a wildcard position only matches those names."""
@@ -327,7 +327,7 @@ class Domain:
                 add.add(lit)
             elif ANY_OBJECT in lit.args:
                 remove.update(Literal(lit.predicate, args) for args in
-                              _rows_matching(lit.args, state.rows(lit.predicate)))
+                              rows_matching(lit.args, state.rows(lit.predicate)))
             else:
                 remove.add(lit.positive())
         return add, remove

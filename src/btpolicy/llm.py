@@ -108,7 +108,6 @@ class ParamValue:
 
     slot: str
     value: Quantity | str
-    out_of_vocab: bool = False
 
 
 @dataclass
@@ -266,4 +265,7 @@ def parse_param_response(raw: str, slot: Slot) -> ParamValue:
         return ParamValue(slot.name, value)
     if isinstance(value, Quantity):
         raise FormatError(f"slot {slot.name!r} is categorical, got a number")
-    return ParamValue(slot.name, value, out_of_vocab=value not in slot.choices)
+    if slot.choices and value not in slot.choices:
+        raise FormatError(f"slot {slot.name!r} takes one of {', '.join(slot.choices)}, "
+                          f"got {value!r}")
+    return ParamValue(slot.name, value)

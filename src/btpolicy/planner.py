@@ -9,9 +9,15 @@ re-evaluation between actions mirrors reactive execution.
 Grounding of achiever bindings enumerates the world's object registry
 (category declaration order, then name), skips bindings that reuse one
 object for two slots, and keeps only groundings that actually achieve the
-target literal from the expansion-time state. Candidates that would knock
-out a condition the tree currently relies on are displaced by clean ones,
-or kept least-destructive-first when nothing clean exists.
+target literal from the expansion-time state. A negated target first binds
+slots from its witnesses, the registry-ranged rows that make its positive
+form true: an achiever must delete all of them, so when a skill has one
+delete template on the target's predicate, each of that template's slots
+takes the value every witness has at its position, and the skill is
+skipped when the witnesses disagree there. Skills with several such
+templates, and positive targets, are enumerated in full. Candidates that
+would knock out a condition the tree currently relies on are displaced by
+clean ones, or kept least-destructive-first when nothing clean exists.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from typing import Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
                  TreeNode, insert_preconditions, iter_preorder, tick)
-from .domain import Domain, SkillTemplate, WorldState, literal_holds
+from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
-from .terms import GroundAction, Literal
+from .terms import GroundAction, Literal, is_param
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
            "insert_preconditions", "guarding_literals"]
@@ -145,6 +151,30 @@ def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
     yield from rec(0, dict(partial))
 
 
+def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, str],
+                     witnesses: list[tuple[str, ...]]) -> dict[str, str] | None:
+    """``partial`` extended by the slots a negated target's witnesses fix.
+
+    An achiever of a negated target must delete every witness row. When the
+    skill has one delete template on the target's predicate, each ``$slot``
+    in it must equal that position of every witness, so the slot is bound
+    here; None when the witnesses disagree there or contradict ``partial``.
+    Skills with several delete templates keep ``partial`` unchanged."""
+    deletes = [t for t in skill.effects if t.negated and t.predicate == predicate]
+    if len(deletes) != 1:
+        return partial
+    binding = dict(partial)
+    for i, arg in enumerate(deletes[0].args):
+        if is_param(arg):
+            values = {row[i] for row in witnesses}
+            if len(values) != 1:
+                return None
+            value = values.pop()
+            if binding.setdefault(arg[1:], value) != value:
+                return None
+    return binding
+
+
 def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
                      state: WorldState) -> BehaviorTree:
     """Replace a failed condition leaf with a Fallback over achiever subtrees.
@@ -178,9 +208,15 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
         if domain.holds(state, lit):
             relied_on.setdefault(lit.predicate, []).append(lit)
     registry = state.registry
+    witnesses = list(rows_matching(target.args, state.rows(target.predicate), registry)) \
+        if target.negated else None
     candidates: list[tuple[int, int, GroundAction]] = []
     seen: set[GroundAction] = set()
     for index, (skill, partial) in enumerate(achievers):
+        if witnesses is not None:
+            partial = _witness_binding(skill, target.predicate, partial, witnesses)
+            if partial is None:
+                continue
         for action in _groundings(domain, state, skill, partial):
             if action in seen:
                 continue

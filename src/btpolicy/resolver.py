@@ -278,10 +278,14 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
             if rounds >= config.max_resolution_rounds:
                 return False
             rounds += 1
-            _, record = resolve_parameter(
-                tree, request, domain, backend,
-                instruction=scenario.instruction, key=scenario.id,
-                world=scenario.initial.visible_only(), round_index=rounds)
+            try:
+                _, record = resolve_parameter(
+                    tree, request, domain, backend,
+                    instruction=scenario.instruction, key=scenario.id,
+                    world=scenario.initial.visible_only(), round_index=rounds)
+            except ParseError as e:
+                record = ResolutionRecord("parameter", rounds, None, request=request,
+                                          rejected=True, error=f"{type(e).__name__}: {e}")
             result.records.append(record)
         bind_default_params(tree, domain, scenario.open_params)
         return True
@@ -305,8 +309,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 plan(goals, domain, scenario.initial, config.plan, tree=tree)
             except BtError:
                 pass
-            fill_parameters()
-            result.outcome = Outcome.SUCCESS
+            result.outcome = Outcome.SUCCESS if fill_parameters() else Outcome.EXHAUSTED
             return result
         if trace.pending_event is None:
             result.outcome = Outcome.FAILURE

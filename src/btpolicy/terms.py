@@ -65,9 +65,6 @@ class Literal:
     def positive(self) -> "Literal":
         return self if not self.negated else Literal(self.predicate, self.args, False)
 
-    def negate(self) -> "Literal":
-        return Literal(self.predicate, self.args, not self.negated)
-
     def substitute(self, binding: Mapping[str, str]) -> "Literal":
         """Replace ``$slot`` and ``@slot`` arguments with their bound values.
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from btpolicy.bt import BehaviorTree, NodeKind, NodeStatus, TreeNode, iter_preorder
+from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
+                         iter_preorder)
 from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, InvalidTarget, NoAchiever, UnboundSlot,
                              UnknownNode)
@@ -41,6 +42,19 @@ def oracle_status(tree) -> NodeStatus:
         if status is not NodeStatus.FAILURE:
             return status
     return NodeStatus.FAILURE
+
+
+def trace_status(trace: TickTrace, node_id: int) -> NodeStatus | None:
+    """The status a tick recorded for a node; None when it was not visited."""
+    for entry in trace.entries:
+        if entry.node_id == node_id:
+            return entry.status
+    return None
+
+
+def negation(lit: Literal) -> Literal:
+    """The literal with its sign flipped."""
+    return Literal(lit.predicate, lit.args, not lit.negated)
 
 
 def reference_holds(domain: Domain, state: WorldState, lit: Literal, *,

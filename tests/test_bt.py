@@ -13,7 +13,8 @@ from btpolicy.errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
 from btpolicy.planner import _reorder_for_conflict
 from btpolicy.terms import GroundAction, Literal
 
-from oracles import oracle_status, scan_find, scan_id_index, scan_parent_of
+from oracles import (oracle_status, scan_find, scan_id_index, scan_parent_of,
+                     trace_status)
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -54,7 +55,7 @@ class TestTickSemantics:
         tree = make_tree(lambda t: [cond(t, True), cond(t, True)])
         status, trace = tick(tree, fixed_ctx())
         assert status is S
-        assert trace.root_status is S
+        assert trace_status(trace, tree.root.id) is S
 
     def test_fallback_all_fail(self):
         tree = BehaviorTree(TreeNode(0, NodeKind.FALLBACK), next_id=1)
@@ -69,7 +70,7 @@ class TestTickSemantics:
         assert status is F
         assert visited == []
         action_id = tree.root.children[1].id
-        assert trace.status_of(action_id) is None
+        assert trace_status(trace, action_id) is None
 
     def test_fallback_short_circuits_on_success(self):
         visited = []

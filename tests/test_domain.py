@@ -15,7 +15,7 @@ from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, expand_condition, init_tree
 from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
 from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity
-from oracles import (reference_apply_effects, reference_expand_condition,
+from oracles import (negation, reference_apply_effects, reference_expand_condition,
                      reference_holds)
 
 
@@ -103,7 +103,7 @@ def test_closed_world_xor(true_set, probe):
     domain = load_domain_cached()
     state = make_state(domain, sorted(true_set))
     positive = domain.holds(state, lit(probe))
-    negative = domain.holds(state, lit(probe).negate())
+    negative = domain.holds(state, negation(lit(probe)))
     assert positive != negative
 
 
@@ -114,7 +114,7 @@ def test_closed_world_xor(true_set, probe):
 def test_wildcard_duality(true_set, probe):
     domain = load_domain_cached()
     state = make_state(domain, sorted(true_set))
-    assert domain.holds(state, lit(probe).negate()) == \
+    assert domain.holds(state, negation(lit(probe))) == \
         (not domain.holds(state, lit(probe)))
 
 
@@ -422,6 +422,14 @@ def test_holds_after_delta_matches_applied_state(state, skill, x, y, probes):
     WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
                frozenset({Literal("tri", ("a", "b", "a"))})),
     [Literal("tri", (ANY_OBJECT, "b", ANY_OBJECT), True)])
+@example(  # witnesses rel(a, c), rel(b, c) disagree at link's $x: only wipe is left
+    WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
+               frozenset({Literal("rel", ("a", "c")), Literal("rel", ("b", "c"))})),
+    [Literal("rel", (ANY_OBJECT, "c"), True)])
+@example(  # rel(stray, c) is no witness, so link(a, b) still achieves the goal
+    WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
+               frozenset({Literal("rel", ("a", "c")), Literal("rel", ("stray", "c"))})),
+    [Literal("rel", (ANY_OBJECT, "c"), True)])
 @settings(max_examples=300, deadline=None)
 def test_expand_condition_matches_applied_scoring(state, goals):
     """Expanding each failing goal in turn builds the same tree as the

@@ -161,11 +161,11 @@ class TestParseParamResponse:
 
     def test_categorical_in_vocabulary(self):
         value = parse_param_response("ANSWER: shovel", self.tool)
-        assert value.value == "shovel" and not value.out_of_vocab
+        assert value == ParamValue("tool", "shovel")
 
-    def test_categorical_out_of_vocab_flagged(self):
-        value = parse_param_response("ANSWER: excavator", self.tool)
-        assert value.out_of_vocab
+    def test_categorical_out_of_vocab_rejected(self):
+        with pytest.raises(FormatError, match="excavator"):
+            parse_param_response("ANSWER: excavator", self.tool)
 
     def test_word_for_numeric_slot(self):
         with pytest.raises(FormatError):

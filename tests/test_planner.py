@@ -1,14 +1,16 @@
 import pytest
+import yaml
 
 from btpolicy import bt
 from btpolicy.bt import NodeKind, NodeStatus, TickContext, iter_preorder, tick
-from btpolicy.domain import make_state, parse_domain
+from btpolicy.domain import Domain, make_state, parse_domain
 from btpolicy.errors import (InvalidTarget, PlanBudgetExceeded, Unsolvable)
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import (GoalSpec, PlanConfig, expand_condition,
                               init_tree, plan)
+from btpolicy.sim import bundled_data_path
 
-from oracles import bfs_plan
+from oracles import bfs_plan, reference_expand_condition
 
 
 def lit(text):
@@ -100,6 +102,53 @@ class TestExpandCondition:
         expand_condition(tree, tree.root.children[0].id, cube_domain,
                          blocked_cube_state)
         assert tree.node_count() > before
+
+
+class TestWitnessGrounding:
+    """A negated target's achievers are grounded from the rows that make its
+    positive form true: only groundings deleting every such row are scored."""
+
+    CUBES = [f"cube_{i:02d}" for i in range(12)]
+
+    @pytest.fixture(scope="class")
+    def tower_domain(self):
+        data = yaml.safe_load(bundled_data_path("domains", "cube_tabletop.yaml").read_text())
+        data["objects"] = [{"name": n, "category": "cube"} for n in self.CUBES] + \
+            [{"name": "table", "category": "surface"}]
+        return parse_domain(data)
+
+    def scored(self, domain, state, target, monkeypatch):
+        """Actions whose effects ``expand_condition`` scores when expanding
+        ``target``; the tree it builds must equal the reference's."""
+        calls = []
+        effect_delta = Domain.effect_delta
+
+        def counting(self, state, action):
+            calls.append(action)
+            return effect_delta(self, state, action)
+
+        monkeypatch.setattr(Domain, "effect_delta", counting)
+        trees = [init_tree(goal(target)) for _ in range(2)]
+        expand_condition(trees[0], 1, domain, state)
+        scored = list(calls)
+        reference_expand_condition(trees[1], 1, domain, state)
+        assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+        return scored
+
+    def test_one_blocker_scores_one_grasp(self, tower_domain, monkeypatch):
+        facts = ["on(cube_01, cube_00)"] + \
+            [f"on({n}, table)" for n in self.CUBES if n != "cube_01"]
+        state = make_state(tower_domain, facts)
+        scored = self.scored(tower_domain, state, "~on(any_object, cube_00)", monkeypatch)
+        assert [str(a) for a in scored] == ["grasp(obj=cube_01)"]
+
+    def test_held_object_fixes_the_place_binding(self, tower_domain, monkeypatch):
+        facts = ["grasped(cube_03)"] + [f"on({n}, table)" for n in self.CUBES if n != "cube_03"]
+        state = make_state(tower_domain, facts)
+        scored = self.scored(tower_domain, state, "~grasped(any_object)", monkeypatch)
+        assert {(a.skill, a.get("obj")) for a in scored} == {("place", "cube_03")}
+        assert sorted(a.get("dst") for a in scored) == \
+            [n for n in self.CUBES if n != "cube_03"] + ["table"]
 
 
 class TestPlan:

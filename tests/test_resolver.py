@@ -94,6 +94,30 @@ class TestResolve:
         assert len(result.records) == 3
         assert all(r.error and "FormatError" in r.error for r in result.records)
 
+    @pytest.mark.parametrize("answer", ["wrench", "5 kg"])
+    def test_rejected_parameter_rounds_recorded_until_exhaustion(self, all_scenarios,
+                                                                 answer):
+        """An answer outside the slot's vocabulary or type binds nothing:
+        each round is a rejected record, and the skills' grounding memos
+        gain no entry for the answer."""
+        scenario = scenario_by_id(all_scenarios, "param_sand_tool")
+        backend = ScriptedBackend({
+            f"{scenario.id}/goal": ["ANSWER: in(sand, bucket)"],
+            f"{scenario.id}/parameter": [f"ANSWER: {answer}"],
+        })
+        memos = [scenario.domain.skill(name)._grounded_memo for name in ("scoop", "dump")]
+        plan(GoalSpec((lit("in(sand, bucket)"),)), scenario.domain, scenario.initial)
+        sizes = [len(memo) for memo in memos]
+        config = ResolveConfig(max_resolution_rounds=3)
+        result = resolve_until_success(scenario, backend, config)
+        assert result.outcome is Outcome.EXHAUSTED
+        assert len(result.records) == 3
+        for record in result.records:
+            assert (record.kind, record.rejected, record.inserted) == ("parameter", True, ())
+            assert "FormatError" in record.error
+        assert all(not n.action.is_bound("tool") for n in action_leaves(result.tree))
+        assert [len(memo) for memo in memos] == sizes
+
     def test_backend_unavailable_propagates(self, golden_scenario):
         class DeadBackend:
             def complete(self, prompt, meta):
