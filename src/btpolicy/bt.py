@@ -102,10 +102,13 @@ class BehaviorTree:
     """A tree plus its id allocator and a checked id -> (node, parent,
     child index) index.
 
-    Every answer is checked against the tree: each recorded parent up to the
-    root must still hold its child at the recorded index. A miss rebuilds
-    the index once, so edits made directly to ``children`` or ``root`` need
-    no invalidation (README, Semantics notes).
+    The tree's own edits (``replace``, ``move_left`` and
+    ``insert_preconditions``) record the entries they change, so lookups
+    after them need no rebuild. Every answer is still checked against the
+    tree: each recorded parent up to the root must still hold its child at
+    the recorded index. A miss rebuilds the index once, so edits made
+    directly to ``children`` or ``root`` need no invalidation (README,
+    Semantics notes).
     """
 
     def __init__(self, root: TreeNode, next_id: int | None = None):
@@ -141,6 +144,12 @@ class BehaviorTree:
         walk(self.root, None, 0)
         self._index = index  # published whole: readers never see it half built
         return index
+
+    def _record_children(self, parent: TreeNode) -> None:
+        """Record where each child of ``parent`` now sits."""
+        index = self._index
+        for i, child in enumerate(parent.children):
+            index[child.id] = (child, parent, i)
 
     def _locate(self, node_id: int) -> _Entry:
         index = self._index
@@ -179,12 +188,24 @@ class BehaviorTree:
 
     def replace(self, node_id: int, new: TreeNode) -> None:
         """Put ``new`` where the node sits (the root included); ``new`` may
-        hold the replaced node, which is how wraps are made."""
+        hold the replaced node, which is how wraps are made. The entries of
+        ``new``'s subtree are recorded."""
         _, parent, slot = self._locate(node_id)
         if parent is None:
             self.root = new
         else:
             parent.children[slot] = new
+        self._index[new.id] = (new, parent, slot)
+        for node, _ in iter_preorder(new):
+            self._record_children(node)
+
+    def move_left(self, node_id: int) -> None:
+        """Swap a node with its left sibling."""
+        node, parent, slot = self._locate(node_id)
+        if parent is None or slot == 0:
+            raise InvalidTarget(f"node {node_id} has no left sibling")
+        parent.children[slot - 1:slot + 1] = [node, parent.children[slot - 1]]
+        self._record_children(parent)
 
     def validate(self) -> None:
         """Check structural invariants; raise TreeInvalid on violation."""
@@ -309,6 +330,7 @@ def insert_preconditions(tree: BehaviorTree, action_id: int,
         tree.replace(action_id, parent)
 
     parent.children[:0] = [tree.new_condition(lit) for lit in conds]
+    tree._record_children(parent)
     return tree
 
 

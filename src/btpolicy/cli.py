@@ -145,6 +145,10 @@ def cmd_run(args) -> int:
     if args.repeat < 1:
         print("--repeat must be at least 1", file=sys.stderr)
         return EXIT_FAILURE
+    if args.tree and not args.no_resolve:
+        print("--tree goes with --no-resolve; the full pipeline plans its own "
+              "tree", file=sys.stderr)
+        return EXIT_FAILURE
     scenario = _find_scenario(args.scenario)
     backend = _make_backend(args, scenario)
     config = _resolve_config(args)
@@ -364,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--repeat", type=int, default=1)
     p_run.add_argument("--no-resolve", action="store_true", dest="no_resolve")
-    p_run.add_argument("--tree", help="execute this tree file instead of planning")
+    p_run.add_argument("--tree", help="execute this tree file instead of planning "
+                       "(with --no-resolve)")
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 

@@ -18,6 +18,11 @@ skipped when the witnesses disagree there. Skills with several such
 templates, and positive targets, are enumerated in full. Candidates that
 would knock out a condition the tree currently relies on are displaced by
 clean ones, or kept least-destructive-first when nothing clean exists.
+
+A ``plan`` call walks the tree for its condition literals once: the tree
+only gains conditions while it plans, so each expansion adds the
+preconditions it inserts to that set. Conflict reorders go through
+``BehaviorTree.move_left``, which keeps the tree's index current.
 """
 
 from __future__ import annotations
@@ -108,10 +113,10 @@ def _head_literal(node: TreeNode) -> Literal | None:
     return None
 
 
-def _tree_condition_literals(tree: BehaviorTree) -> list[Literal]:
-    """Distinct condition-leaf literals, in first-appearance order."""
-    return list(dict.fromkeys(node.literal for node, _ in iter_preorder(tree.root)
-                              if node.kind is NodeKind.CONDITION))
+def _tree_condition_literals(tree: BehaviorTree) -> set[Literal]:
+    """Distinct condition-leaf literals."""
+    return {node.literal for node, _ in iter_preorder(tree.root)
+            if node.kind is NodeKind.CONDITION}
 
 
 def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
@@ -176,12 +181,18 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
 
 
 def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
-                     state: WorldState) -> BehaviorTree:
+                     state: WorldState, *,
+                     tree_literals: set[Literal] | None = None) -> BehaviorTree:
     """Replace a failed condition leaf with a Fallback over achiever subtrees.
 
     The original condition stays as the Fallback's first child so a
     satisfied condition short-circuits. Each achiever contributes one
     Sequence of its ground precondition leaves followed by the action leaf.
+
+    ``tree_literals`` is the set of the tree's condition literals, which a
+    caller expanding repeatedly keeps instead of re-walking the tree; the
+    inserted preconditions are added to it. Without it the set is collected
+    from the tree.
     """
     node = tree.find(cond_id)
     if node.kind is not NodeKind.CONDITION:
@@ -203,8 +214,10 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
     # destructive first. Ties follow skill declaration, then binding order.
     # A candidate is scored on the rows its effects touch: a literal whose
     # predicate it leaves alone keeps its truth (the target stays false).
+    if tree_literals is None:
+        tree_literals = _tree_condition_literals(tree)
     relied_on: dict[str, list[Literal]] = {}
-    for lit in _tree_condition_literals(tree):
+    for lit in tree_literals:
         if domain.holds(state, lit):
             relied_on.setdefault(lit.predicate, []).append(lit)
     registry = state.registry
@@ -239,8 +252,9 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
 
     fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
     for action in actions:
-        leaves: list[TreeNode] = [tree.new_condition(lit)
-                                  for lit in domain.ground_preconditions(action)]
+        preconditions = domain.ground_preconditions(action)
+        tree_literals.update(preconditions)
+        leaves: list[TreeNode] = [tree.new_condition(lit) for lit in preconditions]
         leaves.append(tree.new_action(action))
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(cond_id, fallback)
@@ -280,11 +294,10 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
 
     for tick_i in range(max_ticks):
         fired = None
-        before = current
         status, trace = tick(tree, ctx)
         assert trace is not None
         if fired is not None:
-            conflict = _detect_conflict(tree, trace, fired, domain, before, current)
+            conflict = _detect_conflict(tree, trace, fired, domain, current)
             if conflict is not None:
                 return _SimResult("conflict", current, trace, conflict, tick_i + 1)
         if status is NodeStatus.SUCCESS:
@@ -298,16 +311,18 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
 
 
 def _detect_conflict(tree: BehaviorTree, trace: TickTrace, fired: TreeNode,
-                     domain: Domain, before: WorldState,
-                     after: WorldState) -> tuple[int, int] | None:
-    """Find a condition left of the fired action that the action falsified."""
+                     domain: Domain, after: WorldState) -> tuple[int, int] | None:
+    """Find a condition left of the fired action that the action falsified.
+
+    Such a condition succeeded earlier in this tick, so it held in the state
+    the action fired from; only ``after`` needs checking."""
     for entry in trace.entries:
         if entry.node_id == fired.id:
             break
         if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.SUCCESS:
             continue
         cond = tree.find(entry.node_id)
-        if domain.holds(before, cond.literal) and not domain.holds(after, cond.literal):
+        if not domain.holds(after, cond.literal):
             if _sequence_scoped(tree, fired.id, cond.id):
                 return fired.id, cond.id
     return None
@@ -334,8 +349,7 @@ def _reorder_for_conflict(tree: BehaviorTree, action_id: int, cond_id: int) -> N
     """Move the offending subtree one position left inside the shared Sequence."""
     lca, a_idx, _ = _lowest_common_ancestor(tree, action_id, cond_id)
     assert lca.kind is NodeKind.SEQUENCE and a_idx > 0
-    lca.children[a_idx - 1], lca.children[a_idx] = \
-        lca.children[a_idx], lca.children[a_idx - 1]
+    tree.move_left(lca.children[a_idx].id)
 
 
 def _pick_expansion_target(tree: BehaviorTree, trace: TickTrace) -> TreeNode | None:
@@ -377,6 +391,7 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         tree = init_tree(goals)
     start = state.visible_only()
 
+    tree_literals = _tree_condition_literals(tree)
     expansions = 0
     reorders = 0
     while True:
@@ -404,7 +419,8 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
         try:
-            expand_condition(tree, target.id, domain, result.state)
+            expand_condition(tree, target.id, domain, result.state,
+                             tree_literals=tree_literals)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1

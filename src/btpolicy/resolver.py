@@ -7,6 +7,12 @@ policy. Unbound action parameters are resolved the same way before
 execution, and a resolved value propagates to every action leaf that shares
 the slot in the same object context. Every interaction is captured in a
 ResolutionRecord so a run leaves an auditable trail.
+
+A run fingerprints its tree once per change: a round's ``tree_before`` is
+the previous round's ``tree_after`` unless defaults were bound or the
+consolidation plan ran in between. One preorder walk per parameter fill
+finds the first open slot and the defaults to bind, and a domain whose
+skills declare no numeric or categorical slot needs no walk at all.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .backends import Backend, RequestMeta
-from .bt import BehaviorTree, NodeKind, _node_to_obj, iter_preorder
+from .bt import BehaviorTree, NodeKind, TreeNode, _node_to_obj, iter_preorder
 from .domain import Domain, Slot, WorldState
 from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
@@ -99,13 +105,14 @@ def tree_fingerprint(tree: BehaviorTree) -> str:
 
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
             backend: Backend, config: ResolveConfig | None = None, *,
-            instruction: str = "", key: str = "",
-            round_index: int = 1) -> tuple[BehaviorTree, ResolutionRecord]:
+            instruction: str = "", key: str = "", round_index: int = 1,
+            tree_before: str | None = None) -> tuple[BehaviorTree, ResolutionRecord]:
     """One failure-resolution step: ask, insert, re-expand.
 
     Suggested literals already guarding the failing action are rejected as
     duplicates; a round whose suggestions are all duplicates patches nothing
-    (the record says so) to keep repeated identical advice from looping."""
+    (the record says so) to keep repeated identical advice from looping.
+    ``tree_before`` is the tree's current fingerprint, if the caller has it."""
     config = config or ResolveConfig()
     world = event.world_snapshot
     spec = PromptSpec(
@@ -119,9 +126,9 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
         failing_action=event.action,
     )
     raw = backend.complete(build_prompt(spec), RequestMeta(Role.FAILURE_RESOLUTION, key, event=event))
-    before = tree_fingerprint(tree)
     literals, reasoning = parse_precondition_response(raw, domain,
                                                       objects=world.object_names)
+    before = tree_before or tree_fingerprint(tree)
     exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
 
     existing = guarding_literals(tree, event.action_id) or []
@@ -142,41 +149,58 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     return tree, record
 
 
-def find_param_request(tree: BehaviorTree, domain: Domain,
-                       open_params: tuple[str, ...]) -> ParamRequest | None:
-    """First action leaf (preorder) with an unbound, openly-resolvable slot."""
+def _scan_params(tree: BehaviorTree, domain: Domain, open_params: tuple[str, ...],
+                 ) -> tuple[ParamRequest | None, list[tuple[TreeNode, Slot]]]:
+    """One preorder walk over the action leaves' unbound value slots.
+
+    Returns the first (preorder) openly-resolvable one as a request, and
+    every non-open one that has a default. Skips the walk when no skill
+    declares a numeric or categorical slot."""
+    request = None
+    defaults: list[tuple[TreeNode, Slot]] = []
+    if all(slot.kind == "object" for skill in domain.skills.values()
+           for slot in skill.params):
+        return request, defaults
     for node, _ in iter_preorder(tree.root):
         if node.kind is not NodeKind.ACTION:
             continue
-        skill = domain.skill(node.action.skill)
-        for slot in skill.params:
-            if slot.kind == "object" or node.action.is_bound(slot.name):
+        action = node.action
+        for slot in domain.skill(action.skill).params:
+            if slot.kind == "object" or action.is_bound(slot.name):
                 continue
             if slot.name in open_params:
-                return ParamRequest(node.id, slot,
-                                    tuple(node.action.symbol_values()))
-    return None
+                if request is None:
+                    request = ParamRequest(node.id, slot, tuple(action.symbol_values()))
+            elif slot.default is not None:
+                defaults.append((node, slot))
+    return request, defaults
+
+
+def _bind_defaults(defaults: list[tuple[TreeNode, Slot]]) -> None:
+    for node, slot in defaults:
+        node.payload = node.action.with_slot(slot.name, slot.default)
+
+
+def find_param_request(tree: BehaviorTree, domain: Domain,
+                       open_params: tuple[str, ...]) -> ParamRequest | None:
+    """First action leaf (preorder) with an unbound, openly-resolvable slot."""
+    return _scan_params(tree, domain, open_params)[0]
 
 
 def bind_default_params(tree: BehaviorTree, domain: Domain,
                         open_params: tuple[str, ...]) -> None:
     """Fill non-open unbound slots from their declared defaults."""
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.ACTION:
-            continue
-        skill = domain.skill(node.action.skill)
-        for slot in skill.params:
-            if (slot.kind != "object" and not node.action.is_bound(slot.name)
-                    and slot.name not in open_params and slot.default is not None):
-                node.payload = node.action.with_slot(slot.name, slot.default)
+    _bind_defaults(_scan_params(tree, domain, open_params)[1])
 
 
 def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
                       backend: Backend, *, instruction: str = "", key: str = "",
-                      world: WorldState | None = None,
-                      round_index: int = 1) -> tuple[BehaviorTree, ResolutionRecord]:
+                      world: WorldState | None = None, round_index: int = 1,
+                      tree_before: str | None = None,
+                      ) -> tuple[BehaviorTree, ResolutionRecord]:
     """Ask once for a slot value, then bind every action leaf sharing the
-    slot name in the same object context (shared bound object)."""
+    slot name in the same object context (shared bound object).
+    ``tree_before`` is the tree's current fingerprint, if the caller has it."""
     target = tree.find(request.action_id)
     objects = world.objects if world is not None else ()
     spec = PromptSpec(
@@ -191,8 +215,8 @@ def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
     )
     raw = backend.complete(build_prompt(spec),
                            RequestMeta(Role.PARAMETER_RESOLUTION, key, param=request))
-    before = tree_fingerprint(tree)
     value = parse_param_response(raw, request.slot)
+    before = tree_before or tree_fingerprint(tree)
     exchange = LlmExchange(spec, raw, parsed=value, reasoning=extract_reasoning(raw))
 
     context = set(request.context_objects)
@@ -264,15 +288,16 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
     result = PipelineResult(Outcome.FAILURE, tree, goals, goal_exchange)
 
     rounds = 0
+    fingerprint: str | None = None  # of the tree as it stands; None when stale
 
     def fill_parameters() -> bool:
         """Resolve open slots and default the rest; False when out of rounds.
 
         Re-run after every repair: re-planning can introduce new actions
         whose open slots also need values."""
-        nonlocal rounds
+        nonlocal rounds, fingerprint
         while True:
-            request = find_param_request(tree, domain, scenario.open_params)
+            request, defaults = _scan_params(tree, domain, scenario.open_params)
             if request is None:
                 break
             if rounds >= config.max_resolution_rounds:
@@ -282,12 +307,16 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 _, record = resolve_parameter(
                     tree, request, domain, backend,
                     instruction=scenario.instruction, key=scenario.id,
-                    world=scenario.initial.visible_only(), round_index=rounds)
+                    world=scenario.initial.visible_only(), round_index=rounds,
+                    tree_before=fingerprint)
+                fingerprint = record.tree_after
             except ParseError as e:
                 record = ResolutionRecord("parameter", rounds, None, request=request,
                                           rejected=True, error=f"{type(e).__name__}: {e}")
             result.records.append(record)
-        bind_default_params(tree, domain, scenario.open_params)
+        if defaults:
+            _bind_defaults(defaults)
+            fingerprint = None
         return True
 
     if not fill_parameters():
@@ -309,6 +338,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 plan(goals, domain, scenario.initial, config.plan, tree=tree)
             except BtError:
                 pass
+            fingerprint = None
             result.outcome = Outcome.SUCCESS if fill_parameters() else Outcome.EXHAUSTED
             return result
         if trace.pending_event is None:
@@ -321,8 +351,9 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
         rounds += 1
         try:
             _, record = resolve(tree, event, domain, backend, config,
-                                instruction=scenario.instruction,
-                                key=scenario.id, round_index=rounds)
+                                instruction=scenario.instruction, key=scenario.id,
+                                round_index=rounds, tree_before=fingerprint)
+            fingerprint = record.tree_after
             result.records.append(record)
             if not fill_parameters():
                 result.outcome = Outcome.EXHAUSTED

@@ -313,10 +313,12 @@ def golden_tree_text() -> str:
     return (bundled_data_path("goldens") / "cube_stack_after.json").read_text()
 
 
-def assert_lookups_match_scans(tree: BehaviorTree, absent: set[int]) -> None:
+def assert_lookups_match_scans(tree: BehaviorTree, absent: set[int], *,
+                               with_id_index: bool = True) -> None:
     """find, parent_of, ancestry and id_index agree with the preorder scans."""
     paths = scan_id_index(tree)
-    assert tree.id_index == paths
+    if with_id_index:
+        assert tree.id_index == paths
     for node_id, path in paths.items():
         assert tree.find(node_id) is scan_find(tree, node_id)
         got, want = tree.parent_of(node_id), scan_parent_of(tree, node_id)
@@ -392,6 +394,19 @@ def _swap(tree: BehaviorTree, seed: int) -> None:
     assert seq.children[a - 1] is moved and seq.children[a] is other
 
 
+def _move_left(tree: BehaviorTree, seed: int) -> None:
+    node = _pick(_nodes(tree.root), seed)
+    info = scan_parent_of(tree, node.id)
+    if info is None or info[1] == 0:
+        with pytest.raises(InvalidTarget):
+            tree.move_left(node.id)
+        return
+    parent, index = info
+    left = parent.children[index - 1]
+    tree.move_left(node.id)
+    assert parent.children[index - 1] is node and parent.children[index] is left
+
+
 def _front(tree: BehaviorTree, seed: int) -> None:
     _pick(_controls(tree), seed).children[:0] = [tree.new_condition(Literal("front"))]
 
@@ -414,8 +429,10 @@ def _assign_root(tree: BehaviorTree, seed: int) -> None:
 
 
 EDITS = {"wrap": _wrap, "root_wrap": lambda t, s: _wrap(t, s, root_only=True),
-         "insert": _insert, "swap": _swap, "front": _front, "append": _append,
-         "pop": _pop, "assign_root": _assign_root}
+         "insert": _insert, "swap": _swap, "move_left": _move_left,
+         "front": _front, "append": _append, "pop": _pop, "assign_root": _assign_root}
+# edits made through BehaviorTree.replace, insert_preconditions and move_left
+PROGRAM_EDITS = ["wrap", "root_wrap", "insert", "swap", "move_left"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -432,6 +449,22 @@ def test_index_matches_scans_after_random_edits(edits):
             seen |= scan_id_index(tree).keys()
         seen.add(max(seen) + 1)
     assert_lookups_match_scans(tree, seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS), st.integers(0, 10_000)),
+                max_size=30))
+def test_program_edits_keep_the_index_without_rebuilds(edits):
+    """The tree's own edits record what they change: after any sequence of
+    them, lookups agree with the scans and the index was never rebuilt."""
+    tree = bt.parse(golden_tree_text())
+    tree.find(tree.root.id)
+    rebuilds = []
+    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
+    for name, seed in edits:
+        EDITS[name](tree, seed)
+    assert_lookups_match_scans(tree, set(), with_id_index=False)
+    assert rebuilds == []
 
 
 def test_concurrent_queries_on_fresh_trees():

@@ -110,6 +110,16 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert "run 1: success" in out
 
+    def test_tree_without_no_resolve_is_rejected(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", "precond_01_blocked_cube",
+            "--backend", "oracle", "--tree", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "out"))
+        assert code == EXIT_FAILURE
+        assert "--tree goes with --no-resolve" in err
+        assert "run 1" not in out
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_schema_exit(self, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "no_such_scenario",
                                "--backend", "oracle")

@@ -1,6 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from btpolicy import bt
+from btpolicy import bt, resolver
 from btpolicy.backends import ScriptedBackend
 from btpolicy.bt import NodeKind, iter_preorder
 from btpolicy.errors import BackendUnavailable
@@ -9,8 +12,8 @@ from btpolicy.planner import GoalSpec, plan
 from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request,
                                records_to_jsonl, resolve,
                                resolve_until_success, tree_fingerprint)
-from btpolicy.sim import bundled_data_path, execute
-from btpolicy.terms import Quantity
+from btpolicy.sim import bundled_data_path, execute, load_scenario
+from btpolicy.terms import GroundAction, Quantity
 
 
 def lit(text):
@@ -286,9 +289,9 @@ def test_resolution_reasoning_lands_in_audit_log(golden_scenario):
     assert "collision" in logged["reasoning"]
 
 
-def test_repair_introduced_actions_also_get_parameters(tmp_path):
-    # a blocked destination forces a repair whose new actions carry the
-    # open force slot; the pipeline must resolve those too
+def blocked_tray_scenario(tmp_path):
+    """A household scenario whose repair adds actions with open slots, after
+    defaults were already bound."""
     domain_path = bundled_data_path("domains", "household.yaml")
     scenario_path = tmp_path / "blocked_tray.yaml"
     scenario_path.write_text(f"""\
@@ -319,9 +322,13 @@ oracle:
 expected:
   outcome: success
 """)
-    from btpolicy.sim import load_scenario, execute
-    from btpolicy.terms import Quantity
-    scenario = load_scenario(scenario_path)
+    return load_scenario(scenario_path)
+
+
+def test_repair_introduced_actions_also_get_parameters(tmp_path):
+    # a blocked destination forces a repair whose new actions carry the
+    # open force slot; the pipeline must resolve those too
+    scenario = blocked_tray_scenario(tmp_path)
     result = resolve_until_success(scenario, scenario.oracle_backend())
     assert result.outcome is Outcome.SUCCESS
     forces = {n.action.get("obj"): n.action.get("force")
@@ -356,3 +363,103 @@ class TestFingerprint:
         leaf = action_leaves(tree)[0]
         leaf.payload = leaf.action.with_slot("speed", Quantity(0.1, "m/s"))
         assert tree_fingerprint(tree) != before
+
+
+# --- one walk per change ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed7_towers(tmp_path_factory):
+    """The first four seed-7 towers of the benchmark's generator."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import towergen
+    batch = towergen.generate(7, 8, tmp_path_factory.mktemp("towers"),
+                              bundled_data_path("domains", "cube_tabletop.yaml"))
+    return [load_scenario(path) for path in batch.paths[:4]]
+
+
+def watched_run(monkeypatch, scenario, backend=None):
+    """Resolve a scenario, counting the program's fingerprints, index
+    rebuilds and walks of parameter fills, and fingerprinting the tree
+    afresh on entry to every resolution step."""
+    counts = {"fingerprint": 0, "reindex": 0, "param_walk": 0}
+    on_entry: list[str] = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def fresh_on_entry(fn):
+        def wrapped(tree, *args, **kwargs):
+            on_entry.append(tree_fingerprint(tree))
+            return fn(tree, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(resolver, "tree_fingerprint",
+                        counting("fingerprint", tree_fingerprint))
+    monkeypatch.setattr(bt.BehaviorTree, "_reindex",
+                        counting("reindex", bt.BehaviorTree._reindex))
+    monkeypatch.setattr(resolver, "iter_preorder",
+                        counting("param_walk", resolver.iter_preorder))
+    monkeypatch.setattr(resolver, "resolve", fresh_on_entry(resolver.resolve))
+    monkeypatch.setattr(resolver, "resolve_parameter",
+                        fresh_on_entry(resolver.resolve_parameter))
+    result = resolve_until_success(scenario, backend or scenario.oracle_backend())
+    monkeypatch.undo()
+    return result, counts, on_entry
+
+
+def test_fingerprints_and_index_once_per_change(monkeypatch, all_scenarios,
+                                                seed7_towers, tmp_path):
+    """Each record's tree_before is the tree as the step found it, although
+    it is carried over from the previous record when nothing edited the tree
+    since; one fingerprint per record plus the first, and one index build
+    per request."""
+    # blocked_tray binds defaults between its records: one fresh fingerprint more
+    extra = {"blocked_tray": 1}
+    for scenario in all_scenarios + seed7_towers + [blocked_tray_scenario(tmp_path)]:
+        result, counts, on_entry = watched_run(monkeypatch, scenario)
+        assert result.outcome is Outcome.SUCCESS, scenario.id
+        assert result.records, scenario.id
+        assert [r.tree_before for r in result.records] == on_entry, scenario.id
+        assert counts["fingerprint"] == \
+            len(result.records) + 1 + extra.get(scenario.id, 0), scenario.id
+        assert counts["reindex"] <= 1, scenario.id
+        # cube_tabletop and lab_bench skills take objects only: no walk
+        value_slots = any(slot.kind != "object" for skill in scenario.domain.skills.values()
+                          for slot in skill.params)
+        assert (counts["param_walk"] > 0) == value_slots, scenario.id
+
+
+def test_rejected_rounds_reuse_the_fingerprint(monkeypatch, golden_scenario):
+    backend = ScriptedBackend({
+        f"{golden_scenario.id}/goal": ["ANSWER: on(blue_cube, green_cube)"],
+        f"{golden_scenario.id}/failure": ["ANSWER: ~grasped(any_object)"],
+    })
+    result, counts, on_entry = watched_run(monkeypatch, golden_scenario, backend)
+    assert result.outcome is Outcome.EXHAUSTED
+    assert [r.tree_before for r in result.records] == on_entry
+    assert all(r.tree_after == r.tree_before for r in result.records)
+    assert counts["fingerprint"] == 1
+
+
+def test_consolidation_edit_refreshes_the_fingerprint(monkeypatch, all_scenarios):
+    """No bundled run opens a slot in its consolidation plan, so one is
+    opened here: the parameter record after it fingerprints the tree afresh."""
+    scenario = scenario_by_id(all_scenarios, "param_sand_tool")  # binds no default
+    real_plan = resolver.plan
+
+    def plan_opening_a_slot(goals, domain, state, config=None, *, tree=None):
+        planned = real_plan(goals, domain, state, config, tree=tree)
+        if tree is not None:
+            leaf = next(n for n in action_leaves(tree) if n.action.skill == "scoop")
+            extra = tree.new_action(GroundAction.from_mapping("scoop", {"material": "sand"}))
+            tree.replace(leaf.id, tree.new_node(NodeKind.SEQUENCE, children=[leaf, extra]))
+        return planned
+
+    monkeypatch.setattr(resolver, "plan", plan_opening_a_slot)
+    result, counts, on_entry = watched_run(monkeypatch, scenario)
+    assert [r.kind for r in result.records] == ["parameter"] * 2
+    assert [r.tree_before for r in result.records] == on_entry
+    assert result.records[1].tree_before != result.records[0].tree_after
