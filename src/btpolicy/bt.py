@@ -358,7 +358,8 @@ def parse(text: str) -> BehaviorTree:
     """Parse the JSON tree schema back into a tree.
 
     Round-trips with serialize: structure, payloads, node ordering, and node
-    ids are all preserved.
+    ids are all preserved. Each distinct payload text is parsed once per
+    call; leaves with equal text share the (frozen) payload value.
     """
     try:
         data = json.loads(text)
@@ -371,41 +372,58 @@ def parse(text: str) -> BehaviorTree:
     if data.get("schema") != TREE_SCHEMA:
         raise ParseError(f"unsupported tree schema {data.get('schema')!r}",
                          expected=TREE_SCHEMA)
-    root = _node_from_obj(data["root"], "root")
+    root = _node_from_obj(data["root"], [], {})
     tree = BehaviorTree(root)
     tree.validate()
     return tree
 
 
-def _node_from_obj(obj, where: str) -> TreeNode:
+def _where(path: list[int]) -> str:
+    return "root" + "".join(f".children[{i}]" for i in path)
+
+
+def _node_from_obj(obj, path: list[int],
+                   payloads: dict[tuple[NodeKind, str], Literal | GroundAction]) -> TreeNode:
+    """The node at ``path`` (child indexes from the root, extended in place
+    while its children are read); ``payloads`` holds the values parsed so
+    far by kind and text."""
     if not isinstance(obj, dict):
-        raise ParseError(f"node at {where} is not an object", expected="a node object")
+        raise ParseError(f"node at {_where(path)} is not an object",
+                         expected="a node object")
     try:
         kind = NodeKind(obj["kind"])
     except (KeyError, ValueError):
-        raise ParseError(f"node at {where} has bad kind {obj.get('kind')!r}",
+        raise ParseError(f"node at {_where(path)} has bad kind {obj.get('kind')!r}",
                          expected="sequence|fallback|condition|action") from None
     node_id = obj.get("id")
     if not isinstance(node_id, int):
-        raise ParseError(f"node at {where} lacks an integer id", expected="'id': int")
+        raise ParseError(f"node at {_where(path)} lacks an integer id",
+                         expected="'id': int")
     if kind in _CONTROL_KINDS:
         children_obj = obj.get("children")
         if not isinstance(children_obj, list) or not children_obj:
-            raise ParseError(f"control node at {where} needs a non-empty children list",
-                             expected="'children': [...]")
-        children = [_node_from_obj(c, f"{where}.children[{i}]")
-                    for i, c in enumerate(children_obj)]
+            raise ParseError(f"control node at {_where(path)} needs a non-empty "
+                             "children list", expected="'children': [...]")
+        children = []
+        for i, child in enumerate(children_obj):
+            path.append(i)
+            children.append(_node_from_obj(child, path, payloads))
+            path.pop()
         return TreeNode(node_id, kind, children)
     payload_text = obj.get("payload")
     if not isinstance(payload_text, str):
-        raise ParseError(f"leaf at {where} lacks a payload string", expected="'payload': str")
-    try:
-        if kind is NodeKind.CONDITION:
-            payload: Literal | GroundAction = grammar.parse_literal(payload_text)
-        else:
-            payload = grammar.parse_action(payload_text)
-    except ParseError as e:
-        raise ParseError(f"bad payload at {where}: {e}") from e
+        raise ParseError(f"leaf at {_where(path)} lacks a payload string",
+                         expected="'payload': str")
+    payload = payloads.get((kind, payload_text))
+    if payload is None:
+        try:
+            if kind is NodeKind.CONDITION:
+                payload = grammar.parse_literal(payload_text)
+            else:
+                payload = grammar.parse_action(payload_text)
+        except ParseError as e:
+            raise ParseError(f"bad payload at {_where(path)}: {e}") from e
+        payloads[kind, payload_text] = payload
     return TreeNode(node_id, kind, [], payload)
 
 

@@ -86,6 +86,15 @@ def _resolve_config(args) -> ResolveConfig:
     )
 
 
+def _load_tree(path: str) -> bt.BehaviorTree:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
+        raise BtError(f"cannot read tree file {path}: {reason}") from e
+    return bt.parse(text)
+
+
 def _write_tree_artifacts(tree, out: Path, stem: str) -> None:
     atomic_write(out / f"{stem}.json", bt.serialize(tree))
     atomic_write(out / f"{stem}.dot", bt.to_dot(tree))
@@ -149,6 +158,7 @@ def cmd_run(args) -> int:
         print("--tree goes with --no-resolve; the full pipeline plans its own "
               "tree", file=sys.stderr)
         return EXIT_FAILURE
+    given_tree = _load_tree(args.tree) if args.tree else None
     scenario = _find_scenario(args.scenario)
     backend = _make_backend(args, scenario)
     config = _resolve_config(args)
@@ -158,7 +168,8 @@ def cmd_run(args) -> int:
     exit_code = EXIT_OK
     for index in range(args.repeat):
         if args.no_resolve:
-            outcome, trace, tree = _run_without_resolution(scenario, args, backend, config)
+            outcome, trace, tree = _run_without_resolution(scenario, given_tree,
+                                                           backend, config)
             records_text = ""
         else:
             result = resolve_until_success(scenario, backend, config)
@@ -180,10 +191,8 @@ def cmd_run(args) -> int:
     return exit_code
 
 
-def _run_without_resolution(scenario, args, backend, config):
-    if args.tree:
-        tree = bt.parse(Path(args.tree).read_text())
-    else:
+def _run_without_resolution(scenario, tree, backend, config):
+    if tree is None:
         goals, _ = interpret_goals(scenario, backend)
         tree = plan(goals, scenario.domain, scenario.initial, config.plan)
     trace = execute(tree, scenario, config.exec)
@@ -312,7 +321,7 @@ def _format_report(args, rows: list[tuple[str, str]]) -> str:
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    tree = bt.parse(Path(args.tree).read_text())
+    tree = _load_tree(args.tree)
     if args.scenario:
         scenario = _find_scenario(args.scenario)
         domain = scenario.domain

@@ -27,78 +27,70 @@ _TOKEN_RE = re.compile(
   | (?P<number>[+-]?\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:/[A-Za-z]+)?)
   | (?P<sigil>[$@~(),=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+_Token = tuple[str, str, int]  # (kind, value, offset)
+
 
 class _Tokens:
-    """Tokenizer over a single string, tracking line/column positions."""
+    """Tokenizer over a single string. Tokens record their offsets; an
+    offset becomes a line and column only when an error is raised."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int, int]] = []  # (kind, value, line, col)
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}",
-                    line=line, column=col, expected="identifier, number, or punctuation",
-                )
-            kind = m.lastgroup or ""
-            value = m.group()
-            if kind != "ws":
-                self.tokens.append((kind, value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
+        self.tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start(),
+                                 "identifier, number, or punctuation")
+            self.tokens.append((kind, m.group(), m.start()))
         self.index = 0
 
-    def peek(self) -> tuple[str, str, int, int] | None:
+    def error(self, message: str, offset: int, expected: str) -> ParseError:
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        return ParseError(message, line=line, column=column, expected=expected)
+
+    def peek(self) -> _Token | None:
         if self.index < len(self.tokens):
             return self.tokens[self.index]
         return None
 
-    def next(self, expected: str) -> tuple[str, str, int, int]:
+    def next(self, expected: str) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError("unexpected end of input",
-                             line=last[2], column=last[3] + len(last[1]),
-                             expected=expected)
+            end = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 0
+            raise self.error("unexpected end of input", end, expected)
         self.index += 1
         return tok
 
     def expect(self, value: str) -> None:
-        kind, got, line, col = self.next(repr(value))
+        _, got, offset = self.next(repr(value))
         if got != value:
-            raise ParseError(f"unexpected token {got!r}", line=line, column=col,
-                             expected=repr(value))
+            raise self.error(f"unexpected token {got!r}", offset, repr(value))
 
     def require_end(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}",
-                             line=tok[2], column=tok[3], expected="end of input")
+            raise self.error(f"trailing input {tok[1]!r}", tok[2], "end of input")
 
 
 def _parse_arg(tokens: _Tokens) -> str:
-    kind, value, line, col = tokens.next("argument")
+    kind, value, offset = tokens.next("argument")
     if value in ("$", "@"):
-        ikind, ident, iline, icol = tokens.next("identifier")
+        ikind, ident, ioffset = tokens.next("identifier")
         if ikind != "ident":
-            raise ParseError(f"unexpected token {ident!r}", line=iline, column=icol,
-                             expected="identifier after " + value)
+            raise tokens.error(f"unexpected token {ident!r}", ioffset,
+                               "identifier after " + value)
         return value + ident
     if kind != "ident":
-        raise ParseError(f"unexpected token {value!r}", line=line, column=col,
-                         expected="argument identifier")
+        raise tokens.error(f"unexpected token {value!r}", offset, "argument identifier")
     return value
 
 
@@ -108,10 +100,9 @@ def _parse_literal(tokens: _Tokens) -> Literal:
     if tok and tok[1] == "~":
         tokens.next("'~'")
         negated = True
-    kind, name, line, col = tokens.next("predicate name")
+    kind, name, offset = tokens.next("predicate name")
     if kind != "ident":
-        raise ParseError(f"unexpected token {name!r}", line=line, column=col,
-                         expected="predicate name")
+        raise tokens.error(f"unexpected token {name!r}", offset, "predicate name")
     args: list[str] = []
     tok = tokens.peek()
     if tok and tok[1] == "(":
@@ -158,7 +149,7 @@ def parse_value(text: str) -> str | Quantity:
 
 
 def _parse_value(tokens: _Tokens) -> str | Quantity:
-    kind, value, line, col = tokens.next("value")
+    kind, value, offset = tokens.next("value")
     if kind == "number":
         tok = tokens.peek()
         if tok and tok[0] == "ident":
@@ -166,18 +157,16 @@ def _parse_value(tokens: _Tokens) -> str | Quantity:
             return Quantity(float(value), tok[1])
         return Quantity(float(value), "")
     if kind != "ident":
-        raise ParseError(f"unexpected token {value!r}", line=line, column=col,
-                         expected="symbol or number")
+        raise tokens.error(f"unexpected token {value!r}", offset, "symbol or number")
     return value
 
 
 def parse_action(text: str) -> GroundAction:
     """Parse an action payload like ``place(dst=table, obj=red_cube)``."""
     tokens = _Tokens(text)
-    kind, name, line, col = tokens.next("skill name")
+    kind, name, offset = tokens.next("skill name")
     if kind != "ident":
-        raise ParseError(f"unexpected token {name!r}", line=line, column=col,
-                         expected="skill name")
+        raise tokens.error(f"unexpected token {name!r}", offset, "skill name")
     binding: list[tuple[str, str | Quantity]] = []
     tokens.expect("(")
     tok = tokens.peek()
@@ -196,9 +185,8 @@ def parse_action(text: str) -> GroundAction:
 
 
 def _parse_slot_binding(tokens: _Tokens) -> tuple[str, str | Quantity]:
-    kind, slot, line, col = tokens.next("slot name")
+    kind, slot, offset = tokens.next("slot name")
     if kind != "ident":
-        raise ParseError(f"unexpected token {slot!r}", line=line, column=col,
-                         expected="slot name")
+        raise tokens.error(f"unexpected token {slot!r}", offset, "slot name")
     tokens.expect("=")
     return slot, _parse_value(tokens)

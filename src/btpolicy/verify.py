@@ -9,18 +9,20 @@ than livelocking.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
-                 iter_preorder, tick, tree_equal)
+                 iter_preorder, tick)
 from .domain import Domain, WorldState
+from .errors import BtError
 from .planner import GoalSpec, _groundings, guarding_literals
 from .sim import check_tree_domain
 from .terms import GroundAction, Quantity
 
 CHECKS = (
     "action_bindings",
+    "condition_literals",
     "goal_coverage",
     "precondition_rows",
     "distinct_fallback_children",
@@ -29,6 +31,10 @@ CHECKS = (
 
 #: bounded_livelock only runs at or below this object-registry size
 LIVELOCK_OBJECT_LIMIT = 4
+
+#: bounded_livelock checks at most this many reachable states; a larger
+#: state space is itself a finding
+REACHABLE_STATE_LIMIT = 5000
 
 
 @dataclass
@@ -64,12 +70,13 @@ class VerificationReport:
 def verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
                 initial_state: WorldState | None = None,
                 max_sim_ticks: int = 500) -> VerificationReport:
-    """Run every check; findings land in the report. Only the livelock
-    check ticks the tree, so only then does a tree whose leaves do not fit
-    the domain raise DomainMismatch instead."""
+    """Run every check; findings land in the report. Condition leaves that
+    do not fit the domain are ``condition_literals`` findings. Only the
+    livelock check ticks the tree, so only then does a tree whose leaves do
+    not fit the domain raise DomainMismatch instead."""
     report = VerificationReport(CHECKS)
     _check_action_bindings(tree, domain, report)
-    _check_goal_coverage(tree, goals, report)
+    _check_conditions(tree, domain, goals, report)
     _check_precondition_rows(tree, domain, report)
     _check_distinct_fallback_children(tree, report)
     if initial_state is not None and len(initial_state.objects) <= LIVELOCK_OBJECT_LIMIT:
@@ -124,10 +131,22 @@ def _check_action_bindings(tree: BehaviorTree, domain: Domain,
                         f"categorical slot {slot.name!r} carries {value!r}"))
 
 
-def _check_goal_coverage(tree: BehaviorTree, goals: GoalSpec,
-                         report: VerificationReport) -> None:
-    present = {str(node.literal) for node, _ in iter_preorder(tree.root)
-               if node.kind is NodeKind.CONDITION}
+def _check_conditions(tree: BehaviorTree, domain: Domain, goals: GoalSpec,
+                      report: VerificationReport) -> None:
+    """condition_literals, then goal_coverage, from one walk over the
+    condition leaves."""
+    present = set()
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is not NodeKind.CONDITION:
+            continue
+        lit = node.literal
+        present.add(str(lit))
+        try:
+            domain.check_literal(lit)
+        except BtError as e:
+            report.violations.append(Violation(
+                "condition_literals", node.id,
+                f"{lit} does not fit domain {domain.name}: {e}"))
     for conjunct in goals.conjuncts:
         if str(conjunct) not in present:
             report.violations.append(Violation(
@@ -161,36 +180,66 @@ def _check_precondition_rows(tree: BehaviorTree, domain: Domain,
 
 def _check_distinct_fallback_children(tree: BehaviorTree,
                                       report: VerificationReport) -> None:
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.FALLBACK:
-            continue
-        for i, first in enumerate(node.children):
-            for second in node.children[i + 1:]:
-                if tree_equal(first, second, ignore_ids=True):
-                    report.violations.append(Violation(
+    """Flag each Fallback child that has an equal later sibling.
+
+    Every node gets a structural key, bottom-up: its kind, ``str`` of its
+    payload and its children's keys, interned to a small int so that no
+    hash recurses. Two subtrees get equal keys exactly when ``tree_equal``
+    (ids ignored) holds for them, so duplicates are found by counting keys.
+    Findings come in preorder of the Fallbacks, then in child order."""
+    interned: dict[tuple, int] = {}
+    findings: list[list[Violation]] = []
+
+    def key(node: TreeNode) -> int:
+        slot = len(findings)
+        if node.kind is NodeKind.FALLBACK:
+            findings.append([])
+        child_keys = tuple([key(child) for child in node.children])
+        if node.kind is NodeKind.FALLBACK and len(set(child_keys)) < len(child_keys):
+            later = Counter(child_keys)
+            for child, child_key in zip(node.children, child_keys):
+                later[child_key] -= 1
+                if later[child_key]:
+                    findings[slot].append(Violation(
                         "distinct_fallback_children", node.id,
-                        f"fallback has two identical children (like node {first.id})"))
-                    break
+                        f"fallback has two identical children (like node {child.id})"))
+        payload = None if node.payload is None else str(node.payload)
+        return interned.setdefault((node.kind, payload, child_keys), len(interned))
+
+    key(tree.root)
+    for found in findings:
+        report.violations.extend(found)
 
 
 def reachable_states(domain: Domain, initial: WorldState,
-                     limit: int = 5000) -> list[WorldState]:
-    """Visible states reachable via applicable ground actions (BFS)."""
+                     limit: int = REACHABLE_STATE_LIMIT) -> list[WorldState]:
+    """Visible states reachable via applicable ground actions, in BFS
+    order, at most ``limit`` of them.
+
+    Actions never change the object registry, so the ground actions are
+    enumerated once, from the start state, and a successor is built only
+    when its fact set is new."""
     start = initial.visible_only()
+    steps = [(action, domain.ground_preconditions(action))
+             for action in _all_ground_actions(domain, start)]
     seen = {start.true}
     order = [start]
-    queue = deque([start])
-    while queue and len(order) < limit:
+    queue = deque(order)
+    while queue:
         state = queue.popleft()
-        for action in _all_ground_actions(domain, state):
-            if not all(domain.holds(state, lit)
-                       for lit in domain.ground_preconditions(action)):
+        for action, required in steps:
+            if not all(domain.holds(state, lit) for lit in required):
                 continue
+            add, remove = domain.effect_delta(state, action)
+            true = (state.true - remove) | add
+            if true in seen:
+                continue
+            if len(order) >= limit:
+                return order
+            seen.add(true)
             nxt = domain.apply_effects(state, action)
-            if nxt.true not in seen:
-                seen.add(nxt.true)
-                order.append(nxt)
-                queue.append(nxt)
+            order.append(nxt)
+            queue.append(nxt)
     return order
 
 
@@ -204,7 +253,14 @@ def _all_ground_actions(domain: Domain, state: WorldState) -> list[GroundAction]
 def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
                             initial: WorldState, max_sim_ticks: int,
                             report: VerificationReport) -> None:
-    for state in reachable_states(domain, initial):
+    states = reachable_states(domain, initial, REACHABLE_STATE_LIMIT + 1)
+    if len(states) > REACHABLE_STATE_LIMIT:
+        del states[REACHABLE_STATE_LIMIT:]
+        report.violations.append(Violation(
+            "bounded_livelock", None,
+            f"more than {REACHABLE_STATE_LIMIT} states are reachable; "
+            f"ticking was checked from the first {REACHABLE_STATE_LIMIT} only"))
+    for state in states:
         outcome = _run_to_terminal(tree, domain, state, max_sim_ticks)
         if outcome is None:
             report.violations.append(Violation(

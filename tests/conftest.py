@@ -47,3 +47,13 @@ def blocked_cube_state(cube_domain):
         cube_domain,
         ["on(red_cube, blue_cube)", "on(blue_cube, table)", "on(green_cube, table)"],
         objects=["blue_cube", "green_cube", "red_cube", "table"])
+
+
+@pytest.fixture(scope="session")
+def seed7_towers(tmp_path_factory):
+    """The first four seed-7 towers of the benchmark's generator."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import towergen
+    batch = towergen.generate(7, 8, tmp_path_factory.mktemp("towers"),
+                              bundled_data_path("domains", "cube_tabletop.yaml"))
+    return [load_scenario(path) for path in batch.paths[:4]]

@@ -6,7 +6,11 @@ over the ground state space, the literal-evaluation references are the
 plain enumerate-and-scan forms the indexed world state replaced, the
 tree lookups are the preorder scans the tree's checked index replaced, and
 the expansion reference scores each candidate on a fully built successor
-state, as the planner did before it scored from effect deltas.
+state, as the planner did before it scored from effect deltas, the
+duplicate-branch reference compares every pair of Fallback children with
+``tree_equal``, as ``verify`` did before structural keys, and the
+reachability reference enumerates the ground actions afresh in every
+state it expands.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ import itertools
 from collections import deque
 
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
-                         iter_preorder)
+                         iter_preorder, tree_equal)
 from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, InvalidTarget, NoAchiever, UnboundSlot,
                              UnknownNode)
 from btpolicy.planner import _groundings, is_expanded
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, is_param,
                             is_placeholder, is_wildcard)
+from btpolicy.verify import Violation
 
 # Tuple-tree encoding: ("leaf", NodeStatus) | ("seq"|"fb", (child, ...))
 
@@ -256,3 +261,42 @@ def bfs_plan(domain: Domain, state: WorldState,
             seen.add(nxt.true)
             queue.append((nxt, new_path))
     return None
+
+
+def pairwise_duplicate_violations(tree: BehaviorTree) -> list[Violation]:
+    """``distinct_fallback_children`` findings: under each Fallback, in
+    preorder, one per child that is ``tree_equal`` to a later sibling."""
+    found = []
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is not NodeKind.FALLBACK:
+            continue
+        for i, first in enumerate(node.children):
+            for second in node.children[i + 1:]:
+                if tree_equal(first, second, ignore_ids=True):
+                    found.append(Violation(
+                        "distinct_fallback_children", node.id,
+                        f"fallback has two identical children (like node {first.id})"))
+                    break
+    return found
+
+
+def reference_reachable_states(domain: Domain, initial: WorldState) -> list[WorldState]:
+    """Every visible state reachable from ``initial``, in BFS order, with
+    the ground actions enumerated in each state expanded and every
+    successor built before it is looked up."""
+    start = initial.visible_only()
+    seen = {start.true}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for skill in domain.skills.values():
+            for action in _groundings(domain, state, skill, {}):
+                if not applicable(domain, state, action):
+                    continue
+                nxt = domain.apply_effects(state, action)
+                if nxt.true not in seen:
+                    seen.add(nxt.true)
+                    order.append(nxt)
+                    queue.append(nxt)
+    return order

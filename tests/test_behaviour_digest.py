@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "behaviour_digest.py"
-EXPECTED = "99d0d82a7098ba4c1c75d415a61ebd496b2722c1421fe52c11ed3c5f7399d3c0"
+EXPECTED = "eaa49d7e16a40c6c63555c7f3747e8179d1234ef46fa96e1204b07cb3286ab8e"
 
 
 def test_behaviour_digest_is_pinned():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btpolicy import bt
+from btpolicy import bt, grammar
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext,
                          TreeNode, failing_action, insert_preconditions,
                          iter_preorder, tick, tree_equal)
@@ -256,6 +256,51 @@ class TestSerialization:
         with pytest.raises(ParseError):
             bt.parse('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, '
                      '"children": []}}')
+
+    def test_bad_node_error_names_its_path(self):
+        with pytest.raises(ParseError, match=r"node at root\.children\[1\] lacks an integer id"):
+            bt.parse('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, '
+                     '"children": [{"kind": "condition", "id": 1, "payload": "p"}, '
+                     '{"kind": "condition", "payload": "p"}]}}')
+
+    def test_bad_payload_error_names_its_first_path(self):
+        text = ('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, "children": ['
+                '{"kind": "condition", "id": 1, "payload": "p"}, '
+                '{"kind": "condition", "id": 2, "payload": "on(a,,b)"}, '
+                '{"kind": "fallback", "id": 3, "children": ['
+                '{"kind": "condition", "id": 4, "payload": "on(a,,b)"}]}]}}')
+        with pytest.raises(ParseError) as err:
+            bt.parse(text)
+        assert str(err.value).startswith("bad payload at root.children[1]: ")
+        assert "column 6" in str(err.value)
+
+    def test_payloads_parsed_once_per_distinct_text(self, monkeypatch, seed7_towers):
+        from btpolicy.resolver import resolve_until_success
+        scenario = seed7_towers[0]
+        tree = resolve_until_success(scenario, scenario.oracle_backend()).tree
+        texts = {(n.kind, str(n.payload)) for n, _ in iter_preorder(tree.root)
+                 if not n.is_control}
+        calls = []
+
+        def counting(kind, fn):
+            def wrapped(text):
+                calls.append((kind, text))
+                return fn(text)
+            return wrapped
+
+        monkeypatch.setattr(grammar, "parse_literal",
+                            counting(NodeKind.CONDITION, grammar.parse_literal))
+        monkeypatch.setattr(grammar, "parse_action",
+                            counting(NodeKind.ACTION, grammar.parse_action))
+        parsed = bt.parse(bt.serialize(tree))
+        assert tree.node_count() - len(texts) > 40  # leaves repeat their payloads
+        assert sorted(calls, key=str) == sorted(texts, key=str)
+        assert tree_equal(parsed, tree, ignore_ids=False)
+        first: dict = {}
+        for node, _ in iter_preorder(parsed.root):
+            if not node.is_control:
+                assert first.setdefault((node.kind, str(node.payload)),
+                                        node.payload) is node.payload
 
     def test_to_dot_conventions(self):
         tree = make_tree(lambda t: [

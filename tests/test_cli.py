@@ -120,6 +120,16 @@ class TestRunCommand:
         assert "run 1" not in out
         assert not (tmp_path / "out").exists()
 
+    def test_unreadable_tree_file_is_reported(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", "precond_01_blocked_cube",
+            "--backend", "oracle", "--no-resolve",
+            "--tree", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: cannot read tree file {tmp_path / 'missing.json'}")
+        assert "run 1" not in out
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_schema_exit(self, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "no_such_scenario",
                                "--backend", "oracle")
@@ -214,6 +224,30 @@ class TestVerifyCommand:
             "--goal", "grasped(red_cube)")
         assert code == EXIT_VIOLATIONS
         assert "goal_coverage" in out
+
+    def test_verify_unreadable_tree_file(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe")
+        for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                             (tmp_path, "Is a directory"),
+                             (binary, "not UTF-8 text")):
+            code, out, err = run_cli(capsys, "verify", "--tree", str(path),
+                                     "--scenario", "cube_stack_golden")
+            assert code == EXIT_FAILURE
+            assert err == f"error: cannot read tree file {path}: {reason}\n"
+            assert out == ""
+
+    def test_verify_condition_outside_domain(self, tmp_path, capsys):
+        tree = tmp_path / "t.json"
+        tree.write_text(json.dumps({"schema": "bt/v1", "root": {
+            "kind": "sequence", "id": 0, "children": [
+                {"kind": "condition", "id": 1, "payload": "flying(red_cube)"}]}}))
+        domain = bundled_data_path("domains", "cube_tabletop.yaml")
+        code, out, _ = run_cli(capsys, "verify", "--tree", str(tree),
+                               "--domain", str(domain), "--goal", "flying(red_cube)")
+        assert code == EXIT_VIOLATIONS
+        assert "- condition_literals (node 1): flying(red_cube) does not fit " \
+               "domain cube_tabletop: unknown predicate 'flying'" in out
 
     def test_verify_malformed_tree_parse_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

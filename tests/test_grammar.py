@@ -59,6 +59,21 @@ def test_parse_error_carries_position():
     assert err.value.expected
 
 
+@pytest.mark.parametrize("parse, text, line, column", [
+    (parse_literal, "on(blue,", 1, 9),               # end of input
+    (parse_literal, "on(a, %)", 1, 7),               # bad character
+    (parse_literal, "on(a,\n  b c)", 2, 5),          # unexpected token
+    (parse_literal, "on(a)\n\n   x", 3, 4),          # trailing input
+    (parse_literal, "\n \n", 1, 1),                  # nothing at all
+    (parse_action, "grasp(\n obj=\n\t)", 3, 2),      # missing value
+    (parse_action, "grasp(obj=egg,\r\n force=5 N", 2, 11),
+])
+def test_error_positions(parse, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_action_with_quantity():
     action = parse_action("grasp(obj=egg, force=5.3 N)")
     assert action.skill == "grasp"

@@ -1,6 +1,3 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 from btpolicy import bt, resolver
@@ -366,16 +363,6 @@ class TestFingerprint:
 
 
 # --- one walk per change ------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def seed7_towers(tmp_path_factory):
-    """The first four seed-7 towers of the benchmark's generator."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import towergen
-    batch = towergen.generate(7, 8, tmp_path_factory.mktemp("towers"),
-                              bundled_data_path("domains", "cube_tabletop.yaml"))
-    return [load_scenario(path) for path in batch.paths[:4]]
-
 
 def watched_run(monkeypatch, scenario, backend=None):
     """Resolve a scenario, counting the program's fingerprints, index

@@ -1,13 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
+from btpolicy import bt, verify
+from btpolicy.bt import BehaviorTree, NodeKind, TreeNode, iter_preorder
 from btpolicy.domain import make_state, parse_domain
 from btpolicy.errors import DomainMismatch
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec
 from btpolicy.resolver import resolve_until_success
-from btpolicy.terms import GroundAction
-from btpolicy.verify import verify_tree
+from btpolicy.terms import GroundAction, Quantity
+from btpolicy.verify import (CHECKS, LIVELOCK_OBJECT_LIMIT, VerificationReport,
+                             _check_distinct_fallback_children, reachable_states,
+                             verify_tree)
+
+from oracles import pairwise_duplicate_violations, reference_reachable_states
 
 
 def lit(text):
@@ -16,6 +23,20 @@ def lit(text):
 
 def goal(*texts):
     return GoalSpec(tuple(lit(t) for t in texts))
+
+
+def flipflop_domain():
+    """Two skills that undo each other, so ticking can livelock."""
+    return parse_domain({
+        "schema": "domain/v1", "name": "flipflop",
+        "predicates": [{"name": "up", "arity": 1},
+                       {"name": "goal_met", "arity": 0}],
+        "objects": [{"name": "flag", "category": "thing"}],
+        "skills": [
+            {"name": "raise_flag", "params": [], "effects": ["up(flag)"]},
+            {"name": "lower_flag", "params": [], "effects": ["~up(flag)"]},
+        ],
+    })
 
 
 class TestChecksOnGoodTrees:
@@ -83,16 +104,7 @@ class TestViolations:
                    for v in report.violations)
 
     def test_livelock_detected_on_mutually_undoing_actions(self):
-        domain = parse_domain({
-            "schema": "domain/v1", "name": "flipflop",
-            "predicates": [{"name": "up", "arity": 1},
-                           {"name": "goal_met", "arity": 0}],
-            "objects": [{"name": "flag", "category": "thing"}],
-            "skills": [
-                {"name": "raise_flag", "params": [], "effects": ["up(flag)"]},
-                {"name": "lower_flag", "params": [], "effects": ["~up(flag)"]},
-            ],
-        })
+        domain = flipflop_domain()
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
         fallback = tree.new_node(NodeKind.FALLBACK, children=[
             tree.new_condition(lit("goal_met")),
@@ -123,3 +135,146 @@ class TestViolations:
         report = verify_tree(tree, cube_domain, goal("on(blue_cube, green_cube)"))
         text = report.to_text()
         assert "fail" in text and "goal_coverage" in text
+
+
+class TestConditionLiterals:
+    def test_leaves_outside_the_domain_are_findings(self, cube_domain):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        for text in ("flying(red_cube)", "grasped(red_cube)", "on(ghost, table)",
+                     "on(red_cube)", "flying(red_cube)"):
+            tree.root.children.append(tree.new_condition(lit(text)))
+        report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
+        found = [(v.check, v.node_id) for v in report.violations]
+        assert found == [("condition_literals", 1), ("condition_literals", 3),
+                         ("condition_literals", 4), ("condition_literals", 5)]
+        assert "unknown predicate 'flying'" in report.violations[0].message
+        assert "condition_literals" in report.to_text()
+
+    def test_findings_come_in_check_order(self, cube_domain):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.append(tree.new_condition(lit("flying(red_cube)")))
+        tree.root.children.append(tree.new_action(GroundAction("levitate")))
+        report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
+        assert [v.check for v in report.violations] == \
+            ["action_bindings", "condition_literals", "goal_coverage"]
+
+
+# --- duplicate Fallback children by structural key ------------------------------
+
+_LEAVES = [
+    (NodeKind.CONDITION, lit("p")),
+    (NodeKind.CONDITION, lit("~on(a, b)")),
+    (NodeKind.ACTION, GroundAction("p")),
+    # distinct values, equal str: tree_equal (and so the check) calls them equal
+    (NodeKind.ACTION, GroundAction.from_mapping("push", {"force": Quantity(5.0, "N")})),
+    (NodeKind.ACTION, GroundAction.from_mapping("push", {"force": "5.0 N"})),
+]
+
+
+@st.composite
+def shapes(draw, depth=0):
+    """A nested shape: a leaf index, or (kind, children). Children are drawn
+    from a small pool, so equal siblings (three or more too) are common."""
+    if depth and (depth >= 4 or draw(st.integers(0, 2)) == 0):
+        return draw(st.integers(0, len(_LEAVES) - 1))
+    pool = draw(st.lists(shapes(depth + 1), min_size=1, max_size=3))
+    children = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    kind = NodeKind.FALLBACK if depth == 0 else \
+        draw(st.sampled_from([NodeKind.FALLBACK, NodeKind.SEQUENCE]))
+    return kind, children
+
+
+def build(shape) -> BehaviorTree:
+    tree = BehaviorTree(TreeNode(0, NodeKind.FALLBACK), next_id=1)
+
+    def node(shape) -> TreeNode:
+        if isinstance(shape, int):
+            kind, payload = _LEAVES[shape]
+            return tree.new_node(kind, payload=payload)
+        return tree.new_node(shape[0], children=[node(c) for c in shape[1]])
+
+    tree.root.children = [node(c) for c in shape[1]]
+    return tree
+
+
+def duplicate_findings(tree):
+    report = VerificationReport(CHECKS)
+    _check_distinct_fallback_children(tree, report)
+    return report.violations
+
+
+@given(shapes())
+@settings(max_examples=200, deadline=None)
+def test_keyed_duplicate_check_matches_pairwise(shape):
+    tree = build(shape)
+    assert duplicate_findings(tree) == pairwise_duplicate_violations(tree)
+
+
+def test_keyed_duplicate_check_on_deep_and_repeated_duplicates():
+    deep = (NodeKind.SEQUENCE, [(NodeKind.FALLBACK, [(NodeKind.SEQUENCE, [0, 3]),
+                                                     (NodeKind.SEQUENCE, [0, 4]), 1])])
+    tree = build((NodeKind.FALLBACK, [deep, 2, deep, 2, deep, 1]))
+    found = duplicate_findings(tree)
+    assert found == pairwise_duplicate_violations(tree)
+    inner = [n for n, _ in iter_preorder(tree.root)
+             if n.kind is NodeKind.FALLBACK and n is not tree.root]
+    assert [v.node_id for v in found] == [0, 0, 0, *(n.id for n in inner)]
+
+
+def test_duplicate_check_makes_no_pairwise_comparison(monkeypatch, cube_domain):
+    tree = BehaviorTree(TreeNode(0, NodeKind.FALLBACK), next_id=1)
+    for i in range(200):
+        tree.root.children.append(tree.new_node(NodeKind.SEQUENCE, children=[
+            tree.new_condition(lit(f"on(cube_{i % 150}, table)")),
+            tree.new_action(GroundAction.from_mapping("grasp", {"obj": "red_cube"}))]))
+    calls = []
+    node_equal = bt._node_equal
+    monkeypatch.setattr(bt, "_node_equal", lambda *a: calls.append(a) or node_equal(*a))
+    report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
+    assert calls == []
+    found = [v for v in report.violations if v.check == "distinct_fallback_children"]
+    assert len(found) == 50
+    monkeypatch.undo()
+    assert found == pairwise_duplicate_violations(tree)
+
+
+# --- reachability search --------------------------------------------------------
+
+def test_reachable_states_match_per_state_enumeration(monkeypatch, all_scenarios):
+    cases = [(s.domain, s.initial) for s in all_scenarios
+             if len(s.initial.objects) <= LIVELOCK_OBJECT_LIMIT]
+    domain = flipflop_domain()
+    cases.append((domain, make_state(domain, [])))
+    assert len(cases) == 16
+    enumerations = []
+    ground_all = verify._all_ground_actions
+    monkeypatch.setattr(verify, "_all_ground_actions",
+                        lambda *a: enumerations.append(a) or ground_all(*a))
+    for domain, initial in cases:
+        enumerations.clear()
+        assert reachable_states(domain, initial) == \
+            reference_reachable_states(domain, initial)
+        assert len(enumerations) == 1
+
+
+def test_reachable_states_stop_at_the_limit(golden_scenario):
+    domain, initial = golden_scenario.domain, golden_scenario.initial
+    every = reference_reachable_states(domain, initial)
+    for limit in (1, 2, 7, len(every) - 1, len(every), len(every) + 1):
+        assert reachable_states(domain, initial, limit) == every[:limit]
+
+
+def test_truncated_livelock_search_is_a_finding(monkeypatch, golden_scenario):
+    result = resolve_until_success(golden_scenario, golden_scenario.oracle_backend())
+    count = len(reachable_states(golden_scenario.domain, golden_scenario.initial))
+
+    def livelock_findings(limit):
+        monkeypatch.setattr(verify, "REACHABLE_STATE_LIMIT", limit)
+        report = verify_tree(result.tree, golden_scenario.domain, result.goals,
+                             initial_state=golden_scenario.initial)
+        return [v.message for v in report.violations if v.check == "bounded_livelock"]
+
+    assert livelock_findings(count) == []
+    assert livelock_findings(count - 1) == [
+        f"more than {count - 1} states are reachable; ticking was checked "
+        f"from the first {count - 1} only"]
