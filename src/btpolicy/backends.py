@@ -2,22 +2,27 @@
 
 Three implementations: Scripted replays fixture responses keyed by request
 id and role; Oracle synthesizes grammar-valid answers from scenario ground
-truth; Remote speaks the chat-completion wire format over HTTPS with
+truth; Remote speaks the chat-completion wire format over HTTP(S) with
 temperature 0 and bounded retries on transport errors and rate limits,
-waiting the server's Retry-After when it gives one.
+waiting the server's Retry-After when it gives one. Its transport is the
+standard library's: one connection per completion, proxies from the
+environment, HTTPS verified against the default CA store, no redirects.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-import requests
 import yaml
 
 from .errors import BackendUnavailable, MissingFixture, RateLimited, SchemaError
@@ -101,16 +106,28 @@ class RemoteBackend:
     backoff: float = 1.0
     max_in_flight: int = 4
     _gate: threading.Semaphore = field(init=False, repr=False)
+    _opener: urllib.request.OpenerDirector = field(init=False, repr=False)
 
     def __post_init__(self):
         self.endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV) or ""
         self.api_key = self.api_key or os.environ.get(API_KEY_ENV) or ""
         self._gate = threading.Semaphore(self.max_in_flight)
+        # Only these handlers: every status comes back as a response (no
+        # error processor), redirects are not followed (the bearer key stays
+        # with the endpoint's host), and no scheme but http(s) opens.
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler()):
+            self._opener.add_handler(handler)
 
     def complete(self, prompt: str, meta: RequestMeta) -> str:
         if not self.endpoint or not self.api_key:
             raise BackendUnavailable(
                 f"remote backend needs {ENDPOINT_ENV} and {API_KEY_ENV}")
+        parts = urllib.parse.urlsplit(self.endpoint)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise BackendUnavailable(
+                f"remote backend endpoint {self.endpoint!r} is not an http(s) URL")
         payload = {
             "model": self.model,
             "temperature": self.temperature,
@@ -128,7 +145,7 @@ class RemoteBackend:
             try:
                 with self._gate:
                     response = self._post(url, payload, headers)
-            except (requests.ConnectionError, requests.Timeout) as e:
+            except (OSError, http.client.HTTPException) as e:
                 last_error = e  # transport error: retry with backoff
                 continue
             if response.status_code == 429:
@@ -146,8 +163,24 @@ class RemoteBackend:
             raise last_error
         raise BackendUnavailable(f"transport failed after retries: {last_error}")
 
-    def _post(self, url: str, payload: dict, headers: dict):
-        return requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+    def _post(self, url: str, payload: dict, headers: dict) -> _Response:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode(), method="POST",
+            headers={**headers, "Content-Type": "application/json"})
+        with self._opener.open(request, timeout=self.timeout) as response:
+            return _Response(response.status, response.headers, response.read())
+
+
+@dataclass(frozen=True)
+class _Response:
+    """The parts of an HTTP answer that ``complete`` reads."""
+
+    status_code: int
+    headers: Mapping[str, str]      # case-insensitive lookup
+    body: bytes
+
+    def json(self) -> Any:
+        return json.loads(self.body)
 
 
 def _parse_retry_after(response) -> float | None:

@@ -21,8 +21,8 @@ import yaml
 from . import bt, grammar
 from .backends import OracleBackend, RemoteBackend, RequestMeta, ScriptedBackend
 from .domain import load_domain, make_state
-from .errors import (BackendUnavailable, BtError, ParseError, SchemaError,
-                     Unsolvable)
+from .errors import (BackendUnavailable, BtError, DomainMismatch, ParseError,
+                     SchemaError, Unsolvable)
 from .llm import (LlmExchange, PromptSpec, Role, build_prompt,
                   condition_catalog, parse_goal_response, scene_from_state)
 from .planner import GoalSpec, PlanConfig, plan
@@ -266,6 +266,8 @@ def _bench_goals(args):
                 exchanges.append(LlmExchange(spec, raw, goals, reasoning))
                 if {str(lit) for lit in goals.conjuncts} == truth:
                     successes += 1
+            except BackendUnavailable:
+                raise  # no case can be scored without a backend
             except BtError:
                 pass
         per_difficulty.setdefault(entry["difficulty"], []).append(
@@ -297,6 +299,8 @@ def _bench_scenarios(args, prefix: str):
                     exchanges.append(result.goal_exchange)
                 exchanges.extend(r.exchange for r in result.records
                                  if r.exchange is not None)
+            except BackendUnavailable:
+                raise  # no case can be scored without a backend
             except BtError:
                 pass
         rows.append((scenario.id, f"{successes}/{args.repeat}"))
@@ -336,6 +340,11 @@ def cmd_verify(args) -> int:
         initial = None
         goals_text = args.goal
     goals = GoalSpec(tuple(grammar.parse_literal_conjunction(goals_text)))
+    for lit in goals.conjuncts:
+        try:
+            domain.check_literal(lit, objects=initial.registry if initial else None)
+        except BtError as e:
+            raise DomainMismatch(f"goal {lit} does not fit domain {domain.name}: {e}") from e
     report = verify_tree(tree, domain, goals, initial_state=initial)
     print(report.to_text(), end="")
     return EXIT_OK if report.passed else EXIT_VIOLATIONS

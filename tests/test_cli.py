@@ -1,6 +1,7 @@
 import json
 
 from btpolicy import bt
+from btpolicy.backends import RemoteBackend
 from btpolicy.cli import (EXIT_BACKEND, EXIT_FAILURE, EXIT_OK, EXIT_PARSE,
                           EXIT_SCHEMA, EXIT_VIOLATIONS, main)
 from btpolicy.sim import bundled_data_path
@@ -244,10 +245,25 @@ class TestVerifyCommand:
                 {"kind": "condition", "id": 1, "payload": "flying(red_cube)"}]}}))
         domain = bundled_data_path("domains", "cube_tabletop.yaml")
         code, out, _ = run_cli(capsys, "verify", "--tree", str(tree),
-                               "--domain", str(domain), "--goal", "flying(red_cube)")
+                               "--domain", str(domain), "--goal", "grasped(red_cube)")
         assert code == EXIT_VIOLATIONS
         assert "- condition_literals (node 1): flying(red_cube) does not fit " \
                "domain cube_tabletop: unknown predicate 'flying'" in out
+
+    def test_verify_goal_outside_domain(self, capsys):
+        golden = bundled_data_path("goldens", "cube_stack_after.json")
+        domain = bundled_data_path("domains", "cube_tabletop.yaml")
+        for where in (("--domain", str(domain)), ("--scenario", "cube_stack_golden")):
+            for goal, reason in (("flying(red_cube)", "unknown predicate 'flying'"),
+                                 ("grasped(red_cube, table)",
+                                  "predicate 'grasped' takes 1 argument(s), got 2"),
+                                 ("grasped(purple_cube)", "unknown object 'purple_cube'")):
+                code, out, err = run_cli(capsys, "verify", "--tree", str(golden),
+                                         *where, "--goal", goal)
+                assert code == EXIT_FAILURE
+                assert err == (f"error: goal {goal} does not fit domain cube_tabletop: "
+                               f"{reason}\n")
+                assert out == ""
 
     def test_verify_malformed_tree_parse_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -288,9 +304,26 @@ def test_bench_remote_header_stamps_model(monkeypatch, capsys):
 
     monkeypatch.setenv("BTPOLICY_LLM_ENDPOINT", "https://api.example")
     monkeypatch.setenv("BTPOLICY_LLM_API_KEY", "k")
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr(RemoteBackend, "_post", lambda *a, **k: FakeResponse())
     code, out, _ = run_cli(
         capsys, "bench", "--suite", "goals", "--backend", "remote",
         "--model", "test-model")
     assert code == EXIT_OK
     assert out.startswith("# model=test-model time=")
+
+
+def test_bench_remote_endpoint_without_http_scheme_exit(monkeypatch, capsys):
+    def boom(*a, **k):
+        raise AssertionError("network was touched")
+
+    monkeypatch.setattr(RemoteBackend, "_post", boom)
+    monkeypatch.setenv("BTPOLICY_LLM_API_KEY", "k")
+    for suite, endpoint in (("goals", "file:///tmp"), ("goals", "api.example"),
+                            ("preconds", "file:///tmp")):
+        monkeypatch.setenv("BTPOLICY_LLM_ENDPOINT", endpoint)
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", suite, "--backend", "remote", "--model", "m")
+        assert code == EXIT_BACKEND
+        assert err == f"backend unavailable: remote backend endpoint {endpoint!r} " \
+                      "is not an http(s) URL\n"
+        assert out == ""

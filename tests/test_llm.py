@@ -253,9 +253,22 @@ class TestBackends:
         def boom(*a, **k):
             raise AssertionError("network was touched")
 
-        monkeypatch.setattr("requests.post", boom)
+        monkeypatch.setattr(RemoteBackend, "_post", boom)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "x"))
+
+    @pytest.mark.parametrize("endpoint", ["file:///tmp", "api.example", "ftp://api.example",
+                                          "http://"])
+    def test_remote_endpoint_without_http_scheme_fails_before_network(
+            self, monkeypatch, endpoint):
+        def boom(*a, **k):
+            raise AssertionError("network was touched")
+
+        monkeypatch.setattr(RemoteBackend, "_post", boom)
+        backend = RemoteBackend(model="m", endpoint=endpoint, api_key="k")
+        with pytest.raises(BackendUnavailable) as err:
+            backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "x"))
+        assert str(err.value) == f"remote backend endpoint {endpoint!r} is not an http(s) URL"
 
     def test_remote_wire_format(self, monkeypatch):
         captured = {}
@@ -267,13 +280,13 @@ class TestBackends:
             def json(self):
                 return {"choices": [{"message": {"content": "ANSWER: ok"}}]}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(self, url, payload, headers):
             captured["url"] = url
-            captured["json"] = json
+            captured["json"] = payload
             captured["headers"] = headers
             return FakeResponse()
 
-        monkeypatch.setattr("requests.post", fake_post)
+        monkeypatch.setattr(RemoteBackend, "_post", fake_post)
         backend = RemoteBackend(model="test-model", endpoint="https://api.example",
                                 api_key="secret")
         raw = backend.complete("hello", RequestMeta(Role.GOAL_INTERPRETATION, "x"))
@@ -285,14 +298,13 @@ class TestBackends:
         assert captured["headers"]["Authorization"] == "Bearer secret"
 
     def test_remote_retries_transport_then_gives_up(self, monkeypatch):
-        import requests as requests_module
         calls = {"n": 0}
 
         def flaky_post(*a, **k):
             calls["n"] += 1
-            raise requests_module.ConnectionError("down")
+            raise ConnectionError("down")
 
-        monkeypatch.setattr("requests.post", flaky_post)
+        monkeypatch.setattr(RemoteBackend, "_post", flaky_post)
         backend = RemoteBackend(model="m", endpoint="https://api.example",
                                 api_key="k", max_retries=2, backoff=0.0)
         with pytest.raises(BackendUnavailable):
@@ -335,7 +347,7 @@ def test_remote_rate_limited_retries_then_raises(monkeypatch):
         calls["n"] += 1
         return Limited()
 
-    monkeypatch.setattr("requests.post", post)
+    monkeypatch.setattr(RemoteBackend, "_post", post)
     monkeypatch.setattr("time.sleep", lambda seconds: None)
     backend = RemoteBackend(model="m", endpoint="https://api.example",
                             api_key="k", max_retries=1, backoff=0.0)
