@@ -120,14 +120,24 @@ class RemoteBackend:
                         urllib.request.HTTPSHandler()):
             self._opener.add_handler(handler)
 
-    def complete(self, prompt: str, meta: RequestMeta) -> str:
+    def check_config(self) -> None:
+        """Raise BackendUnavailable, without touching the network, when no
+        call can succeed: credentials are missing or the endpoint is not an
+        http(s) URL with a host."""
         if not self.endpoint or not self.api_key:
             raise BackendUnavailable(
                 f"remote backend needs {ENDPOINT_ENV} and {API_KEY_ENV}")
-        parts = urllib.parse.urlsplit(self.endpoint)
-        if parts.scheme not in ("http", "https") or not parts.netloc:
+        try:
+            parts = urllib.parse.urlsplit(self.endpoint)
+            usable = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:      # e.g. an unbalanced IPv6 bracket
+            usable = False
+        if not usable:
             raise BackendUnavailable(
                 f"remote backend endpoint {self.endpoint!r} is not an http(s) URL")
+
+    def complete(self, prompt: str, meta: RequestMeta) -> str:
+        self.check_config()
         payload = {
             "model": self.model,
             "temperature": self.temperature,

@@ -209,6 +209,10 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         print("--repeat must be at least 1", file=sys.stderr)
         return EXIT_FAILURE
+    if args.backend == "remote":
+        # missing credentials or a bad endpoint would fail every case: stop
+        # before scoring any. A failed call later scores only its case 0.
+        _make_backend(args).check_config()
     if args.suite == "goals":
         rows, exchanges = _bench_goals(args)
     elif args.suite == "preconds":
@@ -266,8 +270,6 @@ def _bench_goals(args):
                 exchanges.append(LlmExchange(spec, raw, goals, reasoning))
                 if {str(lit) for lit in goals.conjuncts} == truth:
                     successes += 1
-            except BackendUnavailable:
-                raise  # no case can be scored without a backend
             except BtError:
                 pass
         per_difficulty.setdefault(entry["difficulty"], []).append(
@@ -299,8 +301,6 @@ def _bench_scenarios(args, prefix: str):
                     exchanges.append(result.goal_exchange)
                 exchanges.extend(r.exchange for r in result.records
                                  if r.exchange is not None)
-            except BackendUnavailable:
-                raise  # no case can be scored without a backend
             except BtError:
                 pass
         rows.append((scenario.id, f"{successes}/{args.repeat}"))

@@ -1,5 +1,7 @@
 import json
 
+import yaml
+
 from btpolicy import bt
 from btpolicy.backends import RemoteBackend
 from btpolicy.cli import (EXIT_BACKEND, EXIT_FAILURE, EXIT_OK, EXIT_PARSE,
@@ -310,6 +312,37 @@ def test_bench_remote_header_stamps_model(monkeypatch, capsys):
         "--model", "test-model")
     assert code == EXIT_OK
     assert out.startswith("# model=test-model time=")
+
+
+def test_bench_remote_failed_call_scores_only_its_case(monkeypatch, capsys):
+    class FakeResponse:
+        def __init__(self, status_code):
+            self.status_code = status_code
+            self.headers = {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ANSWER: On(Water, Bar)"}}]}
+
+    calls = []
+
+    def fake_post(self, url, payload, headers):
+        calls.append(url)
+        return FakeResponse(500 if len(calls) == 1 else 200)
+
+    monkeypatch.setenv("BTPOLICY_LLM_ENDPOINT", "https://api.example")
+    monkeypatch.setenv("BTPOLICY_LLM_API_KEY", "k")
+    monkeypatch.setattr(RemoteBackend, "_post", fake_post)
+    code, out, _ = run_cli(
+        capsys, "bench", "--suite", "goals", "--backend", "remote",
+        "--model", "test-model", "--format", "json")
+    assert code == EXIT_OK
+    goalset = yaml.safe_load(bundled_data_path(
+        "benchmarks", "cafe_goals.yaml").read_text())
+    # the 500 on the first case did not stop the run: every case was asked
+    assert len(calls) == len(goalset["instructions"])
+    report = json.loads(out.split("\n", 1)[1])
+    difficulties = {entry["difficulty"] for entry in goalset["instructions"]}
+    assert {row["case"] for row in report} == difficulties
 
 
 def test_bench_remote_endpoint_without_http_scheme_exit(monkeypatch, capsys):

@@ -258,7 +258,7 @@ class TestBackends:
             backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "x"))
 
     @pytest.mark.parametrize("endpoint", ["file:///tmp", "api.example", "ftp://api.example",
-                                          "http://"])
+                                          "http://", "http://[::1", "http://:80"])
     def test_remote_endpoint_without_http_scheme_fails_before_network(
             self, monkeypatch, endpoint):
         def boom(*a, **k):
