@@ -99,21 +99,28 @@ _MISSING: _Entry = (None, None, 0)  # type: ignore[assignment]
 
 
 class BehaviorTree:
-    """A tree plus its id allocator and a checked id -> (node, parent,
-    child index) index.
+    """A tree plus its id allocator, a checked id -> (node, parent, child
+    index) index and a cache of each node's compact ``bt/v1`` text.
 
-    The tree's own edits (``replace``, ``move_left`` and
-    ``insert_preconditions``) record the entries they change, so lookups
-    after them need no rebuild. Every answer is still checked against the
-    tree: each recorded parent up to the root must still hold its child at
-    the recorded index. A miss rebuilds the index once, so edits made
-    directly to ``children`` or ``root`` need no invalidation (README,
-    Semantics notes).
+    The tree's own edits (``replace``, ``move_left``, ``rebind`` and
+    ``insert_preconditions``) record the index entries they change, so
+    lookups after them need no rebuild. Every answer is still checked
+    against the tree: each recorded parent up to the root must still hold
+    its child at the recorded index. A miss rebuilds the index once, so
+    edits made directly to ``children`` or ``root`` need no invalidation
+    for lookups (README, Semantics notes).
+
+    The text cache (``compact``) follows the tree's own edits only: each
+    drops the cached text of the node whose children or payload it changed
+    and of that node's ancestors, in ``_drop_texts``. A direct edit leaves
+    the cached text stale.
     """
 
     def __init__(self, root: TreeNode, next_id: int | None = None):
         self.root = root
         self._index: dict[int, _Entry] = {}
+        # node id -> compact text; a cached node's descendants are cached too
+        self._texts: dict[int, str] = {}
         if next_id is None:
             next_id = max((n.id for n, _ in iter_preorder(root)), default=-1) + 1
         self._next_id = next_id
@@ -150,6 +157,14 @@ class BehaviorTree:
         index = self._index
         for i, child in enumerate(parent.children):
             index[child.id] = (child, parent, i)
+
+    def _drop_texts(self, node: TreeNode | None) -> None:
+        """Forget the cached text of ``node`` and of its ancestors, which
+        ``_locate`` has just checked. The walk stops at the first node
+        without text: its ancestors have none either."""
+        texts, index = self._texts, self._index
+        while node is not None and texts.pop(node.id, None) is not None:
+            node = index[node.id][1]
 
     def _locate(self, node_id: int) -> _Entry:
         index = self._index
@@ -195,6 +210,7 @@ class BehaviorTree:
             self.root = new
         else:
             parent.children[slot] = new
+        self._drop_texts(parent)
         self._index[new.id] = (new, parent, slot)
         for node, _ in iter_preorder(new):
             self._record_children(node)
@@ -206,6 +222,15 @@ class BehaviorTree:
             raise InvalidTarget(f"node {node_id} has no left sibling")
         parent.children[slot - 1:slot + 1] = [node, parent.children[slot - 1]]
         self._record_children(parent)
+        self._drop_texts(parent)
+
+    def rebind(self, node_id: int, action: GroundAction) -> None:
+        """Give an action leaf a new action, such as one with a slot bound."""
+        node = self._locate(node_id)[0]
+        if node.kind is not NodeKind.ACTION:
+            raise InvalidTarget(f"node {node_id} is {node.kind.value}, not an action")
+        node.payload = action
+        self._drop_texts(node)
 
     def validate(self) -> None:
         """Check structural invariants; raise TreeInvalid on violation."""
@@ -331,6 +356,7 @@ def insert_preconditions(tree: BehaviorTree, action_id: int,
 
     parent.children[:0] = [tree.new_condition(lit) for lit in conds]
     tree._record_children(parent)
+    tree._drop_texts(parent)
     return tree
 
 
@@ -343,6 +369,34 @@ def serialize(tree: BehaviorTree) -> str:
     """Serialize to the documented JSON tree schema (schema id ``bt/v1``)."""
     return json.dumps({"schema": TREE_SCHEMA, "root": _node_to_obj(tree.root)},
                       indent=2) + "\n"
+
+
+def compact(tree: BehaviorTree) -> str:
+    """The ``root`` value of the ``bt/v1`` form as compact JSON: separators
+    ``","`` and ``":"``, keys in ``bt/v1`` order, no whitespace.
+
+    Built from each node's cached text, so after an edit only the edited
+    node's ancestors and the new nodes are formatted again."""
+    return _node_text(tree.root, tree._texts)
+
+
+_TEXT_HEADS = {kind: f'{{"kind":"{kind.value}","id":' for kind in NodeKind}
+_json_string = json.encoder.encode_basestring_ascii  # what json.dumps writes
+
+
+def _node_text(node: TreeNode, texts: dict[int, str]) -> str:
+    """``json.dumps(_node_to_obj(node), separators=(",", ":"))``, cached."""
+    text = texts.get(node.id)
+    if text is None:
+        text = _TEXT_HEADS[node.kind] + str(node.id)
+        if node.payload is not None:
+            text += ',"payload":' + _json_string(str(node.payload))
+        if node.kind in _CONTROL_KINDS:
+            text += ',"children":[' + ",".join(
+                [_node_text(child, texts) for child in node.children]) + "]"
+        text += "}"
+        texts[node.id] = text
+    return text
 
 
 def _node_to_obj(node: TreeNode) -> dict:

@@ -381,8 +381,8 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
 
     The goals are checked against the domain and the state's registry. A
     ``tree`` to grow is trusted as given, unchecked: the resolver builds it
-    from checked goals, domain templates and parsed answers. Trees from
-    elsewhere pass ``sim.check_tree_domain`` first.
+    from checked goals, domain templates and parsed answers, and runs it
+    ungated. Trees from elsewhere pass ``sim.check_tree_domain`` first.
     """
     config = config or PlanConfig()
     for lit in goals.conjuncts:

@@ -13,6 +13,12 @@ the previous round's ``tree_after`` unless defaults were bound or the
 consolidation plan ran in between. One preorder walk per parameter fill
 finds the first open slot and the defaults to bind, and a domain whose
 skills declare no numeric or categorical slot needs no walk at all.
+
+The resolver changes a tree only through the tree's own edits (``rebind``
+binds a slot), which keep each node's cached compact text current, so a
+fingerprint formats only the nodes an edit touched. The trees it runs are
+grown from checked goals, domain templates and parsed answers, so it runs
+them with ``sim.run_trusted``, without the domain gate of ``sim.execute``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .backends import Backend, RequestMeta
-from .bt import BehaviorTree, NodeKind, TreeNode, _node_to_obj, iter_preorder
+from .bt import BehaviorTree, NodeKind, TreeNode, compact, iter_preorder
 from .domain import Domain, Slot, WorldState
 from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
@@ -32,7 +38,7 @@ from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   scene_from_state)
 from .planner import (GoalSpec, PlanConfig, goals_of, guarding_literals,
                       insert_preconditions, plan)
-from .sim import ExecConfig, ExecutionTrace, FailureEvent, Scenario, execute
+from .sim import ExecConfig, ExecutionTrace, FailureEvent, Scenario, run_trusted
 
 
 class Outcome(Enum):
@@ -97,10 +103,11 @@ def records_to_jsonl(records: list[ResolutionRecord]) -> str:
 def tree_fingerprint(tree: BehaviorTree) -> str:
     """Short hash of the tree's structure, node ids and payloads.
 
-    Hashes compact JSON of the ``bt/v1`` node objects: equal for trees that
-    serialize identically, and far cheaper than the indented file form."""
-    text = json.dumps(_node_to_obj(tree.root), separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    Hashes ``bt.compact``, the compact JSON of the ``bt/v1`` root node: equal
+    for trees that serialize identically. The tree keeps each node's text
+    through its own edits, so only what changed since the last fingerprint
+    is formatted again."""
+    return hashlib.sha256(compact(tree).encode()).hexdigest()[:12]
 
 
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
@@ -176,9 +183,9 @@ def _scan_params(tree: BehaviorTree, domain: Domain, open_params: tuple[str, ...
     return request, defaults
 
 
-def _bind_defaults(defaults: list[tuple[TreeNode, Slot]]) -> None:
+def _bind_defaults(tree: BehaviorTree, defaults: list[tuple[TreeNode, Slot]]) -> None:
     for node, slot in defaults:
-        node.payload = node.action.with_slot(slot.name, slot.default)
+        tree.rebind(node.id, node.action.with_slot(slot.name, slot.default))
 
 
 def find_param_request(tree: BehaviorTree, domain: Domain,
@@ -190,7 +197,7 @@ def find_param_request(tree: BehaviorTree, domain: Domain,
 def bind_default_params(tree: BehaviorTree, domain: Domain,
                         open_params: tuple[str, ...]) -> None:
     """Fill non-open unbound slots from their declared defaults."""
-    _bind_defaults(_scan_params(tree, domain, open_params)[1])
+    _bind_defaults(tree, _scan_params(tree, domain, open_params)[1])
 
 
 def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
@@ -232,7 +239,7 @@ def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
             continue
         if context and not context.intersection(node.action.symbol_values()):
             continue
-        node.payload = node.action.with_slot(request.slot.name, value.value)
+        tree.rebind(node.id, node.action.with_slot(request.slot.name, value.value))
         bound += 1
     record = ResolutionRecord("parameter", round_index, exchange,
                               inserted=(value,) * bound, tree_before=before,
@@ -315,7 +322,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                                           rejected=True, error=f"{type(e).__name__}: {e}")
             result.records.append(record)
         if defaults:
-            _bind_defaults(defaults)
+            _bind_defaults(tree, defaults)
             fingerprint = None
         return True
 
@@ -325,7 +332,8 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
 
     world = scenario.initial
     while True:
-        trace = execute(tree, scenario, config.exec, world=world)
+        # built from checked parts only, so ungated (module docstring)
+        trace = run_trusted(tree, scenario, config.exec, world=world)
         result.traces.append(trace)
         world = trace.final_state or world
         result.world = world

@@ -204,8 +204,11 @@ def check_tree_domain(tree: BehaviorTree, domain: Domain) -> None:
 
     Every condition must pass ``Domain.check_literal``; every action must
     name a known skill and bind each object slot to a domain object. This is
-    the one gate for trees from outside the planner: ticking trusts a tree
-    that passed it."""
+    the one gate for trees from outside the program: ``execute``, and
+    ``verify_tree`` before its livelock check, pass every tree through it,
+    and ticking trusts a tree that passed it. The resolver runs the trees
+    it grows itself, from checked goals, domain templates and parsed
+    answers, through ``run_trusted`` without it."""
     for node, _ in iter_preorder(tree.root):
         if node.kind is NodeKind.CONDITION:
             try:
@@ -235,9 +238,18 @@ def execute(tree: BehaviorTree, scenario: Scenario,
     before the first tick when a leaf does not fit the scenario's domain,
     and TickBudgetExceeded when the tick budget runs out or the world stops
     changing."""
+    check_tree_domain(tree, scenario.domain)
+    return run_trusted(tree, scenario, config, world=world, faults=faults)
+
+
+def run_trusted(tree: BehaviorTree, scenario: Scenario,
+                config: ExecConfig | None = None, *,
+                world: WorldState | None = None,
+                faults: bool = True) -> ExecutionTrace:
+    """``execute`` without the domain gate, for a tree whose leaves are known
+    to fit the scenario's domain; a leaf that does not fails mid-tick."""
     config = config or ExecConfig()
     domain = scenario.domain
-    check_tree_domain(tree, domain)
     state = world if world is not None else scenario.initial
     trace = ExecutionTrace()
     elapsed: dict[int, int] = {}

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 
@@ -452,6 +453,15 @@ def _move_left(tree: BehaviorTree, seed: int) -> None:
     assert parent.children[index - 1] is node and parent.children[index] is left
 
 
+def _rebind(tree: BehaviorTree, seed: int) -> None:
+    actions = [n for n in _nodes(tree.root) if n.kind is NodeKind.ACTION]
+    action = _pick(actions, seed)
+    if action is None:
+        return
+    tree.rebind(action.id, action.action.with_slot(f"s{seed % 3}", f"v{seed % 5}"))
+    assert scan_find(tree, action.id).action.get(f"s{seed % 3}") == f"v{seed % 5}"
+
+
 def _front(tree: BehaviorTree, seed: int) -> None:
     _pick(_controls(tree), seed).children[:0] = [tree.new_condition(Literal("front"))]
 
@@ -474,10 +484,10 @@ def _assign_root(tree: BehaviorTree, seed: int) -> None:
 
 
 EDITS = {"wrap": _wrap, "root_wrap": lambda t, s: _wrap(t, s, root_only=True),
-         "insert": _insert, "swap": _swap, "move_left": _move_left,
+         "insert": _insert, "swap": _swap, "move_left": _move_left, "rebind": _rebind,
          "front": _front, "append": _append, "pop": _pop, "assign_root": _assign_root}
-# edits made through BehaviorTree.replace, insert_preconditions and move_left
-PROGRAM_EDITS = ["wrap", "root_wrap", "insert", "swap", "move_left"]
+# edits made through BehaviorTree.replace, insert_preconditions, move_left and rebind
+PROGRAM_EDITS = ["wrap", "root_wrap", "insert", "swap", "move_left", "rebind"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -510,6 +520,43 @@ def test_program_edits_keep_the_index_without_rebuilds(edits):
         EDITS[name](tree, seed)
     assert_lookups_match_scans(tree, set(), with_id_index=False)
     assert rebuilds == []
+
+
+def full_compact(tree: BehaviorTree) -> str:
+    """The compact root text built afresh, without the tree's cache."""
+    return json.dumps(bt._node_to_obj(tree.root), separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS), st.integers(0, 10_000),
+                          st.booleans()), max_size=30))
+def test_program_edits_keep_the_compact_text(edits):
+    """After each of the tree's own edits the cached compact text equals the
+    text built afresh, and the index was never rebuilt. Edits also run in
+    a row without a read in between, so invalidation meets partly built
+    caches."""
+    tree = bt.parse(golden_tree_text())
+    assert tree._texts == {}  # parsing builds no text
+    tree.find(tree.root.id)
+    rebuilds = []
+    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
+    assert bt.compact(tree) == full_compact(tree)
+    for name, seed, read in edits:
+        EDITS[name](tree, seed)
+        if read:
+            assert bt.compact(tree) == full_compact(tree)
+    assert bt.compact(tree) == full_compact(tree)
+    assert rebuilds == []
+
+
+def test_compact_text_matches_json_on_escapes():
+    """Payload text goes through JSON string escaping, as json.dumps does."""
+    tree = make_tree(lambda t: [t.new_action(GroundAction.from_mapping(
+        "say", {"text": 'café "x" \\'}))])
+    assert bt.compact(tree) == full_compact(tree)
+    assert r'caf\u00e9 \"x\" \\)' in bt.compact(tree)
+    tree.rebind(tree.root.children[0].id, GroundAction.from_mapping("say", {"text": "\t"}))
+    assert bt.compact(tree) == full_compact(tree)
 
 
 def test_concurrent_queries_on_fresh_trees():

@@ -9,6 +9,7 @@ from btpolicy.planner import GoalSpec, plan
 from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request,
                                records_to_jsonl, resolve,
                                resolve_until_success, tree_fingerprint)
+from btpolicy import sim
 from btpolicy.sim import bundled_data_path, execute, load_scenario
 from btpolicy.terms import GroundAction, Quantity
 
@@ -351,15 +352,39 @@ class TestFingerprint:
         before = tree_fingerprint(tree)
         children = next(n.children for n, _ in iter_preorder(tree.root)
                         if len(n.children) > 1)
-        children[0], children[1] = children[1], children[0]
+        tree.move_left(children[1].id)
         assert tree_fingerprint(tree) != before
 
     def test_changes_on_payload_rebinding(self):
         tree = self.golden_tree()
         before = tree_fingerprint(tree)
         leaf = action_leaves(tree)[0]
-        leaf.payload = leaf.action.with_slot("speed", Quantity(0.1, "m/s"))
+        tree.rebind(leaf.id, leaf.action.with_slot("speed", Quantity(0.1, "m/s")))
         assert tree_fingerprint(tree) != before
+
+
+def test_resolver_runs_only_trees_that_pass_the_gate(monkeypatch, all_scenarios):
+    """The resolver runs its trees without the domain gate; every tree it
+    hands to the ungated run would have passed it, and it never gates."""
+    gate = sim.check_tree_domain
+    gated: list[str] = []
+    monkeypatch.setattr(sim, "check_tree_domain",
+                        lambda tree, domain: gated.append(domain.name))
+    for scenario in all_scenarios:
+        runs = 0
+
+        def spy(tree, scenario_, *args, **kwargs):
+            nonlocal runs
+            runs += 1
+            gate(tree, scenario_.domain)  # raises DomainMismatch on a bad leaf
+            return sim.run_trusted(tree, scenario_, *args, **kwargs)
+
+        monkeypatch.setattr(resolver, "run_trusted", spy)
+        result = resolve_until_success(scenario, scenario.oracle_backend())
+        assert result.outcome.value == scenario.expected_outcome, scenario.id
+        assert runs == len(result.traces), scenario.id
+    assert len(all_scenarios) == 17
+    assert gated == []
 
 
 # --- one walk per change ------------------------------------------------------
