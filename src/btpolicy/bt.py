@@ -233,7 +233,8 @@ class BehaviorTree:
         self._drop_texts(node)
 
     def validate(self) -> None:
-        """Check structural invariants; raise TreeInvalid on violation."""
+        """Check structural invariants of edited trees (``parse`` checks as it
+        reads); raise TreeInvalid on violation."""
         seen: set[int] = set()
         for node, _ in iter_preorder(self.root):
             if node.id in seen:
@@ -413,7 +414,9 @@ def parse(text: str) -> BehaviorTree:
 
     Round-trips with serialize: structure, payloads, node ordering, and node
     ids are all preserved. Each distinct payload text is parsed once per
-    call; leaves with equal text share the (frozen) payload value.
+    call; leaves with equal text share the (frozen) payload value. The walk
+    that builds the nodes raises TreeInvalid on a repeated id, so the
+    result meets ``BehaviorTree.validate`` without a second walk.
     """
     try:
         data = json.loads(text)
@@ -426,10 +429,9 @@ def parse(text: str) -> BehaviorTree:
     if data.get("schema") != TREE_SCHEMA:
         raise ParseError(f"unsupported tree schema {data.get('schema')!r}",
                          expected=TREE_SCHEMA)
-    root = _node_from_obj(data["root"], [], {})
-    tree = BehaviorTree(root)
-    tree.validate()
-    return tree
+    ids: set[int] = set()
+    root = _node_from_obj(data["root"], [], {}, ids)
+    return BehaviorTree(root, next_id=max(ids) + 1)
 
 
 def _where(path: list[int]) -> str:
@@ -437,10 +439,11 @@ def _where(path: list[int]) -> str:
 
 
 def _node_from_obj(obj, path: list[int],
-                   payloads: dict[tuple[NodeKind, str], Literal | GroundAction]) -> TreeNode:
+                   payloads: dict[tuple[NodeKind, str], Literal | GroundAction],
+                   ids: set[int]) -> TreeNode:
     """The node at ``path`` (child indexes from the root, extended in place
     while its children are read); ``payloads`` holds the values parsed so
-    far by kind and text."""
+    far by kind and text, ``ids`` the node ids read so far."""
     if not isinstance(obj, dict):
         raise ParseError(f"node at {_where(path)} is not an object",
                          expected="a node object")
@@ -453,6 +456,9 @@ def _node_from_obj(obj, path: list[int],
     if not isinstance(node_id, int):
         raise ParseError(f"node at {_where(path)} lacks an integer id",
                          expected="'id': int")
+    if node_id in ids:
+        raise TreeInvalid(f"duplicate node id {node_id}")
+    ids.add(node_id)
     if kind in _CONTROL_KINDS:
         children_obj = obj.get("children")
         if not isinstance(children_obj, list) or not children_obj:
@@ -461,7 +467,7 @@ def _node_from_obj(obj, path: list[int],
         children = []
         for i, child in enumerate(children_obj):
             path.append(i)
-            children.append(_node_from_obj(child, path, payloads))
+            children.append(_node_from_obj(child, path, payloads, ids))
             path.pop()
         return TreeNode(node_id, kind, children)
     payload_text = obj.get("payload")

@@ -286,8 +286,8 @@ class Domain:
         """Validate predicate, arity, and argument symbols.
 
         Literals pass it where they enter (domain and scenario files, parsed
-        answers, goals, the tree gate ``sim.check_tree_domain``); evaluation
-        trusts them after."""
+        answers, goals, tree leaves by ``sim.leaf_mismatch``, the rule of the
+        tree gate and of ``verify_tree``); evaluation trusts them after."""
         pred = self.predicate(lit.predicate)
         if len(lit.args) != pred.arity:
             raise ArityMismatch(lit.predicate, pred.arity, len(lit.args))

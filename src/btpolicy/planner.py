@@ -380,9 +380,9 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     PlanBudgetExceeded (with the partial tree attached) when budgets run out.
 
     The goals are checked against the domain and the state's registry. A
-    ``tree`` to grow is trusted as given, unchecked: the resolver builds it
-    from checked goals, domain templates and parsed answers, and runs it
-    ungated. Trees from elsewhere pass ``sim.check_tree_domain`` first.
+    ``tree`` to grow is trusted as given: the resolver builds it from checked
+    goals, domain templates and parsed answers, and runs it ungated. Trees
+    from elsewhere pass the gate, ``sim.leaf_mismatch`` on every leaf, first.
     """
     config = config or PlanConfig()
     for lit in goals.conjuncts:

@@ -21,7 +21,7 @@ import yaml
 
 from . import grammar
 from .backends import OracleBackend, RequestMeta
-from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
+from .bt import (_ACTION, _CONDITION, BehaviorTree, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick)
 from .domain import Domain, WorldState, load_domain, make_state
 from .errors import (BtError, DomainMismatch, ParseError, SchemaError,
@@ -199,34 +199,43 @@ class ExecutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def check_tree_domain(tree: BehaviorTree, domain: Domain) -> None:
-    """Raise DomainMismatch naming the first leaf that does not fit the domain.
+def leaf_mismatch(node: TreeNode, domain: Domain) -> DomainMismatch | None:
+    """The DomainMismatch naming a leaf that does not fit the domain, else
+    None. A condition fits when it passes ``Domain.check_literal`` (whose
+    error is the mismatch's ``__cause__``), an action when it names a known
+    skill and binds each object slot to a domain object. This function is
+    the rule's one home: ``check_tree_domain`` and ``verify_tree`` ask it."""
+    if node.kind is _CONDITION:
+        try:
+            domain.check_literal(node.payload)
+        except BtError as e:
+            mismatch = DomainMismatch(f"condition {node.payload} (node {node.id}) "
+                                      f"does not fit domain {domain.name}: {e}")
+            mismatch.__cause__ = e
+            return mismatch
+    elif node.kind is _ACTION:
+        action = node.payload
+        skill = domain.skills.get(action.skill)
+        if skill is None:
+            return DomainMismatch(f"action {action} (node {node.id}) uses a skill "
+                                  f"unknown to domain {domain.name}")
+        for slot in skill.object_slots:
+            if action.get(slot.name) not in domain.objects:
+                return DomainMismatch(
+                    f"action {action} (node {node.id}) does not bind object "
+                    f"slot {slot.name!r} to an object of domain {domain.name}")
+    return None
 
-    Every condition must pass ``Domain.check_literal``; every action must
-    name a known skill and bind each object slot to a domain object. This is
-    the one gate for trees from outside the program: ``execute``, and
-    ``verify_tree`` before its livelock check, pass every tree through it,
-    and ticking trusts a tree that passed it. The resolver runs the trees
-    it grows itself, from checked goals, domain templates and parsed
-    answers, through ``run_trusted`` without it."""
+
+def check_tree_domain(tree: BehaviorTree, domain: Domain) -> None:
+    """Raise the ``leaf_mismatch`` of the first leaf, in preorder, that
+    does not fit the domain. This is the gate for trees from outside the
+    program: ``execute`` passes every tree through it, and ticking trusts a
+    tree that passed it. The resolver runs the trees it grows from checked
+    parts through ``run_trusted`` without it."""
     for node, _ in iter_preorder(tree.root):
-        if node.kind is NodeKind.CONDITION:
-            try:
-                domain.check_literal(node.literal)
-            except BtError as e:
-                raise DomainMismatch(f"condition {node.literal} (node {node.id}) "
-                                     f"does not fit domain {domain.name}: {e}") from e
-        elif node.kind is NodeKind.ACTION:
-            action = node.action
-            skill = domain.skills.get(action.skill)
-            if skill is None:
-                raise DomainMismatch(f"action {action} (node {node.id}) uses a skill "
-                                     f"unknown to domain {domain.name}")
-            for slot in skill.object_slots:
-                if action.get(slot.name) not in domain.objects:
-                    raise DomainMismatch(
-                        f"action {action} (node {node.id}) does not bind object "
-                        f"slot {slot.name!r} to an object of domain {domain.name}")
+        if (mismatch := leaf_mismatch(node, domain)) is not None:
+            raise mismatch
 
 
 def execute(tree: BehaviorTree, scenario: Scenario,

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
-                 iter_preorder, tick)
+from .bt import (_ACTION, _CONDITION, _SEQUENCE, BehaviorTree, NodeStatus, TickContext,
+                 TreeNode, tick)
 from .domain import Domain, WorldState
-from .errors import BtError
-from .planner import GoalSpec, _groundings, guarding_literals
-from .sim import check_tree_domain
-from .terms import GroundAction, Quantity
+from .errors import DomainMismatch
+from .planner import GoalSpec, _groundings, _head_literal
+from .sim import leaf_mismatch
+from .terms import GroundAction, Literal, Quantity
 
 CHECKS = (
     "action_bindings",
@@ -70,145 +70,131 @@ class VerificationReport:
 def verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
                 initial_state: WorldState | None = None,
                 max_sim_ticks: int = 500) -> VerificationReport:
-    """Run every check; findings land in the report. Condition leaves that
-    do not fit the domain are ``condition_literals`` findings. Only the
-    livelock check ticks the tree, so only then does a tree whose leaves do
-    not fit the domain raise DomainMismatch instead."""
-    report = VerificationReport(CHECKS)
-    _check_action_bindings(tree, domain, report)
-    _check_conditions(tree, domain, goals, report)
-    _check_precondition_rows(tree, domain, report)
-    _check_distinct_fallback_children(tree, report)
-    if initial_state is not None and len(initial_state.objects) <= LIVELOCK_OBJECT_LIMIT:
-        check_tree_domain(tree, domain)
-        _check_bounded_livelock(tree, domain, initial_state, max_sim_ticks, report)
-    return report
+    """Run every check; findings land in the report in ``CHECKS`` order,
+    in preorder within a check.
 
-
-def _check_action_bindings(tree: BehaviorTree, domain: Domain,
-                           report: VerificationReport) -> None:
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.ACTION:
-            continue
-        action = node.action
-        if action.skill not in domain.skills:
-            report.violations.append(Violation(
-                "action_bindings", node.id, f"unknown skill {action.skill!r}"))
-            continue
-        skill = domain.skills[action.skill]
-        declared = {s.name for s in skill.params}
-        for slot_name, value in action.binding:
-            if slot_name not in declared:
-                report.violations.append(Violation(
-                    "action_bindings", node.id,
-                    f"{action.skill} has no slot {slot_name!r}"))
-        for slot in skill.params:
-            value = action.get(slot.name)
-            if slot.kind == "object":
-                if value is None:
-                    report.violations.append(Violation(
-                        "action_bindings", node.id,
-                        f"object slot {slot.name!r} of {action.skill} is unbound"))
-                elif not isinstance(value, str) or value not in domain.objects:
-                    report.violations.append(Violation(
-                        "action_bindings", node.id,
-                        f"slot {slot.name!r} bound to unknown object {value!r}"))
-                elif slot.category and domain.objects[value].category \
-                        not in domain.categories_of(slot.category):
-                    report.violations.append(Violation(
-                        "action_bindings", node.id,
-                        f"object {value!r} is not admissible for slot {slot.name!r}"))
-            elif slot.kind == "numeric" and value is not None:
-                if not isinstance(value, Quantity) or value.unit != (slot.unit or ""):
-                    report.violations.append(Violation(
-                        "action_bindings", node.id,
-                        f"numeric slot {slot.name!r} carries {value!r}, "
-                        f"expected unit {slot.unit!r}"))
-            elif slot.kind == "categorical" and value is not None:
-                if not isinstance(value, str):
-                    report.violations.append(Violation(
-                        "action_bindings", node.id,
-                        f"categorical slot {slot.name!r} carries {value!r}"))
-
-
-def _check_conditions(tree: BehaviorTree, domain: Domain, goals: GoalSpec,
-                      report: VerificationReport) -> None:
-    """condition_literals, then goal_coverage, from one walk over the
-    condition leaves."""
-    present = set()
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.CONDITION:
-            continue
-        lit = node.literal
-        present.add(str(lit))
-        try:
-            domain.check_literal(lit)
-        except BtError as e:
-            report.violations.append(Violation(
-                "condition_literals", node.id,
-                f"{lit} does not fit domain {domain.name}: {e}"))
+    One walk (``_check_structure``) makes every check but the livelock
+    check and asks ``sim.leaf_mismatch`` of each leaf: a condition leaf
+    that does not fit the domain is a ``condition_literals`` finding. Only
+    the livelock check ticks the tree, so only then does the first leaf
+    that does not fit raise its DomainMismatch, the one ``execute`` raises."""
+    found: dict[str, list[Violation]] = {check: [] for check in CHECKS}
+    present, mismatch = _check_structure(tree.root, domain, found)
     for conjunct in goals.conjuncts:
         if str(conjunct) not in present:
-            report.violations.append(Violation(
+            found["goal_coverage"].append(Violation(
                 "goal_coverage", None,
                 f"goal {conjunct} has no condition leaf in the tree"))
+    if initial_state is not None and len(initial_state.objects) <= LIVELOCK_OBJECT_LIMIT:
+        if mismatch is not None:
+            raise mismatch
+        _check_bounded_livelock(tree, domain, initial_state, max_sim_ticks,
+                                found["bounded_livelock"])
+    return VerificationReport(CHECKS, [v for check in CHECKS for v in found[check]])
 
 
-def _check_precondition_rows(tree: BehaviorTree, domain: Domain,
-                             report: VerificationReport) -> None:
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.ACTION or node.action.skill not in domain.skills:
-            continue
-        skill = domain.skills[node.action.skill]
-        if any(not isinstance(node.action.get(s.name), str) for s in skill.object_slots):
-            continue  # binding problems are action_bindings findings
-        required = domain.ground_preconditions(node.action)
-        if not required:
-            continue
-        guarding = guarding_literals(tree, node.id)
-        if guarding is None:
-            report.violations.append(Violation(
-                "precondition_rows", node.id,
-                f"{node.action} declares preconditions but sits outside a Sequence"))
-            continue
-        for lit in required:
-            if lit not in guarding:
-                report.violations.append(Violation(
-                    "precondition_rows", node.id,
-                    f"{node.action} lacks declared precondition {lit}"))
+def _check_structure(root: TreeNode, domain: Domain, found: dict[str, list[Violation]],
+                     ) -> tuple[set[str], DomainMismatch | None]:
+    """Add the findings of the per-node checks to ``found``; return the
+    condition texts present and the first leaf that does not fit.
 
-
-def _check_distinct_fallback_children(tree: BehaviorTree,
-                                      report: VerificationReport) -> None:
-    """Flag each Fallback child that has an equal later sibling.
-
-    Every node gets a structural key, bottom-up: its kind, ``str`` of its
-    payload and its children's keys, interned to a small int so that no
-    hash recurses. Two subtrees get equal keys exactly when ``tree_equal``
-    (ids ignored) holds for them, so duplicates are found by counting keys.
-    Findings come in preorder of the Fallbacks, then in child order."""
+    Each Sequence's head literals are computed once and handed to its
+    children (``heads``, None outside a Sequence) for precondition rows.
+    Duplicate Fallback children are found by counting structural keys: each
+    node's key is interned, bottom up, from its kind, ``str`` of its payload
+    and its children's keys, so that no hash recurses. Equal keys mean
+    exactly ``tree_equal`` with ids ignored."""
+    duplicates = found["distinct_fallback_children"]
     interned: dict[tuple, int] = {}
-    findings: list[list[Violation]] = []
+    present: set[str] = set()
+    first: DomainMismatch | None = None
 
-    def key(node: TreeNode) -> int:
-        slot = len(findings)
-        if node.kind is NodeKind.FALLBACK:
-            findings.append([])
-        child_keys = tuple([key(child) for child in node.children])
-        if node.kind is NodeKind.FALLBACK and len(set(child_keys)) < len(child_keys):
-            later = Counter(child_keys)
+    def visit(node: TreeNode, heads: list[Literal] | None) -> int:
+        nonlocal first
+        kind = node.kind
+        if kind is _CONDITION or kind is _ACTION:
+            text = str(node.payload)
+            mismatch = leaf_mismatch(node, domain)
+            first = first or mismatch
+            if kind is _ACTION:
+                _check_action(node, heads, domain, found)
+            else:
+                present.add(text)
+                if mismatch is not None:
+                    found["condition_literals"].append(Violation(
+                        "condition_literals", node.id,
+                        f"{text} does not fit domain {domain.name}: {mismatch.__cause__}"))
+            # a leaf's key starts with a str, a control node's with a bool
+            return interned.setdefault((text, kind is _CONDITION), len(interned))
+
+        is_fallback = kind is not _SEQUENCE
+        slot = len(duplicates)  # this Fallback's findings precede its descendants'
+        heads = None if is_fallback else \
+            [lit for lit in map(_head_literal, node.children) if lit is not None]
+        child_keys = tuple([visit(child, heads) for child in node.children])
+        if is_fallback and len(set(child_keys)) < len(child_keys):
+            later, here = Counter(child_keys), []
             for child, child_key in zip(node.children, child_keys):
                 later[child_key] -= 1
                 if later[child_key]:
-                    findings[slot].append(Violation(
+                    here.append(Violation(
                         "distinct_fallback_children", node.id,
                         f"fallback has two identical children (like node {child.id})"))
-        payload = None if node.payload is None else str(node.payload)
-        return interned.setdefault((node.kind, payload, child_keys), len(interned))
+            duplicates[slot:slot] = here
+        return interned.setdefault((is_fallback, child_keys), len(interned))
 
-    key(tree.root)
-    for found in findings:
-        report.violations.extend(found)
+    visit(root, None)
+    return present, first
+
+
+def _check_action(node: TreeNode, heads: list[Literal] | None, domain: Domain,
+                  found: dict[str, list[Violation]]) -> None:
+    """Add an action leaf's action_bindings and precondition_rows findings."""
+    action = node.action
+
+    def add(check: str, message: str) -> None:
+        found[check].append(Violation(check, node.id, message))
+
+    skill = domain.skills.get(action.skill)
+    if skill is None:
+        add("action_bindings", f"unknown skill {action.skill!r}")
+        return
+    declared = {slot.name for slot in skill.params}
+    for name, _ in action.binding:
+        if name not in declared:
+            add("action_bindings", f"{action.skill} has no slot {name!r}")
+    objects_bound = True
+    for slot in skill.params:
+        value = action.get(slot.name)
+        if slot.kind == "object":
+            objects_bound = objects_bound and isinstance(value, str)
+            if value is None:
+                add("action_bindings", f"object slot {slot.name!r} of {action.skill} is unbound")
+            elif not isinstance(value, str) or value not in domain.objects:
+                add("action_bindings", f"slot {slot.name!r} bound to unknown object {value!r}")
+            elif slot.category and domain.objects[value].category \
+                    not in domain.categories_of(slot.category):
+                add("action_bindings",
+                    f"object {value!r} is not admissible for slot {slot.name!r}")
+        elif value is None:
+            continue
+        elif slot.kind == "numeric":
+            if not isinstance(value, Quantity) or value.unit != (slot.unit or ""):
+                add("action_bindings", f"numeric slot {slot.name!r} carries {value!r}, "
+                                       f"expected unit {slot.unit!r}")
+        elif not isinstance(value, str):
+            add("action_bindings", f"categorical slot {slot.name!r} carries {value!r}")
+        elif slot.choices and value not in slot.choices:
+            add("action_bindings", f"categorical slot {slot.name!r} carries {value!r}, "
+                                   f"not one of {', '.join(slot.choices)}")
+
+    required = domain.ground_preconditions(action) if objects_bound else ()
+    if required and heads is None:
+        add("precondition_rows", f"{action} declares preconditions but sits outside a Sequence")
+        return
+    for lit in required:
+        if lit not in heads:
+            add("precondition_rows", f"{action} lacks declared precondition {lit}")
 
 
 def reachable_states(domain: Domain, initial: WorldState,
@@ -252,18 +238,18 @@ def _all_ground_actions(domain: Domain, state: WorldState) -> list[GroundAction]
 
 def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
                             initial: WorldState, max_sim_ticks: int,
-                            report: VerificationReport) -> None:
+                            found: list[Violation]) -> None:
     states = reachable_states(domain, initial, REACHABLE_STATE_LIMIT + 1)
     if len(states) > REACHABLE_STATE_LIMIT:
         del states[REACHABLE_STATE_LIMIT:]
-        report.violations.append(Violation(
+        found.append(Violation(
             "bounded_livelock", None,
             f"more than {REACHABLE_STATE_LIMIT} states are reachable; "
             f"ticking was checked from the first {REACHABLE_STATE_LIMIT} only"))
     for state in states:
         outcome = _run_to_terminal(tree, domain, state, max_sim_ticks)
         if outcome is None:
-            report.violations.append(Violation(
+            found.append(Violation(
                 "bounded_livelock", None,
                 f"ticking livelocks from state {{{', '.join(state.sorted_literals())}}}"))
 

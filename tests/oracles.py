@@ -8,9 +8,11 @@ tree lookups are the preorder scans the tree's checked index replaced, and
 the expansion reference scores each candidate on a fully built successor
 state, as the planner did before it scored from effect deltas, the
 duplicate-branch reference compares every pair of Fallback children with
-``tree_equal``, as ``verify`` did before structural keys, and the
+``tree_equal``, as ``verify`` did before structural keys, the
 reachability reference enumerates the ground actions afresh in every
-state it expands.
+state it expands, and the verification reference makes each check in a
+walk of its own and finds each action's enclosing Sequence by a scan, as
+``verify_tree`` did before its single pass.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from collections import deque
 
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
                          iter_preorder, tree_equal)
+from btpolicy import verify
 from btpolicy.domain import Domain, WorldState
-from btpolicy.errors import (ArityMismatch, InvalidTarget, NoAchiever, UnboundSlot,
-                             UnknownNode)
-from btpolicy.planner import _groundings, is_expanded
-from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, is_param,
+from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
+                             UnboundSlot, UnknownNode)
+from btpolicy.planner import GoalSpec, _groundings, is_expanded
+from btpolicy.sim import check_tree_domain
+from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_param,
                             is_placeholder, is_wildcard)
-from btpolicy.verify import Violation
+from btpolicy.verify import CHECKS, VerificationReport, Violation
 
 # Tuple-tree encoding: ("leaf", NodeStatus) | ("seq"|"fb", (child, ...))
 
@@ -300,3 +304,96 @@ def reference_reachable_states(domain: Domain, initial: WorldState) -> list[Worl
                     order.append(nxt)
                     queue.append(nxt)
     return order
+
+
+def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
+                          initial_state: WorldState | None = None,
+                          max_sim_ticks: int = 500) -> VerificationReport:
+    """``verify.verify_tree`` with one walk per check: action bindings,
+    condition literals and goal coverage, precondition rows (each action's
+    Sequence found by ``scan_parent_of``) and pairwise duplicate Fallback
+    children, then the whole-tree gate ``check_tree_domain`` before the
+    (shared) livelock check."""
+    report = VerificationReport(CHECKS)
+    out = report.violations
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is NodeKind.ACTION:
+            out.extend(Violation("action_bindings", node.id, message)
+                       for message in _reference_binding_problems(node.action, domain))
+    present = set()
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is NodeKind.CONDITION:
+            present.add(str(node.literal))
+            try:
+                domain.check_literal(node.literal)
+            except BtError as e:
+                out.append(Violation("condition_literals", node.id,
+                                     f"{node.literal} does not fit domain {domain.name}: {e}"))
+    out.extend(Violation("goal_coverage", None,
+                         f"goal {conjunct} has no condition leaf in the tree")
+               for conjunct in goals.conjuncts if str(conjunct) not in present)
+    for node, _ in iter_preorder(tree.root):
+        if node.kind is NodeKind.ACTION:
+            out.extend(_reference_precondition_rows(tree, node, domain))
+    out.extend(pairwise_duplicate_violations(tree))
+    if initial_state is not None and \
+            len(initial_state.objects) <= verify.LIVELOCK_OBJECT_LIMIT:
+        check_tree_domain(tree, domain)
+        verify._check_bounded_livelock(tree, domain, initial_state, max_sim_ticks, out)
+    return report
+
+
+def _reference_binding_problems(action: GroundAction, domain: Domain) -> list[str]:
+    skill = domain.skills.get(action.skill)
+    if skill is None:
+        return [f"unknown skill {action.skill!r}"]
+    declared = {s.name for s in skill.params}
+    found = [f"{action.skill} has no slot {name!r}"
+             for name, _ in action.binding if name not in declared]
+    for slot in skill.params:
+        value = action.get(slot.name)
+        if slot.kind == "object":
+            if value is None:
+                found.append(f"object slot {slot.name!r} of {action.skill} is unbound")
+            elif not isinstance(value, str) or value not in domain.objects:
+                found.append(f"slot {slot.name!r} bound to unknown object {value!r}")
+            elif slot.category and domain.objects[value].category \
+                    not in domain.categories_of(slot.category):
+                found.append(f"object {value!r} is not admissible for slot {slot.name!r}")
+        elif slot.kind == "numeric" and value is not None:
+            if not isinstance(value, Quantity) or value.unit != (slot.unit or ""):
+                found.append(f"numeric slot {slot.name!r} carries {value!r}, "
+                             f"expected unit {slot.unit!r}")
+        elif slot.kind == "categorical" and value is not None:
+            if not isinstance(value, str):
+                found.append(f"categorical slot {slot.name!r} carries {value!r}")
+            elif slot.choices and value not in slot.choices:
+                found.append(f"categorical slot {slot.name!r} carries {value!r}, "
+                             f"not one of {', '.join(slot.choices)}")
+    return found
+
+
+def _reference_precondition_rows(tree: BehaviorTree, node: TreeNode,
+                                 domain: Domain) -> list[Violation]:
+    action = node.action
+    skill = domain.skills.get(action.skill)
+    if skill is None or any(not isinstance(action.get(s.name), str)
+                            for s in skill.object_slots):
+        return []
+    required = domain.ground_preconditions(action)
+    if not required:
+        return []
+    info = scan_parent_of(tree, node.id)
+    if info is None or info[0].kind is not NodeKind.SEQUENCE:
+        return [Violation("precondition_rows", node.id,
+                          f"{action} declares preconditions but sits outside a Sequence")]
+    guarding = []
+    for sibling in info[0].children:
+        head = sibling
+        if sibling.kind is NodeKind.FALLBACK:
+            head = sibling.children[0]
+        if head.kind is NodeKind.CONDITION:
+            guarding.append(head.literal)
+    return [Violation("precondition_rows", node.id,
+                      f"{action} lacks declared precondition {lit}")
+            for lit in required if lit not in guarding]

@@ -342,6 +342,25 @@ def test_golden_policy_file_round_trips_with_identical_ids():
         [n.id for n, _ in iter_preorder(parsed.root)]
 
 
+def test_parse_rejects_a_repeated_id_and_allocates_past_the_largest(monkeypatch):
+    obj = {"schema": "bt/v1", "root": {"kind": "sequence", "id": 3, "children": [
+        {"kind": "condition", "id": 7, "payload": "ready"},
+        {"kind": "fallback", "id": 1, "children": [
+            {"kind": "action", "id": 7, "payload": "act_s()"}]}]}}
+    with pytest.raises(TreeInvalid, match="duplicate node id 7"):
+        bt.parse(json.dumps(obj))
+    obj["root"]["children"][1]["children"][0]["id"] = 12
+    walks = []
+    monkeypatch.setattr(bt, "iter_preorder", lambda *a: walks.append(a) or iter(()))
+    tree = bt.parse(json.dumps(obj))
+    assert walks == []  # the nodes are read once, with no walk after
+    monkeypatch.undo()
+    tree.validate()
+    assert tree.fresh_id() == 13
+    golden = bt.parse(golden_tree_text())
+    assert golden.fresh_id() == max(n.id for n, _ in iter_preorder(golden.root)) + 1
+
+
 def test_insert_preconditions_wraps_root_action():
     tree = BehaviorTree(
         TreeNode(0, NodeKind.ACTION, [], GroundAction("act_s")), next_id=1)

@@ -267,6 +267,20 @@ class TestVerifyCommand:
                                f"{reason}\n")
                 assert out == ""
 
+    def test_verify_categorical_value_outside_choices(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "run", "--scenario", "param_sand_tool",
+                             "--backend", "oracle", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        final = (tmp_path / "final_tree.json").read_text()
+        assert "tool=shovel" in final
+        tree = tmp_path / "wrench.json"
+        tree.write_text(final.replace("tool=shovel", "tool=wrench"))
+        code, out, _ = run_cli(capsys, "verify", "--tree", str(tree),
+                               "--scenario", "param_sand_tool")
+        assert code == EXIT_VIOLATIONS
+        assert "categorical slot 'tool' carries 'wrench', not one of shovel, " \
+               "spoon, tongs, gripper" in out
+
     def test_verify_malformed_tree_parse_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -4,17 +4,17 @@ from hypothesis import strategies as st
 
 from btpolicy import bt, verify
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode, iter_preorder
-from btpolicy.domain import make_state, parse_domain
+from btpolicy.domain import load_domain, make_state, parse_domain
 from btpolicy.errors import DomainMismatch
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec
 from btpolicy.resolver import resolve_until_success
-from btpolicy.terms import GroundAction, Quantity
-from btpolicy.verify import (CHECKS, LIVELOCK_OBJECT_LIMIT, VerificationReport,
-                             _check_distinct_fallback_children, reachable_states,
-                             verify_tree)
+from btpolicy.sim import bundled_data_path, check_tree_domain
+from btpolicy.terms import GroundAction, Literal, Quantity
+from btpolicy.verify import LIVELOCK_OBJECT_LIMIT, reachable_states, verify_tree
 
-from oracles import pairwise_duplicate_violations, reference_reachable_states
+from oracles import (pairwise_duplicate_violations, reference_reachable_states,
+                     reference_verify_tree)
 
 
 def lit(text):
@@ -85,6 +85,18 @@ class TestViolations:
             GroundAction.from_mapping("place", {"dst": "green_cube"})))
         report = verify_tree(tree, cube_domain, goal("grasped(red_cube)"))
         assert [v.check for v in report.violations] == ["action_bindings"]
+
+    def test_categorical_value_outside_choices_detected(self, household_domain):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.append(tree.new_action(GroundAction.from_mapping(
+            "scoop", {"material": "sand", "tool": "wrench"})))
+        tree.root.children.append(tree.new_condition(lit("scooped(sand)")))
+        report = verify_tree(tree, household_domain, goal("scooped(sand)"))
+        assert [str(v) for v in report.violations] == [
+            "action_bindings (node 1): categorical slot 'tool' carries 'wrench', "
+            "not one of shovel, spoon, tongs, gripper"]
+        tree.rebind(1, tree.find(1).action.with_slot("tool", "shovel"))
+        assert verify_tree(tree, household_domain, goal("scooped(sand)")).passed
 
     def test_missing_declared_precondition_detected(self, cube_domain):
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
@@ -198,9 +210,8 @@ def build(shape) -> BehaviorTree:
 
 
 def duplicate_findings(tree):
-    report = VerificationReport(CHECKS)
-    _check_distinct_fallback_children(tree, report)
-    return report.violations
+    report = verify_tree(tree, flipflop_domain(), goal("goal_met"))
+    return [v for v in report.violations if v.check == "distinct_fallback_children"]
 
 
 @given(shapes())
@@ -236,6 +247,161 @@ def test_duplicate_check_makes_no_pairwise_comparison(monkeypatch, cube_domain):
     assert len(found) == 50
     monkeypatch.undo()
     assert found == pairwise_duplicate_violations(tree)
+
+
+# --- the single pass against the walk per check it replaced ----------------------
+
+_DOMAINS = {name: load_domain(bundled_data_path("domains", f"{name}.yaml"))
+            for name in ("cube_tabletop", "household")}
+#: small registries, so that the livelock check runs
+_WORLDS = {
+    "cube_tabletop": make_state(_DOMAINS["cube_tabletop"],
+                                ["on(red_cube, blue_cube)", "on(blue_cube, table)"],
+                                objects=["blue_cube", "red_cube", "table"]),
+    "household": make_state(_DOMAINS["household"], ["on(plate, table)"],
+                            objects=["sand", "bucket", "plate", "table"]),
+}
+_NAMES = {name: [o.name for o in state.objects] for name, state in _WORLDS.items()}
+
+
+@st.composite
+def literals(draw, name, defects=True):
+    """A literal over the small world's objects, or one that does not fit
+    the domain: unknown predicate, wrong arity, unknown object, an unbound
+    ``$slot``; the wildcard fits."""
+    domain = _DOMAINS[name]
+    predicate = draw(st.sampled_from(sorted(domain.predicates)))
+    args = [draw(st.sampled_from(_NAMES[name]))
+            for _ in range(domain.predicates[predicate].arity)]
+    defect = draw(st.sampled_from(["none"] * 6 + ["predicate", "arity", "object",
+                                                  "slot", "wildcard"])) \
+        if defects else "none"
+    if defect == "predicate":
+        predicate = "levitating"
+    elif defect == "arity":
+        args.append("table")
+    elif args and defect in ("object", "slot", "wildcard"):
+        args[-1] = {"object": "ghost", "slot": "$obj", "wildcard": "any_object"}[defect]
+    return Literal(predicate, tuple(args), draw(st.booleans()))
+
+
+@st.composite
+def actions(draw, name):
+    """An action, often well bound; else with an unknown skill, an
+    undeclared slot, or a slot unbound or bound to an unknown, inadmissible
+    or ill-typed value."""
+    domain = _DOMAINS[name]
+    skill_name = draw(st.sampled_from(sorted(domain.skills) + ["levitate"]))
+    skill = domain.skills.get(skill_name)
+    binding: dict = {}
+    for slot in skill.params if skill else ():
+        defect = draw(st.sampled_from(["none"] * 5 + ["unbound", "unknown", "odd"]))
+        if defect == "unbound":
+            continue
+        if slot.kind == "object":
+            admissible = [n for n in _NAMES[name]
+                          if domain.objects[n].category in domain.categories_of(slot.category)]
+            if defect == "unknown":
+                binding[slot.name] = "ghost"
+            elif defect == "odd" or not admissible:   # inadmissible, or a number
+                binding[slot.name] = draw(st.sampled_from(
+                    [n for n in _NAMES[name] if n not in admissible] + [Quantity(1.0, "N")]))
+            else:
+                binding[slot.name] = draw(st.sampled_from(admissible))
+        elif slot.kind == "numeric":
+            binding[slot.name] = {"none": Quantity(2.0, slot.unit), "unknown": "fast",
+                                  "odd": Quantity(2.0, "kg")}[defect]
+        else:
+            binding[slot.name] = {"none": draw(st.sampled_from(slot.choices)),
+                                  "unknown": "wrench", "odd": Quantity(1.0, "N")}[defect]
+    if draw(st.integers(0, 9)) == 0:
+        binding["ghost_slot"] = "table"
+    return GroundAction.from_mapping(skill_name, binding)
+
+
+@st.composite
+def subtrees(draw, name, depth=0):
+    """A nested shape: ("condition", lit) | ("action", action) |
+    (kind, [children]). Guarded actions sit last in a Sequence after their
+    declared preconditions, some dropped or wrapped in a Fallback; bare
+    actions may sit under a Fallback or at the root; Fallback children are
+    drawn from a small pool, so equal siblings are common."""
+    choice = draw(st.integers(0, 5)) if depth < 3 else 0
+    if choice == 0:
+        return ("condition", draw(literals(name)))
+    if choice == 1:
+        return ("action", draw(actions(name)))
+    if choice == 2:
+        action = draw(actions(name))
+        skill = _DOMAINS[name].skills.get(action.skill)
+        heads = list(_DOMAINS[name].ground_preconditions(action)) if skill else []
+        if heads and draw(st.booleans()):
+            del heads[draw(st.integers(0, len(heads) - 1))]
+        rows = [(NodeKind.FALLBACK, [("condition", lit), draw(subtrees(name, depth + 1))])
+                if draw(st.booleans()) else ("condition", lit) for lit in heads]
+        return (NodeKind.SEQUENCE, [*rows, ("action", action)])
+    pool = draw(st.lists(subtrees(name, depth + 1), min_size=1, max_size=3))
+    children = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return (NodeKind.FALLBACK if choice < 5 else NodeKind.SEQUENCE, children)
+
+
+def tree_of(shape) -> BehaviorTree:
+    tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=0)
+
+    def node(shape) -> TreeNode:
+        kind, body = shape
+        if kind == "condition":
+            return tree.new_condition(body)
+        if kind == "action":
+            return tree.new_action(body)
+        return tree.new_node(kind, children=[node(child) for child in body])
+
+    tree.root = node(shape)
+    return tree
+
+
+@given(st.sampled_from(sorted(_DOMAINS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_single_pass_matches_a_walk_per_check(name, data):
+    """Reports equal the reference's, with and without the livelock check;
+    with it, verify raises exactly the DomainMismatch the gate raises."""
+    domain, world = _DOMAINS[name], _WORLDS[name]
+    tree = tree_of(data.draw(subtrees(name)))
+    goals = GoalSpec(tuple(data.draw(st.lists(literals(name, defects=False),
+                                              min_size=1, max_size=2))))
+    report = verify_tree(tree, domain, goals)
+    expected = reference_verify_tree(tree, domain, goals)
+    assert report.to_text() == expected.to_text()
+    assert report.violations == expected.violations
+    try:
+        check_tree_domain(tree, domain)
+    except DomainMismatch as gate:
+        with pytest.raises(DomainMismatch) as err:
+            verify_tree(tree, domain, goals, initial_state=world)
+        assert str(err.value) == str(gate)
+        assert type(err.value.__cause__) is type(gate.__cause__)
+    else:
+        assert verify_tree(tree, domain, goals, initial_state=world).to_text() == \
+            reference_verify_tree(tree, domain, goals, initial_state=world).to_text()
+
+
+def test_verify_makes_no_index_lookups(monkeypatch, all_scenarios):
+    """On a freshly parsed tree, verification finds each action's Sequence
+    from its own walk: it never asks the tree's index, so never builds it."""
+    scenario = next(s for s in all_scenarios if s.id == "cube_stack_golden")
+    result = resolve_until_success(scenario, scenario.oracle_backend())
+    tree = bt.parse(bt.serialize(result.tree))
+    lookups = []
+    monkeypatch.setattr(BehaviorTree, "_reindex",
+                        lambda self: lookups.append("_reindex"))
+    monkeypatch.setattr(BehaviorTree, "parent_of",
+                        lambda self, node_id: lookups.append("parent_of"))
+    monkeypatch.setattr(BehaviorTree, "find", lambda self, node_id: lookups.append("find"))
+    report = verify_tree(tree, scenario.domain, result.goals,
+                         initial_state=scenario.initial)
+    assert report.passed, report.to_text()
+    assert any(n.kind is NodeKind.ACTION for n, _ in iter_preorder(tree.root))
+    assert lookups == []
 
 
 # --- reachability search --------------------------------------------------------
