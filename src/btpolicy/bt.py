@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import grammar
 from .errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
@@ -44,7 +44,7 @@ _ACTION = NodeKind.ACTION
 _SEQUENCE = NodeKind.SEQUENCE
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     id: int
     kind: NodeKind
@@ -66,12 +66,21 @@ class TreeNode:
         return self.payload
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
-    node_id: int
-    kind: NodeKind
+    """A node a tick visited, with its status for the tick and its depth."""
+
+    node: TreeNode
     status: NodeStatus
     depth: int
+
+    @property
+    def node_id(self) -> int:
+        return self.node.id
+
+    @property
+    def kind(self) -> NodeKind:
+        return self.node.kind
 
 
 @dataclass
@@ -100,7 +109,8 @@ _MISSING: _Entry = (None, None, 0)  # type: ignore[assignment]
 
 class BehaviorTree:
     """A tree plus its id allocator, a checked id -> (node, parent, child
-    index) index and a cache of each node's compact ``bt/v1`` text.
+    index) index, a cache of each node's compact ``bt/v1`` text and a count
+    of the condition leaves per literal.
 
     The tree's own edits (``replace``, ``move_left``, ``rebind`` and
     ``insert_preconditions``) record the index entries they change, so
@@ -114,6 +124,11 @@ class BehaviorTree:
     drops the cached text of the node whose children or payload it changed
     and of that node's ancestors, in ``_drop_texts``. A direct edit leaves
     the cached text stale.
+
+    The literal counts (``condition_literals``) are built on first use and
+    have the text cache's contract: ``replace`` and ``insert_preconditions``
+    count the condition leaves they add and remove (``move_left`` and
+    ``rebind`` change none), and a direct edit leaves the counts stale.
     """
 
     def __init__(self, root: TreeNode, next_id: int | None = None):
@@ -121,6 +136,8 @@ class BehaviorTree:
         self._index: dict[int, _Entry] = {}
         # node id -> compact text; a cached node's descendants are cached too
         self._texts: dict[int, str] = {}
+        # condition literal -> number of condition leaves carrying it
+        self._literals: dict[Literal, int] | None = None
         if next_id is None:
             next_id = max((n.id for n, _ in iter_preorder(root)), default=-1) + 1
         self._next_id = next_id
@@ -166,6 +183,28 @@ class BehaviorTree:
         while node is not None and texts.pop(node.id, None) is not None:
             node = index[node.id][1]
 
+    def condition_literals(self) -> dict[Literal, int]:
+        """Each distinct condition-leaf literal with the number of leaves
+        that carry it; the tree's own, kept current by its edits, so the
+        caller must not change it."""
+        counts = self._literals
+        if counts is None:
+            counts = self._literals = {}
+            self._tally(_conditions(self.root), 1)
+        return counts
+
+    def _tally(self, literals: Iterable[Literal], step: int) -> None:
+        """Add ``step`` to the count of each literal, if counts are kept."""
+        counts = self._literals
+        if counts is None:
+            return
+        for lit in literals:
+            count = counts.get(lit, 0) + step
+            if count:
+                counts[lit] = count
+            else:
+                del counts[lit]
+
     def _locate(self, node_id: int) -> _Entry:
         index = self._index
         entry = node, parent, slot = index.get(node_id, _MISSING)
@@ -204,16 +243,23 @@ class BehaviorTree:
     def replace(self, node_id: int, new: TreeNode) -> None:
         """Put ``new`` where the node sits (the root included); ``new`` may
         hold the replaced node, which is how wraps are made. The entries of
-        ``new``'s subtree are recorded."""
-        _, parent, slot = self._locate(node_id)
+        ``new``'s subtree are recorded, and its conditions counted in place
+        of the replaced node's."""
+        old, parent, slot = self._locate(node_id)
         if parent is None:
             self.root = new
         else:
             parent.children[slot] = new
         self._drop_texts(parent)
+        self._tally(_conditions(old), -1)
         self._index[new.id] = (new, parent, slot)
+        added = []
         for node, _ in iter_preorder(new):
-            self._record_children(node)
+            if node.children:
+                self._record_children(node)
+            elif node.kind is _CONDITION:
+                added.append(node.payload)
+        self._tally(added, 1)
 
     def move_left(self, node_id: int) -> None:
         """Swap a node with its left sibling."""
@@ -259,6 +305,11 @@ class BehaviorTree:
         return sum(1 for _ in iter_preorder(self.root))
 
 
+def _conditions(node: TreeNode) -> Iterator[Literal]:
+    """The literals of the condition leaves under ``node``, in preorder."""
+    return (n.payload for n, _ in iter_preorder(node) if n.kind is _CONDITION)
+
+
 def iter_preorder(node: TreeNode, depth: int = 0) -> Iterator[tuple[TreeNode, int]]:
     """Nodes with their depths, in preorder, from one explicit stack."""
     stack = [(node, depth)]
@@ -280,19 +331,21 @@ def tick(tree: BehaviorTree, ctx: TickContext, *,
     does not; Fallbacks return once one child does not fail or all fail. A
     Running child propagates immediately. The trace lists visited nodes in
     preorder with each node's status for this tick; pass record_trace=False
-    to skip trace construction on hot paths.
+    to skip trace construction on hot paths. An action that returns Running
+    is the trace's last entry, and a node's ancestors are, for each smaller
+    depth, the last entry before it at that depth.
     """
     trace = TickTrace() if record_trace else None
-    status = _tick_node(tree.root, ctx, trace, 0)
+    status = _tick_node(tree.root, ctx, trace.entries if trace is not None else None, 0)
     return status, trace
 
 
 def _tick_node(node: TreeNode, ctx: TickContext,
-               trace: TickTrace | None, depth: int) -> NodeStatus:
+               trace: list[TraceEntry] | None, depth: int) -> NodeStatus:
     entry = None
     if trace is not None:
-        entry = TraceEntry(node.id, node.kind, _RUNNING, depth)
-        trace.entries.append(entry)
+        entry = TraceEntry(node, _RUNNING, depth)
+        trace.append(entry)
 
     kind = node.kind
     if kind is _CONDITION:
@@ -358,6 +411,7 @@ def insert_preconditions(tree: BehaviorTree, action_id: int,
     parent.children[:0] = [tree.new_condition(lit) for lit in conds]
     tree._record_children(parent)
     tree._drop_texts(parent)
+    tree._tally(conds, 1)
     return tree
 
 
@@ -453,7 +507,7 @@ def _node_from_obj(obj, path: list[int],
         raise ParseError(f"node at {_where(path)} has bad kind {obj.get('kind')!r}",
                          expected="sequence|fallback|condition|action") from None
     node_id = obj.get("id")
-    if not isinstance(node_id, int):
+    if not isinstance(node_id, int) or isinstance(node_id, bool):
         raise ParseError(f"node at {_where(path)} lacks an integer id",
                          expected="'id': int")
     if node_id in ids:

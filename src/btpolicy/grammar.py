@@ -162,31 +162,35 @@ def _parse_value(tokens: _Tokens) -> str | Quantity:
 
 
 def parse_action(text: str) -> GroundAction:
-    """Parse an action payload like ``place(dst=table, obj=red_cube)``."""
+    """Parse an action payload like ``place(dst=table, obj=red_cube)``; a
+    slot bound twice is an error at its second binding."""
     tokens = _Tokens(text)
     kind, name, offset = tokens.next("skill name")
     if kind != "ident":
         raise tokens.error(f"unexpected token {name!r}", offset, "skill name")
-    binding: list[tuple[str, str | Quantity]] = []
+    binding: dict[str, str | Quantity] = {}
     tokens.expect("(")
     tok = tokens.peek()
     if tok and tok[1] != ")":
-        binding.append(_parse_slot_binding(tokens))
+        _parse_slot_binding(tokens, binding)
         while True:
             tok = tokens.peek()
             if tok and tok[1] == ",":
                 tokens.expect(",")
-                binding.append(_parse_slot_binding(tokens))
+                _parse_slot_binding(tokens, binding)
             else:
                 break
     tokens.expect(")")
     tokens.require_end()
-    return GroundAction(name, tuple(binding))
+    return GroundAction(name, tuple(binding.items()))
 
 
-def _parse_slot_binding(tokens: _Tokens) -> tuple[str, str | Quantity]:
+def _parse_slot_binding(tokens: _Tokens, binding: dict[str, str | Quantity]) -> None:
     kind, slot, offset = tokens.next("slot name")
     if kind != "ident":
         raise tokens.error(f"unexpected token {slot!r}", offset, "slot name")
+    if slot in binding:
+        raise tokens.error(f"slot {slot!r} is bound twice", offset,
+                           "a slot not yet bound")
     tokens.expect("=")
-    return slot, _parse_value(tokens)
+    binding[slot] = _parse_value(tokens)

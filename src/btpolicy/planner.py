@@ -19,22 +19,29 @@ templates, and positive targets, are enumerated in full. Candidates that
 would knock out a condition the tree currently relies on are displaced by
 clean ones, or kept least-destructive-first when nothing clean exists.
 
-A ``plan`` call walks the tree for its condition literals once: the tree
-only gains conditions while it plans, so each expansion adds the
-preconditions it inserts to that set. Conflict reorders go through
-``BehaviorTree.move_left``, which keeps the tree's index current.
+A candidate is judged from its effect delta, the (add, remove) fact sets
+of ``Domain.effect_delta`` read delete-then-add, without copying any rows
+(``_achieves`` and ``_Reliance``). The tree's condition literals come from
+the counts the tree keeps (``BehaviorTree.condition_literals``).
+
+Conflict checks and expansion targets are read from the tick trace alone:
+the fired action is the trace's last entry, its ancestors the last earlier
+entries at each smaller depth, and a node's parent the entry just before
+it when it is a first child. A simulated tick asks the tree's index
+nothing. Conflict reorders go through ``BehaviorTree.move_left``, which
+keeps the tree's index current.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterable, Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TreeNode, insert_preconditions, iter_preorder, tick)
+                 TraceEntry, TreeNode, insert_preconditions, tick)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
-from .terms import GroundAction, Literal, is_param
+from .terms import ANY_OBJECT, GroundAction, Literal, is_param
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
            "insert_preconditions", "guarding_literals"]
@@ -113,12 +120,6 @@ def _head_literal(node: TreeNode) -> Literal | None:
     return None
 
 
-def _tree_condition_literals(tree: BehaviorTree) -> set[Literal]:
-    """Distinct condition-leaf literals."""
-    return {node.literal for node, _ in iter_preorder(tree.root)
-            if node.kind is NodeKind.CONDITION}
-
-
 def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
                 partial: dict[str, str]) -> Iterator[GroundAction]:
     """All completions of a partial object binding, deterministically ordered.
@@ -180,19 +181,75 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
     return binding
 
 
+def _achieves(target: Literal, add: Collection[Literal], remove: Collection[Literal],
+              witnesses: list[tuple[str, ...]] | None, registry: frozenset[str]) -> bool:
+    """Whether ``target``, false before, holds once the delta is applied
+    (delete, then add). A positive target needs an added row that matches
+    it; a negated one needs every witness, the rows that falsify it,
+    removed, and no added row that matches it."""
+    rows = [fact.args for fact in add if fact.predicate == target.predicate]
+    added = next(rows_matching(target.args, rows, registry), None) is not None
+    if witnesses is None:
+        return added
+    removed = {fact.args for fact in remove if fact.predicate == target.predicate}
+    return not added and removed.issuperset(witnesses)
+
+
+class _Reliance:
+    """The condition literals a tree relies on (true in ``state``), kept so
+    that an effect delta is judged by the rows it adds and removes: a
+    positive ground literal breaks when its row is removed and not added
+    back, a negated literal when an added row matches it (within the
+    registry at its wildcards). A positive wildcard is judged on its
+    predicate's rows after the delta, only when a row of that predicate is
+    removed."""
+
+    def __init__(self, literals: Iterable[Literal], state: WorldState):
+        self.state = state
+        self.present: set[Literal] = set()
+        # predicate -> wildcard positions -> the negated literals' argument rows
+        self.none_of: dict[str, dict[tuple[int, ...], set[tuple[str, ...]]]] = {}
+        self.some_of: dict[str, list[Literal]] = {}
+        for lit in literals:
+            if lit.negated:
+                positions = tuple(i for i, arg in enumerate(lit.args) if arg == ANY_OBJECT)
+                self.none_of.setdefault(lit.predicate, {}) \
+                    .setdefault(positions, set()).add(lit.args)
+            elif ANY_OBJECT in lit.args:
+                self.some_of.setdefault(lit.predicate, []).append(lit)
+            else:
+                self.present.add(lit)
+
+    def broken(self, add: Collection[Literal], remove: Collection[Literal]) -> int:
+        """How many of the literals the delta makes false."""
+        count = 0
+        for fact in remove:
+            if fact in self.present and fact not in add:
+                count += 1
+        registry = self.state.registry
+        matched: set[tuple[str, tuple[str, ...]]] = set()
+        for fact in add:
+            for positions, patterns in self.none_of.get(fact.predicate, {}).items():
+                if all(fact.args[i] in registry for i in positions):
+                    pattern = tuple(ANY_OBJECT if i in positions else arg
+                                    for i, arg in enumerate(fact.args))
+                    if pattern in patterns:
+                        matched.add((fact.predicate, pattern))
+        count += len(matched)
+        for predicate, lits in self.some_of.items():
+            if any(fact.predicate == predicate for fact in remove):
+                after = self.state.changed_rows(add, remove)[predicate]
+                count += sum(1 for lit in lits if not literal_holds(lit, after, registry))
+        return count
+
+
 def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
-                     state: WorldState, *,
-                     tree_literals: set[Literal] | None = None) -> BehaviorTree:
+                     state: WorldState) -> BehaviorTree:
     """Replace a failed condition leaf with a Fallback over achiever subtrees.
 
     The original condition stays as the Fallback's first child so a
     satisfied condition short-circuits. Each achiever contributes one
     Sequence of its ground precondition leaves followed by the action leaf.
-
-    ``tree_literals`` is the set of the tree's condition literals, which a
-    caller expanding repeatedly keeps instead of re-walking the tree; the
-    inserted preconditions are added to it. Without it the set is collected
-    from the tree.
     """
     node = tree.find(cond_id)
     if node.kind is not NodeKind.CONDITION:
@@ -212,14 +269,8 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
     # Clean candidates displace dirty ones entirely; when only dirty ones
     # exist (clearing a block inevitably fills the hand) keep them, least
     # destructive first. Ties follow skill declaration, then binding order.
-    # A candidate is scored on the rows its effects touch: a literal whose
-    # predicate it leaves alone keeps its truth (the target stays false).
-    if tree_literals is None:
-        tree_literals = _tree_condition_literals(tree)
-    relied_on: dict[str, list[Literal]] = {}
-    for lit in tree_literals:
-        if domain.holds(state, lit):
-            relied_on.setdefault(lit.predicate, []).append(lit)
+    reliance = _Reliance((lit for lit in tree.condition_literals()
+                          if domain.holds(state, lit)), state)
     registry = state.registry
     witnesses = list(rows_matching(target.args, state.rows(target.predicate), registry)) \
         if target.negated else None
@@ -234,14 +285,9 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
             if action in seen:
                 continue
             seen.add(action)
-            after = state.changed_rows(*domain.effect_delta(state, action))
-            rows = after.get(target.predicate)
-            if rows is None or not literal_holds(target, rows, registry):
-                continue
-            broken = sum(not literal_holds(lit, touched, registry)
-                         for pred, touched in after.items()
-                         for lit in relied_on.get(pred, ()))
-            candidates.append((broken, index, action))
+            add, remove = domain.effect_delta(state, action)
+            if _achieves(target, add, remove, witnesses, registry):
+                candidates.append((reliance.broken(add, remove), index, action))
     if not candidates:
         raise NoAchiever(target)
     if any(broken == 0 for broken, _, _ in candidates):
@@ -252,9 +298,8 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
 
     fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
     for action in actions:
-        preconditions = domain.ground_preconditions(action)
-        tree_literals.update(preconditions)
-        leaves: list[TreeNode] = [tree.new_condition(lit) for lit in preconditions]
+        leaves: list[TreeNode] = [tree.new_condition(lit)
+                                  for lit in domain.ground_preconditions(action)]
         leaves.append(tree.new_action(action))
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(cond_id, fallback)
@@ -282,27 +327,24 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
     succeeded earlier in the same tick, scoped to a shared Sequence."""
     seen: set[frozenset[Literal]] = {state.true}
     current = state
-    fired: TreeNode | None = None
 
     def step_action(leaf: TreeNode) -> NodeStatus:
-        nonlocal current, fired
+        nonlocal current
         current = domain.apply_effects(current, leaf.action)
-        fired = leaf
         return NodeStatus.RUNNING
 
     ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
 
     for tick_i in range(max_ticks):
-        fired = None
         status, trace = tick(tree, ctx)
         assert trace is not None
-        if fired is not None:
-            conflict = _detect_conflict(tree, trace, fired, domain, current)
+        if status is NodeStatus.RUNNING:  # an action fired
+            conflict = _detect_conflict(trace, domain, current)
             if conflict is not None:
                 return _SimResult("conflict", current, trace, conflict, tick_i + 1)
-        if status is NodeStatus.SUCCESS:
+        elif status is NodeStatus.SUCCESS:
             return _SimResult("success", current, trace, ticks=tick_i + 1)
-        if status is NodeStatus.FAILURE:
+        else:
             return _SimResult("failure", current, trace, ticks=tick_i + 1)
         if current.true in seen:
             return _SimResult("stalled", current, trace, ticks=tick_i + 1)
@@ -310,31 +352,44 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
     return _SimResult("stalled", current, ticks=max_ticks)
 
 
-def _detect_conflict(tree: BehaviorTree, trace: TickTrace, fired: TreeNode,
-                     domain: Domain, after: WorldState) -> tuple[int, int] | None:
+def _detect_conflict(trace: TickTrace, domain: Domain,
+                     after: WorldState) -> tuple[int, int] | None:
     """Find a condition left of the fired action that the action falsified.
 
-    Such a condition succeeded earlier in this tick, so it held in the state
-    the action fired from; only ``after`` needs checking."""
-    for entry in trace.entries:
-        if entry.node_id == fired.id:
-            break
-        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.SUCCESS:
+    The fired action is the trace's last entry. A condition that succeeded
+    earlier in this tick held in the state the action fired from, so only
+    ``after`` needs checking, and only for a condition whose lowest common
+    ancestor with the action is a Sequence other than the action's own
+    parent: an action consuming one of its own preconditions (grasp using
+    up the free hand) is normal; conflicts are between sibling subtrees.
+    That ancestor is the deepest of the action's ancestors that comes
+    before the condition in the trace."""
+    entries = trace.entries
+    ancestors = _ancestors(entries)
+    # a condition between ancestor k and ancestor k + 1 has ancestor k as
+    # its lowest common ancestor with the action, which rules out the parent
+    for start, end in zip(ancestors, ancestors[1:]):
+        if entries[start].kind is not NodeKind.SEQUENCE:
             continue
-        cond = tree.find(entry.node_id)
-        if not domain.holds(after, cond.literal):
-            if _sequence_scoped(tree, fired.id, cond.id):
-                return fired.id, cond.id
+        for entry in entries[start + 1:end]:
+            if entry.status is NodeStatus.SUCCESS and entry.kind is NodeKind.CONDITION \
+                    and not domain.holds(after, entry.node.literal):
+                return entries[-1].node_id, entry.node_id
     return None
 
 
-def _sequence_scoped(tree: BehaviorTree, action_id: int, cond_id: int) -> bool:
-    lca, a_idx, c_idx = _lowest_common_ancestor(tree, action_id, cond_id)
-    if lca.kind is not NodeKind.SEQUENCE or c_idx >= a_idx:
-        return False
-    # An action consuming one of its own preconditions (grasp using up the
-    # free hand) is normal; conflicts are between sibling subtrees.
-    return lca.children[a_idx].id != action_id
+def _ancestors(entries: list[TraceEntry]) -> list[int]:
+    """Trace indexes of the last entry's ancestors, root first: for each
+    smaller depth, the last entry before it at that depth."""
+    depth = entries[-1].depth
+    found = [0] * depth
+    for i in range(len(entries) - 2, -1, -1):
+        if entries[i].depth < depth:
+            depth -= 1
+            found[depth] = i
+            if depth == 0:
+                break
+    return found
 
 
 def _lowest_common_ancestor(tree: BehaviorTree, a_id: int,
@@ -352,19 +407,24 @@ def _reorder_for_conflict(tree: BehaviorTree, action_id: int, cond_id: int) -> N
     tree.move_left(lca.children[a_idx].id)
 
 
-def _pick_expansion_target(tree: BehaviorTree, trace: TickTrace) -> TreeNode | None:
-    """Deepest (then leftmost) failed condition not yet expanded."""
+def _pick_expansion_target(trace: TickTrace) -> TreeNode | None:
+    """Deepest (then leftmost) failed condition not yet expanded.
+
+    A condition is expanded when it heads a Fallback with more than one
+    child; its parent is then the trace entry just before it."""
+    entries = trace.entries
     best: TreeNode | None = None
     best_depth = -1
-    for entry in trace.entries:
+    for j, entry in enumerate(entries):
         if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.FAILURE:
             continue
         if entry.depth <= best_depth:
             continue
-        node = tree.find(entry.node_id)
-        if is_expanded(tree, node):
+        parent = entries[j - 1] if j else None
+        if parent is not None and parent.depth < entry.depth \
+                and parent.kind is NodeKind.FALLBACK and len(parent.node.children) > 1:
             continue
-        best, best_depth = node, entry.depth
+        best, best_depth = entry.node, entry.depth
     return best
 
 
@@ -391,7 +451,6 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         tree = init_tree(goals)
     start = state.visible_only()
 
-    tree_literals = _tree_condition_literals(tree)
     expansions = 0
     reorders = 0
     while True:
@@ -413,14 +472,13 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
             raise PlanBudgetExceeded("simulation made no progress", tree)
         # failure: expand
         assert result.trace is not None
-        target = _pick_expansion_target(tree, result.trace)
+        target = _pick_expansion_target(result.trace)
         if target is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
         try:
-            expand_condition(tree, target.id, domain, result.state,
-                             tree_literals=tree_literals)
+            expand_condition(tree, target.id, domain, result.state)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1

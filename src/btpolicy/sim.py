@@ -159,12 +159,19 @@ class ExecConfig:
 
 @dataclass
 class TickRecord:
+    """One executed tick. ``state`` is the world the tick left; its literals
+    are sorted and formatted only when ``state_after`` is read."""
+
     index: int
     status: str
     fired_node: int | None = None
     fired_action: str | None = None
     fired_status: str | None = None
-    state_after: tuple[str, ...] = ()
+    state: WorldState | None = None
+
+    @property
+    def state_after(self) -> tuple[str, ...]:
+        return () if self.state is None else tuple(self.state.sorted_literals())
 
     def to_obj(self) -> dict:
         return {"tick": self.index, "status": self.status,
@@ -313,7 +320,7 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
             fired.id if fired is not None else None,
             str(fired.action) if fired is not None else None,
             fired_status.value if fired_status is not None else None,
-            tuple(state.sorted_literals())))
+            state))
         trace.events.extend(tick_events)
         if status is NodeStatus.SUCCESS:
             trace.outcome = "success"

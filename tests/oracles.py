@@ -12,7 +12,9 @@ duplicate-branch reference compares every pair of Fallback children with
 reachability reference enumerates the ground actions afresh in every
 state it expands, and the verification reference makes each check in a
 walk of its own and finds each action's enclosing Sequence by a scan, as
-``verify_tree`` did before its single pass.
+``verify_tree`` did before its single pass, and the conflict check and
+expansion-target pick ask the tree's index where each node sits, as the
+planner did before it read them from the tick trace.
 """
 
 from __future__ import annotations
@@ -196,6 +198,45 @@ def reference_expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(cond_id, fallback)
     return tree
+
+
+def reference_detect_conflict(tree: BehaviorTree, trace: TickTrace, fired: TreeNode,
+                              domain: Domain, after: WorldState) -> tuple[int, int] | None:
+    """``planner._detect_conflict`` by lookups: each condition that
+    succeeded before the fired action is found in the tree, and its lowest
+    common ancestor with the action from their two ancestries."""
+    for entry in trace.entries:
+        if entry.node_id == fired.id:
+            break
+        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.SUCCESS:
+            continue
+        cond = tree.find(entry.node_id)
+        if domain.holds(after, cond.literal):
+            continue
+        for (lca, a_idx), (_, c_idx) in zip(tree.ancestry(fired.id), tree.ancestry(cond.id)):
+            if a_idx != c_idx:
+                break
+        if lca.kind is NodeKind.SEQUENCE and c_idx < a_idx \
+                and lca.children[a_idx].id != fired.id:
+            return fired.id, cond.id
+    return None
+
+
+def reference_pick_expansion_target(tree: BehaviorTree, trace: TickTrace) -> TreeNode | None:
+    """``planner._pick_expansion_target`` by lookups: whether a failed
+    condition already heads a Fallback is asked of the tree's index."""
+    best: TreeNode | None = None
+    best_depth = -1
+    for entry in trace.entries:
+        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.FAILURE:
+            continue
+        if entry.depth <= best_depth:
+            continue
+        node = tree.find(entry.node_id)
+        if is_expanded(tree, node):
+            continue
+        best, best_depth = node, entry.depth
+    return best
 
 
 def _tree_condition_literals(tree: BehaviorTree) -> list[Literal]:

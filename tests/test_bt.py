@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,9 @@ class TestTickSemantics:
         assert ids == preorder
         assert trace.entries[0].node_id == tree.root.id
         assert [e.depth for e in trace.entries] == [0, 1, 1]
+        assert [e.node for e in trace.entries] == [n for n, _ in iter_preorder(tree.root)]
+        assert all(e.node is scan_find(tree, e.node_id) and e.kind is e.node.kind
+                   for e in trace.entries)
 
     def test_tick_deterministic(self):
         tree = make_tree(lambda t: [cond(t, True), act(t, F), act(t, S)])
@@ -263,6 +267,24 @@ class TestSerialization:
             bt.parse('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, '
                      '"children": [{"kind": "condition", "id": 1, "payload": "p"}, '
                      '{"kind": "condition", "payload": "p"}]}}')
+
+    def test_boolean_id_rejected(self):
+        # JSON true is a Python int; a tree holding it would not write back as bt/v1
+        with pytest.raises(ParseError, match=r"node at root\.children\[0\] lacks an integer id"):
+            bt.parse('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, '
+                     '"children": [{"kind": "condition", "id": true, "payload": "p"}]}}')
+        with pytest.raises(ParseError, match=r"node at root lacks an integer id"):
+            bt.parse('{"schema": "bt/v1", "root": {"kind": "condition", "id": false, '
+                     '"payload": "p"}}')
+
+    def test_slot_bound_twice_names_the_leaf(self):
+        text = ('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, "children": ['
+                '{"kind": "action", "id": 1, "payload": "grasp(obj=a, obj=b)"}]}}')
+        with pytest.raises(ParseError) as err:
+            bt.parse(text)
+        assert str(err.value).startswith("bad payload at root.children[0]: "
+                                         "slot 'obj' is bound twice")
+        assert "column 14" in str(err.value)
 
     def test_bad_payload_error_names_its_first_path(self):
         text = ('{"schema": "bt/v1", "root": {"kind": "sequence", "id": 0, "children": ['
@@ -566,6 +588,49 @@ def test_program_edits_keep_the_compact_text(edits):
             assert bt.compact(tree) == full_compact(tree)
     assert bt.compact(tree) == full_compact(tree)
     assert rebuilds == []
+
+
+def walked_literal_counts(tree: BehaviorTree) -> Counter:
+    """Condition leaves per literal, counted afresh."""
+    return Counter(n.payload for n, _ in iter_preorder(tree.root)
+                   if n.kind is NodeKind.CONDITION)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS),
+                                         st.integers(0, 10_000), st.booleans()),
+                               max_size=30))
+def test_program_edits_keep_the_condition_literal_counts(build_first, edits):
+    """After each of the tree's own edits the literal counts it keeps equal
+    a fresh walk's, with no zero counts left and the index never rebuilt.
+    The counts are built before the first edit or at the first read."""
+    tree = bt.parse(golden_tree_text())
+    tree.find(tree.root.id)
+    rebuilds = []
+    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
+    if build_first:
+        assert tree.condition_literals() == walked_literal_counts(tree)
+    for name, seed, read in edits:
+        EDITS[name](tree, seed)
+        if read:
+            assert tree.condition_literals() == walked_literal_counts(tree)
+    counts = tree.condition_literals()
+    assert counts == walked_literal_counts(tree) and 0 not in counts.values()
+    assert rebuilds == []
+
+
+def test_replace_counts_the_conditions_it_removes_and_adds():
+    """A replace that drops a subtree uncounts its conditions; a wrap keeps
+    the wrapped ones."""
+    tree = make_tree(lambda t: [cond(t, True), cond(t, True), cond(t, False)])
+    assert tree.condition_literals() == {TRUE: 2, FALSE: 1}
+    first, _, last = tree.root.children
+    tree.replace(last.id, tree.new_node(NodeKind.FALLBACK, children=[last, cond(tree, True)]))
+    assert tree.condition_literals() == {TRUE: 3, FALSE: 1}
+    tree.replace(tree.root.children[2].id, act(tree, S))
+    assert tree.condition_literals() == {TRUE: 2}
+    tree.replace(first.id, tree.new_node(NodeKind.SEQUENCE, children=[first]))
+    assert tree.condition_literals() == {TRUE: 2} == walked_literal_counts(tree)
 
 
 def test_compact_text_matches_json_on_escapes():

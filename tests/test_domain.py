@@ -430,6 +430,18 @@ def test_holds_after_delta_matches_applied_state(state, skill, x, y, probes):
     WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
                frozenset({Literal("rel", ("a", "c")), Literal("rel", ("stray", "c"))})),
     [Literal("rel", (ANY_OBJECT, "c"), True)])
+@example(  # link(a, b) removes and re-adds rel(a, b), which the tree relies on: it stays clean
+    WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
+               frozenset({Literal("rel", ("a", "b")), Literal("rel", ("a", "c"))})),
+    [Literal("rel", ("a", "b")), Literal("rel", ("a", "c"), True)])
+@example(  # drop(x=a) and every stack remove tag(a), the last row of the relied-on tag(any_object)
+    WorldState(tuple(ObjectRef(n, "thing") for n in "abc"),
+               frozenset({Literal("tag", ("a",))})),
+    [Literal("tag", (ANY_OBJECT,)), Literal("tag", ("a",), True)])
+@example(  # wipe(x=a) adds tag(a), the row of the relied-on ~tag(a): only wipe(x=b) is clean
+    WorldState(tuple(ObjectRef(n, "thing") for n in "ab"),
+               frozenset({Literal("rel", ("a", "b"))})),
+    [Literal("tag", ("a",), True), Literal("rel", (ANY_OBJECT, ANY_OBJECT), True)])
 @settings(max_examples=300, deadline=None)
 def test_expand_condition_matches_applied_scoring(state, goals):
     """Expanding each failing goal in turn builds the same tree as the

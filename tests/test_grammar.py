@@ -86,6 +86,15 @@ def test_parse_action_compound_unit():
     assert action.get("speed") == Quantity(0.1, "m/s")
 
 
+def test_slot_bound_twice_rejected_at_the_second_binding():
+    with pytest.raises(ParseError, match="slot 'obj' is bound twice") as err:
+        parse_action("grasp(obj=a, obj=b)")
+    assert (err.value.line, err.value.column) == (1, 14)
+    with pytest.raises(ParseError, match="slot 'force' is bound twice"):
+        parse_action("grasp(force=5 N, obj=a, force=7 N)")
+    assert parse_action("place(obj=a, dst=b)").as_dict() == {"obj": "a", "dst": "b"}
+
+
 def test_parse_value_variants():
     assert parse_value("shovel") == "shovel"
     assert parse_value("37.2 N") == Quantity(37.2, "N")

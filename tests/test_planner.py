@@ -1,16 +1,21 @@
 import pytest
 import yaml
 
-from btpolicy import bt
-from btpolicy.bt import NodeKind, NodeStatus, TickContext, iter_preorder, tick
+from collections import Counter
+
+from btpolicy import bt, planner, resolver
+from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
+                         iter_preorder, tick)
 from btpolicy.domain import Domain, make_state, parse_domain
-from btpolicy.errors import (InvalidTarget, PlanBudgetExceeded, Unsolvable)
+from btpolicy.errors import BtError, InvalidTarget, PlanBudgetExceeded, Unsolvable
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import (GoalSpec, PlanConfig, expand_condition,
                               init_tree, plan)
 from btpolicy.sim import bundled_data_path
+from btpolicy.terms import GroundAction
 
-from oracles import bfs_plan, reference_expand_condition
+from oracles import (bfs_plan, reference_detect_conflict, reference_expand_condition,
+                     reference_pick_expansion_target)
 
 
 def lit(text):
@@ -238,27 +243,48 @@ class TestPlan:
             plan(goal("~upright(red_cup)"), cube_domain, state)
 
 
+def doors_domain() -> Domain:
+    """Entering needs the door open, and shoving it open pushes the robot out."""
+    return parse_domain({
+        "schema": "domain/v1", "name": "doors",
+        "predicates": [{"name": "open_door", "arity": 1},
+                       {"name": "inside", "arity": 1}],
+        "objects": [{"name": "door", "category": "door"},
+                    {"name": "robot", "category": "agent"}],
+        "skills": [
+            {"name": "enter",
+             "params": [{"name": "who", "kind": "object", "category": "agent"}],
+             "preconditions": ["open_door(door)"],
+             "effects": ["inside($who)"]},
+            {"name": "shove_door",
+             "params": [],
+             "preconditions": [],
+             "effects": ["open_door(door)", "~inside(robot)"]},
+        ],
+    })
+
+
+def seesaw_domain() -> Domain:
+    """Raising one side lowers the other, so both never hold together."""
+    return parse_domain({
+        "schema": "domain/v1", "name": "seesaw",
+        "predicates": [{"name": "up", "arity": 1}],
+        "objects": [{"name": "left", "category": "side"},
+                    {"name": "right", "category": "side"}],
+        "skills": [
+            {"name": "raise_left", "params": [],
+             "effects": ["up(left)", "~up(right)"]},
+            {"name": "raise_right", "params": [],
+             "effects": ["up(right)", "~up(left)"]},
+        ],
+    })
+
+
 class TestConflictReordering:
     def test_before_after_ordering_conflict(self):
         # two goals where the naive order undoes the first; the planner must
         # reorder the offending subtree leftward
-        domain = parse_domain({
-            "schema": "domain/v1", "name": "doors",
-            "predicates": [{"name": "open_door", "arity": 1},
-                           {"name": "inside", "arity": 1}],
-            "objects": [{"name": "door", "category": "door"},
-                        {"name": "robot", "category": "agent"}],
-            "skills": [
-                {"name": "enter",
-                 "params": [{"name": "who", "kind": "object", "category": "agent"}],
-                 "preconditions": ["open_door(door)"],
-                 "effects": ["inside($who)"]},
-                {"name": "shove_door",
-                 "params": [],
-                 "preconditions": [],
-                 "effects": ["open_door(door)", "~inside(robot)"]},
-            ],
-        })
+        domain = doors_domain()
         state = make_state(domain, [])
         goals = goal("inside(robot)", "open_door(door)")
         tree = plan(goals, domain, state)
@@ -268,18 +294,7 @@ class TestConflictReordering:
         assert domain.holds(final, lit("open_door(door)"))
 
     def test_reorder_budget_bounds_planning(self):
-        domain = parse_domain({
-            "schema": "domain/v1", "name": "seesaw",
-            "predicates": [{"name": "up", "arity": 1}],
-            "objects": [{"name": "left", "category": "side"},
-                        {"name": "right", "category": "side"}],
-            "skills": [
-                {"name": "raise_left", "params": [],
-                 "effects": ["up(left)", "~up(right)"]},
-                {"name": "raise_right", "params": [],
-                 "effects": ["up(right)", "~up(left)"]},
-            ],
-        })
+        domain = seesaw_domain()
         state = make_state(domain, [])
         goals = goal("up(left)", "up(right)")
         with pytest.raises(PlanBudgetExceeded):
@@ -326,6 +341,180 @@ class TestBlockedExecutionTickTrace:
         failing = failing_action(trace)
         node = tree.find(failing)
         assert str(node.action) == "grasp(obj=blue_cube)"
+
+
+def test_delta_scoring_matches_the_reference_on_multi_row_effects():
+    """Skills that add or delete several rows of one predicate: a relied-on
+    negated wildcard two added rows match breaks once (so spill ranks with
+    smear, by declaration), and a negated target holds only once every
+    witness is deleted (pair(a, c) leaves p(b))."""
+    domain = parse_domain({
+        "schema": "domain/v1", "name": "rows",
+        "predicates": [{"name": "p", "arity": 1}, {"name": "q", "arity": 0}],
+        "objects": [{"name": n, "category": "thing"} for n in "abc"],
+        "skills": [
+            {"name": "spill", "params": [{"name": "x"}, {"name": "y"}],
+             "effects": ["p($x)", "p($y)", "q"]},
+            {"name": "smear", "params": [{"name": "x"}], "effects": ["p($x)", "q"]},
+            {"name": "pair", "params": [{"name": "x"}, {"name": "y"}],
+             "effects": ["~p($x)", "~p($y)"]},
+        ],
+    })
+    for facts, goals, cond_id, expected in [
+            ([], ["~p(any_object)", "q"], 2, "spill(x=a, y=b)"),
+            (["p(a)", "p(b)"], ["~p(any_object)"], 1, "pair(x=a, y=b)")]:
+        state = make_state(domain, facts)
+        trees = [init_tree(goal(*goals)) for _ in range(2)]
+        expand_condition(trees[0], cond_id, domain, state)
+        reference_expand_condition(trees[1], cond_id, domain, state)
+        assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+        actions = [str(n.payload) for n, _ in iter_preorder(trees[0].root)
+                   if n.kind is NodeKind.ACTION]
+        assert actions[0] == expected
+        assert "pair(x=a, y=c)" not in actions
+
+
+# --- decisions read from the tick trace ----------------------------------------
+
+def plan_corpus(scenarios, blocks_domain) -> None:
+    """Resolve the scenarios with their oracle backends, then plan the goal
+    pairs whose conflicts the planner repairs (doors) or cannot repair
+    (seesaw, the Sussman anomaly) until a budget runs out."""
+    for scenario in scenarios:
+        resolver.resolve_until_success(scenario, scenario.oracle_backend())
+    sussman = make_state(blocks_domain, ["on(block_c, block_a)", "on(block_a, table)",
+                                         "on(block_b, table)"])
+    for goals, domain, state in [
+            (goal("inside(robot)", "open_door(door)"), doors_domain(), None),
+            (goal("up(left)", "up(right)"), seesaw_domain(), None),
+            (goal("on(block_a, block_b)", "on(block_b, block_c)"), blocks_domain, sussman)]:
+        try:
+            plan(goals, domain, state or make_state(domain, []))
+        except BtError:
+            pass
+
+
+def test_trace_decisions_match_the_lookup_references(
+        monkeypatch, all_scenarios, seed7_towers, blocks_domain):
+    """At every planner step, the conflict check and the expansion target
+    read from the tick trace equal the references that ask the tree's
+    index, over the bundled scenarios, the seed-7 towers and goal pairs
+    that conflict."""
+    simulate, detect, pick = (planner._simulate, planner._detect_conflict,
+                              planner._pick_expansion_target)
+    trees: list[BehaviorTree] = []
+    seen = Counter()
+
+    def spy_simulate(tree, *args):
+        trees.append(tree)
+        return simulate(tree, *args)
+
+    def spy_detect(trace, domain, after):
+        fired = [e.node for e in trace.entries if e.kind is NodeKind.ACTION]
+        assert len(fired) == 1
+        got = detect(trace, domain, after)
+        assert got == reference_detect_conflict(trees[-1], trace, fired[0], domain, after)
+        seen["conflict" if got else "no conflict"] += 1
+        return got
+
+    def spy_pick(trace):
+        got = pick(trace)
+        assert got is reference_pick_expansion_target(trees[-1], trace)
+        seen["target" if got else "no target"] += 1
+        return got
+
+    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "_detect_conflict", spy_detect)
+    monkeypatch.setattr(planner, "_pick_expansion_target", spy_pick)
+    plan_corpus(all_scenarios + seed7_towers, blocks_domain)
+    assert seen["conflict"] > 0 and seen["no conflict"] > 0 and seen["target"] > 0
+
+
+def test_pick_skips_a_condition_that_heads_an_expansion():
+    """A failed condition heading a Fallback with achievers is passed over,
+    however deep; one alone under a Fallback is not. Actions fail here, so
+    an expanded head can be the deepest failed condition."""
+    tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+    expanded, lone, shallow = (tree.new_condition(lit(t)) for t in ("p(a)", "p(b)", "p(c)"))
+    fail = tree.new_node(NodeKind.SEQUENCE, children=[tree.new_action(GroundAction("act_f"))])
+    tree.root.children.extend([
+        tree.new_node(NodeKind.FALLBACK, children=[
+            tree.new_node(NodeKind.FALLBACK, children=[expanded, fail]), shallow]),
+        tree.new_node(NodeKind.FALLBACK, children=[lone])])
+    ctx = TickContext(lambda literal: False, lambda leaf: NodeStatus.FAILURE)
+    status, trace = tick(tree, ctx)
+    assert status is NodeStatus.FAILURE
+    assert planner._pick_expansion_target(trace) is shallow \
+        is reference_pick_expansion_target(tree, trace)
+    shallow.payload = lit("q(c)")     # a success: the tick reaches the lone condition
+    ctx = TickContext(lambda literal: literal.predicate == "q",
+                      lambda leaf: NodeStatus.FAILURE)
+    status, trace = tick(tree, ctx)
+    assert planner._pick_expansion_target(trace) is lone \
+        is reference_pick_expansion_target(tree, trace)
+
+
+def test_conflict_needs_a_sequence_scope():
+    """raise_right falsifies up(left). That is a conflict when up(left)
+    guards an earlier sibling in a Sequence, and none when it sits in a
+    failed branch of the Fallback that then fired the action."""
+    domain = seesaw_domain()
+    state = make_state(domain, ["up(left)"])
+    after = domain.apply_effects(state, GroundAction("raise_right"))
+
+    def fire(tree):
+        ctx = TickContext(lambda literal: domain.holds(state, literal),
+                          lambda leaf: NodeStatus.RUNNING)
+        status, trace = tick(tree, ctx)
+        assert status is NodeStatus.RUNNING
+        return planner._detect_conflict(trace, domain, after), \
+            reference_detect_conflict(tree, trace, trace.entries[-1].node, domain, after)
+
+    for scoped in (True, False):
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        guard = tree.new_condition(lit("up(left)"))
+        action = tree.new_action(GroundAction("raise_right"))
+        second = tree.new_node(NodeKind.SEQUENCE, children=[action])
+        if scoped:
+            tree.root.children.extend([guard, second])
+        else:
+            failed = tree.new_node(NodeKind.SEQUENCE, children=[
+                guard, tree.new_condition(lit("up(right)"))])
+            tree.root.children.append(tree.new_node(NodeKind.FALLBACK, children=[
+                tree.new_condition(lit("up(right)")), failed, second]))
+        got, want = fire(tree)
+        assert got == want == ((action.id, guard.id) if scoped else None)
+
+
+def test_simulation_asks_the_tree_index_nothing(
+        monkeypatch, all_scenarios, seed7_towers, blocks_domain):
+    """A simulated tick, the conflict check after it included, makes no
+    ``find``, ``parent_of`` or ``ancestry`` call and never rebuilds the
+    index."""
+    simulate = planner._simulate
+    inside = []
+    lookups = Counter()
+    outcomes = Counter()
+
+    def spy_simulate(*args):
+        inside.append(True)
+        try:
+            result = simulate(*args)
+        finally:
+            inside.pop()
+        outcomes[result.status] += 1
+        return result
+
+    for name in ("find", "parent_of", "ancestry", "_reindex"):
+        def spy(self, *args, _name=name, _real=getattr(BehaviorTree, name)):
+            lookups[_name, bool(inside)] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(BehaviorTree, name, spy)
+    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    plan_corpus(all_scenarios + seed7_towers, blocks_domain)
+    assert outcomes["conflict"] > 0 and outcomes["failure"] > 0
+    assert not any(during for _, during in lookups)
+    assert lookups["find", False] > 0  # the spies see the lookups made elsewhere
 
 
 def test_plan_config_budgets_must_be_positive():
