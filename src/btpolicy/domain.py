@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, NamedTuple
 
 import yaml
 
@@ -75,21 +76,33 @@ class SkillTemplate:
 
     def grounded(self, action: GroundAction) -> _Grounded:
         """The action's preconditions, effects and hidden effects with its
-        binding substituted.
+        binding substituted, and its visible effects split once into the
+        facts they add, the ground facts they delete (positive) and the
+        wildcard delete templates.
 
         Memoized by the binding's ``str`` values, the only part substitution
         reads, so numeric values never grow the memo: it holds one entry per
-        combination of object names and categorical values seen. The
-        template is immutable, so entries never go stale; two threads can
-        at worst compute one entry twice."""
-        key = tuple((k, v) for k, v in action.binding if isinstance(v, str))
+        combination of object names and categorical values seen, and a
+        binding of strings alone is its own key. The template is immutable,
+        so entries never go stale; two threads can at worst compute one
+        entry twice."""
         memo = self._grounded_memo
+        entry = memo.get(action.binding)
+        if entry is not None:
+            return entry
+        key = tuple((k, v) for k, v in action.binding if isinstance(v, str))
         entry = memo.get(key)
         if entry is None:
             binding = dict(key)
+            preconditions, effects, hidden = (
+                tuple(t.substitute(binding) for t in templates) for templates in
+                (self.preconditions, self.effects, self.hidden_effects))
+            deletes = [lit for lit in effects if lit.negated]
             entry = memo[key] = _Grounded(
-                *(tuple(t.substitute(binding) for t in templates) for templates in
-                  (self.preconditions, self.effects, self.hidden_effects)))
+                preconditions, effects, hidden,
+                frozenset(lit for lit in effects if not lit.negated),
+                frozenset(lit.positive() for lit in deletes if ANY_OBJECT not in lit.args),
+                tuple(lit for lit in deletes if ANY_OBJECT in lit.args))
         return entry
 
     @cached_property
@@ -101,6 +114,11 @@ class _Grounded(NamedTuple):
     preconditions: tuple[Literal, ...]
     effects: tuple[Literal, ...]
     hidden_effects: tuple[Literal, ...]
+    #: the visible effects, split: facts added, ground facts deleted (made
+    #: positive) and wildcard delete templates, matched against each state
+    adds: frozenset[Literal]
+    deletes: frozenset[Literal]
+    wildcard_deletes: tuple[Literal, ...]
 
 
 @dataclass(frozen=True)
@@ -208,32 +226,58 @@ def _args_by_predicate(facts: Collection[Literal]) -> dict[str, set[tuple[str, .
     return rows
 
 
+#: the getter of no positions: the empty tuple, whatever the row
+_NO_POSITIONS = itemgetter(slice(0))
+
+
 def literal_holds(lit: Literal, rows: Collection[tuple[str, ...]],
                   registry: frozenset[str]) -> bool:
     """Truth of ``lit`` given the rows of its predicate; wildcards range
     over the ``registry`` names only."""
     if ANY_OBJECT in lit.args:
-        return any(rows_matching(lit.args, rows, registry)) != lit.negated
+        return _some_row_matches(lit.args, rows, registry) != lit.negated
     return (lit.args in rows) != lit.negated
 
 
 def rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
-                  allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
-    """Rows equal to ``pattern`` outside its wildcard positions.
+                  allowed: frozenset[str] | None = None) -> list[tuple[str, ...]]:
+    """The rows equal to ``pattern`` outside its wildcard positions, as a
+    list in the order of ``rows``.
 
-    With ``allowed`` given, a wildcard position only matches those names."""
-    arity = len(pattern)
-    fixed = [(i, arg) for i, arg in enumerate(pattern) if arg != ANY_OBJECT]
-    free = [i for i, arg in enumerate(pattern) if arg == ANY_OBJECT]
+    A row of another arity never matches. With ``allowed`` given, a
+    wildcard position only matches those names."""
+    arity, at_fixed, values = _row_test(pattern)
+    return [row for row in rows if len(row) == arity and at_fixed(row) == values
+            and (allowed is None or _wildcards_allowed(pattern, row, allowed))]
+
+
+def _some_row_matches(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
+                      allowed: frozenset[str]) -> bool:
+    """Whether ``rows_matching(pattern, rows, allowed)`` has a row, decided
+    at the first one."""
+    arity, at_fixed, values = _row_test(pattern)
     for row in rows:
-        if len(row) != arity:
-            continue
-        for i, arg in fixed:
-            if row[i] != arg:
-                break
-        else:
-            if allowed is None or all(row[i] in allowed for i in free):
-                yield row
+        if len(row) == arity and at_fixed(row) == values \
+                and _wildcards_allowed(pattern, row, allowed):
+            return True
+    return False
+
+
+def _row_test(pattern: tuple[str, ...]) -> tuple[int, itemgetter, object]:
+    """``pattern``'s arity, a getter of the values at its fixed (not
+    wildcard) positions, and its own values there."""
+    fixed = []
+    for i, arg in enumerate(pattern):      # a loop, cheaper than a comprehension here
+        if arg != ANY_OBJECT:
+            fixed.append(i)
+    at_fixed = itemgetter(*fixed) if fixed else _NO_POSITIONS
+    return len(pattern), at_fixed, at_fixed(pattern)
+
+
+def _wildcards_allowed(pattern: tuple[str, ...], row: tuple[str, ...],
+                       allowed: frozenset[str]) -> bool:
+    """Whether ``row`` has allowed names at ``pattern``'s wildcard positions."""
+    return all(arg in allowed for wild, arg in zip(pattern, row) if wild == ANY_OBJECT)
 
 
 @dataclass
@@ -308,9 +352,14 @@ class Domain:
 
         A positive wildcard literal is existential; a negated one is
         universal (true iff no object satisfies the positive form). The
-        literal is trusted to have passed ``check_literal``."""
-        return literal_holds(lit, state.rows(lit.predicate, include_hidden=include_hidden),
-                             state.registry)
+        state's index is read once, and a ground literal decided by one
+        membership test. The literal is trusted to have passed
+        ``check_literal``."""
+        index = state._index_with_hidden if include_hidden else state._index
+        if ANY_OBJECT in lit.args:
+            return _some_row_matches(lit.args, index.get(lit.predicate, ()),
+                                     state.registry) != lit.negated
+        return (lit.args in index.get(lit.predicate, ())) != lit.negated
 
     # -- effects ---------------------------------------------------------------
 
@@ -318,19 +367,16 @@ class Domain:
                      action: GroundAction) -> tuple[set[Literal], set[Literal]]:
         """The (add, remove) fact sets of the action's visible effects.
 
-        Negated effects with wildcards delete every matching ground literal;
-        additions win over deletions (delete-then-add)."""
-        remove: set[Literal] = set()
-        add: set[Literal] = set()
-        for lit in self.skill(action.skill).grounded(action).effects:
-            if not lit.negated:
-                add.add(lit)
-            elif ANY_OBJECT in lit.args:
-                remove.update(Literal(lit.predicate, args) for args in
-                              rows_matching(lit.args, state.rows(lit.predicate)))
-            else:
-                remove.add(lit.positive())
-        return add, remove
+        Read from the grounding's effect split: only the wildcard deletes
+        are matched against the state, each deleting every matching ground
+        literal. Additions win over deletions (delete-then-add)."""
+        grounded = self.skill(action.skill).grounded(action)
+        remove = set(grounded.deletes)
+        index = state._index
+        for lit in grounded.wildcard_deletes:
+            remove.update(Literal(lit.predicate, args) for args in
+                          rows_matching(lit.args, index.get(lit.predicate, ())))
+        return set(grounded.adds), remove
 
     def apply_effects(self, state: WorldState, action: GroundAction) -> WorldState:
         """Delete-then-add application of the action's visible effects.

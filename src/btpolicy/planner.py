@@ -188,7 +188,7 @@ def _achieves(target: Literal, add: Collection[Literal], remove: Collection[Lite
     it; a negated one needs every witness, the rows that falsify it,
     removed, and no added row that matches it."""
     rows = [fact.args for fact in add if fact.predicate == target.predicate]
-    added = next(rows_matching(target.args, rows, registry), None) is not None
+    added = bool(rows_matching(target.args, rows, registry))
     if witnesses is None:
         return added
     removed = {fact.args for fact in remove if fact.predicate == target.predicate}
@@ -243,19 +243,27 @@ class _Reliance:
         return count
 
 
-def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
+def expand_condition(tree: BehaviorTree, cond: int | TreeNode, domain: Domain,
                      state: WorldState) -> BehaviorTree:
     """Replace a failed condition leaf with a Fallback over achiever subtrees.
 
     The original condition stays as the Fallback's first child so a
     satisfied condition short-circuits. Each achiever contributes one
     Sequence of its ground precondition leaves followed by the action leaf.
+
+    ``cond`` is the condition's node id, looked up and checked to be an
+    unexpanded condition, or the node itself, which the caller vouches is
+    an unexpanded condition of ``tree``: ``plan`` passes the node it read
+    from the tick trace, and so looks nothing up.
     """
-    node = tree.find(cond_id)
-    if node.kind is not NodeKind.CONDITION:
-        raise InvalidTarget(f"node {cond_id} is {node.kind.value}, not a condition")
-    if is_expanded(tree, node):
-        raise InvalidTarget(f"condition {cond_id} was already expanded")
+    if isinstance(cond, TreeNode):
+        node = cond
+    else:
+        node = tree.find(cond)
+        if node.kind is not NodeKind.CONDITION:
+            raise InvalidTarget(f"node {cond} is {node.kind.value}, not a condition")
+        if is_expanded(tree, node):
+            raise InvalidTarget(f"condition {cond} was already expanded")
     target = node.literal
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
@@ -272,7 +280,7 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
     reliance = _Reliance((lit for lit in tree.condition_literals()
                           if domain.holds(state, lit)), state)
     registry = state.registry
-    witnesses = list(rows_matching(target.args, state.rows(target.predicate), registry)) \
+    witnesses = rows_matching(target.args, state.rows(target.predicate), registry) \
         if target.negated else None
     candidates: list[tuple[int, int, GroundAction]] = []
     seen: set[GroundAction] = set()
@@ -302,7 +310,7 @@ def expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
                                   for lit in domain.ground_preconditions(action)]
         leaves.append(tree.new_action(action))
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
-    tree.replace(cond_id, fallback)
+    tree.replace(node.id, fallback)
     return tree
 
 
@@ -478,7 +486,7 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
         try:
-            expand_condition(tree, target.id, domain, result.state)
+            expand_condition(tree, target, domain, result.state)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1

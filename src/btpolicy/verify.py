@@ -203,8 +203,8 @@ def reachable_states(domain: Domain, initial: WorldState,
     order, at most ``limit`` of them.
 
     Actions never change the object registry, so the ground actions are
-    enumerated once, from the start state, and a successor is built only
-    when its fact set is new."""
+    enumerated once, from the start state, and a successor is built, from
+    the effect delta already in hand, only when its fact set is new."""
     start = initial.visible_only()
     steps = [(action, domain.ground_preconditions(action))
              for action in _all_ground_actions(domain, start)]
@@ -223,7 +223,7 @@ def reachable_states(domain: Domain, initial: WorldState,
             if len(order) >= limit:
                 return order
             seen.add(true)
-            nxt = domain.apply_effects(state, action)
+            nxt = state.with_changes(add, remove)
             order.append(nxt)
             queue.append(nxt)
     return order

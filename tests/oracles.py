@@ -4,6 +4,9 @@ These deliberately share no code with the package internals: the tick
 oracle folds over tuple-trees, the plan oracle is a breadth-first search
 over the ground state space, the literal-evaluation references are the
 plain enumerate-and-scan forms the indexed world state replaced, the
+row-matching and effect-delta references are the generator and the
+per-call loop over each grounded effect that the list comprehension and
+the effect split kept with each grounding replaced, the
 tree lookups are the preorder scans the tree's checked index replaced, and
 the expansion reference scores each candidate on a fully built successor
 state, as the planner did before it scored from effect deltas, the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Collection, Iterator
 
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
                          iter_preorder, tree_equal)
@@ -90,6 +94,42 @@ def reference_holds(domain: Domain, state: WorldState, lit: Literal, *,
             found = True
             break
     return not found if lit.negated else found
+
+
+def reference_rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
+                            allowed: frozenset[str] | None = None) -> Iterator[tuple[str, ...]]:
+    """``domain.rows_matching`` as a generator that loops over the
+    pattern's positions for each row."""
+    arity = len(pattern)
+    fixed = [(i, arg) for i, arg in enumerate(pattern) if arg != ANY_OBJECT]
+    free = [i for i, arg in enumerate(pattern) if arg == ANY_OBJECT]
+    for row in rows:
+        if len(row) != arity:
+            continue
+        for i, arg in fixed:
+            if row[i] != arg:
+                break
+        else:
+            if allowed is None or all(row[i] in allowed for i in free):
+                yield row
+
+
+def reference_effect_delta(domain: Domain, state: WorldState,
+                           action: GroundAction) -> tuple[set[Literal], set[Literal]]:
+    """``Domain.effect_delta`` by sorting each grounded effect on every
+    call: an addition, a ground delete made positive, or a wildcard delete
+    matched against the state's rows."""
+    remove: set[Literal] = set()
+    add: set[Literal] = set()
+    for lit in domain.skill(action.skill).grounded(action).effects:
+        if not lit.negated:
+            add.add(lit)
+        elif ANY_OBJECT in lit.args:
+            remove.update(Literal(lit.predicate, args) for args in
+                          reference_rows_matching(lit.args, state.rows(lit.predicate)))
+        else:
+            remove.add(lit.positive())
+    return add, remove
 
 
 def scan_id_index(tree: BehaviorTree) -> dict[int, tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -8,15 +9,15 @@ from hypothesis import strategies as st
 from btpolicy import bt, sim
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
 from btpolicy.domain import (WorldState, literal_holds, load_domain, make_state,
-                             parse_domain)
+                             parse_domain, rows_matching)
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, SchemaError,
                              UnboundSlot, UnknownPredicate)
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, expand_condition, init_tree
 from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
 from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity
-from oracles import (negation, reference_apply_effects, reference_expand_condition,
-                     reference_holds)
+from oracles import (negation, reference_apply_effects, reference_effect_delta,
+                     reference_expand_condition, reference_holds, reference_rows_matching)
 
 
 def lit(text):
@@ -341,6 +342,44 @@ def test_indexed_apply_effects_matches_scan(state, skill, x, y, probes):
     for probe in probes:
         assert _INDEX_DOMAIN.holds(after, probe) == \
             reference_holds(_INDEX_DOMAIN, expected, probe)
+
+
+# few names, so that rows often match; "stray" is in neither registry
+_ROW_NAMES = ("a", "b", "stray")
+
+
+@given(st.lists(st.lists(st.sampled_from(_ROW_NAMES), max_size=3).map(tuple), max_size=10),
+       st.lists(st.sampled_from(_ROW_NAMES + (ANY_OBJECT,) * 2), max_size=3).map(tuple),
+       st.sampled_from([None, frozenset("ab"), frozenset("a")]))
+@example([("a", "b"), ("a",), ("stray", "b"), ("a", "b", "a"), ("b", "b")],
+         (ANY_OBJECT, "b"), frozenset("ab"))
+@example([("a", "stray", "a"), ("a", "a", "a"), ("stray", "stray", "stray")],
+         (ANY_OBJECT, ANY_OBJECT, ANY_OBJECT), frozenset("ab"))
+@example([(), ("a",), ()], (), None)
+@settings(max_examples=500, deadline=None)
+def test_rows_matching_equals_the_generator(rows, pattern, allowed):
+    """The list equals the generator's rows, in order: patterns of arity 0
+    to 3 with 0 to 3 wildcards, rows of mixed arity, wildcards ranging over
+    every name or over a registry, and a name outside it (stray). A
+    wildcard literal holds on the rows exactly when the list is non-empty."""
+    expected = list(reference_rows_matching(pattern, rows, allowed))
+    assert rows_matching(pattern, rows, allowed) == expected
+    if allowed is not None and ANY_OBJECT in pattern:
+        assert literal_holds(Literal("p", pattern), rows, allowed) == bool(expected)
+
+
+@given(index_states())
+@settings(max_examples=100, deadline=None)
+def test_effect_delta_equals_the_per_call_loop(state):
+    """For every skill and binding of the index domain, whose deletes
+    include double wildcards and arity-3 wildcard deletes, the delta read
+    from the grounding's effect split equals the per-call loop's."""
+    for skill in _INDEX_DOMAIN.skills.values():
+        for values in itertools.product(_INDEX_NAMES, repeat=len(skill.params)):
+            action = GroundAction.from_mapping(
+                skill.name, dict(zip((s.name for s in skill.params), values)))
+            assert _INDEX_DOMAIN.effect_delta(state, action) == \
+                reference_effect_delta(_INDEX_DOMAIN, state, action)
 
 
 def _index_action(skill, x, y):

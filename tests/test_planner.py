@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 import yaml
 
@@ -515,6 +517,41 @@ def test_simulation_asks_the_tree_index_nothing(
     assert outcomes["conflict"] > 0 and outcomes["failure"] > 0
     assert not any(during for _, during in lookups)
     assert lookups["find", False] > 0  # the spies see the lookups made elsewhere
+
+
+def test_plan_looks_nodes_up_only_to_reorder(
+        monkeypatch, all_scenarios, seed7_towers, blocks_domain):
+    """``plan`` expands the condition it read from the tick trace, so while
+    it runs nothing calls ``find`` or ``parent_of``, and only conflict
+    reorders call ``ancestry``."""
+    real_plan, reorder = planner.plan, planner._reorder_for_conflict
+    inside: list[str] = []          # the spied calls under way, innermost last
+    lookups = Counter()
+    calls = Counter()
+
+    def within(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return spy
+
+    for name in ("find", "parent_of", "ancestry"):
+        def spy(self, *args, _name=name, _real=getattr(BehaviorTree, name)):
+            lookups[_name, inside[-1] if inside else None] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(BehaviorTree, name, spy)
+    spy_plan = within("plan", real_plan)
+    monkeypatch.setattr(resolver, "plan", spy_plan)
+    monkeypatch.setattr(sys.modules[__name__], "plan", spy_plan)
+    monkeypatch.setattr(planner, "_reorder_for_conflict", within("reorder", reorder))
+    plan_corpus(all_scenarios + seed7_towers, blocks_domain)
+    assert calls["plan"] > 0 and calls["reorder"] > 0
+    assert {key for key in lookups if key[1] == "plan"} == set()
+    assert set(lookups) >= {("ancestry", "reorder"), ("parent_of", None)}
 
 
 def test_plan_config_budgets_must_be_positive():
