@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-import yaml
-
+from .domain import load_yaml
 from .errors import BackendUnavailable, MissingFixture, RateLimited, SchemaError
 from .llm import Role
 
@@ -60,13 +59,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        path = Path(path)
-        try:
-            data = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as e:
-            mark = getattr(e, "problem_mark", None)
-            raise SchemaError(f"invalid YAML: {e}", file=str(path),
-                              line=mark.line + 1 if mark else None) from e
+        data = load_yaml(path, "fixture")
         if not isinstance(data, dict):
             raise SchemaError("fixture file must map keys to responses", file=str(path))
         return cls(data)

@@ -16,15 +16,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import yaml
-
 from . import bt, grammar
-from .backends import OracleBackend, RemoteBackend, RequestMeta, ScriptedBackend
-from .domain import load_domain, make_state
+from .backends import RemoteBackend, ScriptedBackend
+from .domain import load_domain, load_yaml, make_state, read_input
 from .errors import (BackendUnavailable, BtError, DomainMismatch, ParseError,
                      SchemaError, Unsolvable)
-from .llm import (LlmExchange, PromptSpec, Role, build_prompt,
-                  condition_catalog, parse_goal_response, scene_from_state)
+from .llm import LlmExchange, build_prompt
 from .planner import GoalSpec, PlanConfig, plan
 from .resolver import (Outcome, ResolveConfig, interpret_goals,
                        records_to_jsonl, resolve_until_success)
@@ -40,6 +37,8 @@ EXIT_UNSOLVABLE = 4
 EXIT_EXHAUSTED = 5
 EXIT_SCHEMA = 6
 EXIT_BACKEND = 7
+
+GOALSET_SCHEMA = "goalbench/v1"
 
 
 def atomic_write(path: Path, content: str) -> None:
@@ -87,12 +86,7 @@ def _resolve_config(args) -> ResolveConfig:
 
 
 def _load_tree(path: str) -> bt.BehaviorTree:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
-        raise BtError(f"cannot read tree file {path}: {reason}") from e
-    return bt.parse(text)
+    return bt.parse(read_input(path, "tree"))
 
 
 def _write_tree_artifacts(tree, out: Path, stem: str) -> None:
@@ -136,10 +130,7 @@ def cmd_plan(args) -> int:
         backend = _make_backend(args, None)
     goals, exchange = interpret_goals(scenario, backend)
 
-    tree = plan(goals, scenario.domain, scenario.initial,
-                PlanConfig(max_expansions=args.budget_expansions,
-                           max_conflict_reorders=args.budget_reorders,
-                           max_sim_ticks=args.budget_ticks))
+    tree = plan(goals, scenario.domain, scenario.initial, _resolve_config(args).plan)
     out = Path(args.out)
     _write_tree_artifacts(tree, out, "tree")
     atomic_write(out / "reasoning.txt", (exchange.reasoning or "") + "\n")
@@ -237,37 +228,55 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _load_goalset(path: Path) -> dict:
+    """A ``goalbench/v1`` file, its required fields checked."""
+    data = load_yaml(path, "goal set")
+
+    def fail(msg: str):
+        raise SchemaError(msg, file=str(path))
+
+    if not isinstance(data, dict):
+        fail("goal set file must be a mapping")
+    if data.get("schema") != GOALSET_SCHEMA:
+        fail(f"unsupported goal set schema {data.get('schema')!r}, "
+             f"expected {GOALSET_SCHEMA}")
+    if not isinstance(data.get("domain"), str) or not data["domain"]:
+        fail("goal set needs a non-empty 'domain'")
+    if not isinstance(data.get("scene") or {}, dict):
+        fail("goal set 'scene' must be a mapping")
+    if not isinstance(data.get("instructions"), list):
+        fail("goal set needs an 'instructions' list")
+    for index, entry in enumerate(data["instructions"], 1):
+        if not isinstance(entry, dict):
+            fail(f"instruction {index} must be a mapping")
+        for key in ("id", "difficulty", "instruction", "goal"):
+            if not isinstance(entry.get(key), str) or not entry[key]:
+                fail(f"instruction {index} needs a non-empty string {key!r}")
+    return data
+
+
 def _bench_goals(args):
     bench_path = Path(args.goalset) if args.goalset else \
         bundled_data_path("benchmarks", "cafe_goals.yaml")
-    data = yaml.safe_load(bench_path.read_text())
+    data = _load_goalset(bench_path)
     domain = load_domain((bench_path.parent / data["domain"]).resolve())
     scene = data.get("scene") or {}
     state = make_state(domain, scene.get("visible", ()), (), scene.get("objects"))
-    catalog = condition_catalog(domain)
-    scene_text = scene_from_state(domain, state.visible_only())
 
     per_difficulty: dict[str, list[float]] = {}
     exchanges: list[LlmExchange] = []
     for entry in data["instructions"]:
         truth = {str(lit) for lit in
                  grammar.parse_literal_conjunction(entry["goal"])}
-        spec = PromptSpec(Role.GOAL_INTERPRETATION, entry["instruction"],
-                          state.objects, catalog, domain.goal_examples, scene_text)
-        prompt_text = build_prompt(spec)
+        scenario = Scenario(id=entry["id"], domain=domain, domain_ref=data["domain"],
+                            initial=state, instruction=entry["instruction"],
+                            oracle_goals=entry["goal"])
         successes = 0
         for _ in range(args.repeat):
-            if args.backend == "oracle":
-                backend = OracleBackend(lambda meta, answer=entry["goal"]:
-                                        f"ANSWER: {answer}")
-            else:
-                backend = _make_backend(args, None)
+            backend = _make_backend(args, scenario)
             try:
-                raw = backend.complete(prompt_text,
-                                       RequestMeta(Role.GOAL_INTERPRETATION, entry["id"]))
-                goals, reasoning = parse_goal_response(raw, domain,
-                                                       objects=state.object_names)
-                exchanges.append(LlmExchange(spec, raw, goals, reasoning))
+                goals, exchange = interpret_goals(scenario, backend)
+                exchanges.append(exchange)
                 if {str(lit) for lit in goals.conjuncts} == truth:
                     successes += 1
             except BtError:

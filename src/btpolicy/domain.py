@@ -21,8 +21,8 @@ from typing import Collection, NamedTuple
 import yaml
 
 from . import grammar
-from .errors import (ArityMismatch, ParseError, SchemaError, UnboundSlot,
-                     UnknownObject, UnknownPredicate)
+from .errors import (ArityMismatch, BtError, ParseError, SchemaError,
+                     UnboundSlot, UnknownObject, UnknownPredicate)
 from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity,
                     is_param, is_placeholder, is_wildcard)
 
@@ -441,18 +441,33 @@ def _unify_effect(template: Literal, target: Literal) -> dict[str, str] | None:
     return binding
 
 
-# --- domain file loading -----------------------------------------------------
+# --- input files ---------------------------------------------------------------
 
-def load_domain(path: str | Path) -> Domain:
-    """Load and validate a versioned domain file."""
-    path = Path(path)
+def read_input(path: str | Path, kind: str) -> str:
+    """The text of an input file; BtError naming the ``kind`` file and the
+    reason when it cannot be read (missing, a directory, not UTF-8)."""
     try:
-        data = yaml.safe_load(path.read_text())
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
+        raise BtError(f"cannot read {kind} file {path}: {reason}") from e
+
+
+def load_yaml(path: str | Path, kind: str):
+    """The parsed content of a YAML input file (domain, scenario, fixtures,
+    goal set); SchemaError naming the file and line when it is not YAML."""
+    text = read_input(path, kind)
+    try:
+        return yaml.safe_load(text)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         raise SchemaError(f"invalid YAML: {e}", file=str(path),
                           line=mark.line + 1 if mark else None) from e
-    return parse_domain(data, source=str(path))
+
+
+def load_domain(path: str | Path) -> Domain:
+    """Load and validate a versioned domain file."""
+    return parse_domain(load_yaml(path, "domain"), source=str(path))
 
 
 def parse_domain(data, *, source: str = "<memory>") -> Domain:

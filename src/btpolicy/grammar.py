@@ -17,6 +17,7 @@ raise ParseError with line/column and a description of the expected token.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .errors import ParseError
 from .terms import GroundAction, Literal, Quantity
@@ -103,22 +104,23 @@ def _parse_literal(tokens: _Tokens) -> Literal:
     kind, name, offset = tokens.next("predicate name")
     if kind != "ident":
         raise tokens.error(f"unexpected token {name!r}", offset, "predicate name")
-    args: list[str] = []
     tok = tokens.peek()
-    if tok and tok[1] == "(":
-        tokens.expect("(")
-        tok = tokens.peek()
-        if tok and tok[1] != ")":
-            args.append(_parse_arg(tokens))
-            while True:
-                tok = tokens.peek()
-                if tok and tok[1] == ",":
-                    tokens.expect(",")
-                    args.append(_parse_arg(tokens))
-                else:
-                    break
-        tokens.expect(")")
+    args = _parse_list(tokens, _parse_arg) if tok and tok[1] == "(" else ()
     return Literal(name, tuple(args), negated)
+
+
+def _parse_list(tokens: _Tokens, parse_item: Callable[[_Tokens], object]) -> list:
+    """``'(' item (',' item)* ')'`` or ``'()'``, items in order."""
+    tokens.expect("(")
+    items = []
+    tok = tokens.peek()
+    if tok and tok[1] != ")":
+        items.append(parse_item(tokens))
+        while (tok := tokens.peek()) and tok[1] == ",":
+            tokens.next("','")
+            items.append(parse_item(tokens))
+    tokens.expect(")")
+    return items
 
 
 def parse_literal(text: str) -> Literal:
@@ -169,18 +171,7 @@ def parse_action(text: str) -> GroundAction:
     if kind != "ident":
         raise tokens.error(f"unexpected token {name!r}", offset, "skill name")
     binding: dict[str, str | Quantity] = {}
-    tokens.expect("(")
-    tok = tokens.peek()
-    if tok and tok[1] != ")":
-        _parse_slot_binding(tokens, binding)
-        while True:
-            tok = tokens.peek()
-            if tok and tok[1] == ",":
-                tokens.expect(",")
-                _parse_slot_binding(tokens, binding)
-            else:
-                break
-    tokens.expect(")")
+    _parse_list(tokens, lambda t: _parse_slot_binding(t, binding))
     tokens.require_end()
     return GroundAction(name, tuple(binding.items()))
 

@@ -8,17 +8,16 @@ execution, and a resolved value propagates to every action leaf that shares
 the slot in the same object context. Every interaction is captured in a
 ResolutionRecord so a run leaves an auditable trail.
 
-A run fingerprints its tree once per change: a round's ``tree_before`` is
-the previous round's ``tree_after`` unless defaults were bound or the
-consolidation plan ran in between. One preorder walk per parameter fill
-finds the first open slot and the defaults to bind, and a domain whose
-skills declare no numeric or categorical slot needs no walk at all.
-
+Each record fingerprints the tree as the step found it and as it left it.
 The resolver changes a tree only through the tree's own edits (``rebind``
 binds a slot), which keep each node's cached compact text current, so a
-fingerprint formats only the nodes an edit touched. The trees it runs are
-grown from checked goals, domain templates and parsed answers, so it runs
-them with ``sim.run_trusted``, without the domain gate of ``sim.execute``.
+fingerprint formats only the nodes an edit touched, and fingerprinting an
+unchanged tree costs one SHA-256 of its cached text. One preorder walk per
+parameter fill finds the first open slot and the defaults to bind, and a
+domain whose skills declare no numeric or categorical slot needs no walk at
+all. The trees it runs are grown from checked goals, domain templates and
+parsed answers, so it runs them with ``sim.run_trusted``, without the domain
+gate of ``sim.execute``.
 """
 
 from __future__ import annotations
@@ -112,14 +111,13 @@ def tree_fingerprint(tree: BehaviorTree) -> str:
 
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
             backend: Backend, config: ResolveConfig | None = None, *,
-            instruction: str = "", key: str = "", round_index: int = 1,
-            tree_before: str | None = None) -> tuple[BehaviorTree, ResolutionRecord]:
+            instruction: str = "", key: str = "",
+            round_index: int = 1) -> tuple[BehaviorTree, ResolutionRecord]:
     """One failure-resolution step: ask, insert, re-expand.
 
     Suggested literals already guarding the failing action are rejected as
     duplicates; a round whose suggestions are all duplicates patches nothing
-    (the record says so) to keep repeated identical advice from looping.
-    ``tree_before`` is the tree's current fingerprint, if the caller has it."""
+    (the record says so) to keep repeated identical advice from looping."""
     config = config or ResolveConfig()
     world = event.world_snapshot
     spec = PromptSpec(
@@ -135,7 +133,7 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     raw = backend.complete(build_prompt(spec), RequestMeta(Role.FAILURE_RESOLUTION, key, event=event))
     literals, reasoning = parse_precondition_response(raw, domain,
                                                       objects=world.object_names)
-    before = tree_before or tree_fingerprint(tree)
+    before = tree_fingerprint(tree)
     exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
 
     existing = guarding_literals(tree, event.action_id) or []
@@ -203,11 +201,9 @@ def bind_default_params(tree: BehaviorTree, domain: Domain,
 def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
                       backend: Backend, *, instruction: str = "", key: str = "",
                       world: WorldState | None = None, round_index: int = 1,
-                      tree_before: str | None = None,
                       ) -> tuple[BehaviorTree, ResolutionRecord]:
     """Ask once for a slot value, then bind every action leaf sharing the
-    slot name in the same object context (shared bound object).
-    ``tree_before`` is the tree's current fingerprint, if the caller has it."""
+    slot name in the same object context (shared bound object)."""
     target = tree.find(request.action_id)
     objects = world.objects if world is not None else ()
     spec = PromptSpec(
@@ -223,7 +219,7 @@ def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
     raw = backend.complete(build_prompt(spec),
                            RequestMeta(Role.PARAMETER_RESOLUTION, key, param=request))
     value = parse_param_response(raw, request.slot)
-    before = tree_before or tree_fingerprint(tree)
+    before = tree_fingerprint(tree)
     exchange = LlmExchange(spec, raw, parsed=value, reasoning=extract_reasoning(raw))
 
     context = set(request.context_objects)
@@ -295,14 +291,13 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
     result = PipelineResult(Outcome.FAILURE, tree, goals, goal_exchange)
 
     rounds = 0
-    fingerprint: str | None = None  # of the tree as it stands; None when stale
 
     def fill_parameters() -> bool:
         """Resolve open slots and default the rest; False when out of rounds.
 
         Re-run after every repair: re-planning can introduce new actions
         whose open slots also need values."""
-        nonlocal rounds, fingerprint
+        nonlocal rounds
         while True:
             request, defaults = _scan_params(tree, domain, scenario.open_params)
             if request is None:
@@ -314,16 +309,12 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 _, record = resolve_parameter(
                     tree, request, domain, backend,
                     instruction=scenario.instruction, key=scenario.id,
-                    world=scenario.initial.visible_only(), round_index=rounds,
-                    tree_before=fingerprint)
-                fingerprint = record.tree_after
+                    world=scenario.initial.visible_only(), round_index=rounds)
             except ParseError as e:
                 record = ResolutionRecord("parameter", rounds, None, request=request,
                                           rejected=True, error=f"{type(e).__name__}: {e}")
             result.records.append(record)
-        if defaults:
-            _bind_defaults(tree, defaults)
-            fingerprint = None
+        _bind_defaults(tree, defaults)
         return True
 
     if not fill_parameters():
@@ -346,7 +337,6 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 plan(goals, domain, scenario.initial, config.plan, tree=tree)
             except BtError:
                 pass
-            fingerprint = None
             result.outcome = Outcome.SUCCESS if fill_parameters() else Outcome.EXHAUSTED
             return result
         if trace.pending_event is None:
@@ -360,8 +350,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
         try:
             _, record = resolve(tree, event, domain, backend, config,
                                 instruction=scenario.instruction, key=scenario.id,
-                                round_index=rounds, tree_before=fingerprint)
-            fingerprint = record.tree_after
+                                round_index=rounds)
             result.records.append(record)
             if not fill_parameters():
                 result.outcome = Outcome.EXHAUSTED

@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from . import grammar
 from .backends import OracleBackend, RequestMeta
 from .bt import (_ACTION, _CONDITION, BehaviorTree, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick)
-from .domain import Domain, WorldState, load_domain, make_state
+from .domain import Domain, WorldState, load_domain, load_yaml, make_state
 from .errors import (BtError, DomainMismatch, ParseError, SchemaError,
                      TickBudgetExceeded)
 from .llm import Role
@@ -346,12 +344,7 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
 
 def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scenario:
     path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        raise SchemaError(f"invalid YAML: {e}", file=str(path),
-                          line=mark.line + 1 if mark else None) from e
+    data = load_yaml(path, "scenario")
 
     def fail(msg: str):
         raise SchemaError(msg, file=str(path))
@@ -378,8 +371,6 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     try:
         state = make_state(domain, initial.get("visible", ()),
                            initial.get("hidden", ()), data.get("objects"))
-    except (SchemaError, ParseError) as e:
-        fail(f"bad initial state: {e}")
     except Exception as e:
         fail(f"bad initial state: {e}")
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import yaml
 
+import btpolicy
 from btpolicy import bt
 from btpolicy.backends import RemoteBackend
 from btpolicy.cli import (EXIT_BACKEND, EXIT_FAILURE, EXIT_OK, EXIT_PARSE,
@@ -374,3 +380,99 @@ def test_bench_remote_endpoint_without_http_scheme_exit(monkeypatch, capsys):
         assert err == f"backend unavailable: remote backend endpoint {endpoint!r} " \
                       "is not an http(s) URL\n"
         assert out == ""
+
+
+# --- bad input files ------------------------------------------------------------
+
+_ENTRY = {"id": "e1", "difficulty": "easy",
+          "instruction": "Put the water on the bar", "goal": "On(Water, Bar)"}
+
+
+def _goalset(drop=(), **fields):
+    data = {"schema": "goalbench/v1",
+            "domain": str(bundled_data_path("domains", "cafe.yaml")),
+            "instructions": [_ENTRY]}
+    data.update(fields)
+    return yaml.safe_dump({k: v for k, v in data.items() if k not in drop})
+
+
+def _entry_without(key):
+    return _goalset(instructions=[{k: v for k, v in _ENTRY.items() if k != key}])
+
+
+_BAD_GOALSETS = {
+    "malformed": "schema: goalbench/v1\ndomain: [unclosed\n",
+    "wrong_schema": _goalset(schema="goalbench/v0"),
+    "no_domain": _goalset(drop=("domain",)),
+    "no_instructions": _goalset(drop=("instructions",)),
+    "instructions_not_a_list": _goalset(instructions="easy_01"),
+    "entry_without_id": _entry_without("id"),
+    "entry_without_difficulty": _entry_without("difficulty"),
+    "entry_without_instruction": _entry_without("instruction"),
+    "entry_without_goal": _entry_without("goal"),
+}
+
+
+def _bad_goalset(name):
+    def case(tmp_path):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(_BAD_GOALSETS[name])
+        return ["bench", "--suite", "goals", "--goalset", str(path)], path
+    return case
+
+
+def _missing_goalset(tmp_path):
+    path = tmp_path / "missing.yaml"
+    return ["bench", "--suite", "goals", "--goalset", str(path)], path
+
+
+def _scenario_directory(tmp_path):
+    return ["run", "--scenario", str(tmp_path)], tmp_path
+
+
+def _domain_directory(tmp_path):
+    return ["plan", "--domain", str(tmp_path), "--instruction", "x"], tmp_path
+
+
+def _fixtures_directory(tmp_path):
+    return ["run", "--scenario", "cube_stack_golden", "--backend", "scripted",
+            "--fixtures", str(tmp_path)], tmp_path
+
+
+def _scenario_with_missing_domain(tmp_path):
+    data = yaml.safe_load(bundled_data_path(
+        "scenarios", "cube_stack_golden.yaml").read_text())
+    data["domain"] = "nowhere.yaml"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return ["run", "--scenario", str(path)], (tmp_path / "nowhere.yaml").resolve()
+
+
+_BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS] + [
+    (_missing_goalset, EXIT_FAILURE, "missing_goalset"),
+    (_scenario_directory, EXIT_FAILURE, "scenario_directory"),
+    (_domain_directory, EXIT_FAILURE, "domain_directory"),
+    (_fixtures_directory, EXIT_FAILURE, "fixtures_directory"),
+    (_scenario_with_missing_domain, EXIT_FAILURE, "scenario_with_missing_domain"),
+]
+
+
+@pytest.mark.parametrize("make_case, exit_code", [row[:2] for row in _BAD_INPUTS],
+                         ids=[row[2] for row in _BAD_INPUTS])
+def test_bad_input_file_exits_with_its_code_and_names_the_file(tmp_path, make_case,
+                                                               exit_code):
+    """Run as ``python -m btpolicy``: an unreadable input file exits 1 with
+    "cannot read", a malformed one exits 6, and neither ends in a traceback."""
+    argv, named = make_case(tmp_path)
+    src = Path(btpolicy.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "btpolicy", *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == exit_code, run.stderr
+    assert str(named) in run.stderr
+    assert "Traceback" not in run.stderr
+    if exit_code == EXIT_FAILURE:
+        assert run.stderr.startswith("error: cannot read ")
+    else:
+        assert run.stderr.startswith("schema error: ")

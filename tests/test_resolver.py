@@ -424,19 +424,16 @@ def watched_run(monkeypatch, scenario, backend=None):
 
 def test_fingerprints_and_index_once_per_change(monkeypatch, all_scenarios,
                                                 seed7_towers, tmp_path):
-    """Each record's tree_before is the tree as the step found it, although
-    it is carried over from the previous record when nothing edited the tree
-    since; one fingerprint per record plus the first, and one index build
-    per request."""
-    # blocked_tray binds defaults between its records: one fresh fingerprint more
-    extra = {"blocked_tray": 1}
+    """Each record's tree_before is the tree as the step found it; a step
+    that applies its answer fingerprints on entry and on exit, a step whose
+    suggestions were all duplicates once; one index build per request."""
     for scenario in all_scenarios + seed7_towers + [blocked_tray_scenario(tmp_path)]:
         result, counts, on_entry = watched_run(monkeypatch, scenario)
         assert result.outcome is Outcome.SUCCESS, scenario.id
         assert result.records, scenario.id
         assert [r.tree_before for r in result.records] == on_entry, scenario.id
         assert counts["fingerprint"] == \
-            len(result.records) + 1 + extra.get(scenario.id, 0), scenario.id
+            sum(1 if r.rejected else 2 for r in result.records), scenario.id
         assert counts["reindex"] <= 1, scenario.id
         # cube_tabletop and lab_bench skills take objects only: no walk
         value_slots = any(slot.kind != "object" for skill in scenario.domain.skills.values()
@@ -444,7 +441,7 @@ def test_fingerprints_and_index_once_per_change(monkeypatch, all_scenarios,
         assert (counts["param_walk"] > 0) == value_slots, scenario.id
 
 
-def test_rejected_rounds_reuse_the_fingerprint(monkeypatch, golden_scenario):
+def test_rejected_rounds_fingerprint_once(monkeypatch, golden_scenario):
     backend = ScriptedBackend({
         f"{golden_scenario.id}/goal": ["ANSWER: on(blue_cube, green_cube)"],
         f"{golden_scenario.id}/failure": ["ANSWER: ~grasped(any_object)"],
@@ -453,7 +450,8 @@ def test_rejected_rounds_reuse_the_fingerprint(monkeypatch, golden_scenario):
     assert result.outcome is Outcome.EXHAUSTED
     assert [r.tree_before for r in result.records] == on_entry
     assert all(r.tree_after == r.tree_before for r in result.records)
-    assert counts["fingerprint"] == 1
+    assert all(r.rejected and r.exchange is not None for r in result.records)
+    assert counts["fingerprint"] == len(result.records) == 8
 
 
 def test_consolidation_edit_refreshes_the_fingerprint(monkeypatch, all_scenarios):
