@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-from .domain import load_yaml
-from .errors import BackendUnavailable, MissingFixture, RateLimited, SchemaError
+from .domain import FIXTURES_SHAPE, check_shape, load_yaml
+from .errors import BackendUnavailable, MissingFixture, RateLimited
 from .llm import Role
 
 ENDPOINT_ENV = "BTPOLICY_LLM_ENDPOINT"
@@ -60,8 +60,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         data = load_yaml(path, "fixture")
-        if not isinstance(data, dict):
-            raise SchemaError("fixture file must map keys to responses", file=str(path))
+        check_shape(data, FIXTURES_SHAPE, str(path))
         return cls(data)
 
     def complete(self, prompt: str, meta: RequestMeta) -> str:

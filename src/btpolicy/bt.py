@@ -278,29 +278,6 @@ class BehaviorTree:
         node.payload = action
         self._drop_texts(node)
 
-    def validate(self) -> None:
-        """Check structural invariants of edited trees (``parse`` checks as it
-        reads); raise TreeInvalid on violation."""
-        seen: set[int] = set()
-        for node, _ in iter_preorder(self.root):
-            if node.id in seen:
-                raise TreeInvalid(f"duplicate node id {node.id}")
-            seen.add(node.id)
-            if node.id >= self._next_id:
-                raise TreeInvalid(f"node id {node.id} outside allocator range")
-            if node.is_control:
-                if not node.children:
-                    raise TreeInvalid(f"control node {node.id} has no children")
-                if node.payload is not None:
-                    raise TreeInvalid(f"control node {node.id} carries a payload")
-            else:
-                if node.children:
-                    raise TreeInvalid(f"leaf node {node.id} has children")
-                if node.kind is NodeKind.CONDITION and not isinstance(node.payload, Literal):
-                    raise TreeInvalid(f"condition node {node.id} lacks a literal payload")
-                if node.kind is NodeKind.ACTION and not isinstance(node.payload, GroundAction):
-                    raise TreeInvalid(f"action node {node.id} lacks an action payload")
-
     def node_count(self) -> int:
         return sum(1 for _ in iter_preorder(self.root))
 
@@ -469,8 +446,8 @@ def parse(text: str) -> BehaviorTree:
     Round-trips with serialize: structure, payloads, node ordering, and node
     ids are all preserved. Each distinct payload text is parsed once per
     call; leaves with equal text share the (frozen) payload value. The walk
-    that builds the nodes raises TreeInvalid on a repeated id, so the
-    result meets ``BehaviorTree.validate`` without a second walk.
+    that builds the nodes raises TreeInvalid on a repeated id, so ids are
+    checked without a second walk.
     """
     try:
         data = json.loads(text)

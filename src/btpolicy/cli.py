@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import bt, grammar
 from .backends import RemoteBackend, ScriptedBackend
-from .domain import load_domain, load_yaml, make_state, read_input
+from .domain import (GOALSET_SHAPE, check_shape, load_domain, load_yaml, make_state,
+                     read_input)
 from .errors import (BackendUnavailable, BtError, DomainMismatch, ParseError,
                      SchemaError, Unsolvable)
 from .llm import LlmExchange, build_prompt
@@ -37,8 +38,6 @@ EXIT_UNSOLVABLE = 4
 EXIT_EXHAUSTED = 5
 EXIT_SCHEMA = 6
 EXIT_BACKEND = 7
-
-GOALSET_SCHEMA = "goalbench/v1"
 
 
 def atomic_write(path: Path, content: str) -> None:
@@ -229,29 +228,9 @@ def cmd_bench(args) -> int:
 
 
 def _load_goalset(path: Path) -> dict:
-    """A ``goalbench/v1`` file, its required fields checked."""
+    """A ``goalbench/v1`` file, its shape checked."""
     data = load_yaml(path, "goal set")
-
-    def fail(msg: str):
-        raise SchemaError(msg, file=str(path))
-
-    if not isinstance(data, dict):
-        fail("goal set file must be a mapping")
-    if data.get("schema") != GOALSET_SCHEMA:
-        fail(f"unsupported goal set schema {data.get('schema')!r}, "
-             f"expected {GOALSET_SCHEMA}")
-    if not isinstance(data.get("domain"), str) or not data["domain"]:
-        fail("goal set needs a non-empty 'domain'")
-    if not isinstance(data.get("scene") or {}, dict):
-        fail("goal set 'scene' must be a mapping")
-    if not isinstance(data.get("instructions"), list):
-        fail("goal set needs an 'instructions' list")
-    for index, entry in enumerate(data["instructions"], 1):
-        if not isinstance(entry, dict):
-            fail(f"instruction {index} must be a mapping")
-        for key in ("id", "difficulty", "instruction", "goal"):
-            if not isinstance(entry.get(key), str) or not entry[key]:
-                fail(f"instruction {index} needs a non-empty string {key!r}")
+    check_shape(data, GOALSET_SHAPE, str(path))
     return data
 
 
@@ -261,7 +240,7 @@ def _bench_goals(args):
     data = _load_goalset(bench_path)
     domain = load_domain((bench_path.parent / data["domain"]).resolve())
     scene = data.get("scene") or {}
-    state = make_state(domain, scene.get("visible", ()), (), scene.get("objects"))
+    state = make_state(domain, scene.get("visible") or (), (), scene.get("objects"))
 
     per_difficulty: dict[str, list[float]] = {}
     exchanges: list[LlmExchange] = []

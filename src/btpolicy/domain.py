@@ -12,6 +12,7 @@ docs/formats.md for the layout.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -21,12 +22,10 @@ from typing import Collection, NamedTuple
 import yaml
 
 from . import grammar
-from .errors import (ArityMismatch, BtError, ParseError, SchemaError,
-                     UnboundSlot, UnknownObject, UnknownPredicate)
+from .errors import (ArityMismatch, BtError, SchemaError, UnboundSlot, UnknownObject,
+                     UnknownPredicate)
 from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity,
                     is_param, is_placeholder, is_wildcard)
-
-DOMAIN_SCHEMA = "domain/v1"
 
 
 @dataclass(frozen=True)
@@ -465,38 +464,128 @@ def load_yaml(path: str | Path, kind: str):
                           line=mark.line + 1 if mark else None) from e
 
 
+# --- input file shapes ----------------------------------------------------------
+#
+# One table per input format. A shape is a type (a value of it; a bool is
+# no integer), a frozenset of the allowed strings, [shape] for a list of
+# that shape, {str: shape} for a mapping whose values all have that shape,
+# a dict of key names to shapes for a mapping with those keys, or a tuple
+# of shapes for any one of them. A key ending in "?" is optional; any other
+# key, and every value of a {str: shape} mapping, must be present and not
+# empty. A null value counts as absent; keys no table names are ignored.
+
+_SCALAR = (str, int, float)
+_EXAMPLES = [{"input": str, "answer": str}]
+
+DOMAIN_SHAPE = {
+    "schema": frozenset({"domain/v1"}),
+    "name": str,
+    "predicates?": [{"name": str, "arity": int, "description?": str, "scene?": str}],
+    "objects?": [{"name": str, "category": str}],
+    "groups?": {str: [str]},
+    "skills?": [{
+        "name": str,
+        "params?": [{"name": str,
+                     "kind?": frozenset({"object", "numeric", "categorical"}),
+                     "category?": str, "unit?": str, "choices?": [str],
+                     "default?": _SCALAR}],
+        "preconditions?": [str], "effects?": [str], "hidden_effects?": [str]}],
+    "prompt?": {"goal_examples?": _EXAMPLES, "precondition_examples?": _EXAMPLES,
+                "parameter_examples?": _EXAMPLES},
+}
+
+SCENARIO_SHAPE = {
+    "schema": frozenset({"scenario/v1"}),
+    "id": str,
+    "domain": str,
+    "description?": str,
+    "instruction": str,
+    "objects?": [str],
+    "initial?": {"visible?": [str], "hidden?": [str]},
+    "open_params?": [str],
+    "fault_rules?": [{
+        "id": str, "skill": str,
+        "where?": {str: (str, {"category": str})},
+        "phase?": frozenset({"planning", "execution"}),
+        "mode?": frozenset({"fail", "suppress_effects"}),
+        "guard?": [str], "clears_when?": [str], "message": str}],
+    "oracle": {"goals": str, "preconditions?": {str: str},
+               "params?": [{"slot": str, "object": str, "value": _SCALAR}]},
+    "expected?": {"outcome?": frozenset({"success", "exhausted", "unsolvable", "failure"}),
+                  "rounds?": int},
+}
+
+FIXTURES_SHAPE = {str: (str, [str])}
+
+GOALSET_SHAPE = {
+    "schema": frozenset({"goalbench/v1"}),
+    "domain": str,
+    "scene?": {"visible?": [str], "objects?": [str]},
+    "instructions": [{"id": str, "difficulty": str, "instruction": str, "goal": str}],
+}
+
+
+def check_shape(value, shape, source: str, path: str = "") -> None:
+    """Raise SchemaError naming ``source`` and the key path of the first part
+    of ``value`` that does not fit ``shape``; ``path`` is where ``value``
+    sits in the file."""
+    options = shape if isinstance(shape, tuple) else (shape,)
+    for shape in options:
+        if isinstance(value, _container(shape)) and not isinstance(value, bool) \
+                and (not isinstance(shape, frozenset) or value in shape):
+            break
+    else:
+        expected = " or ".join(map(_describe, options))
+        raise SchemaError(f"{path or 'top level'}: expected {expected}, "
+                          f"got {reprlib.repr(value)}", file=source)
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], source, f"{path}[{i}]")
+    elif isinstance(shape, dict):
+        entries = [(key, shape[str], True) for key in value] if str in shape else \
+            [(key.rstrip("?"), sub, not key.endswith("?")) for key, sub in shape.items()]
+        for key, sub, required in entries:
+            item, where = value.get(key), f"{path}.{key}" if path else str(key)
+            if required and (item is None or item in ("", [], {})):
+                raise SchemaError(f"{where}: missing or empty", file=source)
+            if item is not None:
+                check_shape(item, sub, source, where)
+
+
+def _container(shape) -> type:
+    if isinstance(shape, type):
+        return shape
+    return str if isinstance(shape, frozenset) else type(shape)
+
+
+def _describe(shape) -> str:
+    if isinstance(shape, frozenset):
+        return " or ".join(map(repr, sorted(shape)))
+    return {str: "a string", int: "an integer", float: "a number",
+            list: "a list", dict: "a mapping"}[_container(shape)]
+
+
 def load_domain(path: str | Path) -> Domain:
     """Load and validate a versioned domain file."""
     return parse_domain(load_yaml(path, "domain"), source=str(path))
 
 
 def parse_domain(data, *, source: str = "<memory>") -> Domain:
+    check_shape(data, DOMAIN_SHAPE, source)
+
     def fail(msg: str):
         raise SchemaError(msg, file=source)
 
-    if not isinstance(data, dict):
-        fail("domain file must be a mapping")
-    if data.get("schema") != DOMAIN_SCHEMA:
-        fail(f"unsupported domain schema {data.get('schema')!r}, expected {DOMAIN_SCHEMA}")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        fail("domain needs a non-empty 'name'")
-
     predicates: dict[str, Predicate] = {}
-    for entry in data.get("predicates", []):
-        if not isinstance(entry, dict) or "name" not in entry or "arity" not in entry:
-            fail(f"bad predicate entry {entry!r}")
+    for entry in data.get("predicates") or ():
         pname = entry["name"]
         if pname in predicates:
             fail(f"duplicate predicate {pname!r}")
-        predicates[pname] = Predicate(pname, int(entry["arity"]),
-                                      entry.get("description", ""),
+        predicates[pname] = Predicate(pname, entry["arity"], entry.get("description") or "",
                                       entry.get("scene"))
 
     objects: dict[str, ObjectRef] = {}
-    for entry in data.get("objects", []):
-        if not isinstance(entry, dict) or "name" not in entry or "category" not in entry:
-            fail(f"bad object entry {entry!r}")
+    for entry in data.get("objects") or ():
         oname = entry["name"]
         if oname in objects:
             fail(f"duplicate object {oname!r}")
@@ -504,39 +593,27 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
             fail(f"object name {ANY_OBJECT!r} is reserved")
         objects[oname] = ObjectRef(oname, entry["category"])
 
-    groups: dict[str, tuple[str, ...]] = {}
-    for gname, members in (data.get("groups") or {}).items():
-        if not isinstance(members, list) or not members:
-            fail(f"group {gname!r} needs a non-empty member list")
-        groups[gname] = tuple(members)
-
-    dom = Domain(name, predicates, objects, {}, groups)
+    groups = {gname: tuple(members) for gname, members in (data.get("groups") or {}).items()}
+    dom = Domain(data["name"], predicates, objects, {}, groups)
 
     def parse_literals(texts, *, where: str, allow_params: bool) -> tuple[Literal, ...]:
         lits = []
         for text in texts or []:
             try:
                 lit = grammar.parse_literal(text)
-            except ParseError as e:
-                fail(f"bad literal {text!r} in {where}: {e}")
-            try:
                 dom.check_literal(lit, allow_params=allow_params)
-            except Exception as e:
+            except BtError as e:
                 fail(f"invalid literal {text!r} in {where}: {e}")
             lits.append(lit)
         return tuple(lits)
 
-    for entry in data.get("skills", []):
-        if not isinstance(entry, dict) or "name" not in entry:
-            fail(f"bad skill entry {entry!r}")
+    for entry in data.get("skills") or ():
         sname = entry["name"]
         if sname in dom.skills:
             fail(f"duplicate skill {sname!r}")
         slots = []
-        for slot_entry in entry.get("params", []):
-            kind = slot_entry.get("kind", "object")
-            if kind not in ("object", "numeric", "categorical"):
-                fail(f"skill {sname!r}: bad slot kind {kind!r}")
+        for slot_entry in entry.get("params") or ():
+            kind = slot_entry.get("kind") or "object"
             default = slot_entry.get("default")
             if default is not None and kind == "numeric":
                 parsed = grammar.parse_value(str(default))
@@ -546,42 +623,30 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
             slots.append(Slot(slot_entry["name"], kind,
                               category=slot_entry.get("category"),
                               unit=slot_entry.get("unit"),
-                              choices=tuple(slot_entry.get("choices", ())),
+                              choices=tuple(slot_entry.get("choices") or ()),
                               default=default))
-        slot_names = {s.name for s in slots}
         pre = parse_literals(entry.get("preconditions"),
                              where=f"skill {sname}", allow_params=True)
         eff = parse_literals(entry.get("effects"),
                              where=f"skill {sname}", allow_params=True)
         hidden = parse_literals(entry.get("hidden_effects"),
                                 where=f"skill {sname}", allow_params=True)
+        object_slots = {s.name for s in slots if s.kind == "object"}
         for lit in pre + eff + hidden:
             for arg in lit.args:
-                if is_param(arg) and arg[1:] not in slot_names:
-                    fail(f"skill {sname!r}: literal {lit} references undeclared slot {arg}")
+                if is_param(arg) and arg[1:] not in object_slots:
+                    kind = "non-object" if any(s.name == arg[1:] for s in slots) \
+                        else "undeclared"
+                    fail(f"skill {sname!r}: literal {lit} references {kind} slot {arg}")
         for lit in eff + hidden:
             if not lit.negated and lit.has_wildcard:
                 fail(f"skill {sname!r}: positive effect {lit} may not use {ANY_OBJECT}")
-        object_slot_names = {s.name for s in slots if s.kind == "object"}
-        for lit in pre + eff + hidden:
-            for arg in lit.args:
-                if is_param(arg) and arg[1:] not in object_slot_names:
-                    fail(f"skill {sname!r}: literal {lit} references non-object slot {arg}")
         dom.skills[sname] = SkillTemplate(sname, tuple(slots), pre, eff, hidden)
 
     prompt = data.get("prompt") or {}
-
-    def parse_examples(key: str) -> tuple[tuple[str, str], ...]:
-        pairs = []
-        for ex in prompt.get(key, []):
-            if not isinstance(ex, dict) or "input" not in ex or "answer" not in ex:
-                fail(f"bad prompt example in {key!r}: {ex!r}")
-            pairs.append((str(ex["input"]), str(ex["answer"])))
-        return tuple(pairs)
-
-    dom.goal_examples = parse_examples("goal_examples")
-    dom.precondition_examples = parse_examples("precondition_examples")
-    dom.parameter_examples = parse_examples("parameter_examples")
+    dom.goal_examples, dom.precondition_examples, dom.parameter_examples = (
+        tuple((ex["input"], ex["answer"]) for ex in prompt.get(key) or ())
+        for key in ("goal_examples", "precondition_examples", "parameter_examples"))
     return dom
 
 

@@ -25,10 +25,9 @@ of ``Domain.effect_delta`` read delete-then-add, without copying any rows
 the counts the tree keeps (``BehaviorTree.condition_literals``).
 
 Conflict checks and expansion targets are read from the tick trace alone:
-the fired action is the trace's last entry, its ancestors the last earlier
-entries at each smaller depth, and a node's parent the entry just before
-it when it is a first child. A simulated tick asks the tree's index
-nothing. Conflict reorders go through ``BehaviorTree.move_left``, which
+the fired action is the trace's last entry, and its ancestors the last
+earlier entries at each smaller depth. A simulated tick asks the tree's
+index nothing. Conflict reorders go through ``BehaviorTree.move_left``, which
 keeps the tree's index current.
 """
 
@@ -89,15 +88,6 @@ def goals_of(tree: BehaviorTree) -> GoalSpec:
             raise InvalidTarget("tree root child carries no goal condition")
         conjuncts.append(lit)
     return GoalSpec(tuple(conjuncts))
-
-
-def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
-    """A condition that already heads an expansion Fallback."""
-    info = tree.parent_of(node.id)
-    if info is None:
-        return False
-    parent, idx = info
-    return parent.kind is NodeKind.FALLBACK and idx == 0 and len(parent.children) > 1
 
 
 def guarding_literals(tree: BehaviorTree, action_id: int) -> list[Literal] | None:
@@ -243,7 +233,7 @@ class _Reliance:
         return count
 
 
-def expand_condition(tree: BehaviorTree, cond: int | TreeNode, domain: Domain,
+def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
                      state: WorldState) -> BehaviorTree:
     """Replace a failed condition leaf with a Fallback over achiever subtrees.
 
@@ -251,19 +241,9 @@ def expand_condition(tree: BehaviorTree, cond: int | TreeNode, domain: Domain,
     satisfied condition short-circuits. Each achiever contributes one
     Sequence of its ground precondition leaves followed by the action leaf.
 
-    ``cond`` is the condition's node id, looked up and checked to be an
-    unexpanded condition, or the node itself, which the caller vouches is
-    an unexpanded condition of ``tree``: ``plan`` passes the node it read
-    from the tick trace, and so looks nothing up.
+    ``node`` is a condition leaf of ``tree`` that heads no expansion yet,
+    such as the one ``plan`` reads from the tick trace; it is not looked up.
     """
-    if isinstance(cond, TreeNode):
-        node = cond
-    else:
-        node = tree.find(cond)
-        if node.kind is not NodeKind.CONDITION:
-            raise InvalidTarget(f"node {cond} is {node.kind.value}, not a condition")
-        if is_expanded(tree, node):
-            raise InvalidTarget(f"condition {cond} was already expanded")
     target = node.literal
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
@@ -416,23 +396,18 @@ def _reorder_for_conflict(tree: BehaviorTree, action_id: int, cond_id: int) -> N
 
 
 def _pick_expansion_target(trace: TickTrace) -> TreeNode | None:
-    """Deepest (then leftmost) failed condition not yet expanded.
+    """Deepest (then leftmost) failed condition.
 
-    A condition is expanded when it heads a Fallback with more than one
-    child; its parent is then the trace entry just before it."""
-    entries = trace.entries
+    It heads no expansion: a failed expanded condition passes the tick to
+    its Fallback's branches, the Sequences expansion built, whose leaves sit
+    one level deeper and either fail or fire an action, and a simulated
+    action returns Running, which ends the tick."""
     best: TreeNode | None = None
     best_depth = -1
-    for j, entry in enumerate(entries):
-        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.FAILURE:
-            continue
-        if entry.depth <= best_depth:
-            continue
-        parent = entries[j - 1] if j else None
-        if parent is not None and parent.depth < entry.depth \
-                and parent.kind is NodeKind.FALLBACK and len(parent.node.children) > 1:
-            continue
-        best, best_depth = entry.node, entry.depth
+    for entry in trace.entries:
+        if entry.kind is NodeKind.CONDITION and entry.status is NodeStatus.FAILURE \
+                and entry.depth > best_depth:
+            best, best_depth = entry.node, entry.depth
     return best
 
 

@@ -21,13 +21,11 @@ from . import grammar
 from .backends import OracleBackend, RequestMeta
 from .bt import (_ACTION, _CONDITION, BehaviorTree, NodeStatus, TickContext, TreeNode,
                  iter_preorder, tick)
-from .domain import Domain, WorldState, load_domain, load_yaml, make_state
-from .errors import (BtError, DomainMismatch, ParseError, SchemaError,
-                     TickBudgetExceeded)
+from .domain import (SCENARIO_SHAPE, Domain, WorldState, check_shape, load_domain,
+                     load_yaml, make_state)
+from .errors import BtError, DomainMismatch, SchemaError, TickBudgetExceeded
 from .llm import Role
 from .terms import GroundAction, Literal, is_param, is_placeholder
-
-SCENARIO_SCHEMA = "scenario/v1"
 
 
 @dataclass(frozen=True)
@@ -345,18 +343,10 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
 def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scenario:
     path = Path(path)
     data = load_yaml(path, "scenario")
+    check_shape(data, SCENARIO_SHAPE, str(path))
 
     def fail(msg: str):
         raise SchemaError(msg, file=str(path))
-
-    if not isinstance(data, dict):
-        fail("scenario file must be a mapping")
-    if data.get("schema") != SCENARIO_SCHEMA:
-        fail(f"unsupported scenario schema {data.get('schema')!r}, "
-             f"expected {SCENARIO_SCHEMA}")
-    for key in ("id", "domain", "instruction"):
-        if not data.get(key):
-            fail(f"scenario needs a non-empty {key!r}")
 
     domain_ref = data["domain"]
     domain_path = (path.parent / domain_ref).resolve()
@@ -369,9 +359,9 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
 
     initial = data.get("initial") or {}
     try:
-        state = make_state(domain, initial.get("visible", ()),
-                           initial.get("hidden", ()), data.get("objects"))
-    except Exception as e:
+        state = make_state(domain, initial.get("visible") or (),
+                           initial.get("hidden") or (), data.get("objects"))
+    except BtError as e:
         fail(f"bad initial state: {e}")
 
     def parse_rule_literals(texts, rule_id: str, skill: str) -> tuple[Literal, ...]:
@@ -380,11 +370,8 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
         for text in texts or ():
             try:
                 lit = grammar.parse_literal(text)
-            except ParseError as e:
-                fail(f"rule {rule_id!r}: bad literal {text!r}: {e}")
-            try:
                 domain.check_literal(lit, objects=state.registry, allow_params=True)
-            except Exception as e:
+            except BtError as e:
                 fail(f"rule {rule_id!r}: invalid literal {text!r}: {e}")
             for arg in lit.args:
                 if (is_param(arg) or is_placeholder(arg)) and arg[1:] not in slots:
@@ -394,43 +381,28 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
         return tuple(literals)
 
     rules = []
-    for entry in data.get("fault_rules", ()):
-        if not isinstance(entry, dict) or not entry.get("id") or not entry.get("skill"):
-            fail(f"bad fault rule entry {entry!r}")
+    for entry in data.get("fault_rules") or ():
         rule_id = entry["id"]
-        if not entry.get("message"):
-            fail(f"rule {rule_id!r} needs a non-empty message")
-        mode = entry.get("mode", "fail")
-        if mode not in ("fail", "suppress_effects"):
-            fail(f"rule {rule_id!r}: bad mode {mode!r}")
-        phase = entry.get("phase", "execution")
-        if phase not in ("planning", "execution"):
-            fail(f"rule {rule_id!r}: bad phase {phase!r}")
         if entry["skill"] not in domain.skills:
             fail(f"rule {rule_id!r}: unknown skill {entry['skill']!r}")
         where = []
         where_category = []
         for slot, pattern in (entry.get("where") or {}).items():
-            if isinstance(pattern, dict) and "category" in pattern:
-                where_category.append((slot, pattern["category"]))
-            elif isinstance(pattern, str):
+            if isinstance(pattern, str):
                 where.append((slot, pattern))
             else:
-                fail(f"rule {rule_id!r}: bad where pattern {pattern!r}")
+                where_category.append((slot, pattern["category"]))
         rules.append(FaultRule(
             rule_id, entry["skill"], tuple(where), tuple(where_category),
             parse_rule_literals(entry.get("guard"), rule_id, entry["skill"]),
             entry["message"],
             parse_rule_literals(entry.get("clears_when"), rule_id, entry["skill"]),
-            phase, mode))
+            entry.get("phase") or "execution", entry.get("mode") or "fail"))
     rule_ids = [rule.id for rule in rules]
     if len(set(rule_ids)) != len(rule_ids):
         fail("duplicate fault rule ids")
 
-    oracle = data.get("oracle") or {}
-    goals_text = oracle.get("goals", "")
-    if not goals_text:
-        fail("scenario needs oracle.goals ground truth")
+    oracle = data["oracle"]
     preconditions = dict(oracle.get("preconditions") or {})
     for rule in rules:
         if rule.id not in preconditions:
@@ -438,26 +410,18 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     for rule_id in preconditions:
         if rule_id not in rule_ids:
             fail(f"oracle precondition for unknown rule {rule_id!r}")
-    params = []
-    for entry in oracle.get("params", ()):
-        if not isinstance(entry, dict) or not all(
-                k in entry for k in ("slot", "object", "value")):
-            fail(f"bad oracle param entry {entry!r}")
-        params.append(OracleParam(entry["slot"], entry["object"], str(entry["value"])))
-
+    params = tuple(OracleParam(entry["slot"], entry["object"], str(entry["value"]))
+                   for entry in oracle.get("params") or ())
     expected = data.get("expected") or {}
-    outcome = expected.get("outcome", "success")
-    if outcome not in ("success", "exhausted", "unsolvable", "failure"):
-        fail(f"bad expected outcome {outcome!r}")
 
     return Scenario(
         id=data["id"], domain=domain, domain_ref=domain_ref, initial=state,
         instruction=data["instruction"], fault_rules=tuple(rules),
-        open_params=tuple(data.get("open_params", ())),
-        oracle_goals=goals_text, oracle_preconditions=preconditions,
-        oracle_params=tuple(params), expected_outcome=outcome,
+        open_params=tuple(data.get("open_params") or ()),
+        oracle_goals=oracle["goals"], oracle_preconditions=preconditions,
+        oracle_params=params, expected_outcome=expected.get("outcome") or "success",
         expected_rounds=expected.get("rounds"),
-        description=data.get("description", ""), path=str(path))
+        description=data.get("description") or "", path=str(path))
 
 
 def load_scenarios(directory: str | Path) -> list[Scenario]:

@@ -17,7 +17,9 @@ state it expands, and the verification reference makes each check in a
 walk of its own and finds each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
-planner did before it read them from the tick trace.
+planner did before it read them from the tick trace. ``validate`` (the
+structural invariants of an edited tree) and ``is_expanded`` are helpers
+that only tests ask.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode
 from btpolicy import verify
 from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
-                             UnboundSlot, UnknownNode)
-from btpolicy.planner import GoalSpec, _groundings, is_expanded
+                             TreeInvalid, UnboundSlot, UnknownNode)
+from btpolicy.planner import GoalSpec, _groundings
 from btpolicy.sim import check_tree_domain
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_param,
                             is_placeholder, is_wildcard)
@@ -191,15 +193,47 @@ def reference_apply_effects(domain: Domain, state: WorldState,
     return WorldState(state.objects, (state.true - remove) | add, state.hidden)
 
 
-def reference_expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
+def validate(tree: BehaviorTree) -> None:
+    """Check the structural invariants of an edited tree; raise TreeInvalid
+    on a violation."""
+    seen: set[int] = set()
+    for node, _ in iter_preorder(tree.root):
+        if node.id in seen:
+            raise TreeInvalid(f"duplicate node id {node.id}")
+        seen.add(node.id)
+        if node.id >= tree._next_id:
+            raise TreeInvalid(f"node id {node.id} outside allocator range")
+        if node.is_control:
+            if not node.children:
+                raise TreeInvalid(f"control node {node.id} has no children")
+            if node.payload is not None:
+                raise TreeInvalid(f"control node {node.id} carries a payload")
+        else:
+            if node.children:
+                raise TreeInvalid(f"leaf node {node.id} has children")
+            if node.kind is NodeKind.CONDITION and not isinstance(node.payload, Literal):
+                raise TreeInvalid(f"condition node {node.id} lacks a literal payload")
+            if node.kind is NodeKind.ACTION and not isinstance(node.payload, GroundAction):
+                raise TreeInvalid(f"action node {node.id} lacks an action payload")
+
+
+def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
+    """A condition that already heads an expansion Fallback."""
+    info = tree.parent_of(node.id)
+    if info is None:
+        return False
+    parent, idx = info
+    return parent.kind is NodeKind.FALLBACK and idx == 0 and len(parent.children) > 1
+
+
+def reference_expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
                                state: WorldState) -> BehaviorTree:
     """``planner.expand_condition`` scoring every candidate on the state
     ``Domain.apply_effects`` builds for it."""
-    node = tree.find(cond_id)
     if node.kind is not NodeKind.CONDITION:
-        raise InvalidTarget(f"node {cond_id} is {node.kind.value}, not a condition")
+        raise InvalidTarget(f"node {node.id} is {node.kind.value}, not a condition")
     if is_expanded(tree, node):
-        raise InvalidTarget(f"condition {cond_id} was already expanded")
+        raise InvalidTarget(f"condition {node.id} was already expanded")
     target = node.literal
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
@@ -236,7 +270,7 @@ def reference_expand_condition(tree: BehaviorTree, cond_id: int, domain: Domain,
                                   for lit in domain.ground_preconditions(action)]
         leaves.append(tree.new_action(action))
         fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
-    tree.replace(cond_id, fallback)
+    tree.replace(node.id, fallback)
     return tree
 
 

@@ -16,7 +16,7 @@ from btpolicy.planner import _reorder_for_conflict
 from btpolicy.terms import GroundAction, Literal
 
 from oracles import (oracle_status, scan_find, scan_id_index, scan_parent_of,
-                     trace_status)
+                     trace_status, validate)
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -178,7 +178,7 @@ class TestInsertPreconditions:
         insert_preconditions(tree, action_id, [self.lit("p")])
         payloads = [str(c.payload) for c in tree.root.children]
         assert payloads[0] == "p(x)"
-        tree.validate()
+        validate(tree)
 
     def test_insert_empty_is_identity(self):
         tree = make_tree(lambda t: [cond(t, True), act(t, S)])
@@ -196,7 +196,7 @@ class TestInsertPreconditions:
         assert [c.kind for c in wrapper.children] == \
                [NodeKind.CONDITION, NodeKind.ACTION]
         assert wrapper.children[1].id == action.id
-        tree.validate()
+        validate(tree)
 
     def test_preorder_positions_of_two_inserts(self):
         # derived with the preorder walk: new conds, old conds, then action
@@ -340,12 +340,12 @@ class TestValidate:
         dup = TreeNode(1, NodeKind.CONDITION, [], TRUE)
         root = TreeNode(0, NodeKind.SEQUENCE, [dup, TreeNode(1, NodeKind.CONDITION, [], TRUE)])
         with pytest.raises(TreeInvalid):
-            BehaviorTree(root).validate()
+            validate(BehaviorTree(root))
 
     def test_leaf_with_children_rejected(self):
         bad = TreeNode(1, NodeKind.CONDITION, [TreeNode(2, NodeKind.CONDITION, [], TRUE)], TRUE)
         with pytest.raises(TreeInvalid):
-            BehaviorTree(TreeNode(0, NodeKind.SEQUENCE, [bad])).validate()
+            validate(BehaviorTree(TreeNode(0, NodeKind.SEQUENCE, [bad])))
 
     def test_id_index_matches_structure(self):
         tree = make_tree(lambda t: [cond(t, True), act(t, S)])
@@ -377,7 +377,7 @@ def test_parse_rejects_a_repeated_id_and_allocates_past_the_largest(monkeypatch)
     tree = bt.parse(json.dumps(obj))
     assert walks == []  # the nodes are read once, with no walk after
     monkeypatch.undo()
-    tree.validate()
+    validate(tree)
     assert tree.fresh_id() == 13
     golden = bt.parse(golden_tree_text())
     assert golden.fresh_id() == max(n.id for n, _ in iter_preorder(golden.root)) + 1
@@ -390,7 +390,7 @@ def test_insert_preconditions_wraps_root_action():
     assert tree.root.kind is NodeKind.SEQUENCE
     assert [c.kind for c in tree.root.children] == \
         [NodeKind.CONDITION, NodeKind.ACTION]
-    tree.validate()
+    validate(tree)
 
 
 # --- checked id index ---------------------------------------------------------

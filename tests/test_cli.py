@@ -410,6 +410,7 @@ _BAD_GOALSETS = {
     "entry_without_difficulty": _entry_without("difficulty"),
     "entry_without_instruction": _entry_without("instruction"),
     "entry_without_goal": _entry_without("goal"),
+    "scene_visible_a_string": _goalset(scene={"visible": "On(Water, Bar)"}),
 }
 
 
@@ -439,13 +440,23 @@ def _fixtures_directory(tmp_path):
             "--fixtures", str(tmp_path)], tmp_path
 
 
-def _scenario_with_missing_domain(tmp_path):
-    data = yaml.safe_load(bundled_data_path(
-        "scenarios", "cube_stack_golden.yaml").read_text())
-    data["domain"] = "nowhere.yaml"
-    path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump(data))
-    return ["run", "--scenario", str(path)], (tmp_path / "nowhere.yaml").resolve()
+def _scenario_with_domain(domain):
+    def case(tmp_path):
+        data = yaml.safe_load(bundled_data_path(
+            "scenarios", "cube_stack_golden.yaml").read_text())
+        data["domain"] = domain
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(data))
+        named = (tmp_path / domain).resolve() if isinstance(domain, str) else path
+        return ["run", "--scenario", str(path)], named
+    return case
+
+
+def _fixture_value_a_mapping(tmp_path):
+    path = tmp_path / "fixtures.yaml"
+    path.write_text(yaml.safe_dump({"cube_stack_golden/goal": {"a": 1}}))
+    return ["run", "--scenario", "cube_stack_golden", "--backend", "scripted",
+            "--fixtures", str(path)], path
 
 
 _BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS] + [
@@ -453,7 +464,9 @@ _BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS
     (_scenario_directory, EXIT_FAILURE, "scenario_directory"),
     (_domain_directory, EXIT_FAILURE, "domain_directory"),
     (_fixtures_directory, EXIT_FAILURE, "fixtures_directory"),
-    (_scenario_with_missing_domain, EXIT_FAILURE, "scenario_with_missing_domain"),
+    (_scenario_with_domain("nowhere.yaml"), EXIT_FAILURE, "scenario_with_missing_domain"),
+    (_scenario_with_domain(5), EXIT_SCHEMA, "scenario_domain_not_a_string"),
+    (_fixture_value_a_mapping, EXIT_SCHEMA, "fixture_value_a_mapping"),
 ]
 
 

@@ -1,6 +1,8 @@
 import itertools
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from btpolicy import bt, sim
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
-from btpolicy.domain import (WorldState, literal_holds, load_domain, make_state,
+from btpolicy.domain import (DOMAIN_SHAPE, FIXTURES_SHAPE, GOALSET_SHAPE, SCENARIO_SHAPE,
+                             WorldState, literal_holds, load_domain, make_state,
                              parse_domain, rows_matching)
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, SchemaError,
                              UnboundSlot, UnknownPredicate)
@@ -246,6 +249,30 @@ class TestDomainLoading:
     def test_scenario_object_subset(self, cube_domain):
         state = make_state(cube_domain, [], objects=["blue_cube", "table"])
         assert state.object_names == ("blue_cube", "table")
+
+
+def _table_keys(shape):
+    """Every key name a shape table names, at any depth."""
+    if isinstance(shape, (list, tuple)):
+        for option in shape:
+            yield from _table_keys(option)
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            if key is not str:
+                yield key.rstrip("?")
+            yield from _table_keys(sub)
+
+
+@pytest.mark.parametrize("heading, shape", [
+    ("## Domain files", DOMAIN_SHAPE), ("## Scenario files", SCENARIO_SHAPE),
+    ("## Scripted fixtures", FIXTURES_SHAPE), ("## Goal benchmark files", GOALSET_SHAPE)])
+def test_every_table_key_is_in_its_section_of_the_format_docs(heading, shape):
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    assert heading in text
+    section = text.split(heading, 1)[1].split("\n## ", 1)[0]
+    missing = sorted({key for key in _table_keys(shape)
+                      if not re.search(rf"\b{re.escape(key)}\b", section)})
+    assert missing == []
 
 
 def test_literal_str_forms():
@@ -491,7 +518,7 @@ def test_expand_condition_matches_applied_scoring(state, goals):
             continue
         raised = []
         for expand, tree in zip((expand_condition, reference_expand_condition), trees):
-            outcome = _outcome(expand, tree, cond_id, _INDEX_DOMAIN, state)
+            outcome = _outcome(expand, tree, tree.find(cond_id), _INDEX_DOMAIN, state)
             raised.append(None if outcome is tree else outcome)
         assert raised[0] == raised[1]
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])

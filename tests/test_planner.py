@@ -72,7 +72,7 @@ class TestExpandCondition:
         state = make_state(cube_domain, [], objects=["blue_cube", "green_cube", "table"])
         tree = init_tree(goal("on(blue_cube, green_cube)"))
         cond_id = tree.root.children[0].id
-        expand_condition(tree, cond_id, cube_domain, state)
+        expand_condition(tree, tree.find(cond_id), cube_domain, state)
         fallback = tree.root.children[0]
         assert fallback.kind is NodeKind.FALLBACK
         assert fallback.children[0].id == cond_id
@@ -86,27 +86,19 @@ class TestExpandCondition:
         state = make_state(cube_domain, ["on(blue_cube, green_cube)"])
         tree = init_tree(goal("on(blue_cube, green_cube)"))
         with pytest.raises(InvalidTarget):
-            expand_condition(tree, tree.root.children[0].id, cube_domain, state)
-
-    def test_double_expansion_rejected(self, cube_domain):
-        state = make_state(cube_domain, [])
-        tree = init_tree(goal("on(blue_cube, green_cube)"))
-        cond_id = tree.root.children[0].id
-        expand_condition(tree, cond_id, cube_domain, state)
-        with pytest.raises(InvalidTarget):
-            expand_condition(tree, cond_id, cube_domain, state)
+            expand_condition(tree, tree.root.children[0], cube_domain, state)
 
     def test_no_achiever(self, cube_domain):
         state = make_state(cube_domain, ["upright(red_cup)"])
         tree = init_tree(goal("~upright(red_cup)"))
         with pytest.raises(Exception) as err:
-            expand_condition(tree, tree.root.children[0].id, cube_domain, state)
+            expand_condition(tree, tree.root.children[0], cube_domain, state)
         assert "achieve" in str(err.value)
 
     def test_node_count_strictly_increases(self, cube_domain, blocked_cube_state):
         tree = init_tree(goal("on(blue_cube, green_cube)"))
         before = tree.node_count()
-        expand_condition(tree, tree.root.children[0].id, cube_domain,
+        expand_condition(tree, tree.root.children[0], cube_domain,
                          blocked_cube_state)
         assert tree.node_count() > before
 
@@ -136,9 +128,9 @@ class TestWitnessGrounding:
 
         monkeypatch.setattr(Domain, "effect_delta", counting)
         trees = [init_tree(goal(target)) for _ in range(2)]
-        expand_condition(trees[0], 1, domain, state)
+        expand_condition(trees[0], trees[0].find(1), domain, state)
         scored = list(calls)
-        reference_expand_condition(trees[1], 1, domain, state)
+        reference_expand_condition(trees[1], trees[1].find(1), domain, state)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
         return scored
 
@@ -367,8 +359,8 @@ def test_delta_scoring_matches_the_reference_on_multi_row_effects():
             (["p(a)", "p(b)"], ["~p(any_object)"], 1, "pair(x=a, y=b)")]:
         state = make_state(domain, facts)
         trees = [init_tree(goal(*goals)) for _ in range(2)]
-        expand_condition(trees[0], cond_id, domain, state)
-        reference_expand_condition(trees[1], cond_id, domain, state)
+        expand_condition(trees[0], trees[0].find(cond_id), domain, state)
+        reference_expand_condition(trees[1], trees[1].find(cond_id), domain, state)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
         actions = [str(n.payload) for n, _ in iter_preorder(trees[0].root)
                    if n.kind is NodeKind.ACTION]
@@ -430,30 +422,6 @@ def test_trace_decisions_match_the_lookup_references(
     monkeypatch.setattr(planner, "_pick_expansion_target", spy_pick)
     plan_corpus(all_scenarios + seed7_towers, blocks_domain)
     assert seen["conflict"] > 0 and seen["no conflict"] > 0 and seen["target"] > 0
-
-
-def test_pick_skips_a_condition_that_heads_an_expansion():
-    """A failed condition heading a Fallback with achievers is passed over,
-    however deep; one alone under a Fallback is not. Actions fail here, so
-    an expanded head can be the deepest failed condition."""
-    tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
-    expanded, lone, shallow = (tree.new_condition(lit(t)) for t in ("p(a)", "p(b)", "p(c)"))
-    fail = tree.new_node(NodeKind.SEQUENCE, children=[tree.new_action(GroundAction("act_f"))])
-    tree.root.children.extend([
-        tree.new_node(NodeKind.FALLBACK, children=[
-            tree.new_node(NodeKind.FALLBACK, children=[expanded, fail]), shallow]),
-        tree.new_node(NodeKind.FALLBACK, children=[lone])])
-    ctx = TickContext(lambda literal: False, lambda leaf: NodeStatus.FAILURE)
-    status, trace = tick(tree, ctx)
-    assert status is NodeStatus.FAILURE
-    assert planner._pick_expansion_target(trace) is shallow \
-        is reference_pick_expansion_target(tree, trace)
-    shallow.payload = lit("q(c)")     # a success: the tick reaches the lone condition
-    ctx = TickContext(lambda literal: literal.predicate == "q",
-                      lambda leaf: NodeStatus.FAILURE)
-    status, trace = tick(tree, ctx)
-    assert planner._pick_expansion_target(trace) is lone \
-        is reference_pick_expansion_target(tree, trace)
 
 
 def test_conflict_needs_a_sequence_scope():

@@ -1,6 +1,9 @@
 import pytest
+import yaml
 
-from btpolicy.domain import make_state
+from btpolicy.backends import ScriptedBackend
+from btpolicy.cli import _load_goalset
+from btpolicy.domain import load_domain, make_state
 from btpolicy.errors import DomainMismatch, SchemaError, TickBudgetExceeded
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, plan
@@ -191,6 +194,70 @@ class TestScenarioLoading:
     def test_scenario_objects_restrict_registry(self, golden_scenario):
         assert golden_scenario.initial.object_names == \
             ("blue_cube", "green_cube", "red_cube", "table")
+
+
+_LOADERS = {
+    "domain": ("domains/cube_tabletop.yaml", load_domain),
+    "scenario": ("scenarios/precond_01_blocked_cube.yaml", load_scenario),
+    "goal set": ("benchmarks/cafe_goals.yaml", _load_goalset),
+    "fixtures": ("fixtures/scripted.yaml", ScriptedBackend.from_file),
+}
+
+# (format, keys leading to the value replaced, the value, the key path named)
+_MISSHAPEN = [
+    ("domain", ("predicates", 0, "arity"), "two", "predicates[0].arity"),
+    ("domain", ("predicates",), {"on": 2}, "predicates"),
+    ("domain", ("objects", 0, "name"), 5, "objects[0].name"),
+    ("domain", ("groups",), ["support"], "groups"),
+    ("domain", ("groups", "support"), [], "groups.support"),
+    ("domain", ("skills", 0, "params", 0), "obj", "skills[0].params[0]"),
+    ("domain", ("skills", 0, "params", 0, "kind"), "vector", "skills[0].params[0].kind"),
+    ("domain", ("skills", 0, "preconditions"), "~grasped(any_object)",
+     "skills[0].preconditions"),
+    ("domain", ("prompt",), ["ANSWER: on(a, b)"], "prompt"),
+    ("scenario", ("domain",), 5, "domain"),
+    ("scenario", ("instruction",), ["a", "b"], "instruction"),
+    ("scenario", ("objects",), "blue_cube", "objects"),
+    ("scenario", ("initial",), ["on(red_cube, blue_cube)"], "initial"),
+    ("scenario", ("initial", "visible"), "on(red_cube, blue_cube)", "initial.visible"),
+    ("scenario", ("open_params",), "force", "open_params"),
+    ("scenario", ("fault_rules", 0, "where"), ["obj"], "fault_rules[0].where"),
+    ("scenario", ("fault_rules", 0, "guard"), "on(any_object, @obj)",
+     "fault_rules[0].guard"),
+    ("scenario", ("fault_rules", 0, "mode"), "explode", "fault_rules[0].mode"),
+    ("scenario", ("oracle",), ["on(blue_cube, green_cube)"], "oracle"),
+    ("scenario", ("expected",), ["success"], "expected"),
+    ("scenario", ("expected", "rounds"), "one", "expected.rounds"),
+    ("goal set", ("scene", "visible"), "On(Water, Bar)", "scene.visible"),
+    ("goal set", ("scene", "objects"), "Water", "scene.objects"),
+    ("goal set", ("instructions", 0, "goal"), ["On(Water, Bar)"], "instructions[0].goal"),
+    ("fixtures", ("cube_stack_golden/goal",), {"a": 1}, "cube_stack_golden/goal"),
+    ("fixtures", ("cube_stack_golden/goal",), 5, "cube_stack_golden/goal"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, value, named", _MISSHAPEN,
+                         ids=[f"{kind}:{named}={value!r}"
+                              for kind, _, value, named in _MISSHAPEN])
+def test_misshapen_file_is_a_schema_error_naming_the_file_and_key(tmp_path, kind, keys,
+                                                                  value, named):
+    """A bundled file with one value of the wrong shape is rejected before
+    any of it is used, naming the file and the key path."""
+    source, load = _LOADERS[kind]
+    original = bundled_data_path(source)
+    data = yaml.safe_load(original.read_text())
+    if kind in ("scenario", "goal set"):
+        data["domain"] = str((original.parent / data["domain"]).resolve())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "misshapen.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(SchemaError) as err:
+        load(path)
+    assert err.value.file == str(path)
+    assert str(err.value).startswith(f"{named}: ")
 
 
 def test_sibling_branch_recovers_fault_within_run(cube_domain, tmp_path):
