@@ -55,14 +55,19 @@ def behaviour(scenario) -> list[str]:
     return parts
 
 
+def load_digest_scenarios(workdir: Path) -> list:
+    """The bundled scenarios, then the seed-7 towers written into ``workdir``."""
+    batch = towergen.generate(TOWER_SEED, TOWER_COUNT, workdir / "towers",
+                              bundled_data_path("domains", "cube_tabletop.yaml"))
+    cache: dict = {}
+    return load_scenarios(bundled_data_path("scenarios")) + \
+        [load_scenario(p, domain_cache=cache) for p in batch.paths]
+
+
 def main() -> None:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        batch = towergen.generate(TOWER_SEED, TOWER_COUNT, Path(tmp) / "towers",
-                                  bundled_data_path("domains", "cube_tabletop.yaml"))
-        cache: dict = {}
-        scenarios = load_scenarios(bundled_data_path("scenarios")) + \
-            [load_scenario(p, domain_cache=cache) for p in batch.paths]
+        scenarios = load_digest_scenarios(Path(tmp))
         for scenario in scenarios:
             for part in behaviour(scenario):
                 digest.update(part.encode() + b"\0")

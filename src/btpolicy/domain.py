@@ -13,7 +13,7 @@ docs/formats.md for the layout.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -22,8 +22,8 @@ from typing import Collection, NamedTuple
 import yaml
 
 from . import grammar
-from .errors import (ArityMismatch, BtError, SchemaError, UnboundSlot, UnknownObject,
-                     UnknownPredicate)
+from .errors import (ArityMismatch, BtError, FormatError, ParseError, SchemaError,
+                     UnboundSlot, UnitMismatch, UnknownObject, UnknownPredicate)
 from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity,
                     is_param, is_placeholder, is_wildcard)
 
@@ -47,6 +47,28 @@ class Slot:
     unit: str | None = None              # numeric slots
     choices: tuple[str, ...] = ()        # categorical slots
     default: str | Quantity | None = None
+
+    def parse_value(self, text: str) -> str | Quantity:
+        """Parse a value of this numeric or categorical slot: a quantity in
+        its unit, or a symbol among its choices. Raises FormatError (or
+        UnitMismatch) otherwise."""
+        try:
+            value = grammar.parse_value(text)
+        except ParseError as e:
+            raise FormatError(f"bad value syntax: {e}") from e
+        if self.kind == "numeric":
+            if not isinstance(value, Quantity):
+                raise FormatError(f"slot {self.name!r} is numeric, got {text!r}")
+            if (self.unit or "") != value.unit:
+                raise UnitMismatch(
+                    f"slot {self.name!r} expects unit {self.unit!r}, got {value.unit!r}")
+            return value
+        if isinstance(value, Quantity):
+            raise FormatError(f"slot {self.name!r} is categorical, got a number")
+        if self.choices and value not in self.choices:
+            raise FormatError(f"slot {self.name!r} takes one of {', '.join(self.choices)}, "
+                              f"got {value!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -607,24 +629,23 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
             lits.append(lit)
         return tuple(lits)
 
-    for entry in data.get("skills") or ():
+    for i, entry in enumerate(data.get("skills") or ()):
         sname = entry["name"]
         if sname in dom.skills:
             fail(f"duplicate skill {sname!r}")
         slots = []
-        for slot_entry in entry.get("params") or ():
-            kind = slot_entry.get("kind") or "object"
+        for j, slot_entry in enumerate(entry.get("params") or ()):
+            slot = Slot(slot_entry["name"], slot_entry.get("kind") or "object",
+                        category=slot_entry.get("category"),
+                        unit=slot_entry.get("unit"),
+                        choices=tuple(slot_entry.get("choices") or ()))
             default = slot_entry.get("default")
-            if default is not None and kind == "numeric":
-                parsed = grammar.parse_value(str(default))
-                if not isinstance(parsed, Quantity):
-                    fail(f"skill {sname!r}: numeric default {default!r} is not a quantity")
-                default = parsed
-            slots.append(Slot(slot_entry["name"], kind,
-                              category=slot_entry.get("category"),
-                              unit=slot_entry.get("unit"),
-                              choices=tuple(slot_entry.get("choices") or ()),
-                              default=default))
+            if default is not None and slot.kind != "object":
+                try:
+                    default = slot.parse_value(str(default))
+                except FormatError as e:
+                    fail(f"skills[{i}].params[{j}].default: {e}")
+            slots.append(replace(slot, default=default))
         pre = parse_literals(entry.get("preconditions"),
                              where=f"skill {sname}", allow_params=True)
         eff = parse_literals(entry.get("effects"),

@@ -23,8 +23,7 @@ from enum import Enum
 from . import grammar
 from .domain import Domain, Slot, WorldState
 from .errors import (ArityMismatch, FormatError, ParseError, UnboundSlot,
-                     UnitMismatch, UnknownObject, UnknownPredicate,
-                     UnknownSymbol)
+                     UnknownObject, UnknownPredicate, UnknownSymbol)
 from .planner import GoalSpec
 from .terms import GroundAction, Literal, ObjectRef, Quantity
 
@@ -252,20 +251,4 @@ def parse_precondition_response(raw: str, domain: Domain, *,
 def parse_param_response(raw: str, slot: Slot) -> ParamValue:
     """Parse a parameter suggestion against the slot's declared type."""
     answer, _ = split_answer(raw)
-    try:
-        value = grammar.parse_value(answer)
-    except ParseError as e:
-        raise FormatError(f"bad value syntax: {e}") from e
-    if slot.kind == "numeric":
-        if not isinstance(value, Quantity):
-            raise FormatError(f"slot {slot.name!r} is numeric, got {answer!r}")
-        if (slot.unit or "") != value.unit:
-            raise UnitMismatch(
-                f"slot {slot.name!r} expects unit {slot.unit!r}, got {value.unit!r}")
-        return ParamValue(slot.name, value)
-    if isinstance(value, Quantity):
-        raise FormatError(f"slot {slot.name!r} is categorical, got a number")
-    if slot.choices and value not in slot.choices:
-        raise FormatError(f"slot {slot.name!r} takes one of {', '.join(slot.choices)}, "
-                          f"got {value!r}")
-    return ParamValue(slot.name, value)
+    return ParamValue(slot.name, slot.parse_value(answer))

@@ -1,10 +1,11 @@
 """Reactive backchaining planner.
 
-Failed condition leaves are expanded into Fallbacks over achieving-action
-subtrees until ticking the tree against a simulated world reaches the goal.
-Each simulated tick advances at most one action (the fired action returns
-Running for that tick and its effects land immediately), so condition
-re-evaluation between actions mirrors reactive execution.
+Each failed condition leaf is expanded into ``Fallback(condition,
+Sequence(preconditions..., action))`` for one achieving action, until
+ticking the tree against a simulated world reaches the goal. Each simulated
+tick advances at most one action (the fired action returns Running for that
+tick and its effects land immediately), so condition re-evaluation between
+actions mirrors reactive execution.
 
 Grounding of achiever bindings enumerates the world's object registry
 (category declaration order, then name), skips bindings that reuse one
@@ -15,9 +16,15 @@ form true: an achiever must delete all of them, so when a skill has one
 delete template on the target's predicate, each of that template's slots
 takes the value every witness has at its position, and the skill is
 skipped when the witnesses disagree there. Skills with several such
-templates, and positive targets, are enumerated in full. Candidates that
-would knock out a condition the tree currently relies on are displaced by
-clean ones, or kept least-destructive-first when nothing clean exists.
+templates, and positive targets, are enumerated in full.
+
+Ranking: the achiever is the first candidate that knocks out no condition
+the tree currently relies on, or the first that knocks out fewest when
+nothing clean exists; scoring stops at the first clean one. Dead-end rule:
+a candidate counts only if each of its ground preconditions holds at the
+expansion state or has an achiever, checked only for the candidate about
+to be picked. No remainder: the other candidates are dropped, and a
+chosen branch that fails at execution goes to the resolver.
 
 A candidate is judged from its effect delta, the (add, remove) fact sets
 of ``Domain.effect_delta`` read delete-then-add, without copying any rows
@@ -233,38 +240,16 @@ class _Reliance:
         return count
 
 
-def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
-                     state: WorldState) -> BehaviorTree:
-    """Replace a failed condition leaf with a Fallback over achiever subtrees.
-
-    The original condition stays as the Fallback's first child so a
-    satisfied condition short-circuits. Each achiever contributes one
-    Sequence of its ground precondition leaves followed by the action leaf.
-
-    ``node`` is a condition leaf of ``tree`` that heads no expansion yet,
-    such as the one ``plan`` reads from the tick trace; it is not looked up.
-    """
-    target = node.literal
-    if domain.holds(state, target):
-        raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
-
-    achievers = domain.achievers(target)
-    if not achievers:
-        raise NoAchiever(target)
-
-    # Rank candidates by how many condition literals the tree currently
-    # relies on (true at the expansion state) their effects would knock out.
-    # Clean candidates displace dirty ones entirely; when only dirty ones
-    # exist (clearing a block inevitably fills the hand) keep them, least
-    # destructive first. Ties follow skill declaration, then binding order.
-    reliance = _Reliance((lit for lit in tree.condition_literals()
-                          if domain.holds(state, lit)), state)
+def _scored_achievers(domain: Domain, state: WorldState, target: Literal,
+                      reliance: _Reliance) -> Iterator[tuple[int, GroundAction]]:
+    """(broken, action) for each distinct grounding that achieves ``target``
+    from ``state``, in skill declaration then binding order, where
+    ``broken`` counts the relied-on literals its effects knock out."""
     registry = state.registry
     witnesses = rows_matching(target.args, state.rows(target.predicate), registry) \
         if target.negated else None
-    candidates: list[tuple[int, int, GroundAction]] = []
     seen: set[GroundAction] = set()
-    for index, (skill, partial) in enumerate(achievers):
+    for skill, partial in domain.achievers(target):
         if witnesses is not None:
             partial = _witness_binding(skill, target.predicate, partial, witnesses)
             if partial is None:
@@ -275,21 +260,60 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
             seen.add(action)
             add, remove = domain.effect_delta(state, action)
             if _achieves(target, add, remove, witnesses, registry):
-                candidates.append((reliance.broken(add, remove), index, action))
-    if not candidates:
-        raise NoAchiever(target)
-    if any(broken == 0 for broken, _, _ in candidates):
-        candidates = [c for c in candidates if c[0] == 0]
-    else:
-        candidates.sort(key=lambda c: (c[0], c[1]))
-    actions = [action for _, _, action in candidates]
+                yield reliance.broken(add, remove), action
 
+
+def _dead_end(domain: Domain, state: WorldState, action: GroundAction) -> Literal | None:
+    """A ground precondition of ``action`` that is false in ``state`` and
+    that no skill achieves, if it has one."""
+    for lit in domain.ground_preconditions(action):
+        if not domain.holds(state, lit) and not domain.achievers(lit):
+            return lit
+    return None
+
+
+def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
+                     state: WorldState) -> BehaviorTree:
+    """Replace a failed condition leaf with ``Fallback(condition,
+    Sequence(preconditions..., action))`` for the best-ranked achiever.
+
+    The original condition stays as the Fallback's first child so a
+    satisfied condition short-circuits. The ranking and the dead-end rule
+    are the module docstring's; "relied on" means true at ``state``, and a
+    dirty candidate (clearing a block inevitably fills the hand) wins only
+    when nothing clean counts. Raises NoAchiever when no candidate counts,
+    naming the first dead-end precondition met, or the target when no
+    grounding achieves it.
+
+    ``node`` is a condition leaf of ``tree`` that heads no expansion yet,
+    such as the one ``plan`` reads from the tick trace; it is not looked up.
+    """
+    target = node.literal
+    if domain.holds(state, target):
+        raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
+
+    reliance = _Reliance((lit for lit in tree.condition_literals()
+                          if domain.holds(state, lit)), state)
+    best: tuple[int, GroundAction] | None = None
+    dead_end: Literal | None = None
+    for broken, action in _scored_achievers(domain, state, target, reliance):
+        if best is not None and broken >= best[0]:
+            continue
+        missing = _dead_end(domain, state, action)
+        if missing is not None:
+            dead_end = dead_end or missing
+            continue
+        best = broken, action
+        if broken == 0:
+            break
+    if best is None:
+        raise NoAchiever(dead_end or target)
+
+    action = best[1]
     fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
-    for action in actions:
-        leaves: list[TreeNode] = [tree.new_condition(lit)
-                                  for lit in domain.ground_preconditions(action)]
-        leaves.append(tree.new_action(action))
-        fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
+    leaves = [tree.new_condition(lit) for lit in domain.ground_preconditions(action)]
+    leaves.append(tree.new_action(action))
+    fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(node.id, fallback)
     return tree
 

@@ -8,8 +8,9 @@ row-matching and effect-delta references are the generator and the
 per-call loop over each grounded effect that the list comprehension and
 the effect split kept with each grounding replaced, the
 tree lookups are the preorder scans the tree's checked index replaced, and
-the expansion reference scores each candidate on a fully built successor
-state, as the planner did before it scored from effect deltas, the
+the expansion reference ranks every candidate, each scored on a fully
+built successor state, where the planner scores from effect deltas and
+stops at the first clean candidate, the
 duplicate-branch reference compares every pair of Fallback children with
 ``tree_equal``, as ``verify`` did before structural keys, the
 reachability reference enumerates the ground actions afresh in every
@@ -226,10 +227,11 @@ def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
     return parent.kind is NodeKind.FALLBACK and idx == 0 and len(parent.children) > 1
 
 
-def reference_expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
-                               state: WorldState) -> BehaviorTree:
-    """``planner.expand_condition`` scoring every candidate on the state
-    ``Domain.apply_effects`` builds for it."""
+def reference_ranking(tree: BehaviorTree, node: TreeNode, domain: Domain,
+                      state: WorldState) -> list[GroundAction]:
+    """Every grounding that achieves the node's literal, each scored on the
+    state ``Domain.apply_effects`` builds for it: fewest relied-on condition
+    literals knocked out first, then skill declaration, then binding order."""
     if node.kind is not NodeKind.CONDITION:
         raise InvalidTarget(f"node {node.id} is {node.kind.value}, not a condition")
     if is_expanded(tree, node):
@@ -238,38 +240,38 @@ def reference_expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domai
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
 
-    achievers = domain.achievers(target)
-    if not achievers:
-        raise NoAchiever(target)
-
     relied_on = [lit for lit in _tree_condition_literals(tree)
                  if domain.holds(state, lit)]
-    candidates: list[tuple[int, int, GroundAction]] = []
+    candidates: list[tuple[int, GroundAction]] = []
     seen: set[GroundAction] = set()
-    for index, (skill, partial) in enumerate(achievers):
+    for skill, partial in domain.achievers(target):
         for action in _groundings(domain, state, skill, partial):
             if action in seen:
                 continue
             seen.add(action)
             after = domain.apply_effects(state, action)
-            if not domain.holds(after, target):
-                continue
-            broken = sum(1 for lit in relied_on if not domain.holds(after, lit))
-            candidates.append((broken, index, action))
-    if not candidates:
-        raise NoAchiever(target)
-    if any(broken == 0 for broken, _, _ in candidates):
-        candidates = [c for c in candidates if c[0] == 0]
-    else:
-        candidates.sort(key=lambda c: (c[0], c[1]))
-    actions = [action for _, _, action in candidates]
+            if domain.holds(after, target):
+                broken = sum(1 for lit in relied_on if not domain.holds(after, lit))
+                candidates.append((broken, action))
+    candidates.sort(key=lambda c: c[0])  # stable: declaration, then binding order
+    return [action for _, action in candidates]
 
+
+def reference_expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
+                               state: WorldState) -> BehaviorTree:
+    """``planner.expand_condition`` from the full ranking: the one branch is
+    the first ranked achiever whose every ground precondition holds in
+    ``state`` or has an achiever."""
+    viable = [action for action in reference_ranking(tree, node, domain, state)
+              if all(domain.holds(state, lit) or domain.achievers(lit)
+                     for lit in domain.ground_preconditions(action))]
+    if not viable:
+        raise NoAchiever(node.literal)
+    action = viable[0]
     fallback = tree.new_node(NodeKind.FALLBACK, children=[node])
-    for action in actions:
-        leaves: list[TreeNode] = [tree.new_condition(lit)
-                                  for lit in domain.ground_preconditions(action)]
-        leaves.append(tree.new_action(action))
-        fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
+    leaves = [tree.new_condition(lit) for lit in domain.ground_preconditions(action)]
+    leaves.append(tree.new_action(action))
+    fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(node.id, fallback)
     return tree
 

@@ -452,6 +452,16 @@ def _scenario_with_domain(domain):
     return case
 
 
+def _household_force_default(default):
+    def case(tmp_path):
+        data = yaml.safe_load(bundled_data_path("domains", "household.yaml").read_text())
+        data["skills"][0]["params"][1]["default"] = default
+        path = tmp_path / "household.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return ["plan", "--domain", str(path), "--instruction", "x"], path
+    return case
+
+
 def _fixture_value_a_mapping(tmp_path):
     path = tmp_path / "fixtures.yaml"
     path.write_text(yaml.safe_dump({"cube_stack_golden/goal": {"a": 1}}))
@@ -467,6 +477,7 @@ _BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS
     (_scenario_with_domain("nowhere.yaml"), EXIT_FAILURE, "scenario_with_missing_domain"),
     (_scenario_with_domain(5), EXIT_SCHEMA, "scenario_domain_not_a_string"),
     (_fixture_value_a_mapping, EXIT_SCHEMA, "fixture_value_a_mapping"),
+    (_household_force_default("fast m/s"), EXIT_SCHEMA, "numeric_default_unparsable"),
 ]
 
 

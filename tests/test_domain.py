@@ -13,14 +13,15 @@ from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
 from btpolicy.domain import (DOMAIN_SHAPE, FIXTURES_SHAPE, GOALSET_SHAPE, SCENARIO_SHAPE,
                              WorldState, literal_holds, load_domain, make_state,
                              parse_domain, rows_matching)
-from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, SchemaError,
-                             UnboundSlot, UnknownPredicate)
+from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, NoAchiever,
+                             SchemaError, UnboundSlot, UnknownPredicate)
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, expand_condition, init_tree
 from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
 from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity
 from oracles import (negation, reference_apply_effects, reference_effect_delta,
-                     reference_expand_condition, reference_holds, reference_rows_matching)
+                     reference_expand_condition, reference_holds, reference_ranking,
+                     reference_rows_matching)
 
 
 def lit(text):
@@ -510,18 +511,25 @@ def test_holds_after_delta_matches_applied_state(state, skill, x, y, probes):
     [Literal("tag", ("a",), True), Literal("rel", (ANY_OBJECT, ANY_OBJECT), True)])
 @settings(max_examples=300, deadline=None)
 def test_expand_condition_matches_applied_scoring(state, goals):
-    """Expanding each failing goal in turn builds the same tree as the
-    reference that scores every candidate on a fully applied state."""
+    """Expanding each failing goal in turn puts one branch under its
+    Fallback, for the first achiever of the reference ranking that scores
+    every candidate on a fully applied state (no skill here has
+    preconditions, so no candidate is a dead end)."""
     trees = [init_tree(GoalSpec(tuple(goals))) for _ in range(2)]
     for cond_id, goal in enumerate(goals, start=1):
         if _INDEX_DOMAIN.holds(state, goal):
             continue
+        ranking = reference_ranking(trees[0], trees[0].find(cond_id), _INDEX_DOMAIN, state)
         raised = []
         for expand, tree in zip((expand_condition, reference_expand_condition), trees):
             outcome = _outcome(expand, tree, tree.find(cond_id), _INDEX_DOMAIN, state)
             raised.append(None if outcome is tree else outcome)
-        assert raised[0] == raised[1]
+        assert raised[0] == raised[1] == (None if ranking else NoAchiever)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+        if ranking:
+            condition, branch = trees[0].root.children[cond_id - 1].children
+            assert condition.literal == goal
+            assert [n.action for n in branch.children] == ranking[:1]
 
 
 def test_index_is_not_part_of_the_value(cube_domain, blocked_cube_state):

@@ -17,7 +17,7 @@ from btpolicy.sim import bundled_data_path
 from btpolicy.terms import GroundAction
 
 from oracles import (bfs_plan, reference_detect_conflict, reference_expand_condition,
-                     reference_pick_expansion_target)
+                     reference_pick_expansion_target, reference_ranking)
 
 
 def lit(text):
@@ -118,7 +118,8 @@ class TestWitnessGrounding:
 
     def scored(self, domain, state, target, monkeypatch):
         """Actions whose effects ``expand_condition`` scores when expanding
-        ``target``; the tree it builds must equal the reference's."""
+        ``target``, and the reference ranking; the tree it builds must equal
+        the reference's, one branch for the ranking's first achiever."""
         calls = []
         effect_delta = Domain.effect_delta
 
@@ -130,24 +131,30 @@ class TestWitnessGrounding:
         trees = [init_tree(goal(target)) for _ in range(2)]
         expand_condition(trees[0], trees[0].find(1), domain, state)
         scored = list(calls)
+        ranking = reference_ranking(trees[1], trees[1].find(1), domain, state)
         reference_expand_condition(trees[1], trees[1].find(1), domain, state)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
-        return scored
+        _, branch = trees[0].root.children[0].children
+        assert branch.children[-1].action == ranking[0]
+        return scored, ranking
 
     def test_one_blocker_scores_one_grasp(self, tower_domain, monkeypatch):
         facts = ["on(cube_01, cube_00)"] + \
             [f"on({n}, table)" for n in self.CUBES if n != "cube_01"]
         state = make_state(tower_domain, facts)
-        scored = self.scored(tower_domain, state, "~on(any_object, cube_00)", monkeypatch)
+        scored, _ = self.scored(tower_domain, state, "~on(any_object, cube_00)", monkeypatch)
         assert [str(a) for a in scored] == ["grasp(obj=cube_01)"]
 
     def test_held_object_fixes_the_place_binding(self, tower_domain, monkeypatch):
+        """Every achiever places the held cube; the first one scored is clean,
+        so scoring stops there."""
         facts = ["grasped(cube_03)"] + [f"on({n}, table)" for n in self.CUBES if n != "cube_03"]
         state = make_state(tower_domain, facts)
-        scored = self.scored(tower_domain, state, "~grasped(any_object)", monkeypatch)
-        assert {(a.skill, a.get("obj")) for a in scored} == {("place", "cube_03")}
-        assert sorted(a.get("dst") for a in scored) == \
-            [n for n in self.CUBES if n != "cube_03"] + ["table"]
+        scored, ranking = self.scored(tower_domain, state, "~grasped(any_object)", monkeypatch)
+        assert {(a.skill, a.get("obj")) for a in ranking} == {("place", "cube_03")}
+        assert [a.get("dst") for a in ranking] == \
+            ["table"] + [n for n in self.CUBES if n != "cube_03"]
+        assert scored == ranking[:1]
 
 
 class TestPlan:
@@ -235,6 +242,43 @@ class TestPlan:
         state = make_state(cube_domain, ["upright(red_cup)"])
         with pytest.raises(Unsolvable):
             plan(goal("~upright(red_cup)"), cube_domain, state)
+
+
+def locked_domain(*, window: bool) -> Domain:
+    """Unlocking the door gets the robot inside, but needs a key that no
+    skill provides; climbing in through the window needs nothing."""
+    skills = [{"name": "unlock", "params": [{"name": "d", "category": "door"}],
+               "preconditions": ["has_key"], "effects": ["inside"]}]
+    if window:
+        skills.append({"name": "climb", "params": [{"name": "w", "category": "window"}],
+                       "effects": ["inside"]})
+    return parse_domain({
+        "schema": "domain/v1", "name": "locked",
+        "predicates": [{"name": "inside", "arity": 0}, {"name": "has_key", "arity": 0}],
+        "objects": [{"name": "front_door", "category": "door"},
+                    {"name": "side_window", "category": "window"}],
+        "skills": skills,
+    })
+
+
+def test_an_achiever_with_an_unachievable_precondition_is_passed_over():
+    """unlock ranks first, but its false has_key has no achiever: the one
+    branch goes to climb, which the plan then runs."""
+    domain = locked_domain(window=True)
+    state = make_state(domain, [])
+    tree = plan(goal("inside"), domain, state)
+    actions = [str(n.payload) for n, _ in iter_preorder(tree.root)
+               if n.kind is NodeKind.ACTION]
+    assert actions == ["climb(w=side_window)"]
+    status, final, _ = run_tree(tree, domain, state)
+    assert status is NodeStatus.SUCCESS and domain.holds(final, lit("inside"))
+
+
+def test_a_dead_end_achiever_alone_names_its_unachievable_precondition():
+    domain = locked_domain(window=False)
+    with pytest.raises(Unsolvable) as err:
+        plan(goal("inside"), domain, make_state(domain, []))
+    assert err.value.literal == lit("has_key")
 
 
 def doors_domain() -> Domain:
@@ -341,7 +385,8 @@ def test_delta_scoring_matches_the_reference_on_multi_row_effects():
     """Skills that add or delete several rows of one predicate: a relied-on
     negated wildcard two added rows match breaks once (so spill ranks with
     smear, by declaration), and a negated target holds only once every
-    witness is deleted (pair(a, c) leaves p(b))."""
+    witness is deleted (pair(a, c) leaves p(b)). The one branch is the
+    reference ranking's first achiever."""
     domain = parse_domain({
         "schema": "domain/v1", "name": "rows",
         "predicates": [{"name": "p", "arity": 1}, {"name": "q", "arity": 0}],
@@ -355,17 +400,21 @@ def test_delta_scoring_matches_the_reference_on_multi_row_effects():
         ],
     })
     for facts, goals, cond_id, expected in [
-            ([], ["~p(any_object)", "q"], 2, "spill(x=a, y=b)"),
-            (["p(a)", "p(b)"], ["~p(any_object)"], 1, "pair(x=a, y=b)")]:
+            ([], ["~p(any_object)", "q"], 2,
+             ["spill"] * 6 + ["smear"] * 3),
+            (["p(a)", "p(b)"], ["~p(any_object)"], 1, ["pair"] * 2)]:
         state = make_state(domain, facts)
         trees = [init_tree(goal(*goals)) for _ in range(2)]
+        ranking = reference_ranking(trees[1], trees[1].find(cond_id), domain, state)
         expand_condition(trees[0], trees[0].find(cond_id), domain, state)
         reference_expand_condition(trees[1], trees[1].find(cond_id), domain, state)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+        assert [a.skill for a in ranking] == expected
+        assert "pair(x=a, y=c)" not in map(str, ranking)
         actions = [str(n.payload) for n, _ in iter_preorder(trees[0].root)
                    if n.kind is NodeKind.ACTION]
-        assert actions[0] == expected
-        assert "pair(x=a, y=c)" not in actions
+        assert actions == [str(ranking[0])]
+        assert actions[0] in ("spill(x=a, y=b)", "pair(x=a, y=b)")
 
 
 # --- decisions read from the tick trace ----------------------------------------

@@ -198,6 +198,7 @@ class TestScenarioLoading:
 
 _LOADERS = {
     "domain": ("domains/cube_tabletop.yaml", load_domain),
+    "household domain": ("domains/household.yaml", load_domain),
     "scenario": ("scenarios/precond_01_blocked_cube.yaml", load_scenario),
     "goal set": ("benchmarks/cafe_goals.yaml", _load_goalset),
     "fixtures": ("fixtures/scripted.yaml", ScriptedBackend.from_file),
@@ -215,6 +216,12 @@ _MISSHAPEN = [
     ("domain", ("skills", 0, "preconditions"), "~grasped(any_object)",
      "skills[0].preconditions"),
     ("domain", ("prompt",), ["ANSWER: on(a, b)"], "prompt"),
+    ("household domain", ("skills", 0, "params", 1, "default"), "fast m/s",
+     "skills[0].params[1].default"),
+    ("household domain", ("skills", 0, "params", 1, "default"), "2 m/s",
+     "skills[0].params[1].default"),
+    ("household domain", ("skills", 3, "params", 1, "default"), "hammer",
+     "skills[3].params[1].default"),
     ("scenario", ("domain",), 5, "domain"),
     ("scenario", ("instruction",), ["a", "b"], "instruction"),
     ("scenario", ("objects",), "blue_cube", "objects"),
