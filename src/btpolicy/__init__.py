@@ -8,7 +8,7 @@ actions fail, permanently.
 """
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TreeNode, failing_action, insert_preconditions, parse,
+                 TreeNode, insert_preconditions, parse,
                  serialize, tick, to_dot, tree_equal)
 from .domain import (Domain, Predicate, SkillTemplate, Slot, WorldState,
                      load_domain, make_state)

@@ -104,36 +104,25 @@ class TickContext:
 
 
 _Entry = tuple[TreeNode, "TreeNode | None", int]
-_MISSING: _Entry = (None, None, 0)  # type: ignore[assignment]
 
 
 class BehaviorTree:
-    """A tree plus its id allocator, a checked id -> (node, parent, child
-    index) index, a cache of each node's compact ``bt/v1`` text and a count
-    of the condition leaves per literal.
+    """A tree plus its id allocator and three records of itself: an id ->
+    (node, parent, child index) index, a count of the condition leaves per
+    literal and each node's compact ``bt/v1`` text.
 
-    The tree's own edits (``replace``, ``move_left``, ``rebind`` and
-    ``insert_preconditions``) record the index entries they change, so
-    lookups after them need no rebuild. Every answer is still checked
-    against the tree: each recorded parent up to the root must still hold
-    its child at the recorded index. A miss rebuilds the index once, so
-    edits made directly to ``children`` or ``root`` need no invalidation
-    for lookups (README, Semantics notes).
-
-    The text cache (``compact``) follows the tree's own edits only: each
-    drops the cached text of the node whose children or payload it changed
-    and of that node's ancestors, in ``_drop_texts``. A direct edit leaves
-    the cached text stale.
-
-    The literal counts (``condition_literals``) are built on first use and
-    have the text cache's contract: ``replace`` and ``insert_preconditions``
-    count the condition leaves they add and remove (``move_left`` and
-    ``rebind`` change none), and a direct edit leaves the counts stale.
+    One contract covers all three: the tree's own edits (``replace``,
+    ``prepend``, ``move_left`` and ``rebind``) keep them current, and a
+    direct edit to ``children``, ``root`` or a ``payload`` leaves them
+    stale. The index and the counts are built together by one walk on first
+    use; the texts are built per node when ``compact`` asks. Each edit ends
+    in ``_edited``, the one step that brings all three up to date (README,
+    Semantics notes).
     """
 
     def __init__(self, root: TreeNode, next_id: int | None = None):
         self.root = root
-        self._index: dict[int, _Entry] = {}
+        self._index: dict[int, _Entry] | None = None
         # node id -> compact text; a cached node's descendants are cached too
         self._texts: dict[int, str] = {}
         # condition literal -> number of condition leaves carrying it
@@ -157,71 +146,61 @@ class BehaviorTree:
     def new_action(self, action: GroundAction) -> TreeNode:
         return self.new_node(NodeKind.ACTION, payload=action)
 
-    def _reindex(self) -> dict[int, _Entry]:
+    def _build(self) -> tuple[dict[int, _Entry], dict[Literal, int]]:
+        """Index and count the whole tree in one walk. Both are published
+        whole, so a reader never sees them half built."""
         index: dict[int, _Entry] = {}
+        counts: dict[Literal, int] = {}
+        _record((self.root, None, 0), index, counts)
+        self._literals, self._index = counts, index
+        return index, counts
 
-        def walk(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-            index.setdefault(node.id, (node, parent, slot))
-            for i, child in enumerate(node.children):
-                walk(child, node, i)
-
-        walk(self.root, None, 0)
-        self._index = index  # published whole: readers never see it half built
-        return index
-
-    def _record_children(self, parent: TreeNode) -> None:
-        """Record where each child of ``parent`` now sits."""
-        index = self._index
-        for i, child in enumerate(parent.children):
-            index[child.id] = (child, parent, i)
-
-    def _drop_texts(self, node: TreeNode | None) -> None:
-        """Forget the cached text of ``node`` and of its ancestors, which
-        ``_locate`` has just checked. The walk stops at the first node
-        without text: its ancestors have none either."""
-        texts, index = self._texts, self._index
-        while node is not None and texts.pop(node.id, None) is not None:
-            node = index[node.id][1]
+    def _edited(self, parent: TreeNode | None, removed: TreeNode | None = None,
+                added: Iterable[TreeNode] = ()) -> None:
+        """The bookkeeping step every edit ends in, once the tree's index is
+        built. ``parent`` is the node whose children or payload changed, or
+        None for a new root; ``removed`` is the subtree taken out and
+        ``added`` the subtrees put in. Forgets and uncounts the removed
+        nodes, re-records where ``parent``'s children sit, records and
+        counts the added nodes, and drops the texts of ``parent`` and its
+        ancestors; the walk stops at the first node without text, whose
+        ancestors have none either."""
+        index, counts, texts = self._index, self._literals, self._texts
+        if removed is not None:
+            for node, _ in iter_preorder(removed):
+                del index[node.id]
+                if node.kind is _CONDITION:
+                    count = counts.pop(node.payload) - 1
+                    if count:
+                        counts[node.payload] = count
+        if parent is None:
+            index[self.root.id] = (self.root, None, 0)
+        else:
+            for i, child in enumerate(parent.children):
+                index[child.id] = (child, parent, i)
+        for node in added:
+            _record(index[node.id], index, counts)
+        while parent is not None and texts.pop(parent.id, None) is not None:
+            parent = index[parent.id][1]
 
     def condition_literals(self) -> dict[Literal, int]:
         """Each distinct condition-leaf literal with the number of leaves
         that carry it; the tree's own, kept current by its edits, so the
         caller must not change it."""
         counts = self._literals
-        if counts is None:
-            counts = self._literals = {}
-            self._tally(_conditions(self.root), 1)
-        return counts
-
-    def _tally(self, literals: Iterable[Literal], step: int) -> None:
-        """Add ``step`` to the count of each literal, if counts are kept."""
-        counts = self._literals
-        if counts is None:
-            return
-        for lit in literals:
-            count = counts.get(lit, 0) + step
-            if count:
-                counts[lit] = count
-            else:
-                del counts[lit]
+        return self._build()[1] if counts is None else counts
 
     def _locate(self, node_id: int) -> _Entry:
-        index = self._index
-        entry = node, parent, slot = index.get(node_id, _MISSING)
-        while parent is not None and slot < len(parent.children) \
-                and parent.children[slot] is node:
-            node, parent, slot = index[parent.id]
-        if parent is not None or node is not self.root:
-            entry = self._reindex().get(node_id)
-            if entry is None:
-                raise UnknownNode(node_id)
-        return entry
+        try:
+            return (self._index or self._build()[0])[node_id]
+        except KeyError:
+            raise UnknownNode(node_id) from None
 
     @property
     def id_index(self) -> dict[int, tuple[int, ...]]:
         """Map from node id to the child-index path from the root."""
         return {node_id: tuple(i for _, i in self.ancestry(node_id))
-                for node_id in self._reindex()}
+                for node_id in self._index or self._build()[0]}
 
     def find(self, node_id: int) -> TreeNode:
         return self._locate(node_id)[0]
@@ -242,24 +221,19 @@ class BehaviorTree:
 
     def replace(self, node_id: int, new: TreeNode) -> None:
         """Put ``new`` where the node sits (the root included); ``new`` may
-        hold the replaced node, which is how wraps are made. The entries of
-        ``new``'s subtree are recorded, and its conditions counted in place
-        of the replaced node's."""
+        hold the replaced node, which is how wraps are made."""
         old, parent, slot = self._locate(node_id)
         if parent is None:
             self.root = new
         else:
             parent.children[slot] = new
-        self._drop_texts(parent)
-        self._tally(_conditions(old), -1)
-        self._index[new.id] = (new, parent, slot)
-        added = []
-        for node, _ in iter_preorder(new):
-            if node.children:
-                self._record_children(node)
-            elif node.kind is _CONDITION:
-                added.append(node.payload)
-        self._tally(added, 1)
+        self._edited(parent, old, (new,))
+
+    def prepend(self, node_id: int, nodes: list[TreeNode]) -> None:
+        """Put ``nodes``, in order, before the children of a control node."""
+        parent = self._locate(node_id)[0]
+        parent.children[:0] = nodes
+        self._edited(parent, added=nodes)
 
     def move_left(self, node_id: int) -> None:
         """Swap a node with its left sibling."""
@@ -267,8 +241,7 @@ class BehaviorTree:
         if parent is None or slot == 0:
             raise InvalidTarget(f"node {node_id} has no left sibling")
         parent.children[slot - 1:slot + 1] = [node, parent.children[slot - 1]]
-        self._record_children(parent)
-        self._drop_texts(parent)
+        self._edited(parent)
 
     def rebind(self, node_id: int, action: GroundAction) -> None:
         """Give an action leaf a new action, such as one with a slot bound."""
@@ -276,15 +249,30 @@ class BehaviorTree:
         if node.kind is not NodeKind.ACTION:
             raise InvalidTarget(f"node {node_id} is {node.kind.value}, not an action")
         node.payload = action
-        self._drop_texts(node)
+        self._edited(node)
+
+    def compact(self) -> str:
+        """The ``root`` value of the ``bt/v1`` form as compact JSON:
+        separators ``","`` and ``":"``, keys in ``bt/v1`` order, no
+        whitespace. Built from each node's text, so after an edit only the
+        edited node's ancestors and the new nodes are formatted again."""
+        return _node_text(self.root, self._texts)
 
     def node_count(self) -> int:
         return sum(1 for _ in iter_preorder(self.root))
 
 
-def _conditions(node: TreeNode) -> Iterator[Literal]:
-    """The literals of the condition leaves under ``node``, in preorder."""
-    return (n.payload for n, _ in iter_preorder(node) if n.kind is _CONDITION)
+def _record(entry: _Entry, index: dict[int, _Entry], counts: dict[Literal, int]) -> None:
+    """Record the subtree of ``entry``'s node in ``index``, the node itself
+    at ``entry``, and count its condition leaves in ``counts``."""
+    stack = [entry]
+    while stack:
+        entry = node, _, _ = stack.pop()
+        index[node.id] = entry
+        if node.children:
+            stack.extend([(child, node, i) for i, child in enumerate(node.children)])
+        elif node.kind is _CONDITION:
+            counts[node.payload] = counts.get(node.payload, 0) + 1
 
 
 def iter_preorder(node: TreeNode, depth: int = 0) -> Iterator[tuple[TreeNode, int]]:
@@ -349,21 +337,6 @@ def _tick_node(node: TreeNode, ctx: TickContext,
     return status
 
 
-def failing_action(trace: TickTrace) -> int | None:
-    """Id of the deepest action leaf that failed this tick, if any.
-
-    Ties on depth resolve to the last such leaf visited, i.e. the one whose
-    failure finally propagated. Failed conditions do not count; a tick that
-    failed purely on conditions has no failing action.
-    """
-    best: TraceEntry | None = None
-    for entry in trace.entries:
-        if entry.kind is NodeKind.ACTION and entry.status is NodeStatus.FAILURE:
-            if best is None or entry.depth >= best.depth:
-                best = entry
-    return best.node_id if best else None
-
-
 # --- structural editing ----------------------------------------------------
 
 def insert_preconditions(tree: BehaviorTree, action_id: int,
@@ -372,23 +345,22 @@ def insert_preconditions(tree: BehaviorTree, action_id: int,
 
     The conditions land at the front of the action's enclosing Sequence, in
     the given order, before any existing preconditions. An action sitting
-    bare under a Fallback (or at the root) is first wrapped in a singleton
-    Sequence so it gains a canonical precondition slot.
+    bare under a Fallback (or at the root) is instead wrapped in a new
+    Sequence of the conditions and the action, its canonical precondition
+    slot. Either way the tree makes one edit.
     """
-    target, parent, _ = tree._locate(action_id)
+    target = tree.find(action_id)
     if target.kind is not NodeKind.ACTION:
         raise InvalidTarget(f"node {action_id} is {target.kind.value}, not an action")
     if not conds:
         return tree
-
-    if parent is None or parent.kind is not NodeKind.SEQUENCE:
-        parent = tree.new_node(NodeKind.SEQUENCE, children=[target])
-        tree.replace(action_id, parent)
-
-    parent.children[:0] = [tree.new_condition(lit) for lit in conds]
-    tree._record_children(parent)
-    tree._drop_texts(parent)
-    tree._tally(conds, 1)
+    where = tree.parent_of(action_id)
+    if where is not None and where[0].kind is NodeKind.SEQUENCE:
+        tree.prepend(where[0].id, [tree.new_condition(lit) for lit in conds])
+    else:
+        seq = tree.new_node(NodeKind.SEQUENCE)
+        seq.children = [tree.new_condition(lit) for lit in conds] + [target]
+        tree.replace(action_id, seq)
     return tree
 
 
@@ -401,15 +373,6 @@ def serialize(tree: BehaviorTree) -> str:
     """Serialize to the documented JSON tree schema (schema id ``bt/v1``)."""
     return json.dumps({"schema": TREE_SCHEMA, "root": _node_to_obj(tree.root)},
                       indent=2) + "\n"
-
-
-def compact(tree: BehaviorTree) -> str:
-    """The ``root`` value of the ``bt/v1`` form as compact JSON: separators
-    ``","`` and ``":"``, keys in ``bt/v1`` order, no whitespace.
-
-    Built from each node's cached text, so after an edit only the edited
-    node's ancestors and the new nodes are formatted again."""
-    return _node_text(tree.root, tree._texts)
 
 
 _TEXT_HEADS = {kind: f'{{"kind":"{kind.value}","id":' for kind in NodeKind}

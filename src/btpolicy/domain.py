@@ -640,7 +640,10 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
                         unit=slot_entry.get("unit"),
                         choices=tuple(slot_entry.get("choices") or ()))
             default = slot_entry.get("default")
-            if default is not None and slot.kind != "object":
+            if default is not None:
+                if slot.kind == "object":
+                    fail(f"skills[{i}].params[{j}].default: object slot "
+                         f"{slot.name!r} takes no default")
                 try:
                     default = slot.parse_value(str(default))
                 except FormatError as e:

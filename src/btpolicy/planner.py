@@ -44,13 +44,13 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TraceEntry, TreeNode, insert_preconditions, tick)
+                 TraceEntry, TreeNode, tick)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
 from .terms import ANY_OBJECT, GroundAction, Literal, is_param
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
-           "insert_preconditions", "guarding_literals"]
+           "guarding_literals"]
 
 
 @dataclass(frozen=True)

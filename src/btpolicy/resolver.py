@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .backends import Backend, RequestMeta
-from .bt import BehaviorTree, NodeKind, TreeNode, compact, iter_preorder
+from .bt import BehaviorTree, NodeKind, TreeNode, insert_preconditions, iter_preorder
 from .domain import Domain, Slot, WorldState
 from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   condition_catalog, extract_reasoning, parse_goal_response,
                   parse_param_response, parse_precondition_response,
                   scene_from_state)
-from .planner import (GoalSpec, PlanConfig, goals_of, guarding_literals,
-                      insert_preconditions, plan)
+from .planner import GoalSpec, PlanConfig, goals_of, guarding_literals, plan
 from .sim import ExecConfig, ExecutionTrace, FailureEvent, Scenario, run_trusted
 
 
@@ -102,11 +101,11 @@ def records_to_jsonl(records: list[ResolutionRecord]) -> str:
 def tree_fingerprint(tree: BehaviorTree) -> str:
     """Short hash of the tree's structure, node ids and payloads.
 
-    Hashes ``bt.compact``, the compact JSON of the ``bt/v1`` root node: equal
-    for trees that serialize identically. The tree keeps each node's text
+    Hashes ``BehaviorTree.compact``, the compact JSON of the ``bt/v1`` root
+    node: equal for trees that serialize identically. The tree keeps each node's text
     through its own edits, so only what changed since the last fingerprint
     is formatted again."""
-    return hashlib.sha256(compact(tree).encode()).hexdigest()[:12]
+    return hashlib.sha256(tree.compact().encode()).hexdigest()[:12]
 
 
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,

@@ -7,7 +7,7 @@ plain enumerate-and-scan forms the indexed world state replaced, the
 row-matching and effect-delta references are the generator and the
 per-call loop over each grounded effect that the list comprehension and
 the effect split kept with each grounding replaced, the
-tree lookups are the preorder scans the tree's checked index replaced, and
+tree lookups are the preorder scans the tree's index replaced, and
 the expansion reference ranks every candidate, each scored on a fully
 built successor state, where the planner scores from effect deltas and
 stops at the first clean candidate, the
@@ -19,8 +19,8 @@ walk of its own and finds each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
 planner did before it read them from the tick trace. ``validate`` (the
-structural invariants of an edited tree) and ``is_expanded`` are helpers
-that only tests ask.
+structural invariants of an edited tree), ``is_expanded`` and
+``failing_action`` are helpers that only tests ask.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import itertools
 from collections import deque
 from typing import Collection, Iterator
 
-from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
-                         iter_preorder, tree_equal)
+from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TraceEntry,
+                         TreeNode, iter_preorder, tree_equal)
 from btpolicy import verify
 from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
@@ -142,6 +142,21 @@ def scan_id_index(tree: BehaviorTree) -> dict[int, tuple[int, ...]]:
         index[node.id] = path
     return index
 
+
+
+def failing_action(trace: TickTrace) -> int | None:
+    """Id of the deepest action leaf that failed this tick, if any.
+
+    Ties on depth resolve to the last such leaf visited, i.e. the one whose
+    failure finally propagated. Failed conditions do not count; a tick that
+    failed purely on conditions has no failing action.
+    """
+    best: TraceEntry | None = None
+    for entry in trace.entries:
+        if entry.kind is NodeKind.ACTION and entry.status is NodeStatus.FAILURE:
+            if best is None or entry.depth >= best.depth:
+                best = entry
+    return best.node_id if best else None
 
 def scan_find(tree: BehaviorTree, node_id: int) -> TreeNode:
     for node, _ in iter_preorder(tree.root):
@@ -431,7 +446,9 @@ def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *
     Sequence found by ``scan_parent_of``) and pairwise duplicate Fallback
     children, then the whole-tree gate ``check_tree_domain`` before the
     (shared) livelock check."""
-    report = VerificationReport(CHECKS)
+    livelock = initial_state is not None and \
+        len(initial_state.objects) <= verify.LIVELOCK_OBJECT_LIMIT
+    report = VerificationReport(CHECKS if livelock else CHECKS[:-1])
     out = report.violations
     for node, _ in iter_preorder(tree.root):
         if node.kind is NodeKind.ACTION:
@@ -453,8 +470,7 @@ def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *
         if node.kind is NodeKind.ACTION:
             out.extend(_reference_precondition_rows(tree, node, domain))
     out.extend(pairwise_duplicate_violations(tree))
-    if initial_state is not None and \
-            len(initial_state.objects) <= verify.LIVELOCK_OBJECT_LIMIT:
+    if livelock:
         check_tree_domain(tree, domain)
         verify._check_bounded_livelock(tree, domain, initial_state, max_sim_ticks, out)
     return report

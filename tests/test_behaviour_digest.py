@@ -24,7 +24,7 @@ from btpolicy.bt import NodeKind, iter_preorder
 from btpolicy.resolver import resolve_until_success
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "behaviour_digest.py"
-EXPECTED = "716a94f451db68d6d1c81e4ea3e103ce65898db49bcb8a72a46058fb60bab05f"
+EXPECTED = "89a3dddfa7d1241aad16f0d4a905f620ed2de620e082f8d331ba4490045f5617"
 
 sys.path.insert(0, str(SCRIPT.parent))
 import behaviour_digest  # noqa: E402

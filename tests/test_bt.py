@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from btpolicy import bt, grammar
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext,
-                         TreeNode, failing_action, insert_preconditions,
-                         iter_preorder, tick, tree_equal)
+                         TreeNode, insert_preconditions, iter_preorder, tick,
+                         tree_equal)
 from btpolicy.errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
 from btpolicy.planner import _reorder_for_conflict
 from btpolicy.terms import GroundAction, Literal
 
-from oracles import (oracle_status, scan_find, scan_id_index, scan_parent_of,
-                     trace_status, validate)
+from oracles import (failing_action, oracle_status, scan_find, scan_id_index,
+                     scan_parent_of, trace_status, validate)
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -393,19 +393,17 @@ def test_insert_preconditions_wraps_root_action():
     validate(tree)
 
 
-# --- checked id index ---------------------------------------------------------
+# --- id index, literal counts and texts ----------------------------------------
 
 def golden_tree_text() -> str:
     from btpolicy.sim import bundled_data_path
     return (bundled_data_path("goldens") / "cube_stack_after.json").read_text()
 
 
-def assert_lookups_match_scans(tree: BehaviorTree, absent: set[int], *,
-                               with_id_index: bool = True) -> None:
+def assert_lookups_match_scans(tree: BehaviorTree, absent: set[int]) -> None:
     """find, parent_of, ancestry and id_index agree with the preorder scans."""
     paths = scan_id_index(tree)
-    if with_id_index:
-        assert tree.id_index == paths
+    assert tree.id_index == paths
     for node_id, path in paths.items():
         assert tree.find(node_id) is scan_find(tree, node_id)
         got, want = tree.parent_of(node_id), scan_parent_of(tree, node_id)
@@ -433,10 +431,6 @@ def _pick(items: list, seed: int):
 
 def _nodes(node: TreeNode) -> list[TreeNode]:
     return [n for n, _ in iter_preorder(node)]
-
-
-def _controls(tree: BehaviorTree) -> list[TreeNode]:
-    return [n for n in _nodes(tree.root) if n.is_control]
 
 
 def _wrap(tree: BehaviorTree, seed: int, root_only: bool = False) -> None:
@@ -503,32 +497,21 @@ def _rebind(tree: BehaviorTree, seed: int) -> None:
     assert scan_find(tree, action.id).action.get(f"s{seed % 3}") == f"v{seed % 5}"
 
 
-def _front(tree: BehaviorTree, seed: int) -> None:
-    _pick(_controls(tree), seed).children[:0] = [tree.new_condition(Literal("front"))]
-
-
-def _append(tree: BehaviorTree, seed: int) -> None:
-    _pick(_controls(tree), seed).children.append(tree.new_action(GroundAction("act_s")))
-
-
-def _pop(tree: BehaviorTree, seed: int) -> None:
-    wide = [n for n in _controls(tree) if len(n.children) > 1]
-    if wide:
-        _pick(wide, seed).children.pop()
-
-
-def _assign_root(tree: BehaviorTree, seed: int) -> None:
-    if seed % 2:
-        tree.root = tree.new_node(NodeKind.SEQUENCE, children=[tree.root])
+def _cut(tree: BehaviorTree, seed: int) -> None:
+    """Replace a node by one of its children or by a new leaf, dropping the
+    rest of its subtree."""
+    node = _pick(_nodes(tree.root), seed)
+    if node.children and seed % 2:
+        new = _pick(node.children, seed // 2)
     else:
-        tree.root = _pick(_controls(tree), seed // 2)
+        new = tree.new_condition(Literal(f"cut{seed % 3}"))
+    tree.replace(node.id, new)
+    assert scan_find(tree, new.id) is new
 
 
 EDITS = {"wrap": _wrap, "root_wrap": lambda t, s: _wrap(t, s, root_only=True),
          "insert": _insert, "swap": _swap, "move_left": _move_left, "rebind": _rebind,
-         "front": _front, "append": _append, "pop": _pop, "assign_root": _assign_root}
-# edits made through BehaviorTree.replace, insert_preconditions, move_left and rebind
-PROGRAM_EDITS = ["wrap", "root_wrap", "insert", "swap", "move_left", "rebind"]
+         "cut": _cut}
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,47 +530,9 @@ def test_index_matches_scans_after_random_edits(edits):
     assert_lookups_match_scans(tree, seen)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS), st.integers(0, 10_000)),
-                max_size=30))
-def test_program_edits_keep_the_index_without_rebuilds(edits):
-    """The tree's own edits record what they change: after any sequence of
-    them, lookups agree with the scans and the index was never rebuilt."""
-    tree = bt.parse(golden_tree_text())
-    tree.find(tree.root.id)
-    rebuilds = []
-    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
-    for name, seed in edits:
-        EDITS[name](tree, seed)
-    assert_lookups_match_scans(tree, set(), with_id_index=False)
-    assert rebuilds == []
-
-
-def full_compact(tree: BehaviorTree) -> str:
-    """The compact root text built afresh, without the tree's cache."""
-    return json.dumps(bt._node_to_obj(tree.root), separators=(",", ":"))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS), st.integers(0, 10_000),
-                          st.booleans()), max_size=30))
-def test_program_edits_keep_the_compact_text(edits):
-    """After each of the tree's own edits the cached compact text equals the
-    text built afresh, and the index was never rebuilt. Edits also run in
-    a row without a read in between, so invalidation meets partly built
-    caches."""
-    tree = bt.parse(golden_tree_text())
-    assert tree._texts == {}  # parsing builds no text
-    tree.find(tree.root.id)
-    rebuilds = []
-    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
-    assert bt.compact(tree) == full_compact(tree)
-    for name, seed, read in edits:
-        EDITS[name](tree, seed)
-        if read:
-            assert bt.compact(tree) == full_compact(tree)
-    assert bt.compact(tree) == full_compact(tree)
-    assert rebuilds == []
+def full_compact(node: TreeNode) -> str:
+    """The compact text of ``node`` built afresh, without a tree's cache."""
+    return json.dumps(bt._node_to_obj(node), separators=(",", ":"))
 
 
 def walked_literal_counts(tree: BehaviorTree) -> Counter:
@@ -596,27 +541,37 @@ def walked_literal_counts(tree: BehaviorTree) -> Counter:
                    if n.kind is NodeKind.CONDITION)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.booleans(), st.lists(st.tuples(st.sampled_from(PROGRAM_EDITS),
-                                         st.integers(0, 10_000), st.booleans()),
-                               max_size=30))
-def test_program_edits_keep_the_condition_literal_counts(build_first, edits):
-    """After each of the tree's own edits the literal counts it keeps equal
-    a fresh walk's, with no zero counts left and the index never rebuilt.
-    The counts are built before the first edit or at the first read."""
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(EDITS)), st.integers(0, 10_000),
+                          st.booleans()), max_size=30))
+def test_edits_keep_the_index_counts_and_texts(edits):
+    """After each of the tree's own edits its index, literal counts and
+    cached texts equal freshly built ones, every id a replace dropped is
+    unknown, and the tree was indexed once. The compact text is read after
+    some edits only, so invalidation meets partly built texts."""
     tree = bt.parse(golden_tree_text())
+    assert tree._texts == {}  # parsing builds no text
     tree.find(tree.root.id)
-    rebuilds = []
-    tree._reindex = lambda: rebuilds.append(1) or BehaviorTree._reindex(tree)
-    if build_first:
-        assert tree.condition_literals() == walked_literal_counts(tree)
+    builds = []
+    tree._build = lambda: builds.append(1) or BehaviorTree._build(tree)
     for name, seed, read in edits:
+        before = scan_id_index(tree).keys()
         EDITS[name](tree, seed)
+        index, counts = BehaviorTree._build(BehaviorTree(tree.root))
+        assert tree._index == index
+        assert tree.condition_literals() == counts == walked_literal_counts(tree)
+        texts = tree._texts
+        assert all(texts[n.id] == full_compact(n) for n in _nodes(tree.root) if n.id in texts)
+        for node_id in before - index.keys():
+            with pytest.raises(UnknownNode):
+                tree.find(node_id)
+            with pytest.raises(UnknownNode):
+                tree.parent_of(node_id)
         if read:
-            assert tree.condition_literals() == walked_literal_counts(tree)
-    counts = tree.condition_literals()
-    assert counts == walked_literal_counts(tree) and 0 not in counts.values()
-    assert rebuilds == []
+            assert tree.compact() == full_compact(tree.root)
+    assert tree.compact() == full_compact(tree.root)
+    assert_lookups_match_scans(tree, set())
+    assert builds == []
 
 
 def test_replace_counts_the_conditions_it_removes_and_adds():
@@ -637,17 +592,19 @@ def test_compact_text_matches_json_on_escapes():
     """Payload text goes through JSON string escaping, as json.dumps does."""
     tree = make_tree(lambda t: [t.new_action(GroundAction.from_mapping(
         "say", {"text": 'café "x" \\'}))])
-    assert bt.compact(tree) == full_compact(tree)
-    assert r'caf\u00e9 \"x\" \\)' in bt.compact(tree)
+    assert tree.compact() == full_compact(tree.root)
+    assert r'caf\u00e9 \"x\" \\)' in tree.compact()
     tree.rebind(tree.root.children[0].id, GroundAction.from_mapping("say", {"text": "\t"}))
-    assert bt.compact(tree) == full_compact(tree)
+    assert tree.compact() == full_compact(tree.root)
 
 
 def test_concurrent_queries_on_fresh_trees():
-    """Threads racing to build one tree's index all see the scans' answers."""
+    """Threads racing to build one tree's index and counts all see the
+    scans' and the walk's answers."""
     text = golden_tree_text()
     reference = bt.parse(text)
     expected_paths = scan_id_index(reference)
+    expected_counts = walked_literal_counts(reference)
     expected_parents = {i: (None if p is None else (p[0].id, p[1]))
                         for i in expected_paths
                         for p in [scan_parent_of(reference, i)]}
@@ -656,7 +613,8 @@ def test_concurrent_queries_on_fresh_trees():
     wrong: list = []
 
     def worker(first: int):
-        # threads start at different ids; odd ones build through id_index
+        # threads start at different ids; odd ones build through id_index,
+        # some even ones through condition_literals
         order = list(expected_paths)
         order = order[first:] + order[:first]
         try:
@@ -664,6 +622,8 @@ def test_concurrent_queries_on_fresh_trees():
                 start.wait(timeout=30)
                 if first % 2 and tree.id_index != expected_paths:
                     wrong.append("id_index")
+                if first % 4 == 0 and tree.condition_literals() != expected_counts:
+                    wrong.append("condition_literals")
                 for node_id in order:
                     info = tree.parent_of(node_id)
                     got = None if info is None else (info[0].id, info[1])
@@ -671,6 +631,8 @@ def test_concurrent_queries_on_fresh_trees():
                         wrong.append(node_id)
                 if tree.id_index != expected_paths:
                     wrong.append("id_index")
+                if tree.condition_literals() != expected_counts:
+                    wrong.append("condition_literals")
         except Exception as e:  # noqa: BLE001 - any raise is a wrong answer
             wrong.append(repr(e))
 

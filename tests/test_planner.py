@@ -362,7 +362,8 @@ class TestBlockedExecutionTickTrace:
             self, cube_domain, blocked_cube_state):
         # ticking the planned tree in a world where the blue cube is
         # blocked: the grasp leaf fails and is the trace's failing action
-        from btpolicy.bt import failing_action, tick, TickContext, NodeStatus
+        from btpolicy.bt import tick, TickContext, NodeStatus
+        from oracles import failing_action
         goals = goal("on(blue_cube, green_cube)")
         tree = plan(goals, cube_domain, blocked_cube_state)
         state = blocked_cube_state
@@ -508,7 +509,7 @@ def test_conflict_needs_a_sequence_scope():
 def test_simulation_asks_the_tree_index_nothing(
         monkeypatch, all_scenarios, seed7_towers, blocks_domain):
     """A simulated tick, the conflict check after it included, makes no
-    ``find``, ``parent_of`` or ``ancestry`` call and never rebuilds the
+    ``find``, ``parent_of`` or ``ancestry`` call and never builds the
     index."""
     simulate = planner._simulate
     inside = []
@@ -524,7 +525,7 @@ def test_simulation_asks_the_tree_index_nothing(
         outcomes[result.status] += 1
         return result
 
-    for name in ("find", "parent_of", "ancestry", "_reindex"):
+    for name in ("find", "parent_of", "ancestry", "_build"):
         def spy(self, *args, _name=name, _real=getattr(BehaviorTree, name)):
             lookups[_name, bool(inside)] += 1
             return _real(self, *args)

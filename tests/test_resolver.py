@@ -391,9 +391,9 @@ def test_resolver_runs_only_trees_that_pass_the_gate(monkeypatch, all_scenarios)
 
 def watched_run(monkeypatch, scenario, backend=None):
     """Resolve a scenario, counting the program's fingerprints, index
-    rebuilds and walks of parameter fills, and fingerprinting the tree
+    builds and walks of parameter fills, and fingerprinting the tree
     afresh on entry to every resolution step."""
-    counts = {"fingerprint": 0, "reindex": 0, "param_walk": 0}
+    counts = {"fingerprint": 0, "build": 0, "param_walk": 0}
     on_entry: list[str] = []
 
     def counting(name, fn):
@@ -410,8 +410,8 @@ def watched_run(monkeypatch, scenario, backend=None):
 
     monkeypatch.setattr(resolver, "tree_fingerprint",
                         counting("fingerprint", tree_fingerprint))
-    monkeypatch.setattr(bt.BehaviorTree, "_reindex",
-                        counting("reindex", bt.BehaviorTree._reindex))
+    monkeypatch.setattr(bt.BehaviorTree, "_build",
+                        counting("build", bt.BehaviorTree._build))
     monkeypatch.setattr(resolver, "iter_preorder",
                         counting("param_walk", resolver.iter_preorder))
     monkeypatch.setattr(resolver, "resolve", fresh_on_entry(resolver.resolve))
@@ -434,7 +434,7 @@ def test_fingerprints_and_index_once_per_change(monkeypatch, all_scenarios,
         assert [r.tree_before for r in result.records] == on_entry, scenario.id
         assert counts["fingerprint"] == \
             sum(1 if r.rejected else 2 for r in result.records), scenario.id
-        assert counts["reindex"] <= 1, scenario.id
+        assert counts["build"] <= 1, scenario.id
         # cube_tabletop and lab_bench skills take objects only: no walk
         value_slots = any(slot.kind != "object" for skill in scenario.domain.skills.values()
                           for slot in skill.params)

@@ -222,6 +222,8 @@ _MISSHAPEN = [
      "skills[0].params[1].default"),
     ("household domain", ("skills", 3, "params", 1, "default"), "hammer",
      "skills[3].params[1].default"),
+    ("household domain", ("skills", 0, "params", 0, "default"), "plate",
+     "skills[0].params[0].default"),
     ("scenario", ("domain",), 5, "domain"),
     ("scenario", ("instruction",), ["a", "b"], "instruction"),
     ("scenario", ("objects",), "blue_cube", "objects"),

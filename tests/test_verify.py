@@ -11,7 +11,7 @@ from btpolicy.planner import GoalSpec
 from btpolicy.resolver import resolve_until_success
 from btpolicy.sim import bundled_data_path, check_tree_domain
 from btpolicy.terms import GroundAction, Literal, Quantity
-from btpolicy.verify import LIVELOCK_OBJECT_LIMIT, reachable_states, verify_tree
+from btpolicy.verify import CHECKS, LIVELOCK_OBJECT_LIMIT, reachable_states, verify_tree
 
 from oracles import (pairwise_duplicate_violations, reference_reachable_states,
                      reference_verify_tree)
@@ -140,6 +140,21 @@ class TestViolations:
         report = verify_tree(result.tree, cafe_domain, result.goals,
                              initial_state=scenario.initial)
         assert report.passed
+
+    def test_report_lists_only_the_checks_that_ran(self, all_scenarios):
+        """The livelock check runs only from an initial world of at most
+        LIVELOCK_OBJECT_LIMIT objects, and only then does the report name it."""
+        for scenario_id, with_state, ran in [("cube_stack_golden", False, False),
+                                             ("cube_stack_golden", True, True),
+                                             ("precond_02_two_blockers", True, False)]:
+            scenario = next(s for s in all_scenarios if s.id == scenario_id)
+            result = resolve_until_success(scenario, scenario.oracle_backend())
+            report = verify_tree(result.tree, scenario.domain, result.goals,
+                                 initial_state=scenario.initial if with_state else None)
+            assert report.checks == (CHECKS if ran else CHECKS[:-1])
+            assert report.to_text().splitlines()[0] == \
+                f"checks run: {', '.join(report.checks)}"
+            assert ("bounded_livelock" in report.to_text()) is ran
 
     def test_report_text_lists_violations(self, cube_domain):
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
@@ -392,8 +407,8 @@ def test_verify_makes_no_index_lookups(monkeypatch, all_scenarios):
     result = resolve_until_success(scenario, scenario.oracle_backend())
     tree = bt.parse(bt.serialize(result.tree))
     lookups = []
-    monkeypatch.setattr(BehaviorTree, "_reindex",
-                        lambda self: lookups.append("_reindex"))
+    monkeypatch.setattr(BehaviorTree, "_build",
+                        lambda self: lookups.append("_build"))
     monkeypatch.setattr(BehaviorTree, "parent_of",
                         lambda self, node_id: lookups.append("parent_of"))
     monkeypatch.setattr(BehaviorTree, "find", lambda self, node_id: lookups.append("find"))
