@@ -541,36 +541,79 @@ def walked_literal_counts(tree: BehaviorTree) -> Counter:
                    if n.kind is NodeKind.CONDITION)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(sorted(EDITS)), st.integers(0, 10_000),
-                          st.booleans()), max_size=30))
-def test_edits_keep_the_index_counts_and_texts(edits):
-    """After each of the tree's own edits its index, literal counts and
-    cached texts equal freshly built ones, every id a replace dropped is
-    unknown, and the tree was indexed once. The compact text is read after
-    some edits only, so invalidation meets partly built texts."""
-    tree = bt.parse(golden_tree_text())
-    assert tree._texts == {}  # parsing builds no text
-    tree.find(tree.root.id)
-    builds = []
+def watch_builds(tree: BehaviorTree) -> list:
+    """Record each later build of ``tree``'s index and counts."""
+    builds: list = []
     tree._build = lambda: builds.append(1) or BehaviorTree._build(tree)
-    for name, seed, read in edits:
+    return builds
+
+
+PROGRAM_EDITS = st.lists(st.tuples(st.sampled_from(sorted(EDITS)), st.integers(0, 10_000),
+                                   st.booleans()), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PROGRAM_EDITS)
+def test_program_edits_keep_the_index_without_rebuilds(edits):
+    """After each of the tree's own edits its index equals a freshly built
+    one and every id a replace dropped is unknown; lookups agree with the
+    scans and the index was built once."""
+    tree = bt.parse(golden_tree_text())
+    tree.find(tree.root.id)
+    builds = watch_builds(tree)
+    for name, seed, _ in edits:
         before = scan_id_index(tree).keys()
         EDITS[name](tree, seed)
-        index, counts = BehaviorTree._build(BehaviorTree(tree.root))
+        index, _ = BehaviorTree._build(BehaviorTree(tree.root))
         assert tree._index == index
-        assert tree.condition_literals() == counts == walked_literal_counts(tree)
-        texts = tree._texts
-        assert all(texts[n.id] == full_compact(n) for n in _nodes(tree.root) if n.id in texts)
         for node_id in before - index.keys():
             with pytest.raises(UnknownNode):
                 tree.find(node_id)
             with pytest.raises(UnknownNode):
                 tree.parent_of(node_id)
+    assert_lookups_match_scans(tree, set())
+    assert builds == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(PROGRAM_EDITS)
+def test_program_edits_keep_the_compact_text(edits):
+    """After each of the tree's own edits every cached text equals the text
+    built afresh, and the index was built once. The compact text is read
+    after some edits only, so invalidation meets partly built texts."""
+    tree = bt.parse(golden_tree_text())
+    assert tree._texts == {}  # parsing builds no text
+    tree.find(tree.root.id)
+    builds = watch_builds(tree)
+    assert tree.compact() == full_compact(tree.root)
+    for name, seed, read in edits:
+        EDITS[name](tree, seed)
+        texts = tree._texts
+        assert all(texts[n.id] == full_compact(n) for n in _nodes(tree.root) if n.id in texts)
         if read:
             assert tree.compact() == full_compact(tree.root)
     assert tree.compact() == full_compact(tree.root)
-    assert_lookups_match_scans(tree, set())
+    assert builds == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), PROGRAM_EDITS)
+def test_program_edits_keep_the_condition_literal_counts(build_first, edits):
+    """After each of the tree's own edits the literal counts it keeps equal
+    a fresh walk's, with no zero counts left, and the tree was counted once.
+    The counts are built by a count read or by a lookup."""
+    tree = bt.parse(golden_tree_text())
+    if build_first:
+        assert tree.condition_literals() == walked_literal_counts(tree)
+    else:
+        tree.find(tree.root.id)
+    builds = watch_builds(tree)
+    for name, seed, read in edits:
+        EDITS[name](tree, seed)
+        if read:
+            assert tree.condition_literals() == walked_literal_counts(tree)
+    counts = tree.condition_literals()
+    assert counts == walked_literal_counts(tree) and 0 not in counts.values()
     assert builds == []
 
 
