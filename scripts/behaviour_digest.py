@@ -46,7 +46,7 @@ def behaviour(scenario) -> list[str]:
              str(result.rounds), records_to_jsonl(result.records)]
     parts += [trace.to_jsonl() for trace in result.traces]
     try:
-        replay = execute(result.tree, scenario, config.exec)
+        replay = execute(result.tree, scenario, max_ticks=config.plan.max_sim_ticks)
         parts += [replay.outcome, replay.to_jsonl()]
     except BtError as e:
         parts.append(f"replay raised {type(e).__name__}: {e}")

@@ -18,8 +18,8 @@ from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   parse_precondition_response)
 from .backends import (Backend, OracleBackend, RemoteBackend, RequestMeta,
                        ScriptedBackend)
-from .sim import (ExecConfig, ExecutionTrace, FailureEvent, FaultRule,
-                  Scenario, execute, load_scenario, load_scenarios)
+from .sim import (ExecutionTrace, FailureEvent, FaultRule, Scenario, execute,
+                  load_scenario, load_scenarios)
 from .resolver import (Outcome, ParamRequest, PipelineResult, ResolveConfig,
                        ResolutionRecord, resolve, resolve_parameter,
                        resolve_until_success)

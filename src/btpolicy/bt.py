@@ -275,9 +275,10 @@ def _record(entry: _Entry, index: dict[int, _Entry], counts: dict[Literal, int])
             counts[node.payload] = counts.get(node.payload, 0) + 1
 
 
-def iter_preorder(node: TreeNode, depth: int = 0) -> Iterator[tuple[TreeNode, int]]:
-    """Nodes with their depths, in preorder, from one explicit stack."""
-    stack = [(node, depth)]
+def iter_preorder(node: TreeNode) -> Iterator[tuple[TreeNode, int]]:
+    """Nodes with their depths (``node`` at 0), in preorder, from one
+    explicit stack."""
+    stack = [(node, 0)]
     while stack:
         node, depth = stack.pop()
         yield node, depth

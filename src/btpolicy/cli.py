@@ -26,8 +26,8 @@ from .llm import LlmExchange, build_prompt
 from .planner import GoalSpec, PlanConfig, plan
 from .resolver import (Outcome, ResolveConfig, interpret_goals,
                        records_to_jsonl, resolve_until_success)
-from .sim import (ExecConfig, Scenario, bundled_data_path, execute,
-                  load_scenario, load_scenarios)
+from .sim import (Scenario, bundled_data_path, execute, load_scenario,
+                  load_scenarios)
 from .verify import verify_tree
 
 EXIT_OK = 0
@@ -80,7 +80,6 @@ def _resolve_config(args) -> ResolveConfig:
         plan=PlanConfig(max_expansions=args.budget_expansions,
                         max_conflict_reorders=args.budget_reorders,
                         max_sim_ticks=args.budget_ticks),
-        exec=ExecConfig(max_ticks=args.budget_ticks),
     )
 
 
@@ -185,7 +184,7 @@ def _run_without_resolution(scenario, tree, backend, config):
     if tree is None:
         goals, _ = interpret_goals(scenario, backend)
         tree = plan(goals, scenario.domain, scenario.initial, config.plan)
-    trace = execute(tree, scenario, config.exec)
+    trace = execute(tree, scenario, max_ticks=config.plan.max_sim_ticks)
     outcome = trace.outcome
     if trace.events:
         for event in trace.events:
@@ -283,7 +282,8 @@ def _bench_scenarios(args, prefix: str):
                 # a case counts once its policy also replays from the
                 # initial world with faults on and no backend to repair it
                 if result.outcome is Outcome.SUCCESS and \
-                        execute(result.tree, scenario, config.exec).succeeded:
+                        execute(result.tree, scenario,
+                                max_ticks=config.plan.max_sim_ticks).succeeded:
                     successes += 1
                 if result.goal_exchange is not None:
                     exchanges.append(result.goal_exchange)

@@ -85,12 +85,6 @@ class SkillTemplate:
     effects: tuple[Literal, ...] = ()
     hidden_effects: tuple[Literal, ...] = ()
 
-    def slot(self, name: str) -> Slot:
-        for s in self.params:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     @cached_property
     def object_slots(self) -> tuple[Slot, ...]:
         return tuple(s for s in self.params if s.kind == "object")
@@ -529,7 +523,6 @@ SCENARIO_SHAPE = {
         "id": str, "skill": str,
         "where?": {str: (str, {"category": str})},
         "phase?": frozenset({"planning", "execution"}),
-        "mode?": frozenset({"fail", "suppress_effects"}),
         "guard?": [str], "clears_when?": [str], "message": str}],
     "oracle": {"goals": str, "preconditions?": {str: str},
                "params?": [{"slot": str, "object": str, "value": _SCALAR}]},

@@ -131,11 +131,10 @@ def parse_literal(text: str) -> Literal:
     return lit
 
 
-def parse_literal_conjunction(text: str, separator: str = "&") -> list[Literal]:
+def parse_literal_conjunction(text: str) -> list[Literal]:
     """Parse ``lit & lit & ...``; at least one literal is required."""
-    parts = text.split(separator)
     literals = []
-    for part in parts:
+    for part in text.split("&"):
         if not part.strip():
             raise ParseError("empty conjunct", expected="a literal")
         literals.append(parse_literal(part.strip()))

@@ -117,7 +117,6 @@ class LlmExchange:
     raw_response: str
     parsed: GoalSpec | list[Literal] | ParamValue | None = None
     reasoning: str | None = None
-    error: str | None = None
 
 
 def scene_from_state(domain: Domain, state: WorldState) -> str:
@@ -205,13 +204,6 @@ def split_answer(raw: str) -> tuple[str, str | None]:
     return answer, reasoning or None
 
 
-def extract_reasoning(raw: str) -> str | None:
-    try:
-        return split_answer(raw)[1]
-    except ParseError:
-        return None
-
-
 def _parse_condition_answer(raw: str, domain: Domain,
                             objects: tuple[str, ...] | None) -> tuple[list[Literal], str | None]:
     answer, reasoning = split_answer(raw)
@@ -248,7 +240,7 @@ def parse_precondition_response(raw: str, domain: Domain, *,
     return _parse_condition_answer(raw, domain, objects)
 
 
-def parse_param_response(raw: str, slot: Slot) -> ParamValue:
+def parse_param_response(raw: str, slot: Slot) -> tuple[ParamValue, str | None]:
     """Parse a parameter suggestion against the slot's declared type."""
-    answer, _ = split_answer(raw)
-    return ParamValue(slot.name, slot.parse_value(answer))
+    answer, reasoning = split_answer(raw)
+    return ParamValue(slot.name, slot.parse_value(answer)), reasoning

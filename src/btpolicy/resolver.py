@@ -32,11 +32,10 @@ from .bt import BehaviorTree, NodeKind, TreeNode, insert_preconditions, iter_pre
 from .domain import Domain, Slot, WorldState
 from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
-                  condition_catalog, extract_reasoning, parse_goal_response,
-                  parse_param_response, parse_precondition_response,
-                  scene_from_state)
+                  condition_catalog, parse_goal_response, parse_param_response,
+                  parse_precondition_response, scene_from_state)
 from .planner import GoalSpec, PlanConfig, goals_of, guarding_literals, plan
-from .sim import ExecConfig, ExecutionTrace, FailureEvent, Scenario, run_trusted
+from .sim import ExecutionTrace, FailureEvent, Scenario, run_trusted
 
 
 class Outcome(Enum):
@@ -50,7 +49,6 @@ class Outcome(Enum):
 class ResolveConfig:
     max_resolution_rounds: int = 8
     plan: PlanConfig = PlanConfig()
-    exec: ExecConfig = ExecConfig()
 
 
 @dataclass(frozen=True)
@@ -199,27 +197,26 @@ def bind_default_params(tree: BehaviorTree, domain: Domain,
 
 def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
                       backend: Backend, *, instruction: str = "", key: str = "",
-                      world: WorldState | None = None, round_index: int = 1,
+                      world: WorldState, round_index: int = 1,
                       ) -> tuple[BehaviorTree, ResolutionRecord]:
     """Ask once for a slot value, then bind every action leaf sharing the
     slot name in the same object context (shared bound object)."""
     target = tree.find(request.action_id)
-    objects = world.objects if world is not None else ()
     spec = PromptSpec(
         role=Role.PARAMETER_RESOLUTION,
         instruction=instruction,
-        objects=objects,
+        objects=world.objects,
         condition_catalog=condition_catalog(domain),
         examples=domain.parameter_examples,
-        scene_description=scene_from_state(domain, world) if world else "",
+        scene_description=scene_from_state(domain, world),
         failing_action=target.action,
         param_slot=request.slot,
     )
     raw = backend.complete(build_prompt(spec),
                            RequestMeta(Role.PARAMETER_RESOLUTION, key, param=request))
-    value = parse_param_response(raw, request.slot)
+    value, reasoning = parse_param_response(raw, request.slot)
     before = tree_fingerprint(tree)
-    exchange = LlmExchange(spec, raw, parsed=value, reasoning=extract_reasoning(raw))
+    exchange = LlmExchange(spec, raw, parsed=value, reasoning=reasoning)
 
     context = set(request.context_objects)
     bound = 0
@@ -323,7 +320,8 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
     world = scenario.initial
     while True:
         # built from checked parts only, so ungated (module docstring)
-        trace = run_trusted(tree, scenario, config.exec, world=world)
+        trace = run_trusted(tree, scenario, world=world,
+                            max_ticks=config.plan.max_sim_ticks)
         result.traces.append(trace)
         world = trace.final_state or world
         result.world = world

@@ -3,10 +3,10 @@
 A scenario bundles a domain reference, an initial world (visible plus
 hidden fault state), an instruction, fault rules, and the ground-truth
 answers the oracle backend serves. Executing a tree ticks it against the
-world: at most one action fires per tick (it returns Running and its
-effects land immediately, completing by the next tick), fault rules
-intercept firings, and execution stops at the first failure event so the
-resolver can step in.
+world: at most one action fires per tick and completes in it (it returns
+Running and its effects land at once), a fault rule that fires fails the
+action instead, with no effects, and execution stops at the first failure
+event so the resolver can step in.
 
 Scenario files are versioned YAML (schema id ``scenario/v1``); see
 docs/formats.md.
@@ -35,9 +35,8 @@ class FaultRule:
     The guard is a literal conjunction over the union of visible and hidden
     state; ``@slot`` arguments are filled from the matched action's binding.
     ``clears_when`` literals, when given, make the rule inert once they all
-    hold. Mode ``fail`` fails the action outright; ``suppress_effects`` lets
-    the action "complete" without its declared effects, which the executor's
-    postcondition audit then reports as a failure."""
+    hold. A firing rule fails the action: it returns Failure, its effects do
+    not land, and the executor records a FailureEvent."""
 
     id: str
     skill: str
@@ -47,7 +46,6 @@ class FaultRule:
     message: str = ""
     clears_when: tuple[Literal, ...] = ()
     phase: str = "execution"                        # "planning" | "execution"
-    mode: str = "fail"                              # "fail" | "suppress_effects"
 
     def matches(self, domain: Domain, action: GroundAction) -> bool:
         if action.skill != self.skill:
@@ -141,18 +139,6 @@ class FailureEvent:
     rule_id: str
 
 
-@dataclass(frozen=True)
-class ExecConfig:
-    max_ticks: int = 10_000
-    durations: tuple[tuple[str, int], ...] = ()   # skill -> ticks to complete
-
-    def duration_of(self, skill: str) -> int:
-        for name, ticks_needed in self.durations:
-            if name == skill:
-                return ticks_needed
-        return 1
-
-
 @dataclass
 class TickRecord:
     """One executed tick. ``state`` is the world the tick left; its literals
@@ -241,30 +227,26 @@ def check_tree_domain(tree: BehaviorTree, domain: Domain) -> None:
             raise mismatch
 
 
-def execute(tree: BehaviorTree, scenario: Scenario,
-            config: ExecConfig | None = None, *,
+def execute(tree: BehaviorTree, scenario: Scenario, *,
             world: WorldState | None = None,
-            faults: bool = True) -> ExecutionTrace:
+            max_ticks: int = 10_000) -> ExecutionTrace:
     """Run the tree against the scenario world until success, failure, or
     the first failure event. Fully deterministic; raises DomainMismatch
     before the first tick when a leaf does not fit the scenario's domain,
     and TickBudgetExceeded when the tick budget runs out or the world stops
     changing."""
     check_tree_domain(tree, scenario.domain)
-    return run_trusted(tree, scenario, config, world=world, faults=faults)
+    return run_trusted(tree, scenario, world=world, max_ticks=max_ticks)
 
 
-def run_trusted(tree: BehaviorTree, scenario: Scenario,
-                config: ExecConfig | None = None, *,
+def run_trusted(tree: BehaviorTree, scenario: Scenario, *,
                 world: WorldState | None = None,
-                faults: bool = True) -> ExecutionTrace:
+                max_ticks: int = 10_000) -> ExecutionTrace:
     """``execute`` without the domain gate, for a tree whose leaves are known
     to fit the scenario's domain; a leaf that does not fails mid-tick."""
-    config = config or ExecConfig()
     domain = scenario.domain
     state = world if world is not None else scenario.initial
     trace = ExecutionTrace()
-    elapsed: dict[int, int] = {}
 
     fired: TreeNode | None = None
     fired_status: NodeStatus | None = None
@@ -278,21 +260,8 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
         action = leaf.action
         fired = leaf
         rule = next((r for r in scenario.fault_rules
-                     if faults and r.fires(domain, state, action)), None)
-        if rule is not None and rule.mode == "fail":
-            tick_events.append(FailureEvent(rule.phase, leaf.id, action,
-                                            rule.message, state.visible_only(),
-                                            rule.id))
-            fired_status = NodeStatus.FAILURE
-            return fired_status
-        needed = config.duration_of(action.skill)
-        progress = elapsed.get(leaf.id, 0) + 1
-        if progress < needed:
-            elapsed[leaf.id] = progress
-            fired_status = NodeStatus.RUNNING
-            return fired_status
-        elapsed.pop(leaf.id, None)
-        if rule is not None:  # suppress_effects: completion without effects
+                     if r.fires(domain, state, action)), None)
+        if rule is not None:
             tick_events.append(FailureEvent(rule.phase, leaf.id, action,
                                             rule.message, state.visible_only(),
                                             rule.id))
@@ -306,7 +275,7 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
     ctx = TickContext(eval_condition, step_action)
     seen: set[tuple] = set()
 
-    for index in range(config.max_ticks):
+    for index in range(max_ticks):
         fired = None
         fired_status = None
         tick_events = []
@@ -329,13 +298,13 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario,
             # events this run were routed around by sibling branches
             trace.pending_event = tick_events[-1] if tick_events else None
             return trace
-        key = (state.true, state.hidden, tuple(sorted(elapsed.items())))
+        key = (state.true, state.hidden)
         if key in seen:
             raise TickBudgetExceeded(
                 f"execution of scenario {scenario.id} stopped making progress "
                 f"after {index + 1} ticks")
         seen.add(key)
-    raise TickBudgetExceeded(f"tick budget {config.max_ticks} exhausted")
+    raise TickBudgetExceeded(f"tick budget {max_ticks} exhausted")
 
 
 # --- scenario files -----------------------------------------------------------
@@ -397,7 +366,7 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
             parse_rule_literals(entry.get("guard"), rule_id, entry["skill"]),
             entry["message"],
             parse_rule_literals(entry.get("clears_when"), rule_id, entry["skill"]),
-            entry.get("phase") or "execution", entry.get("mode") or "fail"))
+            entry.get("phase") or "execution"))
     rule_ids = [rule.id for rule in rules]
     if len(set(rule_ids)) != len(rule_ids):
         fail("duplicate fault rule ids")

@@ -32,6 +32,9 @@ CHECKS = (
 #: bounded_livelock only runs at or below this object-registry size
 LIVELOCK_OBJECT_LIMIT = 4
 
+#: bounded_livelock ticks the tree at most this often from each state
+LIVELOCK_TICK_LIMIT = 500
+
 #: bounded_livelock checks at most this many reachable states; a larger
 #: state space is itself a finding
 REACHABLE_STATE_LIMIT = 5000
@@ -68,8 +71,7 @@ class VerificationReport:
 
 
 def verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
-                initial_state: WorldState | None = None,
-                max_sim_ticks: int = 500) -> VerificationReport:
+                initial_state: WorldState | None = None) -> VerificationReport:
     """Run every check that applies; the report lists the checks that ran,
     and their findings in ``CHECKS`` order, in preorder within a check.
 
@@ -89,8 +91,7 @@ def verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
     if initial_state is not None and len(initial_state.objects) <= LIVELOCK_OBJECT_LIMIT:
         if mismatch is not None:
             raise mismatch
-        _check_bounded_livelock(tree, domain, initial_state, max_sim_ticks,
-                                found["bounded_livelock"])
+        _check_bounded_livelock(tree, domain, initial_state, found["bounded_livelock"])
         checks = CHECKS
     return VerificationReport(checks, [v for check in checks for v in found[check]])
 
@@ -239,8 +240,7 @@ def _all_ground_actions(domain: Domain, state: WorldState) -> list[GroundAction]
 
 
 def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
-                            initial: WorldState, max_sim_ticks: int,
-                            found: list[Violation]) -> None:
+                            initial: WorldState, found: list[Violation]) -> None:
     states = reachable_states(domain, initial, REACHABLE_STATE_LIMIT + 1)
     if len(states) > REACHABLE_STATE_LIMIT:
         del states[REACHABLE_STATE_LIMIT:]
@@ -249,15 +249,15 @@ def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
             f"more than {REACHABLE_STATE_LIMIT} states are reachable; "
             f"ticking was checked from the first {REACHABLE_STATE_LIMIT} only"))
     for state in states:
-        outcome = _run_to_terminal(tree, domain, state, max_sim_ticks)
+        outcome = _run_to_terminal(tree, domain, state)
         if outcome is None:
             found.append(Violation(
                 "bounded_livelock", None,
                 f"ticking livelocks from state {{{', '.join(state.sorted_literals())}}}"))
 
 
-def _run_to_terminal(tree: BehaviorTree, domain: Domain, start: WorldState,
-                     max_ticks: int) -> NodeStatus | None:
+def _run_to_terminal(tree: BehaviorTree, domain: Domain,
+                     start: WorldState) -> NodeStatus | None:
     """Tick with plain effect application until Success/Failure; None = livelock."""
     state = start
 
@@ -268,7 +268,7 @@ def _run_to_terminal(tree: BehaviorTree, domain: Domain, start: WorldState,
 
     ctx = TickContext(lambda lit: domain.holds(state, lit), step_action)
     seen = {state.true}
-    for _ in range(max_ticks):
+    for _ in range(LIVELOCK_TICK_LIMIT):
         status, _trace = tick(tree, ctx, record_trace=False)
         if status in (NodeStatus.SUCCESS, NodeStatus.FAILURE):
             return status

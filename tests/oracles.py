@@ -439,8 +439,7 @@ def reference_reachable_states(domain: Domain, initial: WorldState) -> list[Worl
 
 
 def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
-                          initial_state: WorldState | None = None,
-                          max_sim_ticks: int = 500) -> VerificationReport:
+                          initial_state: WorldState | None = None) -> VerificationReport:
     """``verify.verify_tree`` with one walk per check: action bindings,
     condition literals and goal coverage, precondition rows (each action's
     Sequence found by ``scan_parent_of``) and pairwise duplicate Fallback
@@ -472,7 +471,7 @@ def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *
     out.extend(pairwise_duplicate_violations(tree))
     if livelock:
         check_tree_domain(tree, domain)
-        verify._check_bounded_livelock(tree, domain, initial_state, max_sim_ticks, out)
+        verify._check_bounded_livelock(tree, domain, initial_state, out)
     return report
 
 

@@ -119,6 +119,23 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert "run 1: success" in out
 
+    def test_tick_budget_bounds_replay(self, tmp_path, capsys):
+        """``--budget-ticks`` bounds the ticks a run executes, not only the
+        ticks the planner simulates."""
+        code, _, _ = run_cli(
+            capsys, "run", "--scenario", "cube_stack_golden",
+            "--backend", "oracle", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        replay = ("run", "--scenario", "cube_stack_golden", "--backend", "oracle",
+                  "--no-resolve", "--tree", str(tmp_path / "final_tree.json"))
+        code, out, err = run_cli(capsys, *replay, "--budget-ticks", "2")
+        assert code == EXIT_FAILURE
+        assert "tick budget 2 exhausted" in err
+        assert "run 1" not in out
+        code, out, _ = run_cli(capsys, *replay)
+        assert code == EXIT_OK
+        assert "run 1: success" in out
+
     def test_tree_without_no_resolve_is_rejected(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "run", "--scenario", "precond_01_blocked_cube",

@@ -156,12 +156,15 @@ class TestParseParamResponse:
     tool = Slot("tool", "categorical", choices=("shovel", "spoon"))
 
     def test_numeric_with_unit(self):
-        value = parse_param_response("ANSWER: 5.3 N", self.force)
+        value, reasoning = parse_param_response("ANSWER: 5.3 N", self.force)
         assert value == ParamValue("force", Quantity(5.3, "N"))
+        assert reasoning is None
 
     def test_categorical_in_vocabulary(self):
-        value = parse_param_response("ANSWER: shovel", self.tool)
+        value, reasoning = parse_param_response(
+            "ANSWER: shovel\nREASONING: sand needs a scoop", self.tool)
         assert value == ParamValue("tool", "shovel")
+        assert reasoning == "sand needs a scoop"
 
     def test_categorical_out_of_vocab_rejected(self):
         with pytest.raises(FormatError, match="excavator"):

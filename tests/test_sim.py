@@ -8,8 +8,7 @@ from btpolicy.errors import DomainMismatch, SchemaError, TickBudgetExceeded
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, plan
 from btpolicy.resolver import resolve_until_success
-from btpolicy.sim import (ExecConfig, bundled_data_path, execute,
-                          load_scenario, load_scenarios)
+from btpolicy.sim import bundled_data_path, execute, load_scenario, load_scenarios
 
 
 def lit(text):
@@ -92,20 +91,6 @@ class TestExecute:
         trace = execute(result.tree, golden_scenario)
         fired = [r for r in trace.ticks if r.fired_action]
         assert len(fired) == len(trace.ticks) - 1  # final tick fires nothing
-
-    def test_duration_knob_running_propagation(self, golden_scenario):
-        result = resolve_until_success(golden_scenario,
-                                       golden_scenario.oracle_backend())
-        slow = ExecConfig(durations=(("grasp", 3),))
-        trace = execute(result.tree, golden_scenario, slow)
-        assert trace.outcome == "success"
-        grasp_ticks = [r for r in trace.ticks
-                       if r.fired_action and r.fired_action.startswith("grasp(")]
-        fast_trace = execute(result.tree, golden_scenario)
-        fast_grasps = [r for r in fast_trace.ticks
-                       if r.fired_action and r.fired_action.startswith("grasp(")]
-        assert len(grasp_ticks) == 3 * len(fast_grasps)
-        assert all(r.status == "running" for r in grasp_ticks)
 
     def test_domain_mismatch_detected(self, golden_scenario, cafe_domain):
         from btpolicy.sim import Scenario
@@ -233,7 +218,7 @@ _MISSHAPEN = [
     ("scenario", ("fault_rules", 0, "where"), ["obj"], "fault_rules[0].where"),
     ("scenario", ("fault_rules", 0, "guard"), "on(any_object, @obj)",
      "fault_rules[0].guard"),
-    ("scenario", ("fault_rules", 0, "mode"), "explode", "fault_rules[0].mode"),
+    ("scenario", ("fault_rules", 0, "phase"), "explode", "fault_rules[0].phase"),
     ("scenario", ("oracle",), ["on(blue_cube, green_cube)"], "oracle"),
     ("scenario", ("expected",), ["success"], "expected"),
     ("scenario", ("expected", "rounds"), "one", "expected.rounds"),

@@ -133,12 +133,16 @@ class TestViolations:
                              initial_state=state)
         assert any(v.check == "bounded_livelock" for v in report.violations)
 
-    def test_large_domains_skip_state_enumeration(self, cafe_domain, all_scenarios):
+    def test_patched_small_world_policy_passes_every_check(self, cafe_domain,
+                                                           all_scenarios):
+        """A 4-object world is within LIVELOCK_OBJECT_LIMIT, so the livelock
+        check runs too, and the patched policy passes it."""
         scenario = next(s for s in all_scenarios
                         if s.id == "precond_05_locked_cupboard")
         result = resolve_until_success(scenario, scenario.oracle_backend())
         report = verify_tree(result.tree, cafe_domain, result.goals,
                              initial_state=scenario.initial)
+        assert report.checks == CHECKS
         assert report.passed
 
     def test_report_lists_only_the_checks_that_ran(self, all_scenarios):
