@@ -30,6 +30,9 @@ from .llm import Role
 ENDPOINT_ENV = "BTPOLICY_LLM_ENDPOINT"
 API_KEY_ENV = "BTPOLICY_LLM_API_KEY"
 
+TEMPERATURE = 0.0   # of every remote request
+MAX_IN_FLIGHT = 4   # remote requests one RemoteBackend has on the wire at once
+
 
 @dataclass
 class RequestMeta:
@@ -92,18 +95,16 @@ class RemoteBackend:
     model: str = "gpt-4"
     endpoint: str | None = None
     api_key: str | None = None
-    temperature: float = 0.0
     timeout: float = 60.0
     max_retries: int = 3
     backoff: float = 1.0
-    max_in_flight: int = 4
     _gate: threading.Semaphore = field(init=False, repr=False)
     _opener: urllib.request.OpenerDirector = field(init=False, repr=False)
 
     def __post_init__(self):
         self.endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV) or ""
         self.api_key = self.api_key or os.environ.get(API_KEY_ENV) or ""
-        self._gate = threading.Semaphore(self.max_in_flight)
+        self._gate = threading.Semaphore(MAX_IN_FLIGHT)
         # Only these handlers: every status comes back as a response (no
         # error processor), redirects are not followed (the bearer key stays
         # with the endpoint's host), and no scheme but http(s) opens.
@@ -132,7 +133,7 @@ class RemoteBackend:
         self.check_config()
         payload = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
             "messages": [{"role": "user", "content": prompt}],
         }
         url = self.endpoint.rstrip("/") + "/chat/completions"

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from . import grammar
-from .errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
+from .errors import (InvalidTarget, ParseError, TickBudgetExceeded, TreeInvalid,
+                     UnknownNode)
 from .terms import GroundAction, Literal
 
 
@@ -304,6 +305,22 @@ def tick(tree: BehaviorTree, ctx: TickContext, *,
     trace = TickTrace() if record_trace else None
     status = _tick_node(tree.root, ctx, trace.entries if trace is not None else None, 0)
     return status, trace
+
+
+def run_ticks(progress: Callable[[], Hashable], max_ticks: int) -> Iterator[int]:
+    """The one stop rule for a run of ticks: yields tick indexes, and the
+    caller ticks once per index and leaves at the first tick that ends in
+    Success or Failure. After every other tick, ``progress()`` keys the
+    world; raises TickBudgetExceeded when a key repeats (the start's
+    included) or after ``max_ticks`` ticks."""
+    seen = {progress()}
+    for index in range(max_ticks):
+        yield index
+        key = progress()
+        if key in seen:
+            raise TickBudgetExceeded(f"stopped making progress after {index + 1} ticks")
+        seen.add(key)
+    raise TickBudgetExceeded(f"tick budget {max_ticks} exhausted")
 
 
 def _tick_node(node: TreeNode, ctx: TickContext,

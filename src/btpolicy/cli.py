@@ -21,7 +21,7 @@ from .backends import RemoteBackend, ScriptedBackend
 from .domain import (GOALSET_SHAPE, check_shape, load_domain, load_yaml, make_state,
                      read_input)
 from .errors import (BackendUnavailable, BtError, DomainMismatch, ParseError,
-                     SchemaError, Unsolvable)
+                     SchemaError, TickBudgetExceeded, Unsolvable)
 from .llm import LlmExchange, build_prompt
 from .planner import GoalSpec, PlanConfig, plan
 from .resolver import (Outcome, ResolveConfig, interpret_goals,
@@ -156,16 +156,29 @@ def cmd_run(args) -> int:
     outcomes: list[str] = []
     exit_code = EXIT_OK
     for index in range(args.repeat):
-        if args.no_resolve:
-            outcome, trace, tree = _run_without_resolution(scenario, given_tree,
-                                                           backend, config)
-            records_text = ""
-        else:
-            result = resolve_until_success(scenario, backend, config)
-            outcome = result.outcome.value
-            tree = result.tree
-            trace = result.traces[-1] if result.traces else None
-            records_text = records_to_jsonl(result.records)
+        try:
+            if args.no_resolve:
+                tree = given_tree
+                if tree is None:
+                    goals, _ = interpret_goals(scenario, backend)
+                    tree = plan(goals, scenario.domain, scenario.initial, config.plan)
+                trace = execute(tree, scenario, max_ticks=config.plan.max_sim_ticks)
+                for event in trace.events:
+                    print(f"failure: {event.action} -> {event.error_message}")
+                outcome, records_text = trace.outcome, ""
+            else:
+                result = resolve_until_success(scenario, backend, config)
+                outcome = result.outcome.value
+                tree = result.tree
+                trace = result.traces[-1] if result.traces else None
+                records_text = records_to_jsonl(result.records)
+        except TickBudgetExceeded as e:
+            # keep the ticks that led to the stop; the error still exits 1
+            if index == 0 and out is not None:
+                if args.no_resolve:
+                    _write_tree_artifacts(tree, out, "final_tree")
+                atomic_write(out / "trace.jsonl", e.trace.to_jsonl())
+            raise
         outcomes.append(outcome)
         if index == 0 and out is not None:
             _write_tree_artifacts(tree, out, "final_tree")
@@ -178,18 +191,6 @@ def cmd_run(args) -> int:
             exit_code = {"exhausted": EXIT_EXHAUSTED,
                          "unsolvable": EXIT_UNSOLVABLE}.get(outcome, EXIT_FAILURE)
     return exit_code
-
-
-def _run_without_resolution(scenario, tree, backend, config):
-    if tree is None:
-        goals, _ = interpret_goals(scenario, backend)
-        tree = plan(goals, scenario.domain, scenario.initial, config.plan)
-    trace = execute(tree, scenario, max_ticks=config.plan.max_sim_ticks)
-    outcome = trace.outcome
-    if trace.events:
-        for event in trace.events:
-            print(f"failure: {event.action} -> {event.error_message}")
-    return outcome, trace, tree
 
 
 # --- bench --------------------------------------------------------------------

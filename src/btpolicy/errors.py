@@ -123,7 +123,14 @@ class DomainMismatch(BtError):
 
 
 class TickBudgetExceeded(BtError):
-    """Execution did not terminate within the configured tick budget."""
+    """A run of ticks (simulated, executed or checked for livelock) stopped
+    by ``bt.run_ticks``: its budget ran out or its world repeated a state.
+    Raised out of execution it carries the ticks run so far as ``trace``,
+    an ExecutionTrace whose outcome is "running"; elsewhere None."""
+
+    def __init__(self, message: str, trace=None):
+        self.trace = trace
+        super().__init__(message)
 
 
 class BackendUnavailable(BtError):

@@ -31,11 +31,13 @@ of ``Domain.effect_delta`` read delete-then-add, without copying any rows
 (``_achieves`` and ``_Reliance``). The tree's condition literals come from
 the counts the tree keeps (``BehaviorTree.condition_literals``).
 
-Conflict checks and expansion targets are read from the tick trace alone:
-the fired action is the trace's last entry, and its ancestors the last
-earlier entries at each smaller depth. A simulated tick asks the tree's
-index nothing. Conflict reorders go through ``BehaviorTree.move_left``, which
-keeps the tree's index current.
+Conflict checks, the subtree a conflict moves and expansion targets are
+read from the tick trace alone: the fired action is the trace's last entry,
+and its ancestors the last earlier entries at each smaller depth. Neither a
+simulated tick nor ``plan`` looks a node up; a conflict moves the subtree
+the trace names with ``BehaviorTree.move_left``, which keeps the tree's
+index current. A simulation stops by ``bt.run_ticks``, the stop rule every
+tick loop shares.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TraceEntry, TreeNode, tick)
+                 TraceEntry, TreeNode, run_ticks, tick)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
-from .errors import InvalidTarget, NoAchiever, PlanBudgetExceeded, Unsolvable
+from .errors import (InvalidTarget, NoAchiever, PlanBudgetExceeded, TickBudgetExceeded,
+                     Unsolvable)
 from .terms import ANY_OBJECT, GroundAction, Literal, is_param
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
@@ -322,22 +325,22 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
 
 @dataclass
 class _SimResult:
-    status: str  # "success" | "failure" | "conflict" | "stalled"
+    status: NodeStatus  # of the last tick; Running only with a conflict
     state: WorldState
-    trace: TickTrace | None = None
-    conflict: tuple[int, int] | None = None  # (action node id, condition node id)
-    ticks: int = 0
+    trace: TickTrace
+    conflict: TreeNode | None = None  # the subtree a conflict moves left
 
 
 def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
               max_ticks: int) -> _SimResult:
-    """Tick until success, failure, conflict, or a state cycle.
+    """Tick until Success, Failure or a conflict; ``bt.run_ticks``, keyed
+    by the visible facts, raises TickBudgetExceeded on a state cycle or an
+    exhausted budget.
 
     Actions fire at most once per tick (Running propagation unwinds the
     tick), apply their visible effects immediately, and complete by the next
     tick. A conflict is a fired action whose effects flip a condition that
     succeeded earlier in the same tick, scoped to a shared Sequence."""
-    seen: set[frozenset[Literal]] = {state.true}
     current = state
 
     def step_action(leaf: TreeNode) -> NodeStatus:
@@ -346,27 +349,20 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
         return NodeStatus.RUNNING
 
     ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
-
-    for tick_i in range(max_ticks):
+    for _ in run_ticks(lambda: current.true, max_ticks):
         status, trace = tick(tree, ctx)
         assert trace is not None
-        if status is NodeStatus.RUNNING:  # an action fired
-            conflict = _detect_conflict(trace, domain, current)
-            if conflict is not None:
-                return _SimResult("conflict", current, trace, conflict, tick_i + 1)
-        elif status is NodeStatus.SUCCESS:
-            return _SimResult("success", current, trace, ticks=tick_i + 1)
-        else:
-            return _SimResult("failure", current, trace, ticks=tick_i + 1)
-        if current.true in seen:
-            return _SimResult("stalled", current, trace, ticks=tick_i + 1)
-        seen.add(current.true)
-    return _SimResult("stalled", current, ticks=max_ticks)
+        if status is not NodeStatus.RUNNING:
+            return _SimResult(status, current, trace)
+        conflict = _detect_conflict(trace, domain, current)
+        if conflict is not None:
+            return _SimResult(status, current, trace, conflict)
 
 
 def _detect_conflict(trace: TickTrace, domain: Domain,
-                     after: WorldState) -> tuple[int, int] | None:
-    """Find a condition left of the fired action that the action falsified.
+                     after: WorldState) -> TreeNode | None:
+    """The subtree to move left when the fired action falsified a condition
+    left of it, else None.
 
     The fired action is the trace's last entry. A condition that succeeded
     earlier in this tick held in the state the action fired from, so only
@@ -375,7 +371,8 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
     parent: an action consuming one of its own preconditions (grasp using
     up the free hand) is normal; conflicts are between sibling subtrees.
     That ancestor is the deepest of the action's ancestors that comes
-    before the condition in the trace."""
+    before the condition in the trace, and the subtree returned is its
+    child on the action's path, the next ancestor."""
     entries = trace.entries
     ancestors = _ancestors(entries)
     # a condition between ancestor k and ancestor k + 1 has ancestor k as
@@ -386,7 +383,7 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
         for entry in entries[start + 1:end]:
             if entry.status is NodeStatus.SUCCESS and entry.kind is NodeKind.CONDITION \
                     and not domain.holds(after, entry.node.literal):
-                return entries[-1].node_id, entry.node_id
+                return entries[end].node
     return None
 
 
@@ -402,21 +399,6 @@ def _ancestors(entries: list[TraceEntry]) -> list[int]:
             if depth == 0:
                 break
     return found
-
-
-def _lowest_common_ancestor(tree: BehaviorTree, a_id: int,
-                            b_id: int) -> tuple[TreeNode, int, int]:
-    for (node, a_idx), (_, b_idx) in zip(tree.ancestry(a_id), tree.ancestry(b_id)):
-        if a_idx != b_idx:
-            return node, a_idx, b_idx
-    raise InvalidTarget(f"nodes {a_id} and {b_id} lie on one path from the root")
-
-
-def _reorder_for_conflict(tree: BehaviorTree, action_id: int, cond_id: int) -> None:
-    """Move the offending subtree one position left inside the shared Sequence."""
-    lca, a_idx, _ = _lowest_common_ancestor(tree, action_id, cond_id)
-    assert lca.kind is NodeKind.SEQUENCE and a_idx > 0
-    tree.move_left(lca.children[a_idx].id)
 
 
 def _pick_expansion_target(trace: TickTrace) -> TreeNode | None:
@@ -444,7 +426,8 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     tick the deepest failed unexpanded condition is expanded; a detected
     conflict moves the offending subtree left; success returns the tree.
     Raises Unsolvable when a needed literal has no achiever and
-    PlanBudgetExceeded (with the partial tree attached) when budgets run out.
+    PlanBudgetExceeded (with the partial tree attached) when budgets run out
+    or a simulation stops making progress, with the stop rule's reason.
 
     The goals are checked against the domain and the state's registry. A
     ``tree`` to grow is trusted as given: the resolver builds it from checked
@@ -461,24 +444,23 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     expansions = 0
     reorders = 0
     while True:
-        result = _simulate(tree, start, domain, config.max_sim_ticks)
-        if result.status == "success":
+        try:
+            result = _simulate(tree, start, domain, config.max_sim_ticks)
+        except TickBudgetExceeded as e:
+            raise PlanBudgetExceeded(str(e), tree) from e
+        if result.status is NodeStatus.SUCCESS:
             missing = [c for c in goals.conjuncts if not domain.holds(result.state, c)]
             if missing:
                 raise PlanBudgetExceeded(
                     f"simulation succeeded without goal {missing[0]}", tree)
             return tree
-        if result.status == "conflict":
+        if result.conflict is not None:
             if reorders >= config.max_conflict_reorders:
                 raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
-            action_id, cond_id = result.conflict  # type: ignore[misc]
-            _reorder_for_conflict(tree, action_id, cond_id)
+            tree.move_left(result.conflict.id)
             reorders += 1
             continue
-        if result.status == "stalled":
-            raise PlanBudgetExceeded("simulation made no progress", tree)
         # failure: expand
-        assert result.trace is not None
         target = _pick_expansion_target(result.trace)
         if target is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)

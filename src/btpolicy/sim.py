@@ -20,7 +20,7 @@ from pathlib import Path
 from . import grammar
 from .backends import OracleBackend, RequestMeta
 from .bt import (_ACTION, _CONDITION, BehaviorTree, NodeStatus, TickContext, TreeNode,
-                 iter_preorder, tick)
+                 iter_preorder, run_ticks, tick)
 from .domain import (SCENARIO_SHAPE, Domain, WorldState, check_shape, load_domain,
                      load_yaml, make_state)
 from .errors import BtError, DomainMismatch, SchemaError, TickBudgetExceeded
@@ -233,8 +233,8 @@ def execute(tree: BehaviorTree, scenario: Scenario, *,
     """Run the tree against the scenario world until success, failure, or
     the first failure event. Fully deterministic; raises DomainMismatch
     before the first tick when a leaf does not fit the scenario's domain,
-    and TickBudgetExceeded when the tick budget runs out or the world stops
-    changing."""
+    and TickBudgetExceeded, carrying the ticks run so far as ``trace``, when
+    ``bt.run_ticks`` stops the run, keyed by visible and hidden facts."""
     check_tree_domain(tree, scenario.domain)
     return run_trusted(tree, scenario, world=world, max_ticks=max_ticks)
 
@@ -273,38 +273,30 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario, *,
         return fired_status
 
     ctx = TickContext(eval_condition, step_action)
-    seen: set[tuple] = set()
-
-    for index in range(max_ticks):
-        fired = None
-        fired_status = None
-        tick_events = []
-        status, _ = tick(tree, ctx, record_trace=False)
-        trace.ticks.append(TickRecord(
-            index, status.value,
-            fired.id if fired is not None else None,
-            str(fired.action) if fired is not None else None,
-            fired_status.value if fired_status is not None else None,
-            state))
-        trace.events.extend(tick_events)
-        if status is NodeStatus.SUCCESS:
-            trace.outcome = "success"
-            trace.final_state = state
-            return trace
-        if status is NodeStatus.FAILURE:
-            trace.outcome = "failure"
-            trace.final_state = state
-            # the failure that propagated is the one to resolve; earlier
-            # events this run were routed around by sibling branches
-            trace.pending_event = tick_events[-1] if tick_events else None
-            return trace
-        key = (state.true, state.hidden)
-        if key in seen:
-            raise TickBudgetExceeded(
-                f"execution of scenario {scenario.id} stopped making progress "
-                f"after {index + 1} ticks")
-        seen.add(key)
-    raise TickBudgetExceeded(f"tick budget {max_ticks} exhausted")
+    try:
+        for index in run_ticks(lambda: (state.true, state.hidden), max_ticks):
+            fired = None
+            fired_status = None
+            tick_events = []
+            status, _ = tick(tree, ctx, record_trace=False)
+            trace.ticks.append(TickRecord(
+                index, status.value,
+                fired.id if fired is not None else None,
+                str(fired.action) if fired is not None else None,
+                fired_status.value if fired_status is not None else None,
+                state))
+            trace.events.extend(tick_events)
+            if status is not NodeStatus.RUNNING:
+                trace.outcome = status.value
+                trace.final_state = state
+                if status is NodeStatus.FAILURE and tick_events:
+                    # the failure that propagated is the one to resolve; earlier
+                    # events this run were routed around by sibling branches
+                    trace.pending_event = tick_events[-1]
+                return trace
+    except TickBudgetExceeded as e:
+        e.trace = trace
+        raise
 
 
 # --- scenario files -----------------------------------------------------------

@@ -13,9 +13,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .bt import (_ACTION, _CONDITION, _SEQUENCE, BehaviorTree, NodeStatus, TickContext,
-                 TreeNode, tick)
+                 TreeNode, run_ticks, tick)
 from .domain import Domain, WorldState
-from .errors import DomainMismatch
+from .errors import DomainMismatch, TickBudgetExceeded
 from .planner import GoalSpec, _groundings, _head_literal
 from .sim import leaf_mismatch
 from .terms import GroundAction, Literal, Quantity
@@ -267,12 +267,10 @@ def _run_to_terminal(tree: BehaviorTree, domain: Domain,
         return NodeStatus.RUNNING
 
     ctx = TickContext(lambda lit: domain.holds(state, lit), step_action)
-    seen = {state.true}
-    for _ in range(LIVELOCK_TICK_LIMIT):
-        status, _trace = tick(tree, ctx, record_trace=False)
-        if status in (NodeStatus.SUCCESS, NodeStatus.FAILURE):
-            return status
-        if state.true in seen:
-            return None
-        seen.add(state.true)
-    return None
+    try:
+        for _ in run_ticks(lambda: state.true, LIVELOCK_TICK_LIMIT):
+            status, _trace = tick(tree, ctx, record_trace=False)
+            if status is not NodeStatus.RUNNING:
+                return status
+    except TickBudgetExceeded:
+        return None

@@ -176,6 +176,18 @@ def scan_parent_of(tree: BehaviorTree, node_id: int) -> tuple[TreeNode, int] | N
     raise UnknownNode(node_id)
 
 
+def scan_lca_child(tree: BehaviorTree, a_id: int, b_id: int) -> TreeNode:
+    """The child of the two nodes' lowest common ancestor on ``a_id``'s
+    path, from the scanned child-index paths."""
+    index = scan_id_index(tree)
+    a_path, b_path = index[a_id], index[b_id]
+    depth = next(i for i, (a, b) in enumerate(zip(a_path, b_path)) if a != b)
+    node = tree.root
+    for i in a_path[:depth + 1]:
+        node = node.children[i]
+    return node
+
+
 def _iter_paths(node: TreeNode, path: tuple[int, ...] = ()):
     yield node, path
     for i, child in enumerate(node.children):

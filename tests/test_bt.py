@@ -11,12 +11,12 @@ from btpolicy import bt, grammar
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext,
                          TreeNode, insert_preconditions, iter_preorder, tick,
                          tree_equal)
-from btpolicy.errors import InvalidTarget, ParseError, TreeInvalid, UnknownNode
-from btpolicy.planner import _reorder_for_conflict
+from btpolicy.errors import (InvalidTarget, ParseError, TickBudgetExceeded, TreeInvalid,
+                             UnknownNode)
 from btpolicy.terms import GroundAction, Literal
 
 from oracles import (failing_action, oracle_status, scan_find, scan_id_index,
-                     scan_parent_of, trace_status, validate)
+                     scan_lca_child, scan_parent_of, trace_status, validate)
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -138,6 +138,31 @@ def test_tick_agrees_with_recursive_oracle(tuple_tree):
     tree = BehaviorTree(root, next_id=holder._next_id)
     status, _ = tick(tree, fixed_ctx())
     assert status is oracle_status(tuple_tree)
+
+
+class TestRunTicks:
+    """``run_ticks`` yields tick indexes and raises once the progress key
+    repeats, the start's included, or the budget runs out."""
+
+    @staticmethod
+    def ticks_until_stop(keys, max_ticks):
+        keys = iter(keys)
+        ticked = []
+        with pytest.raises(TickBudgetExceeded) as err:
+            for index in bt.run_ticks(lambda: next(keys), max_ticks):
+                ticked.append(index)
+        return ticked, str(err.value)
+
+    def test_a_repeated_key_stops_the_run(self):
+        assert self.ticks_until_stop([0, 1, 2, 1], 10) == \
+            ([0, 1, 2], "stopped making progress after 3 ticks")
+
+    def test_the_start_key_counts(self):
+        assert self.ticks_until_stop([0, 0], 10) == \
+            ([0], "stopped making progress after 1 ticks")
+
+    def test_the_budget_bounds_the_run(self):
+        assert self.ticks_until_stop(range(10), 3) == ([0, 1, 2], "tick budget 3 exhausted")
 
 
 class TestFailingAction:
@@ -471,7 +496,7 @@ def _swap(tree: BehaviorTree, seed: int) -> None:
     moved, other = seq.children[a], seq.children[a - 1]
     mover = _pick(_nodes(seq.children[a]), seed // 11)
     guard = _pick(_nodes(seq.children[c]), seed // 13)
-    _reorder_for_conflict(tree, mover.id, guard.id)
+    tree.move_left(scan_lca_child(tree, mover.id, guard.id).id)
     assert seq.children[a - 1] is moved and seq.children[a] is other
 
 

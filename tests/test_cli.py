@@ -132,9 +132,28 @@ class TestRunCommand:
         assert code == EXIT_FAILURE
         assert "tick budget 2 exhausted" in err
         assert "run 1" not in out
+        # --out keeps the ticks that ran and the tree that ran them
+        stopped = tmp_path / "stopped"
+        code, _, err = run_cli(capsys, *replay, "--budget-ticks", "2", "--out", str(stopped))
+        assert code == EXIT_FAILURE
+        assert "tick budget 2 exhausted" in err
+        lines = (stopped / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line).get("tick") for line in lines[:2]] == [0, 1]
+        assert json.loads(lines[-1]) == {"outcome": "running"}
+        assert (stopped / "final_tree.json").read_text() == \
+            (tmp_path / "final_tree.json").read_text()
+        assert (stopped / "final_tree.dot").exists()
+        assert not (stopped / "records.jsonl").exists()
         code, out, _ = run_cli(capsys, *replay)
         assert code == EXIT_OK
         assert "run 1: success" in out
+
+    def test_plan_tick_budget_is_reported_as_a_budget(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--scenario", "precond_02_two_blockers",
+                                 "--backend", "oracle", "--budget-ticks", "3")
+        assert code == EXIT_FAILURE
+        assert "tick budget 3 exhausted" in err
+        assert "run 1" not in out
 
     def test_tree_without_no_resolve_is_rejected(self, tmp_path, capsys):
         code, out, err = run_cli(

@@ -13,11 +13,11 @@ from btpolicy.errors import BtError, InvalidTarget, PlanBudgetExceeded, Unsolvab
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import (GoalSpec, PlanConfig, expand_condition,
                               init_tree, plan)
-from btpolicy.sim import bundled_data_path
+from btpolicy.sim import bundled_data_path, load_scenario
 from btpolicy.terms import GroundAction
 
 from oracles import (bfs_plan, reference_detect_conflict, reference_expand_condition,
-                     reference_pick_expansion_target, reference_ranking)
+                     reference_pick_expansion_target, reference_ranking, scan_lca_child)
 
 
 def lit(text):
@@ -339,6 +339,32 @@ class TestConflictReordering:
             plan(goals, domain, state, PlanConfig(max_conflict_reorders=4))
 
 
+class TestStopRule:
+    """A simulation that neither succeeds nor fails names why it stopped."""
+
+    def test_an_exhausted_tick_budget_is_named(self):
+        # the first plan fits in 3 simulated ticks; the re-plan after the
+        # first repair does not
+        scenario = load_scenario(bundled_data_path("scenarios",
+                                                   "precond_02_two_blockers.yaml"))
+        config = resolver.ResolveConfig(plan=PlanConfig(max_sim_ticks=3))
+        with pytest.raises(PlanBudgetExceeded, match="tick budget 3 exhausted") as err:
+            resolver.resolve_until_success(scenario, scenario.oracle_backend(), config)
+        assert err.value.partial_tree is not None
+
+    def test_an_action_that_changes_nothing_makes_no_progress(self):
+        # raise_right from up(right) leaves the state as it was
+        domain = seesaw_domain()
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.append(tree.new_node(NodeKind.FALLBACK, children=[
+            tree.new_condition(lit("up(left)")),
+            tree.new_action(GroundAction("raise_right"))]))
+        with pytest.raises(PlanBudgetExceeded,
+                           match="stopped making progress after 1 ticks") as err:
+            plan(goal("up(left)"), domain, make_state(domain, ["up(right)"]), tree=tree)
+        assert err.value.partial_tree is tree
+
+
 class TestReactivity:
     def test_single_deletion_recovery_exhaustive(self, cube_domain, blocked_cube_state):
         goals = goal("on(blue_cube, green_cube)")
@@ -438,12 +464,20 @@ def plan_corpus(scenarios, blocks_domain) -> None:
             pass
 
 
+def reference_conflict_subtree(tree, trace, fired, domain, after) -> TreeNode | None:
+    """The subtree a conflict moves, by lookups: the child of the shared
+    Sequence on the fired action's path, from the action and condition
+    ``reference_detect_conflict`` names."""
+    found = reference_detect_conflict(tree, trace, fired, domain, after)
+    return None if found is None else scan_lca_child(tree, *found)
+
+
 def test_trace_decisions_match_the_lookup_references(
         monkeypatch, all_scenarios, seed7_towers, blocks_domain):
-    """At every planner step, the conflict check and the expansion target
-    read from the tick trace equal the references that ask the tree's
-    index, over the bundled scenarios, the seed-7 towers and goal pairs
-    that conflict."""
+    """At every planner step, the conflict check with the subtree it moves
+    and the expansion target, read from the tick trace, equal the
+    references that ask the tree, over the bundled scenarios, the seed-7
+    towers and goal pairs that conflict."""
     simulate, detect, pick = (planner._simulate, planner._detect_conflict,
                               planner._pick_expansion_target)
     trees: list[BehaviorTree] = []
@@ -457,7 +491,7 @@ def test_trace_decisions_match_the_lookup_references(
         fired = [e.node for e in trace.entries if e.kind is NodeKind.ACTION]
         assert len(fired) == 1
         got = detect(trace, domain, after)
-        assert got == reference_detect_conflict(trees[-1], trace, fired[0], domain, after)
+        assert got is reference_conflict_subtree(trees[-1], trace, fired[0], domain, after)
         seen["conflict" if got else "no conflict"] += 1
         return got
 
@@ -488,7 +522,7 @@ def test_conflict_needs_a_sequence_scope():
         status, trace = tick(tree, ctx)
         assert status is NodeStatus.RUNNING
         return planner._detect_conflict(trace, domain, after), \
-            reference_detect_conflict(tree, trace, trace.entries[-1].node, domain, after)
+            reference_conflict_subtree(tree, trace, trace.entries[-1].node, domain, after)
 
     for scoped in (True, False):
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
@@ -503,7 +537,7 @@ def test_conflict_needs_a_sequence_scope():
             tree.root.children.append(tree.new_node(NodeKind.FALLBACK, children=[
                 tree.new_condition(lit("up(right)")), failed, second]))
         got, want = fire(tree)
-        assert got == want == ((action.id, guard.id) if scoped else None)
+        assert got is want is (second if scoped else None)
 
 
 def test_simulation_asks_the_tree_index_nothing(
@@ -522,7 +556,7 @@ def test_simulation_asks_the_tree_index_nothing(
             result = simulate(*args)
         finally:
             inside.pop()
-        outcomes[result.status] += 1
+        outcomes["conflict" if result.conflict else result.status] += 1
         return result
 
     for name in ("find", "parent_of", "ancestry", "_build"):
@@ -532,17 +566,16 @@ def test_simulation_asks_the_tree_index_nothing(
         monkeypatch.setattr(BehaviorTree, name, spy)
     monkeypatch.setattr(planner, "_simulate", spy_simulate)
     plan_corpus(all_scenarios + seed7_towers, blocks_domain)
-    assert outcomes["conflict"] > 0 and outcomes["failure"] > 0
+    assert outcomes["conflict"] > 0 and outcomes[NodeStatus.FAILURE] > 0
     assert not any(during for _, during in lookups)
     assert lookups["find", False] > 0  # the spies see the lookups made elsewhere
 
 
-def test_plan_looks_nodes_up_only_to_reorder(
-        monkeypatch, all_scenarios, seed7_towers, blocks_domain):
-    """``plan`` expands the condition it read from the tick trace, so while
-    it runs nothing calls ``find`` or ``parent_of``, and only conflict
-    reorders call ``ancestry``."""
-    real_plan, reorder = planner.plan, planner._reorder_for_conflict
+def test_plan_looks_no_node_up(monkeypatch, all_scenarios, seed7_towers, blocks_domain):
+    """``plan`` expands the condition and moves the subtree it read from
+    the tick trace, so while it runs, its conflict moves included, nothing
+    calls ``find``, ``parent_of`` or ``ancestry``."""
+    real_plan, real_move_left = planner.plan, BehaviorTree.move_left
     inside: list[str] = []          # the spied calls under way, innermost last
     lookups = Counter()
     calls = Counter()
@@ -565,11 +598,11 @@ def test_plan_looks_nodes_up_only_to_reorder(
     spy_plan = within("plan", real_plan)
     monkeypatch.setattr(resolver, "plan", spy_plan)
     monkeypatch.setattr(sys.modules[__name__], "plan", spy_plan)
-    monkeypatch.setattr(planner, "_reorder_for_conflict", within("reorder", reorder))
+    monkeypatch.setattr(BehaviorTree, "move_left", within("move_left", real_move_left))
     plan_corpus(all_scenarios + seed7_towers, blocks_domain)
-    assert calls["plan"] > 0 and calls["reorder"] > 0
-    assert {key for key in lookups if key[1] == "plan"} == set()
-    assert set(lookups) >= {("ancestry", "reorder"), ("parent_of", None)}
+    assert calls["plan"] > 0 and calls["move_left"] > 0
+    assert {key for key in lookups if key[1] is not None} == set()
+    assert ("parent_of", None) in lookups  # the spies see the lookups made elsewhere
 
 
 def test_plan_config_budgets_must_be_positive():

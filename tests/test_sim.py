@@ -115,8 +115,12 @@ class TestExecute:
             id="loop", domain=cube_domain, domain_ref="",
             initial=make_state(cube_domain, ["on(red_cube, table)"]),
             instruction="", oracle_goals="grasped(red_cube)")
-        with pytest.raises(TickBudgetExceeded):
+        with pytest.raises(TickBudgetExceeded,
+                           match="stopped making progress after 2 ticks") as err:
             execute(tree, scenario)
+        partial = err.value.trace
+        assert partial.outcome == "running" and len(partial.ticks) == 2
+        assert partial.to_jsonl().endswith('{"outcome": "running"}\n')
 
 
 class TestScenarioLoading:
