@@ -7,7 +7,10 @@ writes (into a temporary directory), and hashes, per scenario: the
 serialized patched tree, the outcome and rounds, ``records.jsonl``, every
 execution's ``trace.jsonl``, a backend-free replay from the initial world,
 and the ``verify_tree`` report. Two checkouts that print the same digest
-behaved identically on these inputs. The program is imported from the
+behaved identically on these inputs. A second digest leaves out
+``records.jsonl``: it covers what the policies are and do, so a change to
+how rounds are recorded (or to which rounds call the backend) moves only
+the first. The program is imported from the
 checkout the script sits in, so a copy of it run inside another checkout
 digests that checkout's code:
 
@@ -38,20 +41,25 @@ TOWER_SEED = 7
 TOWER_COUNT = 64
 
 
-def behaviour(scenario) -> list[str]:
-    """The texts one scenario's run is judged by, in a fixed order."""
+RECORDS = "records.jsonl"
+
+
+def behaviour(scenario) -> list[tuple[str, str]]:
+    """The texts one scenario's run is judged by, each with its name, in a
+    fixed order."""
     config = ResolveConfig()
     result = resolve_until_success(scenario, scenario.oracle_backend(), config)
-    parts = [scenario.id, bt.serialize(result.tree), result.outcome.value,
-             str(result.rounds), records_to_jsonl(result.records)]
-    parts += [trace.to_jsonl() for trace in result.traces]
+    parts = [("id", scenario.id), ("tree", bt.serialize(result.tree)),
+             ("outcome", result.outcome.value), ("rounds", str(result.rounds)),
+             (RECORDS, records_to_jsonl(result.records))]
+    parts += [("trace", trace.to_jsonl()) for trace in result.traces]
     try:
         replay = execute(result.tree, scenario, max_ticks=config.plan.max_sim_ticks)
-        parts += [replay.outcome, replay.to_jsonl()]
+        parts += [("replay", replay.outcome), ("replay", replay.to_jsonl())]
     except BtError as e:
-        parts.append(f"replay raised {type(e).__name__}: {e}")
-    parts.append(verify_tree(result.tree, scenario.domain, result.goals,
-                             initial_state=scenario.initial).to_text())
+        parts.append(("replay", f"replay raised {type(e).__name__}: {e}"))
+    parts.append(("verify", verify_tree(result.tree, scenario.domain, result.goals,
+                                        initial_state=scenario.initial).to_text()))
     return parts
 
 
@@ -65,13 +73,16 @@ def load_digest_scenarios(workdir: Path) -> list:
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    full, without_records = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         scenarios = load_digest_scenarios(Path(tmp))
         for scenario in scenarios:
-            for part in behaviour(scenario):
-                digest.update(part.encode() + b"\0")
-    print(f"{len(scenarios)} scenarios: {digest.hexdigest()}")
+            for name, part in behaviour(scenario):
+                full.update(part.encode() + b"\0")
+                if name != RECORDS:
+                    without_records.update(part.encode() + b"\0")
+    print(f"{len(scenarios)} scenarios: {full.hexdigest()}")
+    print(f"{len(scenarios)} scenarios without {RECORDS}: {without_records.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,23 @@ execution, and a resolved value propagates to every action leaf that shares
 the slot in the same object context. Every interaction is captured in a
 ResolutionRecord so a run leaves an auditable trail.
 
+Each run keeps a cache of accepted precondition answers, owned by
+``resolve_until_success`` and empty at the start of every run, so nothing
+learned outlives it. The key is what a robot reports: the failing skill,
+the error message and the domain category of each object the action binds
+(never the fault rule behind the failure, which is simulator ground truth).
+An answer is stored once its insertion and re-plan succeed, lifted: an
+argument equal to one of the failing action's object-slot values becomes
+``$slot``. A later failure with the same key grounds the cached literals at
+its own action, drops those already guarding it, and inserts and re-plans
+the rest as it would a backend answer, without a prompt or backend call;
+its record has no exchange and names the round it reuses (``reused_from``).
+When nothing is cached under the key, or all of the cached answer already
+guards the action, the backend is asked as usual and an accepted answer
+replaces the cached one. Rejected rounds, unparseable answers and re-plans
+that raise store nothing. The cache only answers failures: no leaf that has
+not failed is guarded ahead of time.
+
 Each record fingerprints the tree as the step found it and as it left it.
 The resolver changes a tree only through the tree's own edits (``rebind``
 binds a slot), which keep each node's cached compact text current, so a
@@ -26,6 +43,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .backends import Backend, RequestMeta
 from .bt import BehaviorTree, NodeKind, TreeNode, insert_preconditions, iter_preorder
@@ -36,6 +54,7 @@ from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   parse_precondition_response, scene_from_state)
 from .planner import GoalSpec, PlanConfig, goals_of, guarding_literals, plan
 from .sim import ExecutionTrace, FailureEvent, Scenario, run_trusted
+from .terms import GroundAction, Literal
 
 
 class Outcome(Enum):
@@ -72,6 +91,7 @@ class ResolutionRecord:
     request: ParamRequest | None = None
     rejected: bool = False
     error: str | None = None
+    reused_from: int | None = None  # round whose cached answer this one grounds
 
     def to_obj(self) -> dict:
         obj = {
@@ -89,6 +109,8 @@ class ResolutionRecord:
             obj["slot"] = self.request.slot.name
         if self.exchange is not None:
             obj["reasoning"] = self.exchange.reasoning
+        if self.reused_from is not None:
+            obj["reused_from"] = self.reused_from
         return obj
 
 
@@ -106,35 +128,73 @@ def tree_fingerprint(tree: BehaviorTree) -> str:
     return hashlib.sha256(tree.compact().encode()).hexdigest()[:12]
 
 
+def _answer_key(domain: Domain, event: FailureEvent) -> tuple:
+    """What a robot reports about a failure: the skill, the error message
+    and the category of each object the action binds. Never the fault rule
+    (``FailureEvent.rule_id``), which is simulator ground truth."""
+    action = event.action
+    return (action.skill, event.error_message,
+            tuple(domain.object(action.get(slot.name)).category
+                  for slot in domain.skill(action.skill).object_slots))
+
+
+def lift(literals: Iterable[Literal], action: GroundAction,
+         domain: Domain) -> tuple[Literal, ...]:
+    """Each argument equal to one of the action's object-slot values becomes
+    that slot (``$slot``, the first slot holding it); others stay."""
+    slots: dict[str, str] = {}
+    for slot in domain.skill(action.skill).object_slots:
+        slots.setdefault(action.get(slot.name), "$" + slot.name)
+    return tuple(Literal(lit.predicate, tuple(slots.get(a, a) for a in lit.args),
+                         lit.negated) for lit in literals)
+
+
+def ground(lifted: Iterable[Literal], action: GroundAction) -> list[Literal]:
+    """The inverse of ``lift`` at ``action``: each ``$slot`` takes its value."""
+    binding = action.as_dict()
+    return [lit.substitute(binding) for lit in lifted]
+
+
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
             backend: Backend, config: ResolveConfig | None = None, *,
-            instruction: str = "", key: str = "",
-            round_index: int = 1) -> tuple[BehaviorTree, ResolutionRecord]:
-    """One failure-resolution step: ask, insert, re-expand.
+            instruction: str = "", key: str = "", round_index: int = 1,
+            answers: dict | None = None) -> tuple[BehaviorTree, ResolutionRecord]:
+    """One failure-resolution step: ask (or reuse an answer), insert, re-expand.
 
-    Suggested literals already guarding the failing action are rejected as
-    duplicates; a round whose suggestions are all duplicates patches nothing
-    (the record says so) to keep repeated identical advice from looping."""
+    ``answers`` is the run's answer cache (module docstring): an answer
+    cached under the failure's key is grounded at the failing action and
+    used without a backend call, unless all of it already guards the
+    action. Suggested literals already guarding the failing action are
+    rejected as duplicates; a round whose suggestions are all duplicates
+    patches nothing (the record says so) to keep repeated identical advice
+    from looping."""
     config = config or ResolveConfig()
+    answers = {} if answers is None else answers
     world = event.world_snapshot
-    spec = PromptSpec(
-        role=Role.FAILURE_RESOLUTION,
-        instruction=instruction,
-        objects=world.objects,
-        condition_catalog=condition_catalog(domain),
-        examples=domain.precondition_examples,
-        scene_description=scene_from_state(domain, world),
-        error_message=event.error_message,
-        failing_action=event.action,
-    )
-    raw = backend.complete(build_prompt(spec), RequestMeta(Role.FAILURE_RESOLUTION, key, event=event))
-    literals, reasoning = parse_precondition_response(raw, domain,
-                                                      objects=world.object_names)
-    before = tree_fingerprint(tree)
-    exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
-
     existing = guarding_literals(tree, event.action_id) or []
-    fresh = [lit for lit in literals if lit not in existing]
+    cache_key = _answer_key(domain, event)
+    source, lifted = answers.get(cache_key, (None, ()))
+    fresh = [lit for lit in ground(lifted, event.action) if lit not in existing]
+    reused_from = source if fresh else None
+    exchange = None
+    if not fresh:
+        spec = PromptSpec(
+            role=Role.FAILURE_RESOLUTION,
+            instruction=instruction,
+            objects=world.objects,
+            condition_catalog=condition_catalog(domain),
+            examples=domain.precondition_examples,
+            scene_description=scene_from_state(domain, world),
+            error_message=event.error_message,
+            failing_action=event.action,
+        )
+        raw = backend.complete(build_prompt(spec),
+                               RequestMeta(Role.FAILURE_RESOLUTION, key, event=event))
+        literals, reasoning = parse_precondition_response(raw, domain,
+                                                          objects=world.object_names)
+        exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
+        fresh = [lit for lit in literals if lit not in existing]
+    before = tree_fingerprint(tree)
     if not fresh:
         record = ResolutionRecord("precondition", round_index, exchange,
                                   tree_before=before, tree_after=before,
@@ -145,9 +205,12 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     insert_preconditions(tree, event.action_id, fresh)
     goals = goals_of(tree)
     plan(goals, domain, world, config.plan, tree=tree)
+    if reused_from is None:
+        answers[cache_key] = (round_index, lift(fresh, event.action, domain))
     record = ResolutionRecord("precondition", round_index, exchange,
                               inserted=tuple(fresh), tree_before=before,
-                              tree_after=tree_fingerprint(tree), event=event)
+                              tree_after=tree_fingerprint(tree), event=event,
+                              reused_from=reused_from)
     return tree, record
 
 
@@ -287,6 +350,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
     result = PipelineResult(Outcome.FAILURE, tree, goals, goal_exchange)
 
     rounds = 0
+    answers: dict = {}
 
     def fill_parameters() -> bool:
         """Resolve open slots and default the rest; False when out of rounds.
@@ -347,7 +411,7 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
         try:
             _, record = resolve(tree, event, domain, backend, config,
                                 instruction=scenario.instruction, key=scenario.id,
-                                round_index=rounds)
+                                round_index=rounds, answers=answers)
             result.records.append(record)
             if not fill_parameters():
                 result.outcome = Outcome.EXHAUSTED

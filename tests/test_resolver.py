@@ -1,17 +1,22 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btpolicy import bt, resolver
 from btpolicy.backends import ScriptedBackend
 from btpolicy.bt import NodeKind, iter_preorder
+from btpolicy.domain import load_domain
 from btpolicy.errors import BackendUnavailable
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, plan
-from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request,
-                               records_to_jsonl, resolve,
+from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request, ground,
+                               lift, records_to_jsonl, resolve,
                                resolve_until_success, tree_fingerprint)
 from btpolicy import sim
-from btpolicy.sim import bundled_data_path, execute, load_scenario
-from btpolicy.terms import GroundAction, Quantity
+from btpolicy.sim import FailureEvent, bundled_data_path, execute, load_scenario
+from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, Quantity, is_param
 
 
 def lit(text):
@@ -28,6 +33,15 @@ def action_leaves(tree):
 
 def condition_heads(tree):
     return [n for n, _ in iter_preorder(tree.root) if n.kind is NodeKind.CONDITION]
+
+
+class CountingBackend:
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def complete(self, prompt, meta):
+        self.calls += 1
+        return self.inner.complete(prompt, meta)
 
 
 class TestResolve:
@@ -147,22 +161,12 @@ class TestResolve:
         for sid in ("cube_stack_golden", "precond_02_two_blockers",
                     "param_egg_hammer_force"):
             scenario = scenario_by_id(all_scenarios, sid)
-
-            class Counting:
-                def __init__(self, inner):
-                    self.inner, self.calls = inner, 0
-
-                def complete(self, prompt, meta):
-                    self.calls += 1
-                    return self.inner.complete(prompt, meta)
-
-            backend = Counting(scenario.oracle_backend())
+            backend = CountingBackend(scenario.oracle_backend())
             result = resolve_until_success(scenario, backend)
             assert result.outcome is Outcome.SUCCESS
             assert backend.calls == len(result.records) + 1
 
     def test_records_jsonl_round_trips(self, golden_scenario):
-        import json
         result = resolve_until_success(golden_scenario,
                                        golden_scenario.oracle_backend())
         lines = records_to_jsonl(result.records).strip().splitlines()
@@ -282,7 +286,6 @@ def test_resolution_reasoning_lands_in_audit_log(golden_scenario):
     record = result.records[0]
     assert record.exchange.reasoning is not None
     assert "collision" in record.exchange.reasoning
-    import json
     logged = json.loads(records_to_jsonl(result.records).splitlines()[0])
     assert "collision" in logged["reasoning"]
 
@@ -473,3 +476,185 @@ def test_consolidation_edit_refreshes_the_fingerprint(monkeypatch, all_scenarios
     assert [r.kind for r in result.records] == ["parameter"] * 2
     assert [r.tree_before for r in result.records] == on_entry
     assert result.records[1].tree_before != result.records[0].tree_after
+
+
+# --- the per-run answer cache -------------------------------------------------
+
+BLOCKED = "No collision free path found"
+
+
+LIFT_DOMAINS = {name: load_domain(bundled_data_path("domains", f"{name}.yaml"))
+                for name in ("cube_tabletop", "household")}
+
+
+@st.composite
+def answers_at_actions(draw, domain):
+    """A ground action of some skill and literals over its slot values,
+    other objects and ``any_object``, as a backend answer would be."""
+    skill = domain.skills[draw(st.sampled_from(sorted(domain.skills)))]
+    names = sorted(domain.objects)
+    binding = {slot.name: draw(st.sampled_from(names)) for slot in skill.object_slots}
+    binding.update((slot.name, slot.default) for slot in skill.params
+                   if slot.kind != "object" and slot.default is not None)
+    action = GroundAction.from_mapping(skill.name, binding)
+    symbols = st.sampled_from(names + [ANY_OBJECT])
+    literals = []
+    for _ in range(draw(st.integers(1, 3))):
+        predicate = domain.predicates[draw(st.sampled_from(sorted(domain.predicates)))]
+        args = tuple(draw(symbols) for _ in range(predicate.arity))
+        literals.append(Literal(predicate.name, args, draw(st.booleans())))
+    return action, literals
+
+
+@pytest.mark.parametrize("domain_name", sorted(LIFT_DOMAINS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lifted_answer_grounds_back_at_its_action(domain_name, data):
+    domain = LIFT_DOMAINS[domain_name]
+    action, literals = data.draw(answers_at_actions(domain))
+    lifted = lift(literals, action, domain)
+    assert ground(lifted, action) == literals
+    bound = {action.get(slot.name) for slot in domain.skill(action.skill).object_slots}
+    for original, general in zip(literals, lifted):
+        assert (general.predicate, general.negated) == (original.predicate, original.negated)
+        for arg, lifted_arg in zip(original.args, general.args):
+            if arg in bound:
+                assert is_param(lifted_arg) and action.get(lifted_arg[1:]) == arg
+            else:  # any_object and objects the action does not bind
+                assert lifted_arg == arg
+
+
+def stacked_blockers_scenario(tmp_path):
+    """Blue under red under yellow: grasping blue, then red, fails with the
+    same message, a failure of the same kind twice."""
+    scenario_path = tmp_path / "stacked_blockers.yaml"
+    scenario_path.write_text(f"""\
+schema: scenario/v1
+id: stacked_blockers
+domain: {bundled_data_path("domains", "cube_tabletop.yaml")}
+instruction: "Put the blue cube on the green cube"
+objects: [blue_cube, green_cube, red_cube, yellow_cube, table]
+initial:
+  visible:
+    - "on(yellow_cube, red_cube)"
+    - "on(red_cube, blue_cube)"
+    - "on(blue_cube, table)"
+    - "on(green_cube, table)"
+  hidden: []
+fault_rules:
+  - id: blocked_grasp
+    skill: grasp
+    phase: planning
+    guard: ["on(any_object, @obj)"]
+    message: "{BLOCKED}"
+oracle:
+  goals: "on(blue_cube, green_cube)"
+  preconditions:
+    blocked_grasp: "~on(any_object, @obj)"
+expected:
+  outcome: success
+""")
+    return load_scenario(scenario_path)
+
+
+class TestAnswerCache:
+    def test_same_kind_of_failure_reuses_the_answer(self, tmp_path):
+        scenario = stacked_blockers_scenario(tmp_path)
+        backend = CountingBackend(scenario.oracle_backend())
+        result = resolve_until_success(scenario, backend)
+        assert result.outcome is Outcome.SUCCESS
+        first, second = result.records
+        assert [str(x) for x in second.inserted] == ["~on(any_object, red_cube)"]
+        assert (second.reused_from, second.exchange) == (first.round, None)
+        assert first.reused_from is None and first.exchange is not None
+        assert backend.calls == 2  # the goal and the first failure
+        logged = [json.loads(line) for line in records_to_jsonl(result.records).splitlines()]
+        assert "reused_from" not in logged[0]
+        assert logged[1]["reused_from"] == 1 and "reasoning" not in logged[1]
+        assert execute(result.tree, scenario).outcome == "success"
+
+    def test_no_answer_outlives_its_run(self, tmp_path):
+        scenario = stacked_blockers_scenario(tmp_path)
+        backend = CountingBackend(scenario.oracle_backend())
+        for _ in range(2):
+            before = backend.calls
+            result = resolve_until_success(scenario, backend)
+            assert backend.calls - before == 2
+            assert result.records[0].reused_from is None
+
+    def test_cached_answer_already_guarding_asks_the_backend(self, tmp_path):
+        """The first answer holds and changes nothing, so the same action
+        fails again: the cached answer already guards it, the backend is
+        asked once more, and its answer replaces the cached one."""
+        scenario = stacked_blockers_scenario(tmp_path)
+        backend = CountingBackend(ScriptedBackend({
+            f"{scenario.id}/goal": ["ANSWER: on(blue_cube, green_cube)"],
+            f"{scenario.id}/failure": ["ANSWER: on(blue_cube, table)",
+                                       "ANSWER: ~on(any_object, blue_cube)"]}))
+        result = resolve_until_success(scenario, backend)
+        assert result.outcome is Outcome.SUCCESS
+        assert [(str(r.event.action), [str(x) for x in r.inserted], r.reused_from)
+                for r in result.records] == [
+            ("grasp(obj=blue_cube)", ["on(blue_cube, table)"], None),
+            ("grasp(obj=blue_cube)", ["~on(any_object, blue_cube)"], None),
+            ("grasp(obj=red_cube)", ["~on(any_object, red_cube)"], 2),
+        ]
+        assert backend.calls == 3  # the goal and one call for each of the first two rounds
+        assert all(not r.rejected for r in result.records)
+
+    def test_answer_for_a_cube_destination_is_not_reused_for_the_table(self, golden_scenario):
+        """``place(x, cube)`` and ``place(x, table)`` fail with one message
+        but bind a ``dst`` of another category: two kinds of failure."""
+        domain = golden_scenario.domain
+        tree = resolve_until_success(golden_scenario, golden_scenario.oracle_backend()).tree
+        places = {str(n.action): n for n in action_leaves(tree) if n.action.skill == "place"}
+        to_cube = places["place(dst=green_cube, obj=blue_cube)"]
+        to_table = places["place(dst=table, obj=red_cube)"]
+        backend = CountingBackend(ScriptedBackend({
+            f"{golden_scenario.id}/failure": ["ANSWER: ~on(any_object, green_cube)",
+                                              "ANSWER: on(green_cube, table)"]}))
+        world = golden_scenario.initial.visible_only()
+        answers: dict = {}
+        records = []
+        for round_index, leaf in enumerate((to_cube, to_table), 1):
+            event = FailureEvent("planning", leaf.id, leaf.action, BLOCKED, world, "")
+            tree, record = resolve(tree, event, domain, backend, key=golden_scenario.id,
+                                   round_index=round_index, answers=answers)
+            records.append(record)
+        assert backend.calls == 2
+        assert [r.reused_from for r in records] == [None, None]
+        assert [[str(x) for x in r.inserted] for r in records] == [
+            ["~on(any_object, green_cube)"], ["on(green_cube, table)"]]
+        heads = {str(n.payload) for n in condition_heads(tree)}
+        assert "~on(any_object, table)" not in heads
+
+    def test_blocked_tray_tree_is_unchanged(self, tmp_path):
+        """No leaf that did not fail gains a guard: ``put(hammer, table)``
+        stays unguarded, where lifting ``tray`` to every ``surface`` would
+        ask for a clear table. The fingerprint is the tree resolved before
+        answers were cached."""
+        scenario = blocked_tray_scenario(tmp_path)
+        result = resolve_until_success(scenario, scenario.oracle_backend())
+        assert result.outcome is Outcome.SUCCESS
+        assert tree_fingerprint(result.tree) == "db31bfeddbd4"
+        heads = {str(n.payload) for n in condition_heads(result.tree)}
+        assert "~on(any_object, table)" not in heads
+
+    def test_every_reused_round_grounds_an_earlier_answer(self, seed7_towers):
+        reused_rounds = 0
+        for scenario in seed7_towers:
+            backend = CountingBackend(scenario.oracle_backend())
+            result = resolve_until_success(scenario, backend)
+            assert result.outcome is Outcome.SUCCESS, scenario.id
+            by_round = {r.round: r for r in result.records}
+            reused = [r for r in result.records if r.reused_from is not None]
+            for record in reused:
+                source = by_round[record.reused_from]
+                assert record.exchange is None and not record.rejected, scenario.id
+                assert source.reused_from is None and source.exchange is not None
+                assert source.round < record.round, scenario.id
+                assert (source.event.action.skill, source.event.error_message) == \
+                    (record.event.action.skill, record.event.error_message), scenario.id
+            assert backend.calls == 1 + len(result.records) - len(reused), scenario.id
+            reused_rounds += len(reused)
+        assert reused_rounds
