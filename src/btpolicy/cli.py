@@ -149,13 +149,14 @@ def cmd_run(args) -> int:
         return EXIT_FAILURE
     given_tree = _load_tree(args.tree) if args.tree else None
     scenario = _find_scenario(args.scenario)
-    backend = _make_backend(args, scenario)
     config = _resolve_config(args)
     out = Path(args.out) if args.out else None
 
     outcomes: list[str] = []
     exit_code = EXIT_OK
     for index in range(args.repeat):
+        # a fresh backend per repeat, so no answer cursor carries over
+        backend = _make_backend(args, scenario)
         try:
             if args.no_resolve:
                 tree = given_tree

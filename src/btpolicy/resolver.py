@@ -8,6 +8,18 @@ execution, and a resolved value propagates to every action leaf that shares
 the slot in the same object context. Every interaction is captured in a
 ResolutionRecord so a run leaves an auditable trail.
 
+``resolve_until_success`` is one loop of rounds under one budget,
+``max_resolution_rounds``, shared by both kinds of round. Each pass fills
+the first open slot if there is one (a parameter round). Otherwise it binds
+the remaining slots' defaults and runs the tree: a failure is resolved (a
+precondition round), and the first success is consolidated, by planning
+the tree once more from the initial world, after which the run ends
+``success`` as soon as no slot is open. So open slots are filled before the
+tree runs: at the start, after each repair and after consolidation. A
+round's number is its position in the run's records, from 1 with no gaps.
+An answer that does not parse makes a rejected record of either kind, and
+a precondition no skill achieves ends the run ``unsolvable``.
+
 Each run keeps a cache of accepted precondition answers, owned by
 ``resolve_until_success`` and empty at the start of every run, so nothing
 learned outlives it. The key is what a robot reports: the failing skill,
@@ -30,11 +42,11 @@ The resolver changes a tree only through the tree's own edits (``rebind``
 binds a slot), which keep each node's cached compact text current, so a
 fingerprint formats only the nodes an edit touched, and fingerprinting an
 unchanged tree costs one SHA-256 of its cached text. One preorder walk per
-parameter fill finds the first open slot and the defaults to bind, and a
-domain whose skills declare no numeric or categorical slot needs no walk at
-all. The trees it runs are grown from checked goals, domain templates and
-parsed answers, so it runs them with ``sim.run_trusted``, without the domain
-gate of ``sim.execute``.
+pass of the round loop finds the first open slot and the defaults to bind,
+and a domain whose skills declare no numeric or categorical slot needs no
+walk at all. The trees it runs are grown from checked goals, domain
+templates and parsed answers, so it runs them with ``sim.run_trusted``,
+without the domain gate of ``sim.execute``.
 """
 
 from __future__ import annotations
@@ -81,7 +93,6 @@ class ParamRequest:
 
 @dataclass
 class ResolutionRecord:
-    kind: str                       # "precondition" | "parameter"
     round: int
     exchange: LlmExchange | None
     inserted: tuple = ()
@@ -92,6 +103,12 @@ class ResolutionRecord:
     rejected: bool = False
     error: str | None = None
     reused_from: int | None = None  # round whose cached answer this one grounds
+
+    @property
+    def kind(self) -> str:
+        """A parameter round carries its request; every other round is a
+        precondition round."""
+        return "parameter" if self.request is not None else "precondition"
 
     def to_obj(self) -> dict:
         obj = {
@@ -196,9 +213,8 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
         fresh = [lit for lit in literals if lit not in existing]
     before = tree_fingerprint(tree)
     if not fresh:
-        record = ResolutionRecord("precondition", round_index, exchange,
-                                  tree_before=before, tree_after=before,
-                                  event=event, rejected=True,
+        record = ResolutionRecord(round_index, exchange, tree_before=before,
+                                  tree_after=before, event=event, rejected=True,
                                   error="all suggested preconditions already present")
         return tree, record
 
@@ -207,10 +223,9 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     plan(goals, domain, world, config.plan, tree=tree)
     if reused_from is None:
         answers[cache_key] = (round_index, lift(fresh, event.action, domain))
-    record = ResolutionRecord("precondition", round_index, exchange,
-                              inserted=tuple(fresh), tree_before=before,
-                              tree_after=tree_fingerprint(tree), event=event,
-                              reused_from=reused_from)
+    record = ResolutionRecord(round_index, exchange, inserted=tuple(fresh),
+                              tree_before=before, tree_after=tree_fingerprint(tree),
+                              event=event, reused_from=reused_from)
     return tree, record
 
 
@@ -296,9 +311,9 @@ def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
             continue
         tree.rebind(node.id, node.action.with_slot(request.slot.name, value.value))
         bound += 1
-    record = ResolutionRecord("parameter", round_index, exchange,
-                              inserted=(value,) * bound, tree_before=before,
-                              tree_after=tree_fingerprint(tree), request=request)
+    record = ResolutionRecord(round_index, exchange, inserted=(value,) * bound,
+                              tree_before=before, tree_after=tree_fingerprint(tree),
+                              request=request)
     return tree, record
 
 
@@ -310,7 +325,11 @@ class PipelineResult:
     goal_exchange: LlmExchange | None
     records: list[ResolutionRecord] = field(default_factory=list)
     traces: list[ExecutionTrace] = field(default_factory=list)
-    world: WorldState | None = None
+
+    @property
+    def world(self) -> WorldState | None:
+        """The world as the last run left it; None before any run."""
+        return self.traces[-1].final_state if self.traces else None
 
     @property
     def rounds(self) -> int:
@@ -337,10 +356,10 @@ def interpret_goals(scenario: Scenario, backend: Backend) -> tuple[GoalSpec, Llm
 
 def resolve_until_success(scenario: Scenario, backend: Backend,
                           config: ResolveConfig | None = None) -> PipelineResult:
-    """Full pipeline: interpret, plan, resolve parameters, execute, and
-    repair on failures until the policy succeeds or budgets run out.
+    """Full pipeline: interpret, plan, then one round loop until the policy
+    succeeds or a budget runs out (module docstring).
 
-    The world persists across rounds the way a physical scene would; the
+    The world persists across runs the way a physical scene would; the
     returned tree is the permanently patched policy."""
     config = config or ResolveConfig()
     domain = scenario.domain
@@ -348,78 +367,53 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
     goals, goal_exchange = interpret_goals(scenario, backend)
     tree = plan(goals, domain, scenario.initial, config.plan)
     result = PipelineResult(Outcome.FAILURE, tree, goals, goal_exchange)
-
-    rounds = 0
     answers: dict = {}
-
-    def fill_parameters() -> bool:
-        """Resolve open slots and default the rest; False when out of rounds.
-
-        Re-run after every repair: re-planning can introduce new actions
-        whose open slots also need values."""
-        nonlocal rounds
-        while True:
-            request, defaults = _scan_params(tree, domain, scenario.open_params)
-            if request is None:
-                break
-            if rounds >= config.max_resolution_rounds:
-                return False
-            rounds += 1
-            try:
+    consolidated = False
+    while True:
+        request, defaults = _scan_params(tree, domain, scenario.open_params)
+        event = None
+        if request is None:
+            _bind_defaults(tree, defaults)
+            if consolidated:
+                result.outcome = Outcome.SUCCESS
+                return result
+            # built from checked parts only, so ungated (module docstring)
+            trace = run_trusted(tree, scenario, world=result.world,
+                                max_ticks=config.plan.max_sim_ticks)
+            result.traces.append(trace)
+            if trace.outcome == "success":
+                # Consolidate: expand whatever a fresh start would still trip
+                # over, so the patched policy replays from the initial world
+                # without further resolution. Planning is backend-free, but its
+                # new branches may carry open slots, which the next passes fill.
+                try:
+                    plan(goals, domain, scenario.initial, config.plan, tree=tree)
+                except BtError:
+                    pass
+                consolidated = True
+                continue
+            event = trace.pending_event
+            if event is None:
+                result.outcome = Outcome.FAILURE
+                return result
+        if len(result.records) >= config.max_resolution_rounds:
+            result.outcome = Outcome.EXHAUSTED
+            return result
+        round_index = len(result.records) + 1
+        try:
+            if request is not None:
                 _, record = resolve_parameter(
                     tree, request, domain, backend,
                     instruction=scenario.instruction, key=scenario.id,
-                    world=scenario.initial.visible_only(), round_index=rounds)
-            except ParseError as e:
-                record = ResolutionRecord("parameter", rounds, None, request=request,
-                                          rejected=True, error=f"{type(e).__name__}: {e}")
-            result.records.append(record)
-        _bind_defaults(tree, defaults)
-        return True
-
-    if not fill_parameters():
-        result.outcome = Outcome.EXHAUSTED
-        return result
-
-    world = scenario.initial
-    while True:
-        # built from checked parts only, so ungated (module docstring)
-        trace = run_trusted(tree, scenario, world=world,
-                            max_ticks=config.plan.max_sim_ticks)
-        result.traces.append(trace)
-        world = trace.final_state or world
-        result.world = world
-        if trace.outcome == "success":
-            # Consolidate: expand whatever a fresh start would still trip
-            # over, so the patched policy replays from the initial world
-            # without further resolution. Planning is backend-free, but its
-            # new branches may carry open slots, so fill once more.
-            try:
-                plan(goals, domain, scenario.initial, config.plan, tree=tree)
-            except BtError:
-                pass
-            result.outcome = Outcome.SUCCESS if fill_parameters() else Outcome.EXHAUSTED
-            return result
-        if trace.pending_event is None:
-            result.outcome = Outcome.FAILURE
-            return result
-        event = trace.pending_event
-        if rounds >= config.max_resolution_rounds:
-            result.outcome = Outcome.EXHAUSTED
-            return result
-        rounds += 1
-        try:
-            _, record = resolve(tree, event, domain, backend, config,
-                                instruction=scenario.instruction, key=scenario.id,
-                                round_index=rounds, answers=answers)
-            result.records.append(record)
-            if not fill_parameters():
-                result.outcome = Outcome.EXHAUSTED
-                return result
+                    world=scenario.initial.visible_only(), round_index=round_index)
+            else:
+                _, record = resolve(tree, event, domain, backend, config,
+                                    instruction=scenario.instruction, key=scenario.id,
+                                    round_index=round_index, answers=answers)
         except ParseError as e:
-            result.records.append(ResolutionRecord(
-                "precondition", rounds, None, event=event, rejected=True,
-                error=f"{type(e).__name__}: {e}"))
+            record = ResolutionRecord(round_index, None, event=event, request=request,
+                                      rejected=True, error=f"{type(e).__name__}: {e}")
         except Unsolvable:
             result.outcome = Outcome.UNSOLVABLE
             return result
+        result.records.append(record)

@@ -325,8 +325,11 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     except BtError as e:
         fail(f"bad initial state: {e}")
 
+    def object_slots(skill: str) -> set[str]:
+        return {s.name for s in domain.skills[skill].object_slots}
+
     def parse_rule_literals(texts, rule_id: str, skill: str) -> tuple[Literal, ...]:
-        slots = {s.name for s in domain.skills[skill].object_slots}
+        slots = object_slots(skill)
         literals = []
         for text in texts or ():
             try:
@@ -349,9 +352,19 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
         where = []
         where_category = []
         for slot, pattern in (entry.get("where") or {}).items():
+            if slot not in object_slots(entry["skill"]):
+                fail(f"rule {rule_id!r}: where names {slot!r}, which is no "
+                     f"object slot of skill {entry['skill']!r}")
             if isinstance(pattern, str):
+                if pattern not in state.registry:
+                    fail(f"rule {rule_id!r}: where {slot}: {pattern!r} is no "
+                         f"object of the scenario")
                 where.append((slot, pattern))
             else:
+                if not any(o.category == pattern["category"]
+                           for o in domain.objects.values()):
+                    fail(f"rule {rule_id!r}: where {slot}: no object of the domain "
+                         f"has category {pattern['category']!r}")
                 where_category.append((slot, pattern["category"]))
         rules.append(FaultRule(
             rule_id, entry["skill"], tuple(where), tuple(where_category),

@@ -10,8 +10,8 @@ import yaml
 import btpolicy
 from btpolicy import bt
 from btpolicy.backends import RemoteBackend
-from btpolicy.cli import (EXIT_BACKEND, EXIT_FAILURE, EXIT_OK, EXIT_PARSE,
-                          EXIT_SCHEMA, EXIT_VIOLATIONS, main)
+from btpolicy.cli import (EXIT_BACKEND, EXIT_EXHAUSTED, EXIT_FAILURE, EXIT_OK,
+                          EXIT_PARSE, EXIT_SCHEMA, EXIT_VIOLATIONS, main)
 from btpolicy.sim import bundled_data_path
 
 
@@ -99,6 +99,20 @@ class TestRunCommand:
         lines = [l for l in out.splitlines() if l.startswith("run ")]
         assert len(lines) == 10
         assert {l.split(": ")[1] for l in lines} == {"success"}
+
+    def test_repeat_starts_each_run_with_a_fresh_backend(self, tmp_path, capsys):
+        """A scripted backend's answer cursors do not carry into the next
+        repeat: both runs get the unparseable first answer and exhaust."""
+        fixtures = tmp_path / "fixtures.yaml"
+        fixtures.write_text('param_sand_tool/goal: ["ANSWER: in(sand, bucket)"]\n'
+                            'param_sand_tool/parameter: ["ANSWER: wrench", '
+                            '"ANSWER: shovel"]\n')
+        code, out, _ = run_cli(
+            capsys, "run", "--scenario", "param_sand_tool", "--backend", "scripted",
+            "--fixtures", str(fixtures), "--budget-rounds", "1", "--repeat", "2")
+        assert [l for l in out.splitlines() if l.startswith("run ")] == \
+            ["run 1: exhausted", "run 2: exhausted"]
+        assert code == EXIT_EXHAUSTED
 
     def test_no_resolve_reports_fault_message(self, capsys):
         code, out, _ = run_cli(

@@ -457,25 +457,69 @@ def test_rejected_rounds_fingerprint_once(monkeypatch, golden_scenario):
     assert counts["fingerprint"] == len(result.records) == 8
 
 
+def plan_opening_a_slot(goals, domain, state, config=None, *, tree=None):
+    """``plan``, and when it grows a given tree (``param_sand_tool``'s
+    consolidation), a second ``scoop`` after the first, its ``tool`` open."""
+    planned = plan(goals, domain, state, config, tree=tree)
+    if tree is not None:
+        leaf = next(n for n in action_leaves(tree) if n.action.skill == "scoop")
+        extra = tree.new_action(GroundAction.from_mapping("scoop", {"material": "sand"}))
+        tree.replace(leaf.id, tree.new_node(NodeKind.SEQUENCE, children=[leaf, extra]))
+    return planned
+
+
 def test_consolidation_edit_refreshes_the_fingerprint(monkeypatch, all_scenarios):
     """No bundled run opens a slot in its consolidation plan, so one is
     opened here: the parameter record after it fingerprints the tree afresh."""
     scenario = scenario_by_id(all_scenarios, "param_sand_tool")  # binds no default
-    real_plan = resolver.plan
-
-    def plan_opening_a_slot(goals, domain, state, config=None, *, tree=None):
-        planned = real_plan(goals, domain, state, config, tree=tree)
-        if tree is not None:
-            leaf = next(n for n in action_leaves(tree) if n.action.skill == "scoop")
-            extra = tree.new_action(GroundAction.from_mapping("scoop", {"material": "sand"}))
-            tree.replace(leaf.id, tree.new_node(NodeKind.SEQUENCE, children=[leaf, extra]))
-        return planned
-
     monkeypatch.setattr(resolver, "plan", plan_opening_a_slot)
     result, counts, on_entry = watched_run(monkeypatch, scenario)
     assert [r.kind for r in result.records] == ["parameter"] * 2
     assert [r.tree_before for r in result.records] == on_entry
     assert result.records[1].tree_before != result.records[0].tree_after
+
+
+# --- one round budget --------------------------------------------------------
+
+def test_one_budget_covers_both_kinds_of_round(tmp_path):
+    """``blocked_tray`` takes a parameter, a precondition and a parameter
+    round: every budget short of three stops with exactly that many of its
+    records, and three is enough."""
+    scenario = blocked_tray_scenario(tmp_path)
+    full = resolve_until_success(scenario, scenario.oracle_backend())
+    assert full.outcome is Outcome.SUCCESS
+    assert [r.kind for r in full.records] == ["parameter", "precondition", "parameter"]
+    lines = records_to_jsonl(full.records).splitlines(keepends=True)
+    for budget in range(3):
+        result = resolve_until_success(scenario, scenario.oracle_backend(),
+                                       ResolveConfig(max_resolution_rounds=budget))
+        assert result.outcome is Outcome.EXHAUSTED, budget
+        assert records_to_jsonl(result.records) == "".join(lines[:budget]), budget
+    result = resolve_until_success(scenario, scenario.oracle_backend(),
+                                   ResolveConfig(max_resolution_rounds=3))
+    assert result.outcome is Outcome.SUCCESS
+    assert records_to_jsonl(result.records) == "".join(lines)
+
+
+def test_the_budget_covers_the_consolidation_fill(monkeypatch, all_scenarios):
+    """A slot that consolidation opens takes a round of the same budget."""
+    scenario = scenario_by_id(all_scenarios, "param_sand_tool")
+    monkeypatch.setattr(resolver, "plan", plan_opening_a_slot)
+    result = resolve_until_success(scenario, scenario.oracle_backend(),
+                                   ResolveConfig(max_resolution_rounds=1))
+    assert result.outcome is Outcome.EXHAUSTED
+    assert [r.kind for r in result.records] == ["parameter"]
+    assert len(result.traces) == 1
+    result = resolve_until_success(scenario, scenario.oracle_backend(),
+                                   ResolveConfig(max_resolution_rounds=2))
+    assert result.outcome is Outcome.SUCCESS
+    assert [r.kind for r in result.records] == ["parameter"] * 2
+
+
+def test_rounds_are_numbered_from_one_without_gaps(all_scenarios, seed7_towers):
+    for scenario in all_scenarios + seed7_towers:
+        records = resolve_until_success(scenario, scenario.oracle_backend()).records
+        assert [r.round for r in records] == list(range(1, len(records) + 1)), scenario.id
 
 
 # --- the per-run answer cache -------------------------------------------------

@@ -138,11 +138,9 @@ class TestScenarioLoading:
         assert load_scenarios(tmp_path) == []
 
     @staticmethod
-    def _portable_source():
-        source = (bundled_data_path("scenarios") /
-                  "precond_01_blocked_cube.yaml").read_text()
-        domain_path = bundled_data_path("domains", "cube_tabletop.yaml")
-        return source.replace("../domains/cube_tabletop.yaml", str(domain_path))
+    def _portable_source(scenario_id="precond_01_blocked_cube"):
+        source = (bundled_data_path("scenarios") / f"{scenario_id}.yaml").read_text()
+        return source.replace("../domains/", f"{bundled_data_path('domains')}/")
 
     def test_missing_oracle_answer_for_rule(self, tmp_path):
         broken = self._portable_source().replace(
@@ -166,6 +164,27 @@ class TestScenarioLoading:
         with pytest.raises(SchemaError) as err:
             load_scenario(tmp_path / "broken.yaml")
         assert "blocked_grasp" in str(err.value) and "@ghost" in str(err.value)
+
+    @pytest.mark.parametrize("scenario_id, rule, where, broken, named", [
+        ("precond_06_unknown_banana", "not_in_dictionary", "obj: Banana",
+         "obj: Bananna", "'Bananna'"),
+        ("precond_06_unknown_banana", "not_in_dictionary", "obj: Banana",
+         "obj: Plate", "'Plate'"),                   # a domain object, not in the scene
+        ("precond_06_unknown_banana", "not_in_dictionary", "obj: Banana",
+         "thing: Banana", "'thing'"),
+        ("precond_02_two_blockers", "blocked_place", "dst: {category: cube}",
+         "dst: {category: cubes}", "'cubes'"),
+    ], ids=["unknown_object", "object_outside_scene", "unknown_slot", "unknown_category"])
+    def test_rule_where_must_name_a_slot_an_object_and_a_category(
+            self, tmp_path, scenario_id, rule, where, broken, named):
+        """A ``where`` that could never match is a schema error naming the
+        rule, not a rule that silently never fires."""
+        source = self._portable_source(scenario_id)
+        assert where in source
+        (tmp_path / "broken.yaml").write_text(source.replace(where, broken))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(tmp_path / "broken.yaml")
+        assert rule in str(err.value) and named in str(err.value)
 
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         (tmp_path / "bad.yaml").write_text("schema: scenario/v1\nid: [unclosed\n")
