@@ -243,11 +243,11 @@ def _bench_goals(args):
     scene = data.get("scene") or {}
     state = make_state(domain, scene.get("visible") or (), (), scene.get("objects"))
 
+    truths = [_goal_truth(entry, domain, state.registry, bench_path)
+              for entry in data["instructions"]]
     per_difficulty: dict[str, list[float]] = {}
     exchanges: list[LlmExchange] = []
-    for entry in data["instructions"]:
-        truth = {str(lit) for lit in
-                 grammar.parse_literal_conjunction(entry["goal"])}
+    for entry, truth in zip(data["instructions"], truths):
         scenario = Scenario(id=entry["id"], domain=domain, domain_ref=data["domain"],
                             initial=state, instruction=entry["instruction"],
                             oracle_goals=entry["goal"])
@@ -266,6 +266,19 @@ def _bench_goals(args):
     rows = [(difficulty, f"{100.0 * sum(scores) / len(scores):.1f}%")
             for difficulty, scores in sorted(per_difficulty.items())]
     return rows, exchanges
+
+
+def _goal_truth(entry: dict, domain, registry: frozenset[str], source: Path) -> set[str]:
+    """The goal-set entry's goal literals, each checked against the domain
+    and the scene's objects; SchemaError naming the file and the entry."""
+    try:
+        literals = grammar.parse_literal_conjunction(entry["goal"])
+        for lit in literals:
+            domain.check_literal(lit, objects=registry)
+    except BtError as e:
+        raise SchemaError(f"instruction {entry['id']!r}: invalid goal "
+                          f"{entry['goal']!r}: {e}", file=str(source)) from e
+    return {str(lit) for lit in literals}
 
 
 def _bench_scenarios(args, prefix: str):

@@ -24,8 +24,8 @@ import yaml
 from . import grammar
 from .errors import (ArityMismatch, BtError, FormatError, ParseError, SchemaError,
                      UnboundSlot, UnitMismatch, UnknownObject, UnknownPredicate)
-from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity,
-                    is_param, is_placeholder, is_wildcard)
+from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity, ground,
+                    is_slot, is_wildcard)
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,8 @@ class SkillTemplate:
         key = tuple((k, v) for k, v in action.binding if isinstance(v, str))
         entry = memo.get(key)
         if entry is None:
-            binding = dict(key)
             preconditions, effects, hidden = (
-                tuple(t.substitute(binding) for t in templates) for templates in
+                tuple(ground(templates, action)) for templates in
                 (self.preconditions, self.effects, self.hidden_effects))
             deletes = [lit for lit in effects if lit.negated]
             entry = memo[key] = _Grounded(
@@ -341,12 +340,17 @@ class Domain:
         return names
 
     def check_literal(self, lit: Literal, *, objects: Collection[str] | None = None,
-                      allow_params: bool = False) -> None:
-        """Validate predicate, arity, and argument symbols.
+                      slots: Collection[str] = ()) -> None:
+        """Validate predicate, arity, and argument symbols: each argument is
+        one of ``objects`` (the domain's by default), ``any_object``, or a
+        ``$slot``/``@slot`` naming one of ``slots``, the object slots of the
+        template's skill (none for a ground literal).
 
-        Literals pass it where they enter (domain and scenario files, parsed
-        answers, goals, tree leaves by ``sim.leaf_mismatch``, the rule of the
-        tree gate and of ``verify_tree``); evaluation trusts them after."""
+        This is the one literal rule. Literals pass it where they enter:
+        skill templates, fault-rule guards and ``clears_when``, oracle answer
+        templates and goals, goal-set goals, parsed answers, planning goals,
+        and tree leaves by ``sim.leaf_mismatch`` (the rule of the tree gate
+        and of ``verify_tree``). Evaluation trusts them after."""
         pred = self.predicate(lit.predicate)
         if len(lit.args) != pred.arity:
             raise ArityMismatch(lit.predicate, pred.arity, len(lit.args))
@@ -354,10 +358,10 @@ class Domain:
         for arg in lit.args:
             if arg in known or is_wildcard(arg):
                 continue
-            if not (is_param(arg) or is_placeholder(arg)):
+            if not is_slot(arg):
                 raise UnknownObject(arg)
-            if not allow_params:
-                raise UnboundSlot(arg[1:], str(lit))
+            if arg[1:] not in slots:
+                raise UnboundSlot(arg, str(lit))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -441,7 +445,7 @@ def _unify_effect(template: Literal, target: Literal) -> dict[str, str] | None:
         return None
     binding: dict[str, str] = {}
     for t_arg, g_arg in zip(template.args, target.args):
-        if is_param(t_arg):
+        if is_slot(t_arg):
             if is_wildcard(g_arg):
                 continue  # slot stays free; grounding will enumerate
             slot = t_arg[1:]
@@ -611,12 +615,12 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
     groups = {gname: tuple(members) for gname, members in (data.get("groups") or {}).items()}
     dom = Domain(data["name"], predicates, objects, {}, groups)
 
-    def parse_literals(texts, *, where: str, allow_params: bool) -> tuple[Literal, ...]:
+    def parse_literals(texts, *, where: str, slots: set[str]) -> tuple[Literal, ...]:
         lits = []
         for text in texts or []:
             try:
                 lit = grammar.parse_literal(text)
-                dom.check_literal(lit, allow_params=allow_params)
+                dom.check_literal(lit, slots=slots)
             except BtError as e:
                 fail(f"invalid literal {text!r} in {where}: {e}")
             lits.append(lit)
@@ -642,19 +646,10 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
                 except FormatError as e:
                     fail(f"skills[{i}].params[{j}].default: {e}")
             slots.append(replace(slot, default=default))
-        pre = parse_literals(entry.get("preconditions"),
-                             where=f"skill {sname}", allow_params=True)
-        eff = parse_literals(entry.get("effects"),
-                             where=f"skill {sname}", allow_params=True)
-        hidden = parse_literals(entry.get("hidden_effects"),
-                                where=f"skill {sname}", allow_params=True)
         object_slots = {s.name for s in slots if s.kind == "object"}
-        for lit in pre + eff + hidden:
-            for arg in lit.args:
-                if is_param(arg) and arg[1:] not in object_slots:
-                    kind = "non-object" if any(s.name == arg[1:] for s in slots) \
-                        else "undeclared"
-                    fail(f"skill {sname!r}: literal {lit} references {kind} slot {arg}")
+        pre, eff, hidden = (parse_literals(entry.get(key), where=f"skill {sname}",
+                                           slots=object_slots)
+                            for key in ("preconditions", "effects", "hidden_effects"))
         for lit in eff + hidden:
             if not lit.negated and lit.has_wildcard:
                 fail(f"skill {sname!r}: positive effect {lit} may not use {ANY_OBJECT}")

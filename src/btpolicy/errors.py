@@ -78,10 +78,13 @@ class UnknownObject(BtError):
 
 
 class UnboundSlot(BtError):
-    def __init__(self, slot: str, context: str = ""):
-        self.slot = slot
+    """A ``$slot`` or ``@slot`` argument, named as written, that no slot
+    binds where the literal appears."""
+
+    def __init__(self, arg: str, context: str = ""):
+        self.arg = arg
         suffix = f" in {context}" if context else ""
-        super().__init__(f"unbound slot ${slot}{suffix}")
+        super().__init__(f"unbound slot {arg}{suffix}")
 
 
 class UnknownNode(BtError):

@@ -50,7 +50,7 @@ from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import (InvalidTarget, NoAchiever, PlanBudgetExceeded, TickBudgetExceeded,
                      Unsolvable)
-from .terms import ANY_OBJECT, GroundAction, Literal, is_param
+from .terms import ANY_OBJECT, GroundAction, Literal, is_slot
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
            "guarding_literals"]
@@ -162,7 +162,7 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
     """``partial`` extended by the slots a negated target's witnesses fix.
 
     An achiever of a negated target must delete every witness row. When the
-    skill has one delete template on the target's predicate, each ``$slot``
+    skill has one delete template on the target's predicate, each slot argument
     in it must equal that position of every witness, so the slot is bound
     here; None when the witnesses disagree there or contradict ``partial``.
     Skills with several delete templates keep ``partial`` unchanged."""
@@ -171,7 +171,7 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
         return partial
     binding = dict(partial)
     for i, arg in enumerate(deletes[0].args):
-        if is_param(arg):
+        if is_slot(arg):
             values = {row[i] for row in witnesses}
             if len(values) != 1:
                 return None

@@ -66,7 +66,7 @@ from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   parse_precondition_response, scene_from_state)
 from .planner import GoalSpec, PlanConfig, goals_of, guarding_literals, plan
 from .sim import ExecutionTrace, FailureEvent, Scenario, run_trusted
-from .terms import GroundAction, Literal
+from .terms import GroundAction, Literal, ground
 
 
 class Outcome(Enum):
@@ -158,18 +158,13 @@ def _answer_key(domain: Domain, event: FailureEvent) -> tuple:
 def lift(literals: Iterable[Literal], action: GroundAction,
          domain: Domain) -> tuple[Literal, ...]:
     """Each argument equal to one of the action's object-slot values becomes
-    that slot (``$slot``, the first slot holding it); others stay."""
+    that slot (``$slot``, the first slot holding it); others stay.
+    ``terms.ground`` at the same action undoes it."""
     slots: dict[str, str] = {}
     for slot in domain.skill(action.skill).object_slots:
         slots.setdefault(action.get(slot.name), "$" + slot.name)
     return tuple(Literal(lit.predicate, tuple(slots.get(a, a) for a in lit.args),
                          lit.negated) for lit in literals)
-
-
-def ground(lifted: Iterable[Literal], action: GroundAction) -> list[Literal]:
-    """The inverse of ``lift`` at ``action``: each ``$slot`` takes its value."""
-    binding = action.as_dict()
-    return [lit.substitute(binding) for lit in lifted]
 
 
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 from . import grammar
 from .backends import OracleBackend, RequestMeta
@@ -25,7 +26,7 @@ from .domain import (SCENARIO_SHAPE, Domain, WorldState, check_shape, load_domai
                      load_yaml, make_state)
 from .errors import BtError, DomainMismatch, SchemaError, TickBudgetExceeded
 from .llm import Role
-from .terms import GroundAction, Literal, is_param, is_placeholder
+from .terms import GroundAction, Literal, ground
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ class FaultRule:
     """Injects a failure while its guard holds.
 
     The guard is a literal conjunction over the union of visible and hidden
-    state; ``@slot`` arguments are filled from the matched action's binding.
+    state; ``$slot``/``@slot`` arguments are filled from the matched
+    action's binding.
     ``clears_when`` literals, when given, make the rule inert once they all
     hold. A firing rule fails the action: it returns Failure, its effects do
     not land, and the executor records a FailureEvent."""
@@ -65,14 +67,11 @@ class FaultRule:
     def fires(self, domain: Domain, state: WorldState, action: GroundAction) -> bool:
         if not self.matches(domain, action):
             return False
-        binding = {k: v for k, v in action.as_dict().items() if isinstance(v, str)}
-        if self.clears_when:
-            cleared = all(domain.holds(state, lit.substitute(binding), include_hidden=True)
-                          for lit in self.clears_when)
-            if cleared:
-                return False
-        return all(domain.holds(state, lit.substitute(binding), include_hidden=True)
-                   for lit in self.guard)
+        if self.clears_when and all(domain.holds(state, lit, include_hidden=True)
+                                    for lit in ground(self.clears_when, action)):
+            return False
+        return all(domain.holds(state, lit, include_hidden=True)
+                   for lit in ground(self.guard, action))
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,8 @@ class Scenario:
     fault_rules: tuple[FaultRule, ...] = ()
     open_params: tuple[str, ...] = ()
     oracle_goals: str = ""
-    oracle_preconditions: dict[str, str] = field(default_factory=dict)
+    #: each fault rule's answer template, read and checked at load
+    oracle_preconditions: dict[str, tuple[Literal, ...]] = field(default_factory=dict)
     oracle_params: tuple[OracleParam, ...] = ()
     expected_outcome: str = "success"
     expected_rounds: int | None = None
@@ -102,20 +102,18 @@ class Scenario:
     path: str = ""
 
     def oracle_response(self, meta: RequestMeta) -> str:
-        """Ground-truth answer for a request, in the documented grammar."""
+        """Ground-truth answer for a request, in the documented grammar. A
+        failure's answer is its rule's template, read and checked at load,
+        grounded at the failing action and formatted; nothing is parsed."""
         if meta.role is Role.GOAL_INTERPRETATION:
             return f"ANSWER: {self.oracle_goals}"
         if meta.role is Role.FAILURE_RESOLUTION:
             event = meta.event
-            template = self.oracle_preconditions.get(event.rule_id)
-            if template is None:
+            templates = self.oracle_preconditions.get(event.rule_id)
+            if templates is None:
                 raise SchemaError(f"scenario {self.id} has no oracle answer "
                                   f"for rule {event.rule_id!r}")
-            binding = {k: v for k, v in event.action.as_dict().items()
-                       if isinstance(v, str)}
-            literals = [lit.substitute(binding)
-                        for lit in grammar.parse_literal_conjunction(template)]
-            return "ANSWER: " + " & ".join(str(lit) for lit in literals)
+            return "ANSWER: " + " & ".join(map(str, ground(templates, event.action)))
         request = meta.param
         for entry in self.oracle_params:
             if entry.slot == request.slot.name and entry.object in request.context_objects:
@@ -302,6 +300,10 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario, *,
 # --- scenario files -----------------------------------------------------------
 
 def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scenario:
+    """Load a scenario file, reading each literal once: ``guard``,
+    ``clears_when`` and answer templates with the object slots of their
+    rule's skill, oracle goals with none, all against the scenario's
+    objects. ``open_params`` must name numeric or categorical slots."""
     path = Path(path)
     data = load_yaml(path, "scenario")
     check_shape(data, SCENARIO_SHAPE, str(path))
@@ -328,19 +330,15 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     def object_slots(skill: str) -> set[str]:
         return {s.name for s in domain.skills[skill].object_slots}
 
-    def parse_rule_literals(texts, rule_id: str, skill: str) -> tuple[Literal, ...]:
-        slots = object_slots(skill)
+    def read_literals(texts, where: str,
+                      slots: Collection[str] = ()) -> tuple[Literal, ...]:
         literals = []
         for text in texts or ():
             try:
                 lit = grammar.parse_literal(text)
-                domain.check_literal(lit, objects=state.registry, allow_params=True)
+                domain.check_literal(lit, objects=state.registry, slots=slots)
             except BtError as e:
-                fail(f"rule {rule_id!r}: invalid literal {text!r}: {e}")
-            for arg in lit.args:
-                if (is_param(arg) or is_placeholder(arg)) and arg[1:] not in slots:
-                    fail(f"rule {rule_id!r}: literal {text!r} names {arg}, "
-                         f"which is no object slot of skill {skill!r}")
+                fail(f"{where}: invalid literal {text.strip()!r}: {e}")
             literals.append(lit)
         return tuple(literals)
 
@@ -351,8 +349,9 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
             fail(f"rule {rule_id!r}: unknown skill {entry['skill']!r}")
         where = []
         where_category = []
+        slots = object_slots(entry["skill"])
         for slot, pattern in (entry.get("where") or {}).items():
-            if slot not in object_slots(entry["skill"]):
+            if slot not in slots:
                 fail(f"rule {rule_id!r}: where names {slot!r}, which is no "
                      f"object slot of skill {entry['skill']!r}")
             if isinstance(pattern, str):
@@ -368,22 +367,34 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
                 where_category.append((slot, pattern["category"]))
         rules.append(FaultRule(
             rule_id, entry["skill"], tuple(where), tuple(where_category),
-            parse_rule_literals(entry.get("guard"), rule_id, entry["skill"]),
+            read_literals(entry.get("guard"), f"rule {rule_id!r} guard", slots),
             entry["message"],
-            parse_rule_literals(entry.get("clears_when"), rule_id, entry["skill"]),
+            read_literals(entry.get("clears_when"), f"rule {rule_id!r} clears_when",
+                          slots),
             entry.get("phase") or "execution"))
     rule_ids = [rule.id for rule in rules]
     if len(set(rule_ids)) != len(rule_ids):
         fail("duplicate fault rule ids")
 
     oracle = data["oracle"]
-    preconditions = dict(oracle.get("preconditions") or {})
+    answers = oracle.get("preconditions") or {}
     for rule in rules:
-        if rule.id not in preconditions:
+        if rule.id not in answers:
             fail(f"oracle answers do not cover fault rule {rule.id!r}")
-    for rule_id in preconditions:
+    for rule_id in answers:
         if rule_id not in rule_ids:
             fail(f"oracle precondition for unknown rule {rule_id!r}")
+    preconditions = {rule.id: read_literals(answers[rule.id].split("&"),
+                                            f"rule {rule.id!r} oracle answer",
+                                            object_slots(rule.skill))
+                     for rule in rules}
+    read_literals(oracle["goals"].split("&"), "oracle goals")
+    value_slots = {slot.name for skill in domain.skills.values()
+                   for slot in skill.params if slot.kind != "object"}
+    for name in data.get("open_params") or ():
+        if name not in value_slots:
+            fail(f"open_params: {name!r} is no numeric or categorical slot "
+                 f"of a skill of domain {domain.name}")
     params = tuple(OracleParam(entry["slot"], entry["object"], str(entry["value"]))
                    for entry in oracle.get("params") or ())
     expected = data.get("expected") or {}

@@ -8,21 +8,17 @@ syntax used in domain files, scenario files, tree payloads, and model answers;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: Wildcard argument. Existential under a positive literal ("something"),
 #: universal under negation ("nothing").
 ANY_OBJECT = "any_object"
 
 
-def is_param(arg: str) -> bool:
-    """True for template arguments like ``$obj`` that await a binding."""
-    return arg.startswith("$")
-
-
-def is_placeholder(arg: str) -> bool:
-    """True for fault-rule arguments like ``@obj`` bound at match time."""
-    return arg.startswith("@")
+def is_slot(arg: str) -> bool:
+    """True for template arguments like ``$obj`` or ``@obj`` that name a
+    slot of the template's skill and await a binding."""
+    return arg.startswith(("$", "@"))
 
 
 def is_wildcard(arg: str) -> bool:
@@ -44,8 +40,9 @@ class ObjectRef:
 class Literal:
     """A (possibly negated) predicate instance.
 
-    Arguments are symbols: object names, the ``any_object`` wildcard,
-    ``$slot`` template parameters, or ``@slot`` match-time placeholders.
+    Arguments are symbols: object names, the ``any_object`` wildcard, or
+    ``$slot``/``@slot`` template arguments, which name an object slot of
+    the template's skill.
     """
 
     predicate: str
@@ -74,9 +71,7 @@ class Literal:
         """
         new_args = []
         for a in self.args:
-            if is_param(a) and a[1:] in binding:
-                new_args.append(str(binding[a[1:]]))
-            elif is_placeholder(a) and a[1:] in binding:
+            if is_slot(a) and a[1:] in binding:
                 new_args.append(str(binding[a[1:]]))
             else:
                 new_args.append(a)
@@ -140,3 +135,11 @@ class GroundAction:
         for _, value in self.binding:
             if isinstance(value, str):
                 yield value
+
+
+def ground(templates: Iterable[Literal], action: GroundAction) -> list[Literal]:
+    """The templates at ``action``: each ``$slot``/``@slot`` takes the
+    action's value for that slot. Templates name object slots only, checked
+    where they enter, so every value substituted is an object name."""
+    binding = action.as_dict()
+    return [lit.substitute(binding) for lit in templates]

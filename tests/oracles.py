@@ -37,8 +37,8 @@ from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
                              TreeInvalid, UnboundSlot, UnknownNode)
 from btpolicy.planner import GoalSpec, _groundings
 from btpolicy.sim import check_tree_domain
-from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_param,
-                            is_placeholder, is_wildcard)
+from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_slot,
+                            is_wildcard)
 from btpolicy.verify import CHECKS, VerificationReport, Violation
 
 # Tuple-tree encoding: ("leaf", NodeStatus) | ("seq"|"fb", (child, ...))
@@ -83,8 +83,8 @@ def reference_holds(domain: Domain, state: WorldState, lit: Literal, *,
     if len(lit.args) != pred.arity:
         raise ArityMismatch(lit.predicate, pred.arity, len(lit.args))
     for arg in lit.args:
-        if is_param(arg) or is_placeholder(arg):
-            raise UnboundSlot(arg[1:], str(lit))
+        if is_slot(arg):
+            raise UnboundSlot(arg, str(lit))
     facts = state.true | state.hidden if include_hidden else state.true
     positive = lit.positive()
     slots = [i for i, a in enumerate(positive.args) if is_wildcard(a)]
@@ -203,8 +203,8 @@ def reference_apply_effects(domain: Domain, state: WorldState,
     for template in domain.skill(action.skill).effects:
         lit = template.substitute(binding)
         for arg in lit.args:
-            if is_param(arg):
-                raise UnboundSlot(arg[1:], f"effect {template} of {action.skill}")
+            if is_slot(arg):
+                raise UnboundSlot(arg, f"effect {template} of {action.skill}")
         grounded.append(lit)
     remove: set[Literal] = set()
     add: set[Literal] = set()

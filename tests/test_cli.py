@@ -461,7 +461,25 @@ _BAD_GOALSETS = {
     "entry_without_instruction": _entry_without("instruction"),
     "entry_without_goal": _entry_without("goal"),
     "scene_visible_a_string": _goalset(scene={"visible": "On(Water, Bar)"}),
+    "goal_unknown_predicate": _goalset(
+        instructions=[{**_ENTRY, "goal": "Onx(Water, Bar)"}]),
 }
+
+
+def test_goal_set_goals_are_checked_before_any_backend_is_asked(tmp_path, monkeypatch,
+                                                                capsys):
+    """A goal that does not fit the domain or the scene exits 6 naming the
+    file and the instruction, and no instruction reaches a backend."""
+    asked = []
+    monkeypatch.setattr("btpolicy.cli.interpret_goals",
+                        lambda scenario, backend: asked.append(scenario.id))
+    path = tmp_path / "goals.yaml"
+    path.write_text(_goalset(scene={"objects": ["Water", "Bar"]}, instructions=[
+        _ENTRY, {**_ENTRY, "id": "e2", "goal": "On(Water, Table1)"}]))
+    code, out, err = run_cli(capsys, "bench", "--suite", "goals", "--goalset", str(path))
+    assert code == EXIT_SCHEMA
+    assert "instruction 'e2'" in err and "'Table1'" in err and str(path) in err
+    assert asked == [] and out == ""
 
 
 def _bad_goalset(name):

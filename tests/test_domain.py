@@ -233,6 +233,29 @@ class TestDomainLoading:
                             "effects": ["p($ghost)"]}],
             })
 
+    def test_undeclared_placeholder_in_precondition_rejected(self):
+        with pytest.raises(SchemaError) as err:
+            parse_domain({
+                "schema": "domain/v1", "name": "bad",
+                "predicates": [{"name": "p", "arity": 1}],
+                "objects": [{"name": "x", "category": "c"}],
+                "skills": [{"name": "s", "params": [{"name": "obj", "category": "c"}],
+                            "preconditions": ["~p(@ghost)"]}],
+            })
+        assert "skill s" in str(err.value) and "unbound slot @ghost" in str(err.value)
+
+    def test_either_sigil_names_an_object_slot_in_skill_templates(self):
+        skill = {"name": "s", "params": [{"name": "obj", "category": "c"}],
+                 "preconditions": ["~p(@obj)"], "effects": ["p(@obj)"]}
+        domain = parse_domain({
+            "schema": "domain/v1", "name": "sigils",
+            "predicates": [{"name": "p", "arity": 1}],
+            "objects": [{"name": "x", "category": "c"}], "skills": [skill]})
+        achiever, binding = domain.achievers(lit("p(x)"))[0]
+        action = GroundAction.from_mapping(achiever.name, binding)
+        assert binding == {"obj": "x"}
+        assert domain.ground_preconditions(action) == (lit("~p(x)"),)
+
     def test_positive_wildcard_effect_rejected(self):
         with pytest.raises(SchemaError):
             parse_domain({

@@ -16,7 +16,7 @@ from btpolicy.resolver import (Outcome, ResolveConfig, find_param_request, groun
                                resolve_until_success, tree_fingerprint)
 from btpolicy import sim
 from btpolicy.sim import FailureEvent, bundled_data_path, execute, load_scenario
-from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, Quantity, is_param
+from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, Quantity
 
 
 def lit(text):
@@ -563,7 +563,7 @@ def test_lifted_answer_grounds_back_at_its_action(domain_name, data):
         assert (general.predicate, general.negated) == (original.predicate, original.negated)
         for arg, lifted_arg in zip(original.args, general.args):
             if arg in bound:
-                assert is_param(lifted_arg) and action.get(lifted_arg[1:]) == arg
+                assert lifted_arg.startswith("$") and action.get(lifted_arg[1:]) == arg
             else:  # any_object and objects the action does not bind
                 assert lifted_arg == arg
 

@@ -1,14 +1,18 @@
 import pytest
 import yaml
 
-from btpolicy.backends import ScriptedBackend
+from btpolicy import grammar
+from btpolicy.backends import RequestMeta, ScriptedBackend
 from btpolicy.cli import _load_goalset
 from btpolicy.domain import load_domain, make_state
 from btpolicy.errors import DomainMismatch, SchemaError, TickBudgetExceeded
 from btpolicy.grammar import parse_literal
+from btpolicy.llm import Role
 from btpolicy.planner import GoalSpec, plan
 from btpolicy.resolver import resolve_until_success
-from btpolicy.sim import bundled_data_path, execute, load_scenario, load_scenarios
+from btpolicy.sim import (FailureEvent, bundled_data_path, execute, load_scenario,
+                          load_scenarios)
+from btpolicy.terms import GroundAction
 
 
 def lit(text):
@@ -165,6 +169,60 @@ class TestScenarioLoading:
             load_scenario(tmp_path / "broken.yaml")
         assert "blocked_grasp" in str(err.value) and "@ghost" in str(err.value)
 
+    _ANSWER = 'blocked_grasp: "~on(any_object, @obj)"'
+
+    @pytest.mark.parametrize("scenario_id, line, broken, named", [
+        ("precond_02_two_blockers", _ANSWER, 'blocked_grasp: "~on(any_object, @obj"',
+         ("rule 'blocked_grasp' oracle answer", "expected")),
+        ("precond_02_two_blockers", _ANSWER, 'blocked_grasp: "~onn(any_object, @obj)"',
+         ("rule 'blocked_grasp' oracle answer", "unknown predicate 'onn'")),
+        ("precond_02_two_blockers", _ANSWER, 'blocked_grasp: "~on(any_object, @ghost)"',
+         ("rule 'blocked_grasp' oracle answer", "unbound slot @ghost")),
+        ("precond_02_two_blockers", 'goals: "on(blue_cube, green_cube)"',
+         'goals: "on(blue_cube, gren_cube)"', ("oracle goals", "'gren_cube'")),
+        ("param_egg_hammer_force", "open_params: [force]", "open_params: [forse]",
+         ("open_params", "'forse'")),
+    ], ids=["answer_syntax", "answer_unknown_predicate", "answer_undeclared_slot",
+            "oracle_goal_typo", "open_params_typo"])
+    def test_oracle_literals_and_open_params_are_checked_at_load(
+            self, tmp_path, scenario_id, line, broken, named):
+        """An oracle answer or goal that could never serve, or an
+        ``open_params`` name no skill declares, is a schema error at load
+        naming the file and the rule or key, not a run of rejected rounds
+        or silently bound defaults."""
+        source = self._portable_source(scenario_id)
+        assert line in source
+        path = tmp_path / "broken.yaml"
+        path.write_text(source.replace(line, broken))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(path)
+        assert err.value.file == str(path)
+        assert all(part in str(err.value) for part in named), str(err.value)
+
+    def test_oracle_answers_are_read_once_at_load(self, monkeypatch):
+        scenario = load_scenario(
+            bundled_data_path("scenarios", "precond_02_two_blockers.yaml"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a literal was parsed after load")
+
+        for name in ("parse_literal", "parse_literal_conjunction", "parse_value",
+                     "parse_action"):
+            monkeypatch.setattr(grammar, name, refuse)
+        failures = {
+            "blocked_grasp": GroundAction.from_mapping("grasp", {"obj": "blue_cube"}),
+            "blocked_place": GroundAction.from_mapping(
+                "place", {"obj": "blue_cube", "dst": "green_cube"}),
+        }
+        answers = {
+            rule_id: scenario.oracle_response(RequestMeta(
+                Role.FAILURE_RESOLUTION, scenario.id, event=FailureEvent(
+                    "planning", 1, action, "No collision free path found",
+                    scenario.initial, rule_id)))
+            for rule_id, action in failures.items()}
+        assert answers == {"blocked_grasp": "ANSWER: ~on(any_object, blue_cube)",
+                           "blocked_place": "ANSWER: ~on(any_object, green_cube)"}
+
     @pytest.mark.parametrize("scenario_id, rule, where, broken, named", [
         ("precond_06_unknown_banana", "not_in_dictionary", "obj: Banana",
          "obj: Bananna", "'Bananna'"),
@@ -303,7 +361,7 @@ def test_sibling_branch_recovers_fault_within_run(cube_domain, tmp_path):
         initial=make_state(cube_domain, ["grasped(red_cube)"]),
         instruction="", fault_rules=(rule,),
         oracle_goals="on(red_cube, table)",
-        oracle_preconditions={"bad_spot": "~on(any_object, @dst)"})
+        oracle_preconditions={"bad_spot": (lit("~on(any_object, @dst)"),)})
 
     trace = execute(tree, scenario)
     assert trace.outcome == "success"
