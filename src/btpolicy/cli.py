@@ -74,6 +74,12 @@ def _make_backend(args, scenario: Scenario | None = None):
     return RemoteBackend(model=args.model)
 
 
+def _close(backend) -> None:
+    """Close a remote backend's kept-alive connections; the others hold none."""
+    if isinstance(backend, RemoteBackend):
+        backend.close()
+
+
 def _resolve_config(args) -> ResolveConfig:
     return ResolveConfig(
         max_resolution_rounds=args.budget_rounds,
@@ -126,7 +132,10 @@ def cmd_plan(args) -> int:
                             initial=make_state(domain, literals),
                             instruction=args.instruction)
         backend = _make_backend(args, None)
-    goals, exchange = interpret_goals(scenario, backend)
+    try:
+        goals, exchange = interpret_goals(scenario, backend)
+    finally:
+        _close(backend)
 
     tree = plan(goals, scenario.domain, scenario.initial, _resolve_config(args).plan)
     out = Path(args.out)
@@ -180,6 +189,8 @@ def cmd_run(args) -> int:
                     _write_tree_artifacts(tree, out, "final_tree")
                 atomic_write(out / "trace.jsonl", e.trace.to_jsonl())
             raise
+        finally:
+            _close(backend)
         outcomes.append(outcome)
         if index == 0 and out is not None:
             _write_tree_artifacts(tree, out, "final_tree")
@@ -200,16 +211,22 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         print("--repeat must be at least 1", file=sys.stderr)
         return EXIT_FAILURE
-    if args.backend == "remote":
+    # One remote backend serves the whole suite: it holds no per-case state,
+    # so every case can share its kept-alive connection.
+    remote = _make_backend(args) if args.backend == "remote" else None
+    if remote is not None:
         # missing credentials or a bad endpoint would fail every case: stop
         # before scoring any. A failed call later scores only its case 0.
-        _make_backend(args).check_config()
-    if args.suite == "goals":
-        rows, exchanges = _bench_goals(args)
-    elif args.suite == "preconds":
-        rows, exchanges = _bench_scenarios(args, prefix="precond_")
-    else:
-        rows, exchanges = _bench_scenarios(args, prefix="param_")
+        remote.check_config()
+    try:
+        if args.suite == "goals":
+            rows, exchanges = _bench_goals(args, remote)
+        elif args.suite == "preconds":
+            rows, exchanges = _bench_scenarios(args, remote, prefix="precond_")
+        else:
+            rows, exchanges = _bench_scenarios(args, remote, prefix="param_")
+    finally:
+        _close(remote)
     report = _format_report(args, rows)
     if args.backend == "remote":
         # live results are machine- and model-dependent: stamp them. The
@@ -235,13 +252,16 @@ def _load_goalset(path: Path) -> dict:
     return data
 
 
-def _bench_goals(args):
+def _bench_goals(args, remote: RemoteBackend | None):
     bench_path = Path(args.goalset) if args.goalset else \
         bundled_data_path("benchmarks", "cafe_goals.yaml")
     data = _load_goalset(bench_path)
     domain = load_domain((bench_path.parent / data["domain"]).resolve())
     scene = data.get("scene") or {}
-    state = make_state(domain, scene.get("visible") or (), (), scene.get("objects"))
+    try:
+        state = make_state(domain, scene.get("visible") or (), (), scene.get("objects"))
+    except BtError as e:
+        raise SchemaError(f"bad scene: {e}", file=str(bench_path)) from e
 
     truths = [_goal_truth(entry, domain, state.registry, bench_path)
               for entry in data["instructions"]]
@@ -253,7 +273,7 @@ def _bench_goals(args):
                             oracle_goals=entry["goal"])
         successes = 0
         for _ in range(args.repeat):
-            backend = _make_backend(args, scenario)
+            backend = remote or _make_backend(args, scenario)
             try:
                 goals, exchange = interpret_goals(scenario, backend)
                 exchanges.append(exchange)
@@ -281,7 +301,7 @@ def _goal_truth(entry: dict, domain, registry: frozenset[str], source: Path) -> 
     return {str(lit) for lit in literals}
 
 
-def _bench_scenarios(args, prefix: str):
+def _bench_scenarios(args, remote: RemoteBackend | None, prefix: str):
     directory = Path(args.scenarios) if args.scenarios else \
         bundled_data_path("scenarios")
     scenarios = [s for s in load_scenarios(directory) if s.id.startswith(prefix)]
@@ -291,7 +311,7 @@ def _bench_scenarios(args, prefix: str):
     for scenario in scenarios:
         successes = 0
         for _ in range(args.repeat):
-            backend = _make_backend(args, scenario)
+            backend = remote or _make_backend(args, scenario)
             try:
                 result = resolve_until_success(scenario, backend, config)
                 # a case counts once its policy also replays from the

@@ -393,26 +393,54 @@ def test_bench_remote_failed_call_scores_only_its_case(monkeypatch, capsys):
         def json(self):
             return {"choices": [{"message": {"content": "ANSWER: On(Water, Bar)"}}]}
 
-    calls = []
+    calls, closed = [], []
 
     def fake_post(self, url, payload, headers):
-        calls.append(url)
+        calls.append(self)
         return FakeResponse(500 if len(calls) == 1 else 200)
 
     monkeypatch.setenv("BTPOLICY_LLM_ENDPOINT", "https://api.example")
     monkeypatch.setenv("BTPOLICY_LLM_API_KEY", "k")
     monkeypatch.setattr(RemoteBackend, "_post", fake_post)
+    monkeypatch.setattr(RemoteBackend, "close", lambda self: closed.append(self))
     code, out, _ = run_cli(
         capsys, "bench", "--suite", "goals", "--backend", "remote",
         "--model", "test-model", "--format", "json")
     assert code == EXIT_OK
     goalset = yaml.safe_load(bundled_data_path(
         "benchmarks", "cafe_goals.yaml").read_text())
-    # the 500 on the first case did not stop the run: every case was asked
+    # the 500 on the first case did not stop the run: every case was asked,
+    # all by one backend, closed once the suite was done
     assert len(calls) == len(goalset["instructions"])
+    assert all(backend is calls[0] for backend in calls) and closed == [calls[0]]
     report = json.loads(out.split("\n", 1)[1])
     difficulties = {entry["difficulty"] for entry in goalset["instructions"]}
     assert {row["case"] for row in report} == difficulties
+
+
+def test_run_closes_each_repeat_remote_backend(monkeypatch, capsys):
+    class FakeResponse:
+        status_code = 200
+        headers = {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ANSWER: on(blue_cube, green_cube)"}}]}
+
+    posted, closed = [], []
+
+    def fake_post(self, url, payload, headers):
+        posted.append(self)
+        return FakeResponse()
+
+    monkeypatch.setenv("BTPOLICY_LLM_ENDPOINT", "https://api.example")
+    monkeypatch.setenv("BTPOLICY_LLM_API_KEY", "k")
+    monkeypatch.setattr(RemoteBackend, "_post", fake_post)
+    monkeypatch.setattr(RemoteBackend, "close", lambda self: closed.append(self))
+    _, out, _ = run_cli(capsys, "run", "--scenario", "cube_stack_golden", "--backend",
+                        "remote", "--no-resolve", "--repeat", "2")
+    assert "run 2:" in out
+    assert len(posted) == 2 and posted[0] is not posted[1]
+    assert closed == posted
 
 
 def test_bench_remote_endpoint_without_http_scheme_exit(monkeypatch, capsys):
@@ -461,6 +489,7 @@ _BAD_GOALSETS = {
     "entry_without_instruction": _entry_without("instruction"),
     "entry_without_goal": _entry_without("goal"),
     "scene_visible_a_string": _goalset(scene={"visible": "On(Water, Bar)"}),
+    "scene_unknown_object": _goalset(scene={"visible": ["On(Waterx, Bar)"]}),
     "goal_unknown_predicate": _goalset(
         instructions=[{**_ENTRY, "goal": "Onx(Water, Bar)"}]),
 }
