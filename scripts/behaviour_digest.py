@@ -10,9 +10,10 @@ and the ``verify_tree`` report. Two checkouts that print the same digest
 behaved identically on these inputs. A second digest leaves out
 ``records.jsonl``: it covers what the policies are and do, so a change to
 how rounds are recorded (or to which rounds call the backend) moves only
-the first. The program is imported from the
-checkout the script sits in, so a copy of it run inside another checkout
-digests that checkout's code:
+the first. A third digest covers every prompt the runs send, as (role, key,
+prompt text), so it pins the bytes a live model would receive. The program
+is imported from the checkout the script sits in, so a copy of it run
+inside another checkout digests that checkout's code:
 
     python3 scripts/behaviour_digest.py
 """
@@ -44,11 +45,25 @@ TOWER_COUNT = 64
 RECORDS = "records.jsonl"
 
 
-def behaviour(scenario) -> list[tuple[str, str]]:
+class PromptLog:
+    """A backend that passes each request on to ``inner`` and keeps the
+    role, key and text of every prompt in ``sent``."""
+
+    def __init__(self, inner, sent: list[tuple[str, str, str]]):
+        self.inner = inner
+        self.sent = sent
+
+    def complete(self, prompt: str, meta) -> str:
+        self.sent.append((meta.role.value, meta.key, prompt))
+        return self.inner.complete(prompt, meta)
+
+
+def behaviour(scenario, sent: list[tuple[str, str, str]]) -> list[tuple[str, str]]:
     """The texts one scenario's run is judged by, each with its name, in a
-    fixed order."""
+    fixed order; every prompt the run sends is appended to ``sent``."""
     config = ResolveConfig()
-    result = resolve_until_success(scenario, scenario.oracle_backend(), config)
+    result = resolve_until_success(scenario, PromptLog(scenario.oracle_backend(), sent),
+                                   config)
     parts = [("id", scenario.id), ("tree", bt.serialize(result.tree)),
              ("outcome", result.outcome.value), ("rounds", str(result.rounds)),
              (RECORDS, records_to_jsonl(result.records))]
@@ -73,16 +88,20 @@ def load_digest_scenarios(workdir: Path) -> list:
 
 
 def main() -> None:
-    full, without_records = hashlib.sha256(), hashlib.sha256()
+    full, without_records, prompts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    sent: list[tuple[str, str, str]] = []
     with tempfile.TemporaryDirectory() as tmp:
         scenarios = load_digest_scenarios(Path(tmp))
         for scenario in scenarios:
-            for name, part in behaviour(scenario):
+            for name, part in behaviour(scenario, sent):
                 full.update(part.encode() + b"\0")
                 if name != RECORDS:
                     without_records.update(part.encode() + b"\0")
+    for fields in sent:
+        prompts.update("\0".join(fields).encode() + b"\0")
     print(f"{len(scenarios)} scenarios: {full.hexdigest()}")
     print(f"{len(scenarios)} scenarios without {RECORDS}: {without_records.hexdigest()}")
+    print(f"{len(scenarios)} scenarios, {len(sent)} prompts: {prompts.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ def cmd_plan(args) -> int:
             return EXIT_FAILURE
         domain = load_domain(args.domain)
         literals = [t.strip() for t in (args.state or "").split("&") if t.strip()]
-        scenario = Scenario(id="adhoc", domain=domain, domain_ref=args.domain,
+        scenario = Scenario(id="adhoc", domain=domain,
                             initial=make_state(domain, literals),
                             instruction=args.instruction)
         backend = _make_backend(args, None)
@@ -149,9 +149,6 @@ def cmd_plan(args) -> int:
 # --- run ----------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    if args.repeat < 1:
-        print("--repeat must be at least 1", file=sys.stderr)
-        return EXIT_FAILURE
     if args.tree and not args.no_resolve:
         print("--tree goes with --no-resolve; the full pipeline plans its own "
               "tree", file=sys.stderr)
@@ -208,9 +205,6 @@ def cmd_run(args) -> int:
 # --- bench --------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        print("--repeat must be at least 1", file=sys.stderr)
-        return EXIT_FAILURE
     # One remote backend serves the whole suite: it holds no per-case state,
     # so every case can share its kept-alive connection.
     remote = _make_backend(args) if args.backend == "remote" else None
@@ -268,9 +262,8 @@ def _bench_goals(args, remote: RemoteBackend | None):
     per_difficulty: dict[str, list[float]] = {}
     exchanges: list[LlmExchange] = []
     for entry, truth in zip(data["instructions"], truths):
-        scenario = Scenario(id=entry["id"], domain=domain, domain_ref=data["domain"],
-                            initial=state, instruction=entry["instruction"],
-                            oracle_goals=entry["goal"])
+        scenario = Scenario(id=entry["id"], domain=domain, initial=state,
+                            instruction=entry["instruction"], oracle_goals=entry["goal"])
         successes = 0
         for _ in range(args.repeat):
             backend = remote or _make_backend(args, scenario)
@@ -435,8 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the least value of each count flag; zero resolution rounds runs the
+#: planned tree without repairing it
+_FLAG_FLOORS = {"repeat": 1, "budget_rounds": 0, "budget_expansions": 1,
+                "budget_reorders": 1, "budget_ticks": 1}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, least in _FLAG_FLOORS.items():
+        if getattr(args, dest, least) < least:
+            print(f"error: --{dest.replace('_', '-')} must be at least {least}",
+                  file=sys.stderr)
+            return EXIT_FAILURE
     try:
         return args.func(args)
     except ParseError as e:

@@ -89,17 +89,6 @@ def init_tree(goals: GoalSpec) -> BehaviorTree:
     return tree
 
 
-def goals_of(tree: BehaviorTree) -> GoalSpec:
-    """Recover the goal conjunction from a planner-shaped tree."""
-    conjuncts = []
-    for child in tree.root.children:
-        lit = _head_literal(child)
-        if lit is None:
-            raise InvalidTarget("tree root child carries no goal condition")
-        conjuncts.append(lit)
-    return GoalSpec(tuple(conjuncts))
-
-
 def guarding_literals(tree: BehaviorTree, action_id: int) -> list[Literal] | None:
     """Head literals of the subtrees in the action's enclosing Sequence;
     None when the action does not sit in a Sequence."""

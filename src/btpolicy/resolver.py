@@ -8,6 +8,9 @@ execution, and a resolved value propagates to every action leaf that shares
 the slot in the same object context. Every interaction is captured in a
 ResolutionRecord so a run leaves an auditable trail.
 
+All three questions (goals, missing preconditions, a slot value) take one
+path, ``_ask``, the only place the package builds a ``PromptSpec``.
+
 ``resolve_until_success`` is one loop of rounds under one budget,
 ``max_resolution_rounds``, shared by both kinds of round. Each pass fills
 the first open slot if there is one (a parameter round). Otherwise it binds
@@ -41,10 +44,12 @@ Each record fingerprints the tree as the step found it and as it left it.
 The resolver changes a tree only through the tree's own edits (``rebind``
 binds a slot), which keep each node's cached compact text current, so a
 fingerprint formats only the nodes an edit touched, and fingerprinting an
-unchanged tree costs one SHA-256 of its cached text. One preorder walk per
-pass of the round loop finds the first open slot and the defaults to bind,
-and a domain whose skills declare no numeric or categorical slot needs no
-walk at all. The trees it runs are grown from checked goals, domain
+unchanged tree costs one SHA-256 of its cached text. One generator walks
+the action leaves' unbound numeric and categorical slots in preorder (none
+when no skill declares one); each pass of the round loop filters it for
+the first open slot and the defaults, and a parameter round for the leaves
+it binds. A precondition round re-plans towards the run's goals, which the
+loop hands it. The trees it runs are grown from checked goals, domain
 templates and parsed answers, so it runs them with ``sim.run_trusted``,
 without the domain gate of ``sim.execute``.
 """
@@ -55,7 +60,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .backends import Backend, RequestMeta
 from .bt import BehaviorTree, NodeKind, TreeNode, insert_preconditions, iter_preorder
@@ -64,7 +69,7 @@ from .errors import BtError, ParseError, Unsolvable
 from .llm import (LlmExchange, ParamValue, PromptSpec, Role, build_prompt,
                   condition_catalog, parse_goal_response, parse_param_response,
                   parse_precondition_response, scene_from_state)
-from .planner import GoalSpec, PlanConfig, goals_of, guarding_literals, plan
+from .planner import GoalSpec, PlanConfig, guarding_literals, plan
 from .sim import ExecutionTrace, FailureEvent, Scenario, run_trusted
 from .terms import GroundAction, Literal, ground
 
@@ -167,11 +172,34 @@ def lift(literals: Iterable[Literal], action: GroundAction,
                          lit.negated) for lit in literals)
 
 
+_EXAMPLES = {Role.GOAL_INTERPRETATION: "goal_examples",
+             Role.FAILURE_RESOLUTION: "precondition_examples",
+             Role.PARAMETER_RESOLUTION: "parameter_examples"}
+
+
+def _ask(backend: Backend, meta: RequestMeta, domain: Domain, world: WorldState,
+         instruction: str, parse: Callable[[str], tuple[Any, str | None]],
+         **detail) -> LlmExchange:
+    """Ask the backend one question: the prompt for ``meta.role`` takes its
+    objects and scene from the visible ``world``, the catalog from the
+    domain, the role's examples and the ``detail`` fields; ``parse`` reads
+    the reply (a ParseError propagates)."""
+    world = world.visible_only()
+    spec = PromptSpec(role=meta.role, instruction=instruction, objects=world.objects,
+                      condition_catalog=condition_catalog(domain),
+                      examples=getattr(domain, _EXAMPLES[meta.role]),
+                      scene_description=scene_from_state(domain, world), **detail)
+    raw = backend.complete(build_prompt(spec), meta)
+    parsed, reasoning = parse(raw)
+    return LlmExchange(spec, raw, parsed=parsed, reasoning=reasoning)
+
+
 def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
             backend: Backend, config: ResolveConfig | None = None, *,
-            instruction: str = "", key: str = "", round_index: int = 1,
+            goals: GoalSpec, instruction: str = "", key: str = "", round_index: int = 1,
             answers: dict | None = None) -> tuple[BehaviorTree, ResolutionRecord]:
-    """One failure-resolution step: ask (or reuse an answer), insert, re-expand.
+    """One failure-resolution step: ask (or reuse an answer), insert, re-expand
+    towards the run's ``goals``.
 
     ``answers`` is the run's answer cache (module docstring): an answer
     cached under the failure's key is grounded at the failing action and
@@ -190,22 +218,12 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     reused_from = source if fresh else None
     exchange = None
     if not fresh:
-        spec = PromptSpec(
-            role=Role.FAILURE_RESOLUTION,
-            instruction=instruction,
-            objects=world.objects,
-            condition_catalog=condition_catalog(domain),
-            examples=domain.precondition_examples,
-            scene_description=scene_from_state(domain, world),
-            error_message=event.error_message,
-            failing_action=event.action,
-        )
-        raw = backend.complete(build_prompt(spec),
-                               RequestMeta(Role.FAILURE_RESOLUTION, key, event=event))
-        literals, reasoning = parse_precondition_response(raw, domain,
-                                                          objects=world.object_names)
-        exchange = LlmExchange(spec, raw, parsed=literals, reasoning=reasoning)
-        fresh = [lit for lit in literals if lit not in existing]
+        exchange = _ask(backend, RequestMeta(Role.FAILURE_RESOLUTION, key, event=event),
+                        domain, world, instruction,
+                        lambda raw: parse_precondition_response(
+                            raw, domain, objects=world.object_names),
+                        error_message=event.error_message, failing_action=event.action)
+        fresh = [lit for lit in exchange.parsed if lit not in existing]
     before = tree_fingerprint(tree)
     if not fresh:
         record = ResolutionRecord(round_index, exchange, tree_before=before,
@@ -214,7 +232,6 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
         return tree, record
 
     insert_preconditions(tree, event.action_id, fresh)
-    goals = goals_of(tree)
     plan(goals, domain, world, config.plan, tree=tree)
     if reused_from is None:
         answers[cache_key] = (round_index, lift(fresh, event.action, domain))
@@ -224,30 +241,32 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     return tree, record
 
 
-def _scan_params(tree: BehaviorTree, domain: Domain, open_params: tuple[str, ...],
-                 ) -> tuple[ParamRequest | None, list[tuple[TreeNode, Slot]]]:
-    """One preorder walk over the action leaves' unbound value slots.
-
-    Returns the first (preorder) openly-resolvable one as a request, and
-    every non-open one that has a default. Skips the walk when no skill
-    declares a numeric or categorical slot."""
-    request = None
-    defaults: list[tuple[TreeNode, Slot]] = []
+def _unbound_slots(tree: BehaviorTree, domain: Domain) -> Iterator[tuple[TreeNode, Slot]]:
+    """Each action leaf's unbound numeric or categorical slots, in preorder.
+    Walks nothing when no skill declares such a slot."""
     if all(slot.kind == "object" for skill in domain.skills.values()
            for slot in skill.params):
-        return request, defaults
+        return
     for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.ACTION:
-            continue
-        action = node.action
-        for slot in domain.skill(action.skill).params:
-            if slot.kind == "object" or action.is_bound(slot.name):
-                continue
-            if slot.name in open_params:
-                if request is None:
-                    request = ParamRequest(node.id, slot, tuple(action.symbol_values()))
-            elif slot.default is not None:
-                defaults.append((node, slot))
+        if node.kind is NodeKind.ACTION:
+            action = node.action
+            for slot in domain.skill(action.skill).params:
+                if slot.kind != "object" and not action.is_bound(slot.name):
+                    yield node, slot
+
+
+def _scan_params(tree: BehaviorTree, domain: Domain, open_params: tuple[str, ...],
+                 ) -> tuple[ParamRequest | None, list[tuple[TreeNode, Slot]]]:
+    """The first (preorder) openly-resolvable unbound slot as a request, and
+    every non-open one that has a default."""
+    request = None
+    defaults: list[tuple[TreeNode, Slot]] = []
+    for node, slot in _unbound_slots(tree, domain):
+        if slot.name in open_params:
+            if request is None:
+                request = ParamRequest(node.id, slot, tuple(node.action.symbol_values()))
+        elif slot.default is not None:
+            defaults.append((node, slot))
     return request, defaults
 
 
@@ -258,13 +277,19 @@ def _bind_defaults(tree: BehaviorTree, defaults: list[tuple[TreeNode, Slot]]) ->
 
 def find_param_request(tree: BehaviorTree, domain: Domain,
                        open_params: tuple[str, ...]) -> ParamRequest | None:
-    """First action leaf (preorder) with an unbound, openly-resolvable slot."""
+    """First action leaf (preorder) with an unbound, openly-resolvable slot.
+
+    No code in ``src/`` calls it (the round loop calls ``_scan_params``);
+    it stays because ``perfbench/layers.py`` wraps it."""
     return _scan_params(tree, domain, open_params)[0]
 
 
 def bind_default_params(tree: BehaviorTree, domain: Domain,
                         open_params: tuple[str, ...]) -> None:
-    """Fill non-open unbound slots from their declared defaults."""
+    """Fill non-open unbound slots from their declared defaults.
+
+    No code in ``src/`` calls it (the round loop calls ``_bind_defaults``);
+    it stays because ``perfbench/layers.py`` wraps it."""
     _bind_defaults(tree, _scan_params(tree, domain, open_params)[1])
 
 
@@ -274,37 +299,19 @@ def resolve_parameter(tree: BehaviorTree, request: ParamRequest, domain: Domain,
                       ) -> tuple[BehaviorTree, ResolutionRecord]:
     """Ask once for a slot value, then bind every action leaf sharing the
     slot name in the same object context (shared bound object)."""
-    target = tree.find(request.action_id)
-    spec = PromptSpec(
-        role=Role.PARAMETER_RESOLUTION,
-        instruction=instruction,
-        objects=world.objects,
-        condition_catalog=condition_catalog(domain),
-        examples=domain.parameter_examples,
-        scene_description=scene_from_state(domain, world),
-        failing_action=target.action,
-        param_slot=request.slot,
-    )
-    raw = backend.complete(build_prompt(spec),
-                           RequestMeta(Role.PARAMETER_RESOLUTION, key, param=request))
-    value, reasoning = parse_param_response(raw, request.slot)
+    slot = request.slot
+    exchange = _ask(backend, RequestMeta(Role.PARAMETER_RESOLUTION, key, param=request),
+                    domain, world, instruction, lambda raw: parse_param_response(raw, slot),
+                    failing_action=tree.find(request.action_id).action, param_slot=slot)
+    value = exchange.parsed
     before = tree_fingerprint(tree)
-    exchange = LlmExchange(spec, raw, parsed=value, reasoning=reasoning)
-
     context = set(request.context_objects)
     bound = 0
-    for node, _ in iter_preorder(tree.root):
-        if node.kind is not NodeKind.ACTION:
+    for node, unbound in _unbound_slots(tree, domain):
+        if unbound.name != slot.name or \
+                context and not context.intersection(node.action.symbol_values()):
             continue
-        skill = domain.skill(node.action.skill)
-        if not any(s.name == request.slot.name and s.kind != "object"
-                   for s in skill.params):
-            continue
-        if node.action.is_bound(request.slot.name):
-            continue
-        if context and not context.intersection(node.action.symbol_values()):
-            continue
-        tree.rebind(node.id, node.action.with_slot(request.slot.name, value.value))
+        tree.rebind(node.id, node.action.with_slot(slot.name, value.value))
         bound += 1
     record = ResolutionRecord(round_index, exchange, inserted=(value,) * bound,
                               tree_before=before, tree_after=tree_fingerprint(tree),
@@ -333,20 +340,11 @@ class PipelineResult:
 
 def interpret_goals(scenario: Scenario, backend: Backend) -> tuple[GoalSpec, LlmExchange]:
     """One backend call turning the instruction into a goal conjunction."""
-    domain = scenario.domain
-    world = scenario.initial
-    spec = PromptSpec(
-        role=Role.GOAL_INTERPRETATION,
-        instruction=scenario.instruction,
-        objects=world.objects,
-        condition_catalog=condition_catalog(domain),
-        examples=domain.goal_examples,
-        scene_description=scene_from_state(domain, world.visible_only()),
-    )
-    raw = backend.complete(build_prompt(spec),
-                           RequestMeta(Role.GOAL_INTERPRETATION, scenario.id))
-    goals, reasoning = parse_goal_response(raw, domain, objects=world.object_names)
-    return goals, LlmExchange(spec, raw, parsed=goals, reasoning=reasoning)
+    domain, world = scenario.domain, scenario.initial
+    exchange = _ask(backend, RequestMeta(Role.GOAL_INTERPRETATION, scenario.id),
+                    domain, world, scenario.instruction,
+                    lambda raw: parse_goal_response(raw, domain, objects=world.object_names))
+    return exchange.parsed, exchange
 
 
 def resolve_until_success(scenario: Scenario, backend: Backend,
@@ -400,9 +398,9 @@ def resolve_until_success(scenario: Scenario, backend: Backend,
                 _, record = resolve_parameter(
                     tree, request, domain, backend,
                     instruction=scenario.instruction, key=scenario.id,
-                    world=scenario.initial.visible_only(), round_index=round_index)
+                    world=scenario.initial, round_index=round_index)
             else:
-                _, record = resolve(tree, event, domain, backend, config,
+                _, record = resolve(tree, event, domain, backend, config, goals=goals,
                                     instruction=scenario.instruction, key=scenario.id,
                                     round_index=round_index, answers=answers)
         except ParseError as e:

@@ -87,7 +87,6 @@ class Scenario:
 
     id: str
     domain: Domain
-    domain_ref: str
     initial: WorldState
     instruction: str
     fault_rules: tuple[FaultRule, ...] = ()
@@ -98,8 +97,6 @@ class Scenario:
     oracle_params: tuple[OracleParam, ...] = ()
     expected_outcome: str = "success"
     expected_rounds: int | None = None
-    description: str = ""
-    path: str = ""
 
     def oracle_response(self, meta: RequestMeta) -> str:
         """Ground-truth answer for a request, in the documented grammar. A
@@ -311,8 +308,7 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     def fail(msg: str):
         raise SchemaError(msg, file=str(path))
 
-    domain_ref = data["domain"]
-    domain_path = (path.parent / domain_ref).resolve()
+    domain_path = (path.parent / data["domain"]).resolve()
     if domain_cache is not None and str(domain_path) in domain_cache:
         domain = domain_cache[str(domain_path)]
     else:
@@ -400,13 +396,12 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
     expected = data.get("expected") or {}
 
     return Scenario(
-        id=data["id"], domain=domain, domain_ref=domain_ref, initial=state,
+        id=data["id"], domain=domain, initial=state,
         instruction=data["instruction"], fault_rules=tuple(rules),
         open_params=tuple(data.get("open_params") or ()),
         oracle_goals=oracle["goals"], oracle_preconditions=preconditions,
         oracle_params=params, expected_outcome=expected.get("outcome") or "success",
-        expected_rounds=expected.get("rounds"),
-        description=data.get("description") or "", path=str(path))
+        expected_rounds=expected.get("rounds"))
 
 
 def load_scenarios(directory: str | Path) -> list[Scenario]:

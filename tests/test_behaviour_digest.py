@@ -2,12 +2,13 @@
 
 ``scripts/behaviour_digest.py`` hashes the patched trees, outcomes,
 records, execution traces, replays and verification reports of 81
-scenarios, and prints a second digest of everything but the records. A
-change meant to be behaviour-neutral (a speed-up, a refactor) must leave
-both as they are. A change that alters behaviour on purpose updates
-``EXPECTED`` (or, when only the records change, ``EXPECTED`` alone and not
-``EXPECTED_WITHOUT_RECORDS``) and says in CHANGES.md why the behaviour
-changed.
+scenarios, prints a second digest of everything but the records, and a
+third of every prompt the runs send. A change meant to be behaviour-neutral
+(a speed-up, a refactor) must leave all three as they are. A change that
+alters behaviour on purpose updates ``EXPECTED`` (or, when only the records
+change, ``EXPECTED`` alone and not ``EXPECTED_WITHOUT_RECORDS``; when only
+the prompt text changes, ``EXPECTED_PROMPTS`` alone) and says in CHANGES.md
+why the behaviour changed.
 
 The digest says only that something changed. The resolution of the same
 81 scenarios is also pinned by name: outcome counts, rounds and backend
@@ -30,6 +31,7 @@ from btpolicy.resolver import resolve_until_success
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "behaviour_digest.py"
 EXPECTED = "5a8f66aba10da62769ad4810a73c07a32decf2ecce88d1db53a10e27619de4bf"
 EXPECTED_WITHOUT_RECORDS = "242efe3aa38be1ea8a3d64f8ff7f1eea42ec97cbabe88af587abf272c3144a9b"
+EXPECTED_PROMPTS = "8f7281e961f6972bc983ccd8d2544c26a822c05faca4538c3aa316c4d5e324a1"
 
 sys.path.insert(0, str(SCRIPT.parent))
 import behaviour_digest  # noqa: E402
@@ -39,10 +41,11 @@ def test_behaviour_digest_is_pinned():
     run = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    full, without_records = run.stdout.splitlines()
+    full, without_records, prompts = run.stdout.splitlines()
     assert full == f"81 scenarios: {EXPECTED}", run.stdout
     assert without_records == \
         f"81 scenarios without records.jsonl: {EXPECTED_WITHOUT_RECORDS}", run.stdout
+    assert prompts == f"81 scenarios, 214 prompts: {EXPECTED_PROMPTS}", run.stdout
 
 
 class CountingBackend:

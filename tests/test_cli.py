@@ -345,6 +345,53 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
 
 
+BUDGETED = [("plan", "--scenario", "cube_stack_golden"),
+            ("run", "--scenario", "cube_stack_golden"),
+            ("bench", "--suite", "preconds"),
+            ("bench", "--suite", "params")]
+
+
+def _assert_flag_rejected(capsys, tmp_path, command, flag, value):
+    """A count flag below its floor exits 1 with one ``error:`` line naming
+    it, before anything runs or is written."""
+    code, out, err = run_cli(capsys, *command, flag, value, "--out", str(tmp_path / "out"))
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", BUDGETED)
+def test_non_positive_budget_ticks_is_rejected(capsys, tmp_path, command, value):
+    _assert_flag_rejected(capsys, tmp_path, command, "--budget-ticks", value)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", BUDGETED)
+def test_non_positive_budget_expansions_is_rejected(capsys, tmp_path, command, value):
+    _assert_flag_rejected(capsys, tmp_path, command, "--budget-expansions", value)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", BUDGETED)
+def test_non_positive_budget_reorders_is_rejected(capsys, tmp_path, command, value):
+    _assert_flag_rejected(capsys, tmp_path, command, "--budget-reorders", value)
+
+
+@pytest.mark.parametrize("command", BUDGETED)
+def test_negative_budget_rounds_is_rejected(capsys, tmp_path, command):
+    _assert_flag_rejected(capsys, tmp_path, command, "--budget-rounds", "-1")
+
+
+def test_zero_budget_rounds_runs_the_tree_unrepaired(capsys):
+    code, out, _ = run_cli(capsys, "run", "--scenario", "cube_stack_golden",
+                           "--budget-rounds", "0")
+    assert code == EXIT_EXHAUSTED
+    assert "run 1: exhausted" in out
+
+
 def test_remote_backend_unavailable_exit(monkeypatch, capsys):
     monkeypatch.delenv("BTPOLICY_LLM_ENDPOINT", raising=False)
     monkeypatch.delenv("BTPOLICY_LLM_API_KEY", raising=False)

@@ -44,7 +44,7 @@ def execute_untickable(domain, payload, monkeypatch):
         raise AssertionError("the tree was ticked")
 
     monkeypatch.setattr(sim, "tick", no_tick)
-    scenario = Scenario(id="gate", domain=domain, domain_ref="",
+    scenario = Scenario(id="gate", domain=domain,
                         initial=make_state(domain, []), instruction="")
     return execute(one_leaf_tree(payload), scenario)
 

@@ -71,8 +71,8 @@ class TestResolve:
 
     def test_already_true_suggestion_inserts_without_expansion(
             self, golden_scenario):
-        tree = plan(GoalSpec((lit("on(blue_cube, green_cube)"),)),
-                    golden_scenario.domain, golden_scenario.initial)
+        goals = GoalSpec((lit("on(blue_cube, green_cube)"),))
+        tree = plan(goals, golden_scenario.domain, golden_scenario.initial)
         grasp = next(n for n in action_leaves(tree)
                      if n.action.skill == "grasp")
         backend = ScriptedBackend({
@@ -84,7 +84,7 @@ class TestResolve:
                              "blocked_grasp")
         before_count = tree.node_count()
         tree, record = resolve(tree, event, golden_scenario.domain, backend,
-                               key=golden_scenario.id)
+                               goals=goals, key=golden_scenario.id)
         assert not record.rejected
         assert tree.node_count() == before_count + 1  # just the new leaf
 
@@ -650,7 +650,8 @@ class TestAnswerCache:
         """``place(x, cube)`` and ``place(x, table)`` fail with one message
         but bind a ``dst`` of another category: two kinds of failure."""
         domain = golden_scenario.domain
-        tree = resolve_until_success(golden_scenario, golden_scenario.oracle_backend()).tree
+        result = resolve_until_success(golden_scenario, golden_scenario.oracle_backend())
+        tree = result.tree
         places = {str(n.action): n for n in action_leaves(tree) if n.action.skill == "place"}
         to_cube = places["place(dst=green_cube, obj=blue_cube)"]
         to_table = places["place(dst=table, obj=red_cube)"]
@@ -662,8 +663,9 @@ class TestAnswerCache:
         records = []
         for round_index, leaf in enumerate((to_cube, to_table), 1):
             event = FailureEvent("planning", leaf.id, leaf.action, BLOCKED, world, "")
-            tree, record = resolve(tree, event, domain, backend, key=golden_scenario.id,
-                                   round_index=round_index, answers=answers)
+            tree, record = resolve(tree, event, domain, backend, goals=result.goals,
+                                   key=golden_scenario.id, round_index=round_index,
+                                   answers=answers)
             records.append(record)
         assert backend.calls == 2
         assert [r.reused_from for r in records] == [None, None]

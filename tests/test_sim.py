@@ -99,7 +99,7 @@ class TestExecute:
     def test_domain_mismatch_detected(self, golden_scenario, cafe_domain):
         from btpolicy.sim import Scenario
         tree = plan_for(golden_scenario)
-        other = Scenario(id="x", domain=cafe_domain, domain_ref="",
+        other = Scenario(id="x", domain=cafe_domain,
                          initial=make_state(cafe_domain, []),
                          instruction="", oracle_goals="IsClean(Floor)")
         with pytest.raises(DomainMismatch):
@@ -116,7 +116,7 @@ class TestExecute:
             tree.new_condition(lit("on(red_cube, red_cube)")),
         ]
         scenario = Scenario(
-            id="loop", domain=cube_domain, domain_ref="",
+            id="loop", domain=cube_domain,
             initial=make_state(cube_domain, ["on(red_cube, table)"]),
             instruction="", oracle_goals="grasped(red_cube)")
         with pytest.raises(TickBudgetExceeded,
@@ -357,7 +357,7 @@ def test_sibling_branch_recovers_fault_within_run(cube_domain, tmp_path):
     rule = FaultRule("bad_spot", "place", where=(("dst", "blue_cube"),),
                      message="No collision free path found")
     scenario = Scenario(
-        id="recovering", domain=cube_domain, domain_ref="",
+        id="recovering", domain=cube_domain,
         initial=make_state(cube_domain, ["grasped(red_cube)"]),
         instruction="", fault_rules=(rule,),
         oracle_goals="on(red_cube, table)",
