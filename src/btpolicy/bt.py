@@ -68,27 +68,14 @@ class TreeNode:
 
 
 @dataclass(slots=True)
-class TraceEntry:
-    """A node a tick visited, with its status for the tick and its depth."""
-
-    node: TreeNode
-    status: NodeStatus
-    depth: int
-
-    @property
-    def node_id(self) -> int:
-        return self.node.id
-
-    @property
-    def kind(self) -> NodeKind:
-        return self.node.kind
-
-
-@dataclass
 class TickTrace:
-    """Preorder record of one tick: visited nodes with their final statuses."""
+    """Preorder record of one tick as three parallel lists: each visited
+    node, its final status for the tick and its depth (the root's is 0).
+    No object is made per visited node."""
 
-    entries: list[TraceEntry] = field(default_factory=list)
+    nodes: list[TreeNode] = field(default_factory=list)
+    statuses: list[NodeStatus] = field(default_factory=list)
+    depths: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -299,22 +286,30 @@ def tick(tree: BehaviorTree, ctx: TickContext, *,
     Running child propagates immediately. The trace lists visited nodes in
     preorder with each node's status for this tick; pass record_trace=False
     to skip trace construction on hot paths. An action that returns Running
-    is the trace's last entry, and a node's ancestors are, for each smaller
-    depth, the last entry before it at that depth.
+    is the trace's last node, and a node's ancestors are, for each smaller
+    depth, the last node before it at that depth.
     """
     trace = TickTrace() if record_trace else None
-    status = _tick_node(tree.root, ctx, trace.entries if trace is not None else None, 0)
+    status = _tick_node(tree.root, ctx, trace, 0)
     return status, trace
 
 
-def run_ticks(progress: Callable[[], Hashable], max_ticks: int) -> Iterator[int]:
+def run_ticks(progress: Callable[[], Hashable], max_ticks: int, *,
+              seen: set | None = None, start: int = 0) -> Iterator[int]:
     """The one stop rule for a run of ticks: yields tick indexes, and the
     caller ticks once per index and leaves at the first tick that ends in
     Success or Failure. After every other tick, ``progress()`` keys the
     world; raises TickBudgetExceeded when a key repeats (the start's
-    included) or after ``max_ticks`` ticks."""
-    seen = {progress()}
-    for index in range(max_ticks):
+    included) or after ``max_ticks`` ticks.
+
+    A run resumed at tick ``start`` passes ``seen``, the keys of the
+    states its first ``start`` ticks saw, its own start's included; the
+    set is extended in place. The indexes, and the tick counts both
+    messages name, continue from ``start`` as if the run had never
+    stopped."""
+    seen = set() if seen is None else seen
+    seen.add(progress())
+    for index in range(start, max_ticks):
         yield index
         key = progress()
         if key in seen:
@@ -324,11 +319,12 @@ def run_ticks(progress: Callable[[], Hashable], max_ticks: int) -> Iterator[int]
 
 
 def _tick_node(node: TreeNode, ctx: TickContext,
-               trace: list[TraceEntry] | None, depth: int) -> NodeStatus:
-    entry = None
+               trace: TickTrace | None, depth: int) -> NodeStatus:
     if trace is not None:
-        entry = TraceEntry(node, _RUNNING, depth)
-        trace.append(entry)
+        at = len(trace.nodes)
+        trace.nodes.append(node)
+        trace.statuses.append(_RUNNING)
+        trace.depths.append(depth)
 
     kind = node.kind
     if kind is _CONDITION:
@@ -350,8 +346,8 @@ def _tick_node(node: TreeNode, ctx: TickContext,
                 status = child_status
                 break
 
-    if entry is not None:
-        entry.status = status
+    if trace is not None:
+        trace.statuses[at] = status
     return status
 
 

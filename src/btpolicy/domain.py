@@ -249,7 +249,8 @@ def literal_holds(lit: Literal, rows: Collection[tuple[str, ...]],
     """Truth of ``lit`` given the rows of its predicate; wildcards range
     over the ``registry`` names only."""
     if ANY_OBJECT in lit.args:
-        return _some_row_matches(lit.args, rows, registry) != lit.negated
+        return _some_row_matches(_row_test(lit.args), lit.args, rows,
+                                 registry) != lit.negated
     return (lit.args in rows) != lit.negated
 
 
@@ -265,11 +266,11 @@ def rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
             and (allowed is None or _wildcards_allowed(pattern, row, allowed))]
 
 
-def _some_row_matches(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
-                      allowed: frozenset[str]) -> bool:
+def _some_row_matches(test: tuple[int, itemgetter, object], pattern: tuple[str, ...],
+                      rows: Collection[tuple[str, ...]], allowed: frozenset[str]) -> bool:
     """Whether ``rows_matching(pattern, rows, allowed)`` has a row, decided
-    at the first one."""
-    arity, at_fixed, values = _row_test(pattern)
+    at the first one; ``test`` is ``_row_test(pattern)``."""
+    arity, at_fixed, values = test
     for row in rows:
         if len(row) == arity and at_fixed(row) == values \
                 and _wildcards_allowed(pattern, row, allowed):
@@ -296,6 +297,17 @@ def _wildcards_allowed(pattern: tuple[str, ...], row: tuple[str, ...],
 
 @dataclass
 class Domain:
+    """A domain's vocabulary, objects, category groups and skills.
+
+    ``parse_domain`` is the only writer of ``skills``, ``objects`` and
+    ``groups``, and fills them before any caller asks the domain anything.
+    So the work done once per distinct input and kept here never goes
+    stale: the achievers of a literal (``achievers``), the admissible
+    objects of a registry (``objects_in``) and the row test of a wildcard
+    pattern (``holds``). Like ``SkillTemplate.grounded``'s memo, two threads
+    can at worst compute one entry twice; callers must not change what
+    they are handed."""
+
     name: str
     predicates: dict[str, Predicate]
     objects: dict[str, ObjectRef]
@@ -307,6 +319,12 @@ class Domain:
     goal_examples: tuple[tuple[str, str], ...] = ()
     precondition_examples: tuple[tuple[str, str], ...] = ()
     parameter_examples: tuple[tuple[str, str], ...] = ()
+    _achievers: dict[Literal, list[tuple[SkillTemplate, dict[str, str]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _objects_in: dict[tuple[str, frozenset[str]], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _row_tests: dict[tuple[str, ...], tuple[int, itemgetter, object]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- vocabulary ----------------------------------------------------------
 
@@ -332,11 +350,16 @@ class Domain:
         return self.groups.get(group_or_category, (group_or_category,))
 
     def objects_in(self, group_or_category: str,
-                   registry: tuple[ObjectRef, ...]) -> list[str]:
-        """Registry objects admissible for a slot, in category-then-name order."""
-        names = []
-        for cat in self.categories_of(group_or_category):
-            names.extend(sorted(o.name for o in registry if o.category == cat))
+                   registry: frozenset[str]) -> tuple[str, ...]:
+        """The names in ``registry`` admissible for a slot, by the domain's
+        categories, in category-then-name order. Memoized per category and
+        registry (class docstring)."""
+        key = group_or_category, registry
+        names = self._objects_in.get(key)
+        if names is None:
+            names = self._objects_in[key] = tuple(
+                name for cat in self.categories_of(group_or_category)
+                for name in sorted(n for n in registry if self.objects[n].category == cat))
         return names
 
     def check_literal(self, lit: Literal, *, objects: Collection[str] | None = None,
@@ -372,11 +395,15 @@ class Domain:
         A positive wildcard literal is existential; a negated one is
         universal (true iff no object satisfies the positive form). The
         state's index is read once, and a ground literal decided by one
-        membership test. The literal is trusted to have passed
+        membership test. A wildcard pattern's row test is built once per
+        pattern (class docstring). The literal is trusted to have passed
         ``check_literal``."""
         index = state._index_with_hidden if include_hidden else state._index
         if ANY_OBJECT in lit.args:
-            return _some_row_matches(lit.args, index.get(lit.predicate, ()),
+            test = self._row_tests.get(lit.args)
+            if test is None:
+                test = self._row_tests[lit.args] = _row_test(lit.args)
+            return _some_row_matches(test, lit.args, index.get(lit.predicate, ()),
                                      state.registry) != lit.negated
         return (lit.args in index.get(lit.predicate, ())) != lit.negated
 
@@ -420,8 +447,12 @@ class Domain:
 
         Returns (skill, partial binding) pairs in skill declaration order,
         deduplicated, each binding covering the slots the target fixes.
-        Object slots left free are grounded later by the planner."""
-        results: list[tuple[SkillTemplate, dict[str, str]]] = []
+        Object slots left free are grounded later by the planner. Memoized
+        per literal (class docstring)."""
+        results = self._achievers.get(lit)
+        if results is not None:
+            return results
+        results = []
         for skill in self.skills.values():
             for effect in skill.effects:
                 binding = _unify_effect(effect, lit)
@@ -430,6 +461,7 @@ class Domain:
                 if not any(s.name == skill.name and b == binding
                            for s, b in results):
                     results.append((skill, binding))
+        self._achievers[lit] = results
         return results
 
 

@@ -32,12 +32,26 @@ of ``Domain.effect_delta`` read delete-then-add, without copying any rows
 the counts the tree keeps (``BehaviorTree.condition_literals``).
 
 Conflict checks, the subtree a conflict moves and expansion targets are
-read from the tick trace alone: the fired action is the trace's last entry,
-and its ancestors the last earlier entries at each smaller depth. Neither a
-simulated tick nor ``plan`` looks a node up; a conflict moves the subtree
-the trace names with ``BehaviorTree.move_left``, which keeps the tree's
-index current. A simulation stops by ``bt.run_ticks``, the stop rule every
-tick loop shares.
+read from the tick trace alone, three parallel lists of the visited nodes,
+their statuses and their depths: the fired action is the trace's last
+node, and its ancestors the last earlier nodes at each smaller depth.
+Neither a simulated tick nor ``plan`` looks a node up; a conflict moves the
+subtree the trace names with ``BehaviorTree.move_left``, which keeps the
+tree's index current. A simulation stops by ``bt.run_ticks``, the stop rule
+every tick loop shares.
+
+Resume rule: ``plan`` simulates each tick once where it can. After an
+expansion at failing tick k, the next simulation resumes at tick k, from
+the state that tick saw, with the earlier ticks' traces, state keys and
+tick count, so the stop rule's messages name the same tick numbers as a
+simulation from tick 0. That is exact: the expansion replaces only the
+failed leaf, by ``Fallback(leaf, ...)``, so an earlier tick in which the
+leaf succeeded or was not visited returns the same status after firing the
+same action, and its conflict check finds the same nothing, the new
+Fallback being on no fired action's path. When the leaf failed in an
+earlier tick (the kept traces tell; it takes a hand-built tree, such as a
+Fallback whose later child fires after the leaf's branch fails), and after
+every conflict move, the next simulation starts again at tick 0.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TraceEntry, TreeNode, run_ticks, tick)
+                 TreeNode, run_ticks, tick)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import (InvalidTarget, NoAchiever, PlanBudgetExceeded, TickBudgetExceeded,
                      Unsolvable)
@@ -126,7 +140,7 @@ def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
                 not in domain.categories_of(slot.category):
             return
     free = [s for s in skill.object_slots if s.name not in partial]
-    pools = [domain.objects_in(s.category, state.objects) if s.category
+    pools = [domain.objects_in(s.category, state.registry) if s.category
              else sorted(state.object_names) for s in free]
 
     def rec(i: int, binding: dict[str, str]) -> Iterator[GroundAction]:
@@ -315,16 +329,18 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
 @dataclass
 class _SimResult:
     status: NodeStatus  # of the last tick; Running only with a conflict
-    state: WorldState
-    trace: TickTrace
+    state: WorldState   # the state the last tick ended in
     conflict: TreeNode | None = None  # the subtree a conflict moves left
 
 
-def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
-              max_ticks: int) -> _SimResult:
-    """Tick until Success, Failure or a conflict; ``bt.run_ticks``, keyed
-    by the visible facts, raises TickBudgetExceeded on a state cycle or an
-    exhausted budget.
+def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain, max_ticks: int,
+              traces: list[TickTrace], seen: set) -> _SimResult:
+    """Tick until Success, Failure or a conflict, from ``state`` as tick
+    ``len(traces)``: ``traces`` holds the traces of the ticks run before,
+    and ``seen`` the keys of the states they saw, ``state``'s included.
+    Each tick appends its trace to ``traces``; ``bt.run_ticks``, keyed by
+    the visible facts, extends ``seen`` and raises TickBudgetExceeded on a
+    state cycle or an exhausted budget, counting every tick of the run.
 
     Actions fire at most once per tick (Running propagation unwinds the
     tick), apply their visible effects immediately, and complete by the next
@@ -338,14 +354,15 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
         return NodeStatus.RUNNING
 
     ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
-    for _ in run_ticks(lambda: current.true, max_ticks):
+    for _ in run_ticks(lambda: current.true, max_ticks, seen=seen, start=len(traces)):
         status, trace = tick(tree, ctx)
         assert trace is not None
+        traces.append(trace)
         if status is not NodeStatus.RUNNING:
-            return _SimResult(status, current, trace)
+            return _SimResult(status, current)
         conflict = _detect_conflict(trace, domain, current)
         if conflict is not None:
-            return _SimResult(status, current, trace, conflict)
+            return _SimResult(status, current, conflict)
 
 
 def _detect_conflict(trace: TickTrace, domain: Domain,
@@ -353,7 +370,7 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
     """The subtree to move left when the fired action falsified a condition
     left of it, else None.
 
-    The fired action is the trace's last entry. A condition that succeeded
+    The fired action is the trace's last node. A condition that succeeded
     earlier in this tick held in the state the action fired from, so only
     ``after`` needs checking, and only for a condition whose lowest common
     ancestor with the action is a Sequence other than the action's own
@@ -362,27 +379,28 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
     That ancestor is the deepest of the action's ancestors that comes
     before the condition in the trace, and the subtree returned is its
     child on the action's path, the next ancestor."""
-    entries = trace.entries
-    ancestors = _ancestors(entries)
+    nodes, statuses = trace.nodes, trace.statuses
+    ancestors = _ancestors(trace.depths)
     # a condition between ancestor k and ancestor k + 1 has ancestor k as
     # its lowest common ancestor with the action, which rules out the parent
     for start, end in zip(ancestors, ancestors[1:]):
-        if entries[start].kind is not NodeKind.SEQUENCE:
+        if nodes[start].kind is not NodeKind.SEQUENCE:
             continue
-        for entry in entries[start + 1:end]:
-            if entry.status is NodeStatus.SUCCESS and entry.kind is NodeKind.CONDITION \
-                    and not domain.holds(after, entry.node.literal):
-                return entries[end].node
+        for i in range(start + 1, end):
+            node = nodes[i]
+            if statuses[i] is NodeStatus.SUCCESS and node.kind is NodeKind.CONDITION \
+                    and not domain.holds(after, node.payload):
+                return nodes[end]
     return None
 
 
-def _ancestors(entries: list[TraceEntry]) -> list[int]:
-    """Trace indexes of the last entry's ancestors, root first: for each
-    smaller depth, the last entry before it at that depth."""
-    depth = entries[-1].depth
+def _ancestors(depths: list[int]) -> list[int]:
+    """Trace indexes of the last node's ancestors, root first: for each
+    smaller depth, the last index before it at that depth."""
+    depth = depths[-1]
     found = [0] * depth
-    for i in range(len(entries) - 2, -1, -1):
-        if entries[i].depth < depth:
+    for i in range(len(depths) - 2, -1, -1):
+        if depths[i] < depth:
             depth -= 1
             found[depth] = i
             if depth == 0:
@@ -399,11 +417,20 @@ def _pick_expansion_target(trace: TickTrace) -> TreeNode | None:
     action returns Running, which ends the tick."""
     best: TreeNode | None = None
     best_depth = -1
-    for entry in trace.entries:
-        if entry.kind is NodeKind.CONDITION and entry.status is NodeStatus.FAILURE \
-                and entry.depth > best_depth:
-            best, best_depth = entry.node, entry.depth
+    for node, status, depth in zip(trace.nodes, trace.statuses, trace.depths):
+        if status is NodeStatus.FAILURE and node.kind is NodeKind.CONDITION \
+                and depth > best_depth:
+            best, best_depth = node, depth
     return best
+
+
+def _failed_in(node: TreeNode, traces: list[TickTrace]) -> bool:
+    """Whether ``node`` failed in any of the ticks."""
+    for trace in traces:
+        for visited, status in zip(trace.nodes, trace.statuses):
+            if visited is node and status is NodeStatus.FAILURE:
+                return True
+    return False
 
 
 def plan(goals: GoalSpec, domain: Domain, state: WorldState,
@@ -412,8 +439,10 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     """Grow a tree until its simulated execution achieves every goal conjunct.
 
     Planning sees only the visible part of the state. On a failed simulated
-    tick the deepest failed unexpanded condition is expanded; a detected
-    conflict moves the offending subtree left; success returns the tree.
+    tick the deepest failed unexpanded condition is expanded and the
+    simulation resumes at that tick (the module docstring's resume rule); a
+    detected conflict moves the offending subtree left and restarts it;
+    success returns the tree.
     Raises Unsolvable when a needed literal has no achiever and
     PlanBudgetExceeded (with the partial tree attached) when budgets run out
     or a simulation stops making progress, with the stop rule's reason.
@@ -430,11 +459,14 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         tree = init_tree(goals)
     start = state.visible_only()
 
+    # the simulation the next one resumes: the state it resumes from, the
+    # traces of its ticks so far and the keys of the states they saw
+    resume, traces, seen = start, [], set()
     expansions = 0
     reorders = 0
     while True:
         try:
-            result = _simulate(tree, start, domain, config.max_sim_ticks)
+            result = _simulate(tree, resume, domain, config.max_sim_ticks, traces, seen)
         except TickBudgetExceeded as e:
             raise PlanBudgetExceeded(str(e), tree) from e
         if result.status is NodeStatus.SUCCESS:
@@ -448,9 +480,10 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
                 raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
             tree.move_left(result.conflict.id)
             reorders += 1
+            resume, traces, seen = start, [], set()
             continue
-        # failure: expand
-        target = _pick_expansion_target(result.trace)
+        # failure: expand, then resume at the failing tick
+        target = _pick_expansion_target(traces.pop())
         if target is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)
         if expansions >= config.max_expansions:
@@ -460,3 +493,7 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1
+        if _failed_in(target, traces):
+            resume, traces, seen = start, [], set()
+        else:
+            resume = result.state

@@ -49,11 +49,22 @@ def blocked_cube_state(cube_domain):
         objects=["blue_cube", "green_cube", "red_cube", "table"])
 
 
+def _towers(seed: int, count: int, out: Path) -> list:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import towergen
+    batch = towergen.generate(seed, count, out,
+                              bundled_data_path("domains", "cube_tabletop.yaml"))
+    cache: dict = {}
+    return [load_scenario(path, domain_cache=cache) for path in batch.paths]
+
+
 @pytest.fixture(scope="session")
 def seed7_towers(tmp_path_factory):
     """The first four seed-7 towers of the benchmark's generator."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import towergen
-    batch = towergen.generate(7, 8, tmp_path_factory.mktemp("towers"),
-                              bundled_data_path("domains", "cube_tabletop.yaml"))
-    return [load_scenario(path) for path in batch.paths[:4]]
+    return _towers(7, 8, tmp_path_factory.mktemp("towers"))[:4]
+
+
+@pytest.fixture(scope="session")
+def seed7_tower_pool(tmp_path_factory):
+    """The 64 seed-7 towers the benchmark's ``tower-scale`` pool holds."""
+    return _towers(7, 64, tmp_path_factory.mktemp("tower_pool"))

@@ -18,7 +18,9 @@ state it expands, and the verification reference makes each check in a
 walk of its own and finds each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
-planner did before it read them from the tick trace. ``validate`` (the
+planner did before it read them from the tick trace, and the plan
+reference starts every simulation again at tick 0, as ``plan`` did before
+it resumed at the failing tick. ``validate`` (the
 structural invariants of an edited tree), ``is_expanded`` and
 ``failing_action`` are helpers that only tests ask.
 """
@@ -29,13 +31,15 @@ import itertools
 from collections import deque
 from typing import Collection, Iterator
 
-from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TraceEntry,
-                         TreeNode, iter_preorder, tree_equal)
+from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
+                         iter_preorder, tree_equal)
 from btpolicy import verify
 from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
-                             TreeInvalid, UnboundSlot, UnknownNode)
-from btpolicy.planner import GoalSpec, _groundings
+                             PlanBudgetExceeded, TickBudgetExceeded, TreeInvalid,
+                             UnboundSlot, Unsolvable, UnknownNode)
+from btpolicy.planner import (GoalSpec, PlanConfig, _groundings, _pick_expansion_target,
+                              _simulate, expand_condition, init_tree)
 from btpolicy.sim import check_tree_domain
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_slot,
                             is_wildcard)
@@ -64,9 +68,9 @@ def oracle_status(tree) -> NodeStatus:
 
 def trace_status(trace: TickTrace, node_id: int) -> NodeStatus | None:
     """The status a tick recorded for a node; None when it was not visited."""
-    for entry in trace.entries:
-        if entry.node_id == node_id:
-            return entry.status
+    for node, status in zip(trace.nodes, trace.statuses):
+        if node.id == node_id:
+            return status
     return None
 
 
@@ -151,12 +155,13 @@ def failing_action(trace: TickTrace) -> int | None:
     failure finally propagated. Failed conditions do not count; a tick that
     failed purely on conditions has no failing action.
     """
-    best: TraceEntry | None = None
-    for entry in trace.entries:
-        if entry.kind is NodeKind.ACTION and entry.status is NodeStatus.FAILURE:
-            if best is None or entry.depth >= best.depth:
-                best = entry
-    return best.node_id if best else None
+    best: TreeNode | None = None
+    best_depth = -1
+    for node, status, depth in zip(trace.nodes, trace.statuses, trace.depths):
+        if node.kind is NodeKind.ACTION and status is NodeStatus.FAILURE \
+                and depth >= best_depth:
+            best, best_depth = node, depth
+    return best.id if best else None
 
 def scan_find(tree: BehaviorTree, node_id: int) -> TreeNode:
     for node, _ in iter_preorder(tree.root):
@@ -308,12 +313,12 @@ def reference_detect_conflict(tree: BehaviorTree, trace: TickTrace, fired: TreeN
     """``planner._detect_conflict`` by lookups: each condition that
     succeeded before the fired action is found in the tree, and its lowest
     common ancestor with the action from their two ancestries."""
-    for entry in trace.entries:
-        if entry.node_id == fired.id:
+    for visited, status in zip(trace.nodes, trace.statuses):
+        if visited.id == fired.id:
             break
-        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.SUCCESS:
+        if visited.kind is not NodeKind.CONDITION or status is not NodeStatus.SUCCESS:
             continue
-        cond = tree.find(entry.node_id)
+        cond = tree.find(visited.id)
         if domain.holds(after, cond.literal):
             continue
         for (lca, a_idx), (_, c_idx) in zip(tree.ancestry(fired.id), tree.ancestry(cond.id)):
@@ -330,16 +335,58 @@ def reference_pick_expansion_target(tree: BehaviorTree, trace: TickTrace) -> Tre
     condition already heads a Fallback is asked of the tree's index."""
     best: TreeNode | None = None
     best_depth = -1
-    for entry in trace.entries:
-        if entry.kind is not NodeKind.CONDITION or entry.status is not NodeStatus.FAILURE:
+    for visited, status, depth in zip(trace.nodes, trace.statuses, trace.depths):
+        if visited.kind is not NodeKind.CONDITION or status is not NodeStatus.FAILURE:
             continue
-        if entry.depth <= best_depth:
+        if depth <= best_depth:
             continue
-        node = tree.find(entry.node_id)
+        node = tree.find(visited.id)
         if is_expanded(tree, node):
             continue
-        best, best_depth = node, entry.depth
+        best, best_depth = node, depth
     return best
+
+
+def reference_plan(goals: GoalSpec, domain: Domain, state: WorldState,
+                   config: PlanConfig | None = None, *,
+                   tree: BehaviorTree | None = None) -> BehaviorTree:
+    """``planner.plan`` with every simulation started again at tick 0 from
+    the start state, after an expansion as after a conflict move."""
+    config = config or PlanConfig()
+    for lit in goals.conjuncts:
+        domain.check_literal(lit, objects=state.registry)
+    if tree is None:
+        tree = init_tree(goals)
+    start = state.visible_only()
+    expansions = reorders = 0
+    while True:
+        traces: list[TickTrace] = []
+        try:
+            result = _simulate(tree, start, domain, config.max_sim_ticks, traces, set())
+        except TickBudgetExceeded as e:
+            raise PlanBudgetExceeded(str(e), tree) from e
+        if result.status is NodeStatus.SUCCESS:
+            missing = [c for c in goals.conjuncts if not domain.holds(result.state, c)]
+            if missing:
+                raise PlanBudgetExceeded(
+                    f"simulation succeeded without goal {missing[0]}", tree)
+            return tree
+        if result.conflict is not None:
+            if reorders >= config.max_conflict_reorders:
+                raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
+            tree.move_left(result.conflict.id)
+            reorders += 1
+            continue
+        target = _pick_expansion_target(traces[-1])
+        if target is None:
+            raise PlanBudgetExceeded("nothing left to expand", tree)
+        if expansions >= config.max_expansions:
+            raise PlanBudgetExceeded("expansion budget exhausted", tree)
+        try:
+            expand_condition(tree, target, domain, result.state)
+        except NoAchiever as e:
+            raise Unsolvable(e.literal) from e
+        expansions += 1
 
 
 def _tree_condition_literals(tree: BehaviorTree) -> list[Literal]:

@@ -92,22 +92,22 @@ class TestTickSemantics:
     def test_trace_is_preorder_and_root_first(self):
         tree = make_tree(lambda t: [cond(t, True), act(t, S)])
         _, trace = tick(tree, fixed_ctx())
-        ids = [e.node_id for e in trace.entries]
+        ids = [node.id for node in trace.nodes]
         preorder = [n.id for n, _ in iter_preorder(tree.root)]
         assert ids == preorder
-        assert trace.entries[0].node_id == tree.root.id
-        assert [e.depth for e in trace.entries] == [0, 1, 1]
-        assert [e.node for e in trace.entries] == [n for n, _ in iter_preorder(tree.root)]
-        assert all(e.node is scan_find(tree, e.node_id) and e.kind is e.node.kind
-                   for e in trace.entries)
+        assert trace.nodes[0] is tree.root
+        assert trace.depths == [0, 1, 1]
+        assert trace.statuses == [S, S, S]
+        assert trace.nodes == [n for n, _ in iter_preorder(tree.root)]
+        assert all(node is scan_find(tree, node.id) for node in trace.nodes)
 
     def test_tick_deterministic(self):
         tree = make_tree(lambda t: [cond(t, True), act(t, F), act(t, S)])
         first = tick(tree, fixed_ctx())
         second = tick(tree, fixed_ctx())
         assert first[0] is second[0]
-        assert [(e.node_id, e.status) for e in first[1].entries] == \
-               [(e.node_id, e.status) for e in second[1].entries]
+        assert [(n.id, s) for n, s in zip(first[1].nodes, first[1].statuses)] == \
+               [(n.id, s) for n, s in zip(second[1].nodes, second[1].statuses)]
 
 
 @st.composite
@@ -145,11 +145,11 @@ class TestRunTicks:
     repeats, the start's included, or the budget runs out."""
 
     @staticmethod
-    def ticks_until_stop(keys, max_ticks):
+    def ticks_until_stop(keys, max_ticks, **resume):
         keys = iter(keys)
         ticked = []
         with pytest.raises(TickBudgetExceeded) as err:
-            for index in bt.run_ticks(lambda: next(keys), max_ticks):
+            for index in bt.run_ticks(lambda: next(keys), max_ticks, **resume):
                 ticked.append(index)
         return ticked, str(err.value)
 
@@ -163,6 +163,18 @@ class TestRunTicks:
 
     def test_the_budget_bounds_the_run(self):
         assert self.ticks_until_stop(range(10), 3) == ([0, 1, 2], "tick budget 3 exhausted")
+
+    def test_a_resumed_run_continues_the_keys_and_the_count(self):
+        seen = set()
+        keys = iter([0, 1, 2])
+        for index in bt.run_ticks(lambda: next(keys), 10, seen=seen):
+            if index == 2:
+                break  # the tick a Failure ends, as the planner leaves it
+        assert seen == {0, 1, 2}
+        assert self.ticks_until_stop([2, 3, 1], 10, seen=set(seen), start=2) == \
+            ([2, 3], "stopped making progress after 4 ticks")
+        assert self.ticks_until_stop([2, 3, 4], 4, seen=set(seen), start=2) == \
+            ([2, 3], "tick budget 4 exhausted")
 
 
 class TestFailingAction:

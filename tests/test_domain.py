@@ -208,6 +208,40 @@ class TestAchievers:
         assert [s.name for s, _ in found] == ["PutDown", "PutIn"]
 
 
+@pytest.mark.parametrize("name", ["cube_tabletop", "cafe", "household", "blocks_strict"])
+def test_domain_memos_answer_as_a_fresh_domain(name):
+    """Asked twice, ``achievers`` hands back its first answer, equal to
+    what a domain that never answered gives; ``objects_in`` gives, for
+    the full registry and a part of it, the scan of the objects by
+    category; and wildcard ``holds`` agrees with enumeration in two
+    states that share the memo's row tests."""
+    path = bundled_data_path("domains", f"{name}.yaml")
+    domain, fresh = load_domain(path), load_domain(path)
+    names = sorted(domain.objects) + [ANY_OBJECT]
+    literals = [Literal(pred.name, args, negated)
+                for pred in domain.predicates.values()
+                for args in itertools.product(names, repeat=pred.arity)
+                for negated in (False, True)]
+    for literal in literals:
+        first = domain.achievers(literal)
+        assert domain.achievers(literal) is first
+        assert first == fresh.achievers(literal)
+    objects = list(domain.objects.values())
+    for registry in (objects, objects[::2]):
+        state = WorldState(tuple(registry))
+        for kind in sorted({o.category for o in objects} | set(domain.groups)):
+            scanned = [o.name for cat in domain.categories_of(kind)
+                       for o in sorted(registry, key=lambda o: o.name) if o.category == cat]
+            assert list(domain.objects_in(kind, state.registry)) == scanned
+    full = WorldState(tuple(objects))
+    facts = frozenset(lit for lit in literals if not lit.negated
+                      and ANY_OBJECT not in lit.args)
+    for state in (full, WorldState(full.objects, frozenset(sorted(facts, key=str)[::3]))):
+        for literal in literals:
+            if ANY_OBJECT in literal.args:
+                assert domain.holds(state, literal) == reference_holds(domain, state, literal)
+
+
 class TestDomainLoading:
     def test_bundled_domains_load(self, cube_domain, cafe_domain,
                                    household_domain, blocks_domain):

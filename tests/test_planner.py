@@ -1,3 +1,4 @@
+import copy
 import sys
 
 import pytest
@@ -9,7 +10,8 @@ from btpolicy import bt, planner, resolver
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TreeNode,
                          iter_preorder, tick)
 from btpolicy.domain import Domain, make_state, parse_domain
-from btpolicy.errors import BtError, InvalidTarget, PlanBudgetExceeded, Unsolvable
+from btpolicy.errors import (BtError, InvalidTarget, PlanBudgetExceeded,
+                             TickBudgetExceeded, Unsolvable)
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import (GoalSpec, PlanConfig, expand_condition,
                               init_tree, plan)
@@ -17,7 +19,8 @@ from btpolicy.sim import bundled_data_path, load_scenario
 from btpolicy.terms import GroundAction
 
 from oracles import (bfs_plan, reference_detect_conflict, reference_expand_condition,
-                     reference_pick_expansion_target, reference_ranking, scan_lca_child)
+                     reference_pick_expansion_target, reference_plan, reference_ranking,
+                     scan_lca_child)
 
 
 def lit(text):
@@ -488,7 +491,7 @@ def test_trace_decisions_match_the_lookup_references(
         return simulate(tree, *args)
 
     def spy_detect(trace, domain, after):
-        fired = [e.node for e in trace.entries if e.kind is NodeKind.ACTION]
+        fired = [node for node in trace.nodes if node.kind is NodeKind.ACTION]
         assert len(fired) == 1
         got = detect(trace, domain, after)
         assert got is reference_conflict_subtree(trees[-1], trace, fired[0], domain, after)
@@ -522,7 +525,7 @@ def test_conflict_needs_a_sequence_scope():
         status, trace = tick(tree, ctx)
         assert status is NodeStatus.RUNNING
         return planner._detect_conflict(trace, domain, after), \
-            reference_conflict_subtree(tree, trace, trace.entries[-1].node, domain, after)
+            reference_conflict_subtree(tree, trace, trace.nodes[-1], domain, after)
 
     for scoped in (True, False):
         tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
@@ -603,6 +606,150 @@ def test_plan_looks_no_node_up(monkeypatch, all_scenarios, seed7_towers, blocks_
     assert calls["plan"] > 0 and calls["move_left"] > 0
     assert {key for key in lookups if key[1] is not None} == set()
     assert ("parent_of", None) in lookups  # the spies see the lookups made elsewhere
+
+
+# --- resumed simulations ---------------------------------------------------------
+
+def _plan_outcome(call) -> tuple:
+    """(what a plan call gave, its tree or exception): the tree's compact
+    text, or the exception's type and message with the partial tree's."""
+    try:
+        tree = call()
+    except BtError as e:
+        partial = getattr(e, "tree", None)
+        return (type(e), str(e), None if partial is None else partial.compact()), e
+    return tree.compact(), tree
+
+
+def check_resumes_against_reference(monkeypatch) -> Counter:
+    """Make every ``plan`` call that ``resolver`` or this module makes
+    also run ``oracles.reference_plan``, which starts every simulation
+    again at tick 0, on a copy of the tree it is handed, and assert both
+    give the same outcome. The counts returned grow as plans run: plan
+    calls and those stopped by an error, simulations started at tick 0 or
+    resumed past it, and tick budgets run out in a resumed simulation."""
+    counts = Counter()
+    real_plan, simulate = planner.plan, planner._simulate
+
+    def spy_simulate(tree, state, domain, max_ticks, traces, seen):
+        resumed = bool(traces)
+        counts["resumed" if resumed else "from tick 0"] += 1
+        try:
+            return simulate(tree, state, domain, max_ticks, traces, seen)
+        except TickBudgetExceeded:
+            counts["budget out in a resumed simulation"] += resumed
+            raise
+
+    def checked_plan(goals, domain, state, config=None, *, tree=None):
+        reference_tree = copy.deepcopy(tree)
+        got, result = _plan_outcome(
+            lambda: real_plan(goals, domain, state, config, tree=tree))
+        want, _ = _plan_outcome(
+            lambda: reference_plan(goals, domain, state, config, tree=reference_tree))
+        assert got == want
+        counts["plans"] += 1
+        if isinstance(result, BtError):
+            counts["plans stopped"] += 1
+            raise result
+        return result
+
+    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(resolver, "plan", checked_plan)
+    monkeypatch.setattr(sys.modules[__name__], "plan", checked_plan)
+    return counts
+
+
+def test_resumed_plans_match_the_restarting_reference(
+        monkeypatch, all_scenarios, seed7_tower_pool, blocks_domain):
+    """Every plan call over the bundled scenarios, the 64 seed-7 towers and
+    the goal pairs that conflict gives the tree text, or the exception and
+    partial tree, that restarting every simulation at tick 0 gives."""
+    counts = check_resumes_against_reference(monkeypatch)
+    plan_corpus(all_scenarios + seed7_tower_pool, blocks_domain)
+    assert counts["plans"] > 0 and counts["plans stopped"] > 0
+    assert counts["resumed"] > 0 and counts["from tick 0"] > 0
+
+
+def test_resumed_plans_match_the_reference_under_every_tick_budget(
+        monkeypatch, seed7_tower_pool):
+    """``max_sim_ticks`` from 1 to 40 on a few towers, so that some budgets
+    run out inside a resumed simulation: the same outcomes, messages
+    included, as restarting at tick 0."""
+    counts = check_resumes_against_reference(monkeypatch)
+    for scenario in seed7_tower_pool[:3]:
+        for ticks in range(1, 41):
+            config = resolver.ResolveConfig(plan=PlanConfig(max_sim_ticks=ticks))
+            try:
+                resolver.resolve_until_success(scenario, scenario.oracle_backend(), config)
+            except BtError:
+                pass
+    assert counts["plans stopped"] > 0
+    assert counts["budget out in a resumed simulation"] > 0
+
+
+def test_a_target_that_failed_in_an_earlier_tick_restarts_the_simulation(monkeypatch):
+    """A hand-built root Fallback: in tick 0 ``p`` fails and the second
+    branch fires ``finish``; in tick 1 both branches fail and ``p`` is the
+    target. Its expansion changes tick 0 (``make_p`` fires instead), so the
+    next simulation starts at tick 0 again and the goal ``~done`` holds;
+    resumed at tick 1 it would succeed with ``done`` true."""
+    domain = parse_domain({
+        "schema": "domain/v1", "name": "restart",
+        "predicates": [{"name": "p", "arity": 0}, {"name": "done", "arity": 0}],
+        "skills": [{"name": "finish", "effects": ["done"]},
+                   {"name": "make_p", "effects": ["p"]}]})
+    state = make_state(domain, [])
+    goals = goal("p", "~done")
+
+    def hand_built():
+        tree = BehaviorTree(TreeNode(0, NodeKind.FALLBACK), next_id=1)
+        tree.root.children.extend([
+            tree.new_node(NodeKind.SEQUENCE, children=[tree.new_condition(lit("p"))]),
+            tree.new_node(NodeKind.SEQUENCE, children=[
+                tree.new_condition(lit("~done")), tree.new_action(GroundAction("finish"))])])
+        return tree
+
+    starts = []
+    simulate = planner._simulate
+
+    def spy_simulate(tree, state, domain, max_ticks, traces, seen):
+        starts.append(len(traces))
+        return simulate(tree, state, domain, max_ticks, traces, seen)
+
+    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    tree = plan(goals, domain, state, tree=hand_built())
+    assert starts == [0, 0]
+    assert tree.compact() == reference_plan(goals, domain, state, tree=hand_built()).compact()
+    actions = [str(n.payload) for n, _ in iter_preorder(tree.root) if n.kind is NodeKind.ACTION]
+    assert actions == ["make_p()", "finish()"]
+
+    monkeypatch.setattr(planner, "_failed_in", lambda node, traces: False)
+    with pytest.raises(PlanBudgetExceeded, match="without goal ~done"):
+        plan(goals, domain, state, tree=hand_built())
+
+
+def test_a_resumed_simulation_stops_at_a_state_seen_before_it_resumed():
+    """``Sequence(~c, make_c)`` fires ``make_c`` in tick 0 and fails at
+    ``~c`` in tick 1. Its expansion fires ``clear_c`` there, which brings
+    back tick 0's state: the resumed simulation keeps that state's key, so
+    it stops after 2 ticks, as one from tick 0 does."""
+    domain = parse_domain({
+        "schema": "domain/v1", "name": "toggle",
+        "predicates": [{"name": "c", "arity": 0}],
+        "skills": [{"name": "make_c", "effects": ["c"]},
+                   {"name": "clear_c", "effects": ["~c"]}]})
+    state = make_state(domain, [])
+
+    def hand_built():
+        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+        tree.root.children.extend([tree.new_condition(lit("~c")),
+                                   tree.new_action(GroundAction("make_c"))])
+        return tree
+
+    for planner_of in (plan, reference_plan):
+        with pytest.raises(PlanBudgetExceeded,
+                           match="^stopped making progress after 2 ticks$"):
+            planner_of(goal("c"), domain, state, tree=hand_built())
 
 
 def test_plan_config_budgets_must_be_positive():
