@@ -21,7 +21,7 @@ from .backends import RemoteBackend, ScriptedBackend
 from .domain import (GOALSET_SHAPE, check_shape, load_domain, load_yaml, make_state,
                      read_input)
 from .errors import (BackendUnavailable, BtError, DomainMismatch, ParseError,
-                     SchemaError, TickBudgetExceeded, Unsolvable)
+                     PlanBudgetExceeded, SchemaError, TickBudgetExceeded, Unsolvable)
 from .llm import LlmExchange, build_prompt
 from .planner import GoalSpec, PlanConfig, plan
 from .resolver import (Outcome, ResolveConfig, interpret_goals,
@@ -127,9 +127,10 @@ def cmd_plan(args) -> int:
                   file=sys.stderr)
             return EXIT_FAILURE
         domain = load_domain(args.domain)
-        literals = [t.strip() for t in (args.state or "").split("&") if t.strip()]
+        state = (args.state or "").strip()
+        literals = grammar.parse_literal_conjunction(state) if state else []
         scenario = Scenario(id="adhoc", domain=domain,
-                            initial=make_state(domain, literals),
+                            initial=make_state(domain, [str(lit) for lit in literals]),
                             instruction=args.instruction)
         backend = _make_backend(args, None)
     try:
@@ -137,10 +138,19 @@ def cmd_plan(args) -> int:
     finally:
         _close(backend)
 
-    tree = plan(goals, scenario.domain, scenario.initial, _resolve_config(args).plan)
     out = Path(args.out)
-    _write_tree_artifacts(tree, out, "tree")
-    atomic_write(out / "reasoning.txt", (exchange.reasoning or "") + "\n")
+
+    def write_artifacts(tree) -> None:
+        _write_tree_artifacts(tree, out, "tree")
+        atomic_write(out / "reasoning.txt", (exchange.reasoning or "") + "\n")
+
+    try:
+        tree = plan(goals, scenario.domain, scenario.initial, _resolve_config(args).plan)
+    except PlanBudgetExceeded as e:
+        # keep the tree planned so far; the error still exits 1
+        write_artifacts(e.partial_tree)
+        raise
+    write_artifacts(tree)
     print(f"goals: {goals}")
     print(f"tree: {out / 'tree.json'} ({tree.node_count()} nodes)")
     return EXIT_OK

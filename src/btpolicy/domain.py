@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Collection, NamedTuple
@@ -247,11 +247,16 @@ _NO_POSITIONS = itemgetter(slice(0))
 def literal_holds(lit: Literal, rows: Collection[tuple[str, ...]],
                   registry: frozenset[str]) -> bool:
     """Truth of ``lit`` given the rows of its predicate; wildcards range
-    over the ``registry`` names only."""
-    if ANY_OBJECT in lit.args:
-        return _some_row_matches(_row_test(lit.args), lit.args, rows,
-                                 registry) != lit.negated
-    return (lit.args in rows) != lit.negated
+    over the ``registry`` names only. A ground literal is one membership
+    test; a wildcard one is decided at the first matching row."""
+    if ANY_OBJECT not in lit.args:
+        return (lit.args in rows) != lit.negated
+    arity, at_fixed, values = _row_test(lit.args)
+    for row in rows:
+        if len(row) == arity and at_fixed(row) == values \
+                and _wildcards_allowed(lit.args, row, registry):
+            return not lit.negated
+    return lit.negated
 
 
 def rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
@@ -266,21 +271,13 @@ def rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],
             and (allowed is None or _wildcards_allowed(pattern, row, allowed))]
 
 
-def _some_row_matches(test: tuple[int, itemgetter, object], pattern: tuple[str, ...],
-                      rows: Collection[tuple[str, ...]], allowed: frozenset[str]) -> bool:
-    """Whether ``rows_matching(pattern, rows, allowed)`` has a row, decided
-    at the first one; ``test`` is ``_row_test(pattern)``."""
-    arity, at_fixed, values = test
-    for row in rows:
-        if len(row) == arity and at_fixed(row) == values \
-                and _wildcards_allowed(pattern, row, allowed):
-            return True
-    return False
-
-
+@cache
 def _row_test(pattern: tuple[str, ...]) -> tuple[int, itemgetter, object]:
     """``pattern``'s arity, a getter of the values at its fixed (not
-    wildcard) positions, and its own values there."""
+    wildcard) positions, and its own values there. Memoized per pattern,
+    an argument tuple and nothing else, so every caller and domain shares
+    one memo, entries never go stale and no world state is kept; it holds
+    one immutable entry per distinct pattern the process has asked."""
     fixed = []
     for i, arg in enumerate(pattern):      # a loop, cheaper than a comprehension here
         if arg != ANY_OBJECT:
@@ -302,11 +299,11 @@ class Domain:
     ``parse_domain`` is the only writer of ``skills``, ``objects`` and
     ``groups``, and fills them before any caller asks the domain anything.
     So the work done once per distinct input and kept here never goes
-    stale: the achievers of a literal (``achievers``), the admissible
-    objects of a registry (``objects_in``) and the row test of a wildcard
-    pattern (``holds``). Like ``SkillTemplate.grounded``'s memo, two threads
-    can at worst compute one entry twice; callers must not change what
-    they are handed."""
+    stale: the achievers of a literal (``achievers``) and the admissible
+    objects of a registry (``objects_in``). Like ``SkillTemplate.grounded``'s
+    memo, two threads can at worst compute one entry twice; callers must
+    not change what they are handed. Wildcard row tests are memoized by
+    ``_row_test`` itself, outside any domain."""
 
     name: str
     predicates: dict[str, Predicate]
@@ -322,8 +319,6 @@ class Domain:
     _achievers: dict[Literal, list[tuple[SkillTemplate, dict[str, str]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _objects_in: dict[tuple[str, frozenset[str]], tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _row_tests: dict[tuple[str, ...], tuple[int, itemgetter, object]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     # -- vocabulary ----------------------------------------------------------
@@ -370,8 +365,8 @@ class Domain:
         template's skill (none for a ground literal).
 
         This is the one literal rule. Literals pass it where they enter:
-        skill templates, fault-rule guards and ``clears_when``, oracle answer
-        templates and goals, goal-set goals, parsed answers, planning goals,
+        skill templates, fault-rule guards, oracle answer templates and
+        goals, goal-set goals, parsed answers, planning goals,
         and tree leaves by ``sim.leaf_mismatch`` (the rule of the tree gate
         and of ``verify_tree``). Evaluation trusts them after."""
         pred = self.predicate(lit.predicate)
@@ -394,18 +389,11 @@ class Domain:
 
         A positive wildcard literal is existential; a negated one is
         universal (true iff no object satisfies the positive form). The
-        state's index is read once, and a ground literal decided by one
-        membership test. A wildcard pattern's row test is built once per
-        pattern (class docstring). The literal is trusted to have passed
+        state's index is read once and the rows of the literal's predicate
+        handed to ``literal_holds``. The literal is trusted to have passed
         ``check_literal``."""
         index = state._index_with_hidden if include_hidden else state._index
-        if ANY_OBJECT in lit.args:
-            test = self._row_tests.get(lit.args)
-            if test is None:
-                test = self._row_tests[lit.args] = _row_test(lit.args)
-            return _some_row_matches(test, lit.args, index.get(lit.predicate, ()),
-                                     state.registry) != lit.negated
-        return (lit.args in index.get(lit.predicate, ())) != lit.negated
+        return literal_holds(lit, index.get(lit.predicate, ()), state.registry)
 
     # -- effects ---------------------------------------------------------------
 
@@ -559,7 +547,7 @@ SCENARIO_SHAPE = {
         "id": str, "skill": str,
         "where?": {str: (str, {"category": str})},
         "phase?": frozenset({"planning", "execution"}),
-        "guard?": [str], "clears_when?": [str], "message": str}],
+        "guard?": [str], "message": str}],
     "oracle": {"goals": str, "preconditions?": {str: str},
                "params?": [{"slot": str, "object": str, "value": _SCALAR}]},
     "expected?": {"outcome?": frozenset({"success", "exhausted", "unsolvable", "failure"}),

@@ -33,45 +33,25 @@ from .terms import GroundAction, Literal, ground
 class FaultRule:
     """Injects a failure while its guard holds.
 
-    The guard is a literal conjunction over the union of visible and hidden
-    state; ``$slot``/``@slot`` arguments are filled from the matched
-    action's binding.
-    ``clears_when`` literals, when given, make the rule inert once they all
-    hold. A firing rule fails the action: it returns Failure, its effects do
-    not land, and the executor records a FailureEvent."""
+    ``where`` pairs object slots with the names each may hold, resolved at
+    load from an object name or a ``{category: ...}``. The guard is a
+    literal conjunction over the union of visible and hidden state;
+    ``$slot``/``@slot`` arguments are filled from the matched action's
+    binding. A firing rule fails the action: it returns Failure, its
+    effects do not land, and the executor records a FailureEvent."""
 
     id: str
     skill: str
-    where: tuple[tuple[str, str], ...] = ()        # slot -> required object
-    where_category: tuple[tuple[str, str], ...] = ()  # slot -> required category
+    where: tuple[tuple[str, frozenset[str]], ...] = ()   # slot -> allowed objects
     guard: tuple[Literal, ...] = ()
     message: str = ""
-    clears_when: tuple[Literal, ...] = ()
     phase: str = "execution"                        # "planning" | "execution"
 
-    def matches(self, domain: Domain, action: GroundAction) -> bool:
-        if action.skill != self.skill:
-            return False
-        for slot, required in self.where:
-            if action.get(slot) != required:
-                return False
-        for slot, category in self.where_category:
-            value = action.get(slot)
-            if not isinstance(value, str):
-                return False
-            obj = domain.objects.get(value)
-            if obj is None or obj.category != category:
-                return False
-        return True
-
     def fires(self, domain: Domain, state: WorldState, action: GroundAction) -> bool:
-        if not self.matches(domain, action):
-            return False
-        if self.clears_when and all(domain.holds(state, lit, include_hidden=True)
-                                    for lit in ground(self.clears_when, action)):
-            return False
-        return all(domain.holds(state, lit, include_hidden=True)
-                   for lit in ground(self.guard, action))
+        return (action.skill == self.skill
+                and all(action.get(slot) in names for slot, names in self.where)
+                and all(domain.holds(state, lit, include_hidden=True)
+                        for lit in ground(self.guard, action)))
 
 
 @dataclass(frozen=True)
@@ -297,10 +277,12 @@ def run_trusted(tree: BehaviorTree, scenario: Scenario, *,
 # --- scenario files -----------------------------------------------------------
 
 def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scenario:
-    """Load a scenario file, reading each literal once: ``guard``,
-    ``clears_when`` and answer templates with the object slots of their
-    rule's skill, oracle goals with none, all against the scenario's
-    objects. ``open_params`` must name numeric or categorical slots."""
+    """Load a scenario file, reading each literal once: ``guard`` and
+    answer templates with the object slots of their rule's skill, oracle
+    goals with none, all against the scenario's objects. Each fault rule's
+    ``where`` value becomes the set of names its slot may hold: an object
+    of the scenario, or every domain object of a category. ``open_params``
+    must name numeric or categorical slots."""
     path = Path(path)
     data = load_yaml(path, "scenario")
     check_shape(data, SCENARIO_SHAPE, str(path))
@@ -344,7 +326,6 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
         if entry["skill"] not in domain.skills:
             fail(f"rule {rule_id!r}: unknown skill {entry['skill']!r}")
         where = []
-        where_category = []
         slots = object_slots(entry["skill"])
         for slot, pattern in (entry.get("where") or {}).items():
             if slot not in slots:
@@ -354,20 +335,18 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
                 if pattern not in state.registry:
                     fail(f"rule {rule_id!r}: where {slot}: {pattern!r} is no "
                          f"object of the scenario")
-                where.append((slot, pattern))
+                names = frozenset({pattern})
             else:
-                if not any(o.category == pattern["category"]
-                           for o in domain.objects.values()):
+                names = frozenset(name for name, obj in domain.objects.items()
+                                  if obj.category == pattern["category"])
+                if not names:
                     fail(f"rule {rule_id!r}: where {slot}: no object of the domain "
                          f"has category {pattern['category']!r}")
-                where_category.append((slot, pattern["category"]))
+            where.append((slot, names))
         rules.append(FaultRule(
-            rule_id, entry["skill"], tuple(where), tuple(where_category),
+            rule_id, entry["skill"], tuple(where),
             read_literals(entry.get("guard"), f"rule {rule_id!r} guard", slots),
-            entry["message"],
-            read_literals(entry.get("clears_when"), f"rule {rule_id!r} clears_when",
-                          slots),
-            entry.get("phase") or "execution"))
+            entry["message"], entry.get("phase") or "execution"))
     rule_ids = [rule.id for rule in rules]
     if len(set(rule_ids)) != len(rule_ids):
         fail("duplicate fault rule ids")

@@ -49,22 +49,38 @@ def blocked_cube_state(cube_domain):
         objects=["blue_cube", "green_cube", "red_cube", "table"])
 
 
-def _towers(seed: int, count: int, out: Path) -> list:
+def _tower_files(seed: int, count: int, out: Path) -> list[Path]:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import towergen
-    batch = towergen.generate(seed, count, out,
-                              bundled_data_path("domains", "cube_tabletop.yaml"))
+    return list(towergen.generate(seed, count, out,
+                                  bundled_data_path("domains", "cube_tabletop.yaml")).paths)
+
+
+def _load(paths: list[Path]) -> list:
     cache: dict = {}
-    return [load_scenario(path, domain_cache=cache) for path in batch.paths]
+    return [load_scenario(path, domain_cache=cache) for path in paths]
 
 
 @pytest.fixture(scope="session")
-def seed7_towers(tmp_path_factory):
+def seed7_tower_files(tmp_path_factory):
+    """The files of eight seed-7 towers of the benchmark's generator."""
+    return _tower_files(7, 8, tmp_path_factory.mktemp("towers"))
+
+
+@pytest.fixture(scope="session")
+def seed7_towers(seed7_tower_files):
     """The first four seed-7 towers of the benchmark's generator."""
-    return _towers(7, 8, tmp_path_factory.mktemp("towers"))[:4]
+    return _load(seed7_tower_files[:4])
 
 
 @pytest.fixture(scope="session")
-def seed7_tower_pool(tmp_path_factory):
+def seed7_pool_files(tmp_path_factory):
+    """The files of the 64 seed-7 towers the benchmark's ``tower-scale``
+    pool holds."""
+    return _tower_files(7, 64, tmp_path_factory.mktemp("tower_pool"))
+
+
+@pytest.fixture(scope="session")
+def seed7_tower_pool(seed7_pool_files):
     """The 64 seed-7 towers the benchmark's ``tower-scale`` pool holds."""
-    return _towers(7, 64, tmp_path_factory.mktemp("tower_pool"))
+    return _load(seed7_pool_files)

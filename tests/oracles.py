@@ -18,9 +18,12 @@ state it expands, and the verification reference makes each check in a
 walk of its own and finds each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
-planner did before it read them from the tick trace, and the plan
+planner did before it read them from the tick trace, the plan
 reference starts every simulation again at tick 0, as ``plan`` did before
-it resumed at the failing tick. ``validate`` (the
+it resumed at the failing tick, and the fault-rule reference keeps a
+rule's targets in two fields and looks each bound object's category up in
+the domain at every fired action, as ``FaultRule`` did before ``where``
+was resolved at load. ``validate`` (the
 structural invariants of an edited tree), ``is_expanded`` and
 ``failing_action`` are helpers that only tests ask.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import Collection, Iterator
 
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
@@ -38,6 +42,7 @@ from btpolicy.domain import Domain, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
                              PlanBudgetExceeded, TickBudgetExceeded, TreeInvalid,
                              UnboundSlot, Unsolvable, UnknownNode)
+from btpolicy.grammar import parse_literal
 from btpolicy.planner import (GoalSpec, PlanConfig, _groundings, _pick_expansion_target,
                               _simulate, expand_condition, init_tree)
 from btpolicy.sim import check_tree_domain
@@ -101,6 +106,49 @@ def reference_holds(domain: Domain, state: WorldState, lit: Literal, *,
             found = True
             break
     return not found if lit.negated else found
+
+
+@dataclass(frozen=True)
+class ReferenceFaultRule:
+    """``sim.FaultRule`` as a scenario file's rule entry states it: each
+    ``where`` slot pairs with one object name (``where``) or a category
+    (``where_category``), and the guard is evaluated by ``reference_holds``."""
+
+    skill: str
+    where: tuple[tuple[str, str], ...]
+    where_category: tuple[tuple[str, str], ...]
+    guard: tuple[Literal, ...]
+
+    @classmethod
+    def from_entry(cls, entry: dict) -> "ReferenceFaultRule":
+        where = (entry.get("where") or {}).items()
+        return cls(entry["skill"],
+                   tuple((slot, value) for slot, value in where if isinstance(value, str)),
+                   tuple((slot, value["category"]) for slot, value in where
+                         if not isinstance(value, str)),
+                   tuple(parse_literal(text) for text in entry.get("guard") or ()))
+
+    def matches(self, domain: Domain, action: GroundAction) -> bool:
+        if action.skill != self.skill:
+            return False
+        for slot, required in self.where:
+            if action.get(slot) != required:
+                return False
+        for slot, category in self.where_category:
+            value = action.get(slot)
+            if not isinstance(value, str):
+                return False
+            obj = domain.objects.get(value)
+            if obj is None or obj.category != category:
+                return False
+        return True
+
+    def fires(self, domain: Domain, state: WorldState, action: GroundAction) -> bool:
+        if not self.matches(domain, action):
+            return False
+        binding = {k: v for k, v in action.binding if isinstance(v, str)}
+        return all(reference_holds(domain, state, lit.substitute(binding),
+                                   include_hidden=True) for lit in self.guard)
 
 
 def reference_rows_matching(pattern: tuple[str, ...], rows: Collection[tuple[str, ...]],

@@ -12,7 +12,10 @@ from btpolicy import bt
 from btpolicy.backends import RemoteBackend
 from btpolicy.cli import (EXIT_BACKEND, EXIT_EXHAUSTED, EXIT_FAILURE, EXIT_OK,
                           EXIT_PARSE, EXIT_SCHEMA, EXIT_VIOLATIONS, main)
-from btpolicy.sim import bundled_data_path
+from btpolicy.errors import PlanBudgetExceeded
+from btpolicy.planner import PlanConfig, plan
+from btpolicy.resolver import interpret_goals
+from btpolicy.sim import bundled_data_path, load_scenario
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +58,43 @@ class TestPlanCommand:
             "--backend", "oracle", "--out", str(tmp_path / "out"))
         assert code == EXIT_FAILURE
         assert "--instruction goes with --domain" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_tick_budget_stop_keeps_the_partial_tree(self, tmp_path, capsys,
+                                                          seed7_tower_files):
+        """``plan --out`` on a budget stop writes the tree planned so far,
+        the one the error carries, and still exits 1 naming the budget."""
+        path = seed7_tower_files[1]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "plan", "--scenario", str(path),
+                                    "--budget-ticks", "5", "--out", str(out))
+        assert code == EXIT_FAILURE
+        assert err == "error: tick budget 5 exhausted\n"
+        assert stdout == ""
+        scenario = load_scenario(path)
+        goals, _ = interpret_goals(scenario, scenario.oracle_backend())
+        with pytest.raises(PlanBudgetExceeded) as stop:
+            plan(goals, scenario.domain, scenario.initial, PlanConfig(max_sim_ticks=5))
+        partial = stop.value.partial_tree
+        assert (out / "tree.json").read_text() == bt.serialize(partial)
+        assert (out / "tree.dot").read_text() == bt.to_dot(partial)
+        assert (out / "reasoning.txt").exists()
+
+    def test_plan_state_rejects_an_empty_conjunct(self, tmp_path, capsys):
+        """``--state`` is read as a literal conjunction, like every other
+        one: an empty conjunct is a parse error before the backend is asked
+        (the scripted fixtures have no answer for it)."""
+        domain = bundled_data_path("domains", "cube_tabletop.yaml")
+        plan_args = ("plan", "--domain", str(domain), "--instruction", "x",
+                     "--backend", "scripted", "--out", str(tmp_path / "out"))
+        code, _, err = run_cli(capsys, *plan_args,
+                               "--state", "on(red_cube, table) & & bogus(x)")
+        assert code == EXIT_PARSE
+        assert "empty conjunct" in err
+        for state in ("on(red_cube, table)", ""):
+            code, _, err = run_cli(capsys, *plan_args, "--state", state)
+            assert code == EXIT_FAILURE
+            assert "no scripted response" in err
         assert not (tmp_path / "out").exists()
 
     def test_plan_unknown_symbol_exits_parse_code(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from btpolicy.resolver import resolve_until_success
 from btpolicy.sim import (FailureEvent, bundled_data_path, execute, load_scenario,
                           load_scenarios)
 from btpolicy.terms import GroundAction
+from oracles import ReferenceFaultRule, ground_actions
 
 
 def lit(text):
@@ -354,7 +355,7 @@ def test_sibling_branch_recovers_fault_within_run(cube_domain, tmp_path):
     ])
     tree.root.children.append(fb)
 
-    rule = FaultRule("bad_spot", "place", where=(("dst", "blue_cube"),),
+    rule = FaultRule("bad_spot", "place", where=(("dst", frozenset({"blue_cube"})),),
                      message="No collision free path found")
     scenario = Scenario(
         id="recovering", domain=cube_domain,
@@ -368,3 +369,31 @@ def test_sibling_branch_recovers_fault_within_run(cube_domain, tmp_path):
     assert len(trace.events) == 1
     assert trace.events[0].error_message == "No collision free path found"
     assert trace.pending_event is None
+
+
+def test_fault_rules_fire_as_the_two_field_reference(seed7_pool_files):
+    """Each fault rule, its ``where`` resolved at load, fires exactly where
+    the rule as its file states it does: every rule of the bundled
+    scenarios and the seed-7 towers, against every ground action of its
+    skill, from the initial world."""
+    paths = sorted(bundled_data_path("scenarios").glob("*.yaml")) + seed7_pool_files
+    cache: dict = {}
+    outcomes = set()
+    rules = 0
+    for path in paths:
+        scenario = load_scenario(path, domain_cache=cache)
+        domain, state = scenario.domain, scenario.initial
+        entries = yaml.safe_load(path.read_text()).get("fault_rules") or ()
+        assert len(entries) == len(scenario.fault_rules)
+        actions = ground_actions(domain, state)
+        for rule, entry in zip(scenario.fault_rules, entries):
+            rules += 1
+            reference = ReferenceFaultRule.from_entry(entry)
+            for action in actions:
+                if action.skill == rule.skill:
+                    fires = rule.fires(domain, state, action)
+                    assert fires == reference.fires(domain, state, action), \
+                        (path.name, rule.id, str(action))
+                    outcomes.add(fires)
+    assert rules >= 17 + 64
+    assert outcomes == {True, False}
