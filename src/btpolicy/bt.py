@@ -385,8 +385,8 @@ TREE_SCHEMA = "bt/v1"
 
 def serialize(tree: BehaviorTree) -> str:
     """Serialize to the documented JSON tree schema (schema id ``bt/v1``)."""
-    return json.dumps({"schema": TREE_SCHEMA, "root": _node_to_obj(tree.root)},
-                      indent=2) + "\n"
+    root = json.loads(_node_text(tree.root, {}))  # a fresh cache: the nodes are read
+    return json.dumps({"schema": TREE_SCHEMA, "root": root}, indent=2) + "\n"
 
 
 _TEXT_HEADS = {kind: f'{{"kind":"{kind.value}","id":' for kind in NodeKind}
@@ -394,7 +394,9 @@ _json_string = json.encoder.encode_basestring_ascii  # what json.dumps writes
 
 
 def _node_text(node: TreeNode, texts: dict[int, str]) -> str:
-    """``json.dumps(_node_to_obj(node), separators=(",", ":"))``, cached."""
+    """The node's compact bt/v1 text: ``kind``, ``id``, then ``payload``
+    and ``children`` where present, escaped as ``json.dumps`` escapes,
+    cached in ``texts`` by node id."""
     text = texts.get(node.id)
     if text is None:
         text = _TEXT_HEADS[node.kind] + str(node.id)
@@ -406,15 +408,6 @@ def _node_text(node: TreeNode, texts: dict[int, str]) -> str:
         text += "}"
         texts[node.id] = text
     return text
-
-
-def _node_to_obj(node: TreeNode) -> dict:
-    obj: dict = {"kind": node.kind.value, "id": node.id}
-    if node.payload is not None:
-        obj["payload"] = str(node.payload)
-    if node.is_control:
-        obj["children"] = [_node_to_obj(c) for c in node.children]
-    return obj
 
 
 def parse(text: str) -> BehaviorTree:

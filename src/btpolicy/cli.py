@@ -12,8 +12,8 @@ import argparse
 import datetime
 import json
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 from . import bt, grammar
@@ -41,8 +41,13 @@ EXIT_BACKEND = 7
 
 
 def atomic_write(path: Path, content: str) -> None:
+    """Write ``content`` to a new file next to ``path`` and move it there
+    with ``os.replace``, so readers see the old file or the whole new one.
+    The new file is created with mode 0o666 less the umask, as ``open``
+    creates one; it is removed when the write fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+    tmp = path.parent / f".tmp-{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)

@@ -26,10 +26,15 @@ expansion state or has an achiever, checked only for the candidate about
 to be picked. No remainder: the other candidates are dropped, and a
 chosen branch that fails at execution goes to the resolver.
 
-A candidate is judged from its effect delta, the (add, remove) fact sets
-of ``Domain.effect_delta`` read delete-then-add, without copying any rows
-(``_achieves`` and ``_Reliance``). The tree's condition literals come from
-the counts the tree keeps (``BehaviorTree.condition_literals``).
+A candidate is judged on the rows its effect delta touches:
+``WorldState.changed_rows`` of ``Domain.effect_delta`` gives, for each
+predicate the delta adds or removes, that predicate's rows after the
+action (delete, then add); no successor state is built. The target is
+achieved when ``literal_holds`` finds it true on its predicate's rows
+there, and a relied-on literal breaks when ``literal_holds`` finds it
+false on its predicate's rows there; a literal of an untouched predicate
+keeps its truth. The tree's condition literals come from the counts the
+tree keeps (``BehaviorTree.condition_literals``).
 
 Conflict checks, the subtree a conflict moves and expansion targets are
 read from the tick trace alone, three parallel lists of the visited nodes,
@@ -57,14 +62,15 @@ every conflict move, the next simulation starts again at tick 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from itertools import product
+from typing import Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
                  TreeNode, run_ticks, tick)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import (InvalidTarget, NoAchiever, PlanBudgetExceeded, TickBudgetExceeded,
                      Unsolvable)
-from .terms import ANY_OBJECT, GroundAction, Literal, is_slot
+from .terms import GroundAction, Literal, is_slot
 
 __all__ = ["GoalSpec", "PlanConfig", "init_tree", "expand_condition", "plan",
            "guarding_literals"]
@@ -125,39 +131,31 @@ def _head_literal(node: TreeNode) -> Literal | None:
 
 def _groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
                 partial: dict[str, str]) -> Iterator[GroundAction]:
-    """All completions of a partial object binding, deterministically ordered.
+    """All completions of a partial object binding, deterministically
+    ordered: the product of each object slot's pool, dropping combinations
+    that use one object twice.
 
-    Values fixed by unification must still be admissible for their slots;
-    a binding that puts an object in a slot whose category excludes it
-    yields nothing."""
+    A free slot's pool is the registry's admissible names
+    (``Domain.objects_in``), or all its names sorted when the slot has no
+    category. A slot ``partial`` fixes takes only its value, and nothing
+    when the value is outside the registry or of a category the slot
+    excludes."""
+    registry = state.registry
+    pools = []
     for slot in skill.object_slots:
         value = partial.get(slot.name)
         if value is None:
-            continue
-        if value not in state.registry:
-            return
-        if slot.category and domain.objects[value].category \
-                not in domain.categories_of(slot.category):
-            return
-    free = [s for s in skill.object_slots if s.name not in partial]
-    pools = [domain.objects_in(s.category, state.registry) if s.category
-             else sorted(state.object_names) for s in free]
-
-    def rec(i: int, binding: dict[str, str]) -> Iterator[GroundAction]:
-        if i == len(free):
-            yield GroundAction.from_mapping(skill.name, dict(binding))
-            return
-        for name in pools[i]:
-            if name in binding.values():
-                continue  # one object per slot
-            binding[free[i].name] = name
-            yield from rec(i + 1, binding)
-            del binding[free[i].name]
-
-    values = list(partial.values())
-    if len(set(values)) != len(values):
-        return
-    yield from rec(0, dict(partial))
+            pools.append(domain.objects_in(slot.category, registry) if slot.category
+                         else sorted(state.object_names))
+        elif value in registry and (not slot.category or domain.objects[value].category
+                                    in domain.categories_of(slot.category)):
+            pools.append((value,))
+        else:
+            pools.append(())
+    names = [slot.name for slot in skill.object_slots]
+    for combo in product(*pools):
+        if len(set(combo)) == len(combo):
+            yield GroundAction(skill.name, tuple(zip(names, combo)))
 
 
 def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, str],
@@ -184,73 +182,13 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
     return binding
 
 
-def _achieves(target: Literal, add: Collection[Literal], remove: Collection[Literal],
-              witnesses: list[tuple[str, ...]] | None, registry: frozenset[str]) -> bool:
-    """Whether ``target``, false before, holds once the delta is applied
-    (delete, then add). A positive target needs an added row that matches
-    it; a negated one needs every witness, the rows that falsify it,
-    removed, and no added row that matches it."""
-    rows = [fact.args for fact in add if fact.predicate == target.predicate]
-    added = bool(rows_matching(target.args, rows, registry))
-    if witnesses is None:
-        return added
-    removed = {fact.args for fact in remove if fact.predicate == target.predicate}
-    return not added and removed.issuperset(witnesses)
-
-
-class _Reliance:
-    """The condition literals a tree relies on (true in ``state``), kept so
-    that an effect delta is judged by the rows it adds and removes: a
-    positive ground literal breaks when its row is removed and not added
-    back, a negated literal when an added row matches it (within the
-    registry at its wildcards). A positive wildcard is judged on its
-    predicate's rows after the delta, only when a row of that predicate is
-    removed."""
-
-    def __init__(self, literals: Iterable[Literal], state: WorldState):
-        self.state = state
-        self.present: set[Literal] = set()
-        # predicate -> wildcard positions -> the negated literals' argument rows
-        self.none_of: dict[str, dict[tuple[int, ...], set[tuple[str, ...]]]] = {}
-        self.some_of: dict[str, list[Literal]] = {}
-        for lit in literals:
-            if lit.negated:
-                positions = tuple(i for i, arg in enumerate(lit.args) if arg == ANY_OBJECT)
-                self.none_of.setdefault(lit.predicate, {}) \
-                    .setdefault(positions, set()).add(lit.args)
-            elif ANY_OBJECT in lit.args:
-                self.some_of.setdefault(lit.predicate, []).append(lit)
-            else:
-                self.present.add(lit)
-
-    def broken(self, add: Collection[Literal], remove: Collection[Literal]) -> int:
-        """How many of the literals the delta makes false."""
-        count = 0
-        for fact in remove:
-            if fact in self.present and fact not in add:
-                count += 1
-        registry = self.state.registry
-        matched: set[tuple[str, tuple[str, ...]]] = set()
-        for fact in add:
-            for positions, patterns in self.none_of.get(fact.predicate, {}).items():
-                if all(fact.args[i] in registry for i in positions):
-                    pattern = tuple(ANY_OBJECT if i in positions else arg
-                                    for i, arg in enumerate(fact.args))
-                    if pattern in patterns:
-                        matched.add((fact.predicate, pattern))
-        count += len(matched)
-        for predicate, lits in self.some_of.items():
-            if any(fact.predicate == predicate for fact in remove):
-                after = self.state.changed_rows(add, remove)[predicate]
-                count += sum(1 for lit in lits if not literal_holds(lit, after, registry))
-        return count
-
-
 def _scored_achievers(domain: Domain, state: WorldState, target: Literal,
-                      reliance: _Reliance) -> Iterator[tuple[int, GroundAction]]:
+                      relied: dict[str, list[Literal]]) -> Iterator[tuple[int, GroundAction]]:
     """(broken, action) for each distinct grounding that achieves ``target``
     from ``state``, in skill declaration then binding order, where
-    ``broken`` counts the relied-on literals its effects knock out."""
+    ``broken`` counts the ``relied`` literals, grouped by predicate, its
+    effects knock out; both are read from ``changed_rows`` (module
+    docstring)."""
     registry = state.registry
     witnesses = rows_matching(target.args, state.rows(target.predicate), registry) \
         if target.negated else None
@@ -264,9 +202,12 @@ def _scored_achievers(domain: Domain, state: WorldState, target: Literal,
             if action in seen:
                 continue
             seen.add(action)
-            add, remove = domain.effect_delta(state, action)
-            if _achieves(target, add, remove, witnesses, registry):
-                yield reliance.broken(add, remove), action
+            after = state.changed_rows(*domain.effect_delta(state, action))
+            if target.predicate in after \
+                    and literal_holds(target, after[target.predicate], registry):
+                yield sum(1 for predicate, rows in after.items()
+                          for lit in relied.get(predicate, ())
+                          if not literal_holds(lit, rows, registry)), action
 
 
 def _dead_end(domain: Domain, state: WorldState, action: GroundAction) -> Literal | None:
@@ -298,11 +239,13 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
 
-    reliance = _Reliance((lit for lit in tree.condition_literals()
-                          if domain.holds(state, lit)), state)
+    relied: dict[str, list[Literal]] = {}
+    for lit in tree.condition_literals():
+        if domain.holds(state, lit):
+            relied.setdefault(lit.predicate, []).append(lit)
     best: tuple[int, GroundAction] | None = None
     dead_end: Literal | None = None
-    for broken, action in _scored_achievers(domain, state, target, reliance):
+    for broken, action in _scored_achievers(domain, state, target, relied):
         if best is not None and broken >= best[0]:
             continue
         missing = _dead_end(domain, state, action)

@@ -14,8 +14,10 @@ stops at the first clean candidate, the
 duplicate-branch reference compares every pair of Fallback children with
 ``tree_equal``, as ``verify`` did before structural keys, the
 reachability reference enumerates the ground actions afresh in every
-state it expands, and the verification reference makes each check in a
-walk of its own and finds each action's enclosing Sequence by a scan, as
+state it expands, the grounding reference is the recursion over the free
+slots that ``_groundings`` was before it became one product, and the
+verification reference makes each check in a walk of its own and finds
+each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
 planner did before it read them from the tick trace, the plan
@@ -38,13 +40,13 @@ from typing import Collection, Iterator
 from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
                          iter_preorder, tree_equal)
 from btpolicy import verify
-from btpolicy.domain import Domain, WorldState
+from btpolicy.domain import Domain, SkillTemplate, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
                              PlanBudgetExceeded, TickBudgetExceeded, TreeInvalid,
                              UnboundSlot, Unsolvable, UnknownNode)
 from btpolicy.grammar import parse_literal
-from btpolicy.planner import (GoalSpec, PlanConfig, _groundings, _pick_expansion_target,
-                              _simulate, expand_condition, init_tree)
+from btpolicy.planner import (GoalSpec, PlanConfig, _pick_expansion_target, _simulate,
+                              expand_condition, init_tree)
 from btpolicy.sim import check_tree_domain
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_slot,
                             is_wildcard)
@@ -307,6 +309,40 @@ def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
     return parent.kind is NodeKind.FALLBACK and idx == 0 and len(parent.children) > 1
 
 
+def reference_groundings(domain: Domain, state: WorldState, skill: SkillTemplate,
+                         partial: dict[str, str]) -> Iterator[GroundAction]:
+    """``planner._groundings`` as a recursion over the free slots that
+    skips a name already bound, after checking each fixed value on its own."""
+    for slot in skill.object_slots:
+        value = partial.get(slot.name)
+        if value is None:
+            continue
+        if value not in state.registry:
+            return
+        if slot.category and domain.objects[value].category \
+                not in domain.categories_of(slot.category):
+            return
+    free = [s for s in skill.object_slots if s.name not in partial]
+    pools = [domain.objects_in(s.category, state.registry) if s.category
+             else sorted(state.object_names) for s in free]
+
+    def rec(i: int, binding: dict[str, str]) -> Iterator[GroundAction]:
+        if i == len(free):
+            yield GroundAction.from_mapping(skill.name, dict(binding))
+            return
+        for name in pools[i]:
+            if name in binding.values():
+                continue  # one object per slot
+            binding[free[i].name] = name
+            yield from rec(i + 1, binding)
+            del binding[free[i].name]
+
+    values = list(partial.values())
+    if len(set(values)) != len(values):
+        return
+    yield from rec(0, dict(partial))
+
+
 def reference_ranking(tree: BehaviorTree, node: TreeNode, domain: Domain,
                       state: WorldState) -> list[GroundAction]:
     """Every grounding that achieves the node's literal, each scored on the
@@ -325,7 +361,7 @@ def reference_ranking(tree: BehaviorTree, node: TreeNode, domain: Domain,
     candidates: list[tuple[int, GroundAction]] = []
     seen: set[GroundAction] = set()
     for skill, partial in domain.achievers(target):
-        for action in _groundings(domain, state, skill, partial):
+        for action in reference_groundings(domain, state, skill, partial):
             if action in seen:
                 continue
             seen.add(action)
@@ -534,7 +570,7 @@ def reference_reachable_states(domain: Domain, initial: WorldState) -> list[Worl
     while queue:
         state = queue.popleft()
         for skill in domain.skills.values():
-            for action in _groundings(domain, state, skill, {}):
+            for action in reference_groundings(domain, state, skill, {}):
                 if not applicable(domain, state, action):
                     continue
                 nxt = domain.apply_effects(state, action)

@@ -567,9 +567,26 @@ def test_index_matches_scans_after_random_edits(edits):
     assert_lookups_match_scans(tree, seen)
 
 
+def node_obj(node: TreeNode) -> dict:
+    """The bt/v1 object of ``node``, built from the nodes alone."""
+    obj: dict = {"kind": node.kind.value, "id": node.id}
+    if node.payload is not None:
+        obj["payload"] = str(node.payload)
+    if node.is_control:
+        obj["children"] = [node_obj(child) for child in node.children]
+    return obj
+
+
 def full_compact(node: TreeNode) -> str:
-    """The compact text of ``node`` built afresh, without a tree's cache."""
-    return json.dumps(bt._node_to_obj(node), separators=(",", ":"))
+    """The compact text of ``node`` built afresh by ``json.dumps``, without
+    a tree's cache or the package's formatter."""
+    return json.dumps(node_obj(node), separators=(",", ":"))
+
+
+def full_serialize(tree: BehaviorTree) -> str:
+    """``bt.serialize`` as ``json.dumps`` writes the nodes' objects."""
+    return json.dumps({"schema": bt.TREE_SCHEMA, "root": node_obj(tree.root)},
+                      indent=2) + "\n"
 
 
 def walked_literal_counts(tree: BehaviorTree) -> Counter:
@@ -630,6 +647,7 @@ def test_program_edits_keep_the_compact_text(edits):
         if read:
             assert tree.compact() == full_compact(tree.root)
     assert tree.compact() == full_compact(tree.root)
+    assert bt.serialize(tree) == full_serialize(tree)
     assert builds == []
 
 
@@ -674,8 +692,21 @@ def test_compact_text_matches_json_on_escapes():
         "say", {"text": 'café "x" \\'}))])
     assert tree.compact() == full_compact(tree.root)
     assert r'caf\u00e9 \"x\" \\)' in tree.compact()
+    assert bt.serialize(tree) == full_serialize(tree)
     tree.rebind(tree.root.children[0].id, GroundAction.from_mapping("say", {"text": "\t"}))
     assert tree.compact() == full_compact(tree.root)
+    assert bt.serialize(tree) == full_serialize(tree)
+
+
+def test_serialize_reads_the_nodes_not_the_text_cache():
+    """A direct payload edit leaves the compact text stale, as the tree's
+    contract says; ``serialize`` still writes what the nodes hold."""
+    tree = make_tree(lambda t: [cond(t, True), cond(t, False)])
+    stale = tree.compact()
+    tree.root.children[0].payload = FALSE
+    assert tree.compact() == stale
+    assert bt.serialize(tree) == full_serialize(tree)
+    assert str(TRUE) not in bt.serialize(tree)
 
 
 def test_concurrent_queries_on_fresh_trees():

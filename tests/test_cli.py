@@ -11,7 +11,7 @@ import btpolicy
 from btpolicy import bt
 from btpolicy.backends import RemoteBackend
 from btpolicy.cli import (EXIT_BACKEND, EXIT_EXHAUSTED, EXIT_FAILURE, EXIT_OK,
-                          EXIT_PARSE, EXIT_SCHEMA, EXIT_VIOLATIONS, main)
+                          EXIT_PARSE, EXIT_SCHEMA, EXIT_VIOLATIONS, atomic_write, main)
 from btpolicy.errors import PlanBudgetExceeded
 from btpolicy.planner import PlanConfig, plan
 from btpolicy.resolver import interpret_goals
@@ -39,6 +39,20 @@ class TestPlanCommand:
         golden = bt.parse(
             (bundled_data_path("goldens") / "cube_stack_before.json").read_text())
         assert bt.tree_equal(tree, golden)
+
+    def test_plan_artifacts_follow_the_umask(self, tmp_path, capsys):
+        """Under umask 022 each artifact is written with mode 0644, as a plain
+        ``open`` would write it, and no temporary file is left behind."""
+        umask = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "plan", "--scenario", "cube_stack_golden",
+                                 "--backend", "oracle", "--out", str(tmp_path))
+        finally:
+            os.umask(umask)
+        assert code == EXIT_OK
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["reasoning.txt", "tree.dot", "tree.json"]
+        assert {(tmp_path / name).stat().st_mode & 0o777 for name in names} == {0o644}
 
     def test_plan_with_adhoc_domain_and_satisfied_goal(self, tmp_path, capsys):
         domain = bundled_data_path("domains", "cube_tabletop.yaml")
@@ -684,3 +698,15 @@ def test_bad_input_file_exits_with_its_code_and_names_the_file(tmp_path, make_ca
         assert run.stderr.startswith("error: cannot read ")
     else:
         assert run.stderr.startswith("schema error: ")
+
+
+def test_atomic_write_removes_its_file_when_the_move_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("cannot move")
+
+    (tmp_path / "out.txt").write_text("old")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="cannot move"):
+        atomic_write(tmp_path / "out.txt", "new")
+    assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+    assert (tmp_path / "out.txt").read_text() == "old"

@@ -2,6 +2,7 @@ import itertools
 import re
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,12 @@ from btpolicy.domain import (DOMAIN_SHAPE, FIXTURES_SHAPE, GOALSET_SHAPE, SCENAR
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, NoAchiever,
                              SchemaError, UnboundSlot, UnknownPredicate)
 from btpolicy.grammar import parse_literal
-from btpolicy.planner import GoalSpec, expand_condition, init_tree
+from btpolicy.planner import GoalSpec, _groundings, expand_condition, init_tree
 from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
 from btpolicy.terms import ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity
 from oracles import (negation, reference_apply_effects, reference_effect_delta,
-                     reference_expand_condition, reference_holds, reference_ranking,
-                     reference_rows_matching)
+                     reference_expand_condition, reference_groundings, reference_holds,
+                     reference_ranking, reference_rows_matching)
 
 
 def lit(text):
@@ -345,9 +346,10 @@ _INDEX_DOMAIN = parse_domain({
     "schema": "domain/v1", "name": "index_props",
     "predicates": [{"name": "ready", "arity": 0}, {"name": "tag", "arity": 1},
                    {"name": "rel", "arity": 2}, {"name": "tri", "arity": 3}],
-    "objects": [{"name": n, "category": "thing"} for n in ("a", "b", "c", "d")],
+    "objects": [{"name": n, "category": "thing"} for n in ("a", "b", "c", "d")]
+    + [{"name": "e", "category": "tool"}],
     "skills": [
-        {"name": "link", "params": [{"name": "x"}, {"name": "y"}],
+        {"name": "link", "params": [{"name": "x"}, {"name": "y", "category": "thing"}],
          "effects": ["~rel($x, any_object)", "rel($x, $y)"],
          "hidden_effects": ["tag($y)", "~ready"]},
         {"name": "wipe", "params": [{"name": "x"}],
@@ -361,6 +363,7 @@ _INDEX_DOMAIN = parse_domain({
     ],
 })
 # "stray" is in no registry: facts may still name it, wildcards never match it.
+# "e" is a tool, which link's y excludes; only the grounding tests register it.
 _INDEX_NAMES = ("a", "b", "c", "d", "stray")
 
 
@@ -587,6 +590,64 @@ def test_expand_condition_matches_applied_scoring(state, goals):
             condition, branch = trees[0].root.children[cond_id - 1].children
             assert condition.literal == goal
             assert [n.action for n in branch.children] == ranking[:1]
+
+
+# --- groundings against the recursion ---------------------------------------------
+
+def _check_groundings(domain, state, skill, partial) -> list[GroundAction]:
+    got = list(_groundings(domain, state, skill, partial))
+    assert got == list(reference_groundings(domain, state, skill, partial))
+    return got
+
+
+def test_groundings_equal_the_recursion_on_bundled_domains(all_scenarios, seed7_towers):
+    """Every skill of each bundled domain, with all its objects registered,
+    and of each bundled scenario's and a seed-7 tower's start state, grounds
+    to the recursion's list from no binding and from every partial binding
+    ``Domain.achievers`` gives for the literals those groundings add or
+    delete and for their negations."""
+    domains = [load_domain(path)
+               for path in sorted(bundled_data_path("domains").glob("*.yaml"))]
+    worlds = [(domain, make_state(domain, [])) for domain in domains] + \
+        [(scenario.domain, scenario.initial) for scenario in all_scenarios + seed7_towers[:1]]
+    sizes = Counter()
+    for domain, state in worlds:
+        targets = set()
+        for skill in domain.skills.values():
+            for action in _check_groundings(domain, state, skill, {}):
+                for effect in skill.grounded(action).effects:
+                    targets.update((effect, negation(effect)))
+        partials = {(skill.name, tuple(sorted(partial.items()))): (skill, partial)
+                    for target in targets for skill, partial in domain.achievers(target)}
+        for skill, partial in partials.values():
+            sizes[bool(_check_groundings(domain, state, skill, partial))] += 1
+    assert {domain.name for domain, _ in worlds} == {domain.name for domain in domains}
+    assert sizes[True] > 0 and sizes[False] > 0
+
+
+@given(st.lists(st.sampled_from(("a", "b", "c", "d", "e")), unique=True),
+       st.sampled_from(sorted(_INDEX_DOMAIN.skills)),
+       st.dictionaries(st.sampled_from(("x", "y")),
+                       st.sampled_from(_INDEX_NAMES + ("e",)), max_size=2))
+@example(["a", "b", "e"], "link", {"y": "e"})        # a tool where link's y wants a thing
+@example(["a", "b"], "link", {"x": "stray"})         # a value outside the registry
+@example(["a", "b", "c"], "link", {"x": "a", "y": "a"})  # one object in two slots
+@example(["e", "c", "a"], "link", {})                # e is no candidate for y
+@settings(max_examples=300, deadline=None)
+def test_groundings_equal_the_recursion_on_partials(registry, skill, partial):
+    """Partial bindings over the index domain, registries that may hold the
+    tool e, and values outside the registry, of a category the slot
+    excludes or repeated, ground to the recursion's list, in its order."""
+    template = _INDEX_DOMAIN.skill(skill)
+    partial = {slot: value for slot, value in partial.items()
+               if slot in {s.name for s in template.object_slots}}
+    state = WorldState(tuple(_INDEX_DOMAIN.object(name) for name in registry), frozenset())
+    got = _check_groundings(_INDEX_DOMAIN, state, template, partial)
+    values = list(partial.values())
+    if len(set(values)) < len(values) or not set(values) <= set(registry) \
+            or (skill == "link" and partial.get("y") == "e"):
+        assert got == []
+    assert all(action.get("y") != "e" for action in got if skill == "link")
 
 
 def test_index_is_not_part_of_the_value(cube_domain, blocked_cube_state):

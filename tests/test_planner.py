@@ -447,6 +447,57 @@ def test_delta_scoring_matches_the_reference_on_multi_row_effects():
         assert actions[0] in ("spill(x=a, y=b)", "pair(x=a, y=b)")
 
 
+def test_expansions_match_the_reference_ranking_at_tower_scale(
+        monkeypatch, all_scenarios, seed7_tower_pool):
+    """Every expansion made while the bundled scenarios and the 64 seed-7
+    towers resolve gives the tree text, or the exception type, that the
+    reference gives on a twin of the tree: every candidate scored on a
+    fully built successor state, then ranked."""
+    expand = planner.expand_condition
+    counts = Counter()
+
+    def checked_expand(tree, node, domain, state):
+        twin = bt.parse(bt.serialize(tree))
+        try:
+            want = reference_expand_condition(twin, twin.find(node.id), domain, state).compact()
+        except BtError as e:
+            want = type(e)
+        try:
+            got = expand(tree, node, domain, state)
+        except BtError as e:
+            assert type(e) is want
+            raise
+        assert got.compact() == want
+        counts["expanded"] += 1
+        return got
+
+    monkeypatch.setattr(planner, "expand_condition", checked_expand)
+    for scenario in all_scenarios + seed7_tower_pool:
+        resolver.resolve_until_success(scenario, scenario.oracle_backend())
+    assert counts["expanded"] > len(seed7_tower_pool)
+
+
+def test_a_negated_target_stays_false_when_the_delta_leaves_its_predicate_alone():
+    """unlink has two delete templates on rel, so no witness binds its x.
+    unlink(x=c) deletes no row: its delta leaves rel alone, so the target
+    ~rel(a, any_object) stays false and unlink(c) is no achiever, although
+    it is the one grounding that keeps the relied-on rel(a, b)."""
+    domain = parse_domain({
+        "schema": "domain/v1", "name": "unlink",
+        "predicates": [{"name": "rel", "arity": 2}],
+        "objects": [{"name": n, "category": "thing"} for n in "abc"],
+        "skills": [{"name": "unlink", "params": [{"name": "x"}],
+                    "effects": ["~rel($x, any_object)", "~rel(any_object, $x)"]}]})
+    state = make_state(domain, ["rel(a, b)"])
+    trees = [init_tree(goal("rel(a, b)", "~rel(a, any_object)")) for _ in range(2)]
+    ranking = reference_ranking(trees[1], trees[1].find(2), domain, state)
+    expand_condition(trees[0], trees[0].find(2), domain, state)
+    reference_expand_condition(trees[1], trees[1].find(2), domain, state)
+    assert list(map(str, ranking)) == ["unlink(x=a)", "unlink(x=b)"]
+    assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+    assert "unlink(x=a)" in bt.serialize(trees[0])
+
+
 # --- decisions read from the tick trace ----------------------------------------
 
 def plan_corpus(scenarios, blocks_domain) -> None:
