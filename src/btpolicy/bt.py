@@ -2,7 +2,9 @@
 
 Trees are plain values: control nodes (Sequence, Fallback) over condition and
 action leaves. Ticking is memoryless; every tick re-evaluates from the root,
-which is what makes the resulting policies reactive. Node ids are integers
+which is what makes the resulting policies reactive (``tick_spliced`` gives
+the same result for a recorded tick after a one-leaf edit, ticking only the
+new node). Node ids are integers
 assigned monotonically per tree and survive edits, so traces and editing
 operations can target nodes stably.
 """
@@ -349,6 +351,62 @@ def _tick_node(node: TreeNode, ctx: TickContext,
     if trace is not None:
         trace.statuses[at] = status
     return status
+
+
+def tick_spliced(trace: TickTrace, at: int, node: TreeNode,
+                 ctx: TickContext) -> tuple[NodeStatus, TickTrace]:
+    """The tick ``trace`` records, run again after one edit: ``node`` now
+    stands where the trace's leaf at index ``at`` stood. Only ``node`` is
+    ticked, at the leaf's depth, and the rest is read from ``trace``, which
+    is left as it was; returns the status and trace a full ``tick`` of the
+    edited tree gives.
+
+    The nodes before the leaf are visited as they were. When ``node`` ends
+    in the leaf's own status, every node after the leaf is too. Otherwise
+    each of the leaf's ancestors, deepest first, carries on from its child
+    as ``_tick_node`` would: Running leaves them all Running and ends the
+    tick there. This is exact when ``ctx`` answers as it did in ``trace``
+    and ticking ``node`` changes what later leaves see only when it ends
+    in Running, as in the planner's simulation, where a fired action
+    returns Running."""
+    spliced = TickTrace(trace.nodes[:at], trace.statuses[:at], trace.depths[:at])
+    status = _tick_node(node, ctx, spliced, trace.depths[at])
+    if status is trace.statuses[at]:
+        spliced.nodes += trace.nodes[at + 1:]
+        spliced.statuses += trace.statuses[at + 1:]
+        spliced.depths += trace.depths[at + 1:]
+        return spliced.statuses[0], spliced
+    child = node
+    for i in reversed(ancestor_indexes(trace.depths, at)):
+        parent = spliced.nodes[i]
+        carry_on = _SUCCESS if parent.kind is _SEQUENCE else _FAILURE
+        if status is carry_on:
+            later = iter(parent.children)
+            for sibling in later:
+                if sibling is child:
+                    break
+            for sibling in later:
+                status = _tick_node(sibling, ctx, spliced, trace.depths[i] + 1)
+                if status is not carry_on:
+                    break
+        spliced.statuses[i] = status
+        child = parent
+    return status, spliced
+
+
+def ancestor_indexes(depths: list[int], at: int) -> list[int]:
+    """Trace indexes of the ancestors of the node at index ``at``, root
+    first: for each smaller depth, the last index before ``at`` at that
+    depth."""
+    depth = depths[at]
+    found = [0] * depth
+    for i in range(at - 1, -1, -1):
+        if depths[i] < depth:
+            depth -= 1
+            found[depth] = i
+            if depth == 0:
+                break
+    return found
 
 
 # --- structural editing ----------------------------------------------------

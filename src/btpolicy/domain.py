@@ -23,7 +23,8 @@ import yaml
 
 from . import grammar
 from .errors import (ArityMismatch, BtError, FormatError, ParseError, SchemaError,
-                     UnboundSlot, UnitMismatch, UnknownObject, UnknownPredicate)
+                     UnboundSlot, UnitMismatch, UnknownObject, UnknownPredicate,
+                     UnknownSkill)
 from .terms import (ANY_OBJECT, GroundAction, Literal, ObjectRef, Quantity, ground,
                     is_slot, is_wildcard)
 
@@ -339,7 +340,7 @@ class Domain:
         try:
             return self.skills[name]
         except KeyError:
-            raise UnknownObject(name) from None
+            raise UnknownSkill(name) from None
 
     def categories_of(self, group_or_category: str) -> tuple[str, ...]:
         return self.groups.get(group_or_category, (group_or_category,))
@@ -685,7 +686,11 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
 def make_state(domain: Domain, visible: list[str] | tuple[str, ...],
                hidden: list[str] | tuple[str, ...] = (),
                objects: list[str] | None = None) -> WorldState:
-    """Build a WorldState from literal strings, defaulting to all domain objects."""
+    """Build a WorldState from literal strings, defaulting to all domain objects.
+
+    A state fact is positive and ground: a negated literal or one naming
+    ``any_object`` is a SchemaError naming it, as a positive wildcard
+    effect is when a domain loads."""
     if objects is None:
         registry = tuple(domain.objects.values())
     else:
@@ -698,6 +703,8 @@ def make_state(domain: Domain, visible: list[str] | tuple[str, ...],
             lit = grammar.parse_literal(text)
             if lit.negated:
                 raise SchemaError(f"state literal {text!r} must be positive")
+            if lit.has_wildcard:
+                raise SchemaError(f"state literal {text!r} may not use {ANY_OBJECT}")
             domain.check_literal(lit, objects=names)
             lits.add(lit)
         return frozenset(lits)

@@ -77,6 +77,12 @@ class UnknownObject(BtError):
         super().__init__(f"unknown object {name!r}")
 
 
+class UnknownSkill(BtError):
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"unknown skill {name!r}")
+
+
 class UnboundSlot(BtError):
     """A ``$slot`` or ``@slot`` argument, named as written, that no slot
     binds where the literal appears."""

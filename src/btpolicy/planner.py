@@ -20,11 +20,17 @@ templates, and positive targets, are enumerated in full.
 
 Ranking: the achiever is the first candidate that knocks out no condition
 the tree currently relies on, or the first that knocks out fewest when
-nothing clean exists; scoring stops at the first clean one. Dead-end rule:
-a candidate counts only if each of its ground preconditions holds at the
-expansion state or has an achiever, checked only for the candidate about
-to be picked. No remainder: the other candidates are dropped, and a
-chosen branch that fails at execution goes to the resolver.
+nothing clean exists; scoring stops at the first clean one. A condition
+every candidate knocks out is not counted: the target's complement and,
+for a negated target, each witness as a positive ground fact. Every
+candidate makes the target true on its predicate's rows, so each breaks
+all of these; leaving them out lowers every count by the same number,
+which keeps the choice and lets the scan stop at the floor, the first
+candidate no later one can beat. Dead-end rule: a candidate counts only
+if each of its ground preconditions holds at the expansion state or has
+an achiever, checked only for the candidate about to be picked. No
+remainder: the other candidates are dropped, and a chosen branch that
+fails at execution goes to the resolver.
 
 A candidate is judged on the rows its effect delta touches:
 ``WorldState.changed_rows`` of ``Domain.effect_delta`` gives, for each
@@ -57,6 +63,16 @@ Fallback being on no fired action's path. When the leaf failed in an
 earlier tick (the kept traces tell; it takes a hand-built tree, such as a
 Fallback whose later child fires after the leaf's branch fails), and after
 every conflict move, the next simulation starts again at tick 0.
+
+Tick k itself is not run from the root again: ``bt.tick_spliced`` ticks
+only the new Fallback, in the failed leaf's place, and reads the rest of
+tick k from its trace. That is exact too. Tick k failed, so no action
+fired in it and every node saw the one state it started from: the nodes
+before the leaf are visited as before, and the leaf fails again inside
+its Fallback. If the Fallback's branch fails as well, the Fallback fails
+as the leaf did, nothing changed the state, and the nodes after it are
+visited as before; if the branch fires its action, the Running status
+makes the leaf's ancestors Running and ends the tick there.
 """
 
 from __future__ import annotations
@@ -66,7 +82,7 @@ from itertools import product
 from typing import Iterator
 
 from .bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
-                 TreeNode, run_ticks, tick)
+                 TreeNode, ancestor_indexes, run_ticks, tick, tick_spliced)
 from .domain import Domain, SkillTemplate, WorldState, literal_holds, rows_matching
 from .errors import (InvalidTarget, NoAchiever, PlanBudgetExceeded, TickBudgetExceeded,
                      Unsolvable)
@@ -183,15 +199,16 @@ def _witness_binding(skill: SkillTemplate, predicate: str, partial: dict[str, st
 
 
 def _scored_achievers(domain: Domain, state: WorldState, target: Literal,
-                      relied: dict[str, list[Literal]]) -> Iterator[tuple[int, GroundAction]]:
+                      relied: dict[str, list[Literal]],
+                      witnesses: list[tuple[str, ...]] | None
+                      ) -> Iterator[tuple[int, GroundAction]]:
     """(broken, action) for each distinct grounding that achieves ``target``
     from ``state``, in skill declaration then binding order, where
     ``broken`` counts the ``relied`` literals, grouped by predicate, its
     effects knock out; both are read from ``changed_rows`` (module
-    docstring)."""
+    docstring). ``witnesses`` are the rows that make a negated target's
+    positive form true, None for a positive target."""
     registry = state.registry
-    witnesses = rows_matching(target.args, state.rows(target.predicate), registry) \
-        if target.negated else None
     seen: set[GroundAction] = set()
     for skill, partial in domain.achievers(target):
         if witnesses is not None:
@@ -220,17 +237,21 @@ def _dead_end(domain: Domain, state: WorldState, action: GroundAction) -> Litera
 
 
 def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
-                     state: WorldState) -> BehaviorTree:
+                     state: WorldState) -> TreeNode:
     """Replace a failed condition leaf with ``Fallback(condition,
-    Sequence(preconditions..., action))`` for the best-ranked achiever.
+    Sequence(preconditions..., action))`` for the best-ranked achiever, and
+    return that Fallback.
 
     The original condition stays as the Fallback's first child so a
     satisfied condition short-circuits. The ranking and the dead-end rule
     are the module docstring's; "relied on" means true at ``state``, and a
     dirty candidate (clearing a block inevitably fills the hand) wins only
-    when nothing clean counts. Raises NoAchiever when no candidate counts,
-    naming the first dead-end precondition met, or the target when no
-    grounding achieves it.
+    when nothing clean counts. The literals every achiever makes false, the
+    target's complement and a negated target's witnesses as ground facts,
+    are left out of the count: they would add the same number to every
+    candidate's. Raises NoAchiever when no candidate counts, naming the
+    first dead-end precondition met, or the target when no grounding
+    achieves it.
 
     ``node`` is a condition leaf of ``tree`` that heads no expansion yet,
     such as the one ``plan`` reads from the tick trace; it is not looked up.
@@ -239,13 +260,21 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
     if domain.holds(state, target):
         raise InvalidTarget(f"condition {target} holds; expanding it is invalid")
 
+    # the rows that make a negated target's positive form true
+    witnesses = rows_matching(target.args, state.rows(target.predicate), state.registry) \
+        if target.negated else None
     relied: dict[str, list[Literal]] = {}
     for lit in tree.condition_literals():
+        # every candidate breaks the target's complement and a negated
+        # target's witnesses as ground facts: they are not counted
+        if lit.predicate == target.predicate and lit.negated != target.negated \
+                and (lit.args == target.args or lit.args in (witnesses or ())):
+            continue
         if domain.holds(state, lit):
             relied.setdefault(lit.predicate, []).append(lit)
     best: tuple[int, GroundAction] | None = None
     dead_end: Literal | None = None
-    for broken, action in _scored_achievers(domain, state, target, relied):
+    for broken, action in _scored_achievers(domain, state, target, relied, witnesses):
         if best is not None and broken >= best[0]:
             continue
         missing = _dead_end(domain, state, action)
@@ -264,7 +293,7 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
     leaves.append(tree.new_action(action))
     fallback.children.append(tree.new_node(NodeKind.SEQUENCE, children=leaves))
     tree.replace(node.id, fallback)
-    return tree
+    return fallback
 
 
 # --- simulation --------------------------------------------------------------
@@ -277,13 +306,17 @@ class _SimResult:
 
 
 def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain, max_ticks: int,
-              traces: list[TickTrace], seen: set) -> _SimResult:
+              traces: list[TickTrace], seen: set,
+              splice: tuple[TickTrace, int, TreeNode] | None = None) -> _SimResult:
     """Tick until Success, Failure or a conflict, from ``state`` as tick
     ``len(traces)``: ``traces`` holds the traces of the ticks run before,
     and ``seen`` the keys of the states they saw, ``state``'s included.
     Each tick appends its trace to ``traces``; ``bt.run_ticks``, keyed by
     the visible facts, extends ``seen`` and raises TickBudgetExceeded on a
     state cycle or an exhausted budget, counting every tick of the run.
+    With ``splice``, a failed tick's trace, the trace index of the leaf
+    since replaced and the node that replaced it, the first tick is
+    ``bt.tick_spliced`` of them (the module docstring's resume rule).
 
     Actions fire at most once per tick (Running propagation unwinds the
     tick), apply their visible effects immediately, and complete by the next
@@ -298,7 +331,11 @@ def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain, max_ticks: 
 
     ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
     for _ in run_ticks(lambda: current.true, max_ticks, seen=seen, start=len(traces)):
-        status, trace = tick(tree, ctx)
+        if splice is None:
+            status, trace = tick(tree, ctx)
+        else:
+            status, trace = tick_spliced(*splice, ctx)
+            splice = None
         assert trace is not None
         traces.append(trace)
         if status is not NodeStatus.RUNNING:
@@ -323,7 +360,7 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
     before the condition in the trace, and the subtree returned is its
     child on the action's path, the next ancestor."""
     nodes, statuses = trace.nodes, trace.statuses
-    ancestors = _ancestors(trace.depths)
+    ancestors = ancestor_indexes(trace.depths, len(nodes) - 1)
     # a condition between ancestor k and ancestor k + 1 has ancestor k as
     # its lowest common ancestor with the action, which rules out the parent
     for start, end in zip(ancestors, ancestors[1:]):
@@ -337,33 +374,20 @@ def _detect_conflict(trace: TickTrace, domain: Domain,
     return None
 
 
-def _ancestors(depths: list[int]) -> list[int]:
-    """Trace indexes of the last node's ancestors, root first: for each
-    smaller depth, the last index before it at that depth."""
-    depth = depths[-1]
-    found = [0] * depth
-    for i in range(len(depths) - 2, -1, -1):
-        if depths[i] < depth:
-            depth -= 1
-            found[depth] = i
-            if depth == 0:
-                break
-    return found
-
-
-def _pick_expansion_target(trace: TickTrace) -> TreeNode | None:
-    """Deepest (then leftmost) failed condition.
+def _pick_expansion_target(trace: TickTrace) -> int | None:
+    """Trace index of the deepest (then leftmost) failed condition.
 
     It heads no expansion: a failed expanded condition passes the tick to
     its Fallback's branches, the Sequences expansion built, whose leaves sit
     one level deeper and either fail or fire an action, and a simulated
     action returns Running, which ends the tick."""
-    best: TreeNode | None = None
+    best: int | None = None
     best_depth = -1
-    for node, status, depth in zip(trace.nodes, trace.statuses, trace.depths):
+    for i, (node, status, depth) in enumerate(zip(trace.nodes, trace.statuses,
+                                                  trace.depths)):
         if status is NodeStatus.FAILURE and node.kind is NodeKind.CONDITION \
                 and depth > best_depth:
-            best, best_depth = node, depth
+            best, best_depth = i, depth
     return best
 
 
@@ -403,13 +427,15 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
     start = state.visible_only()
 
     # the simulation the next one resumes: the state it resumes from, the
-    # traces of its ticks so far and the keys of the states they saw
-    resume, traces, seen = start, [], set()
+    # traces of its ticks so far, the keys of the states they saw and the
+    # failed tick its first tick splices, if any
+    resume, traces, seen, splice = start, [], set(), None
     expansions = 0
     reorders = 0
     while True:
         try:
-            result = _simulate(tree, resume, domain, config.max_sim_ticks, traces, seen)
+            result = _simulate(tree, resume, domain, config.max_sim_ticks, traces, seen,
+                               splice)
         except TickBudgetExceeded as e:
             raise PlanBudgetExceeded(str(e), tree) from e
         if result.status is NodeStatus.SUCCESS:
@@ -423,20 +449,22 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
                 raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
             tree.move_left(result.conflict.id)
             reorders += 1
-            resume, traces, seen = start, [], set()
+            resume, traces, seen, splice = start, [], set(), None
             continue
         # failure: expand, then resume at the failing tick
-        target = _pick_expansion_target(traces.pop())
-        if target is None:
+        failed = traces.pop()
+        at = _pick_expansion_target(failed)
+        if at is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
+        target = failed.nodes[at]
         try:
-            expand_condition(tree, target, domain, result.state)
+            fallback = expand_condition(tree, target, domain, result.state)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1
         if _failed_in(target, traces):
-            resume, traces, seen = start, [], set()
+            resume, traces, seen, splice = start, [], set(), None
         else:
-            resume = result.state
+            resume, splice = result.state, (failed, at, fallback)

@@ -9,8 +9,9 @@ per-call loop over each grounded effect that the list comprehension and
 the effect split kept with each grounding replaced, the
 tree lookups are the preorder scans the tree's index replaced, and
 the expansion reference ranks every candidate, each scored on a fully
-built successor state, where the planner scores from effect deltas and
-stops at the first clean candidate, the
+built successor state against every relied-on literal, where the planner
+scores from effect deltas, leaves out the literals every candidate breaks
+and stops at the first clean candidate, the
 duplicate-branch reference compares every pair of Fallback children with
 ``tree_equal``, as ``verify`` did before structural keys, the
 reachability reference enumerates the ground actions afresh in every
@@ -21,8 +22,9 @@ each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
 planner did before it read them from the tick trace, the plan
-reference starts every simulation again at tick 0, as ``plan`` did before
-it resumed at the failing tick, and the fault-rule reference keeps a
+reference starts every simulation again at tick 0 and ticks each tick
+in full, as ``plan`` did before it resumed at the failing tick and spliced
+the new branch into it, and the fault-rule reference keeps a
 rule's targets in two fields and looks each bound object's category up in
 the domain at every fired action, as ``FaultRule`` did before ``where``
 was resolved at load. ``validate`` (the
@@ -435,7 +437,8 @@ def reference_plan(goals: GoalSpec, domain: Domain, state: WorldState,
                    config: PlanConfig | None = None, *,
                    tree: BehaviorTree | None = None) -> BehaviorTree:
     """``planner.plan`` with every simulation started again at tick 0 from
-    the start state, after an expansion as after a conflict move."""
+    the start state, after an expansion as after a conflict move, and every
+    tick run in full from the root."""
     config = config or PlanConfig()
     for lit in goals.conjuncts:
         domain.check_literal(lit, objects=state.registry)
@@ -461,13 +464,13 @@ def reference_plan(goals: GoalSpec, domain: Domain, state: WorldState,
             tree.move_left(result.conflict.id)
             reorders += 1
             continue
-        target = _pick_expansion_target(traces[-1])
-        if target is None:
+        at = _pick_expansion_target(traces[-1])
+        if at is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
         try:
-            expand_condition(tree, target, domain, result.state)
+            expand_condition(tree, traces[-1].nodes[at], domain, result.state)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1

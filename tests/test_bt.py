@@ -4,7 +4,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from btpolicy import bt, grammar
@@ -128,6 +128,56 @@ def build_real(tree: BehaviorTree, tuple_tree) -> TreeNode:
     node = tree.new_node(node_kind)
     node.children.extend(build_real(tree, c) for c in payload)
     return node
+
+
+def build_with_conditions(tree: BehaviorTree, tuple_tree) -> TreeNode:
+    """``build_real`` with each Success or Failure leaf a condition that
+    gives that status; Running leaves stay actions."""
+    kind, payload = tuple_tree
+    if kind == "leaf":
+        return act(tree, payload) if payload is R else cond(tree, payload is S)
+    node_kind = NodeKind.SEQUENCE if kind == "seq" else NodeKind.FALLBACK
+    node = tree.new_node(node_kind)
+    node.children.extend(build_with_conditions(tree, c) for c in payload)
+    return node
+
+
+@given(status_trees(depth=4), st.lists(status_trees(depth=2), min_size=1, max_size=3),
+       st.integers(0, 10_000))
+@example(("seq", (("leaf", S), ("fb", (("leaf", F), ("leaf", F))), ("leaf", S))),
+         [("leaf", S)], 0)
+@example(("fb", (("seq", (("leaf", S), ("leaf", F))), ("leaf", R))), [("leaf", R)], 0)
+@example(("fb", (("leaf", F), ("leaf", S))), [("leaf", F)], 0)
+@example(("leaf", F), [("leaf", S)], 0)
+@settings(max_examples=300, deadline=None)
+def test_a_spliced_tick_equals_a_full_tick_of_the_edited_tree(tuple_tree, branch, seed):
+    """A failed condition leaf of a tick's trace is wrapped in
+    ``Fallback(leaf, Sequence(...))``, as an expansion does, and only the
+    new Fallback is ticked in its place: the status and the three trace
+    lists are those of a full tick of the edited tree, whichever status
+    the Fallback ends in (the examples: Success carried on by a Sequence,
+    Running, Failure, and the root itself replaced)."""
+    holder = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+    tree = BehaviorTree(build_with_conditions(holder, tuple_tree), next_id=holder._next_id)
+    _, trace = tick(tree, fixed_ctx())
+    failed = [i for i, (node, status) in enumerate(zip(trace.nodes, trace.statuses))
+              if node.kind is NodeKind.CONDITION and status is F]
+    assume(failed)
+    at = failed[seed % len(failed)]
+    before = [list(trace.nodes), list(trace.statuses), list(trace.depths)]
+    leaf = trace.nodes[at]
+    sequence = tree.new_node(NodeKind.SEQUENCE,
+                             children=[build_real(tree, c) for c in branch])
+    fallback = tree.new_node(NodeKind.FALLBACK, children=[leaf, sequence])
+    tree.replace(leaf.id, fallback)
+
+    status, spliced = bt.tick_spliced(trace, at, fallback, fixed_ctx())
+    want_status, want = tick(tree, fixed_ctx())
+    assert status is want_status
+    assert [n.id for n in spliced.nodes] == [n.id for n in want.nodes]
+    assert all(a is b for a, b in zip(spliced.nodes, want.nodes))
+    assert (spliced.statuses, spliced.depths) == (want.statuses, want.depths)
+    assert [trace.nodes, trace.statuses, trace.depths] == before
 
 
 @given(status_trees(depth=4))

@@ -111,6 +111,18 @@ class TestPlanCommand:
             assert "no scripted response" in err
         assert not (tmp_path / "out").exists()
 
+    def test_plan_state_rejects_a_wildcard_fact(self, tmp_path, capsys):
+        """A state fact is ground: ``any_object`` in ``--state`` is a schema
+        error naming the literal, before the backend is asked."""
+        domain = bundled_data_path("domains", "cube_tabletop.yaml")
+        code, _, err = run_cli(capsys, "plan", "--domain", str(domain), "--instruction", "x",
+                               "--backend", "scripted", "--out", str(tmp_path / "out"),
+                               "--state", "on(red_cube, table) & on(any_object, table)")
+        assert code == EXIT_SCHEMA
+        assert err == "schema error: state literal 'on(any_object, table)' " \
+                      "may not use any_object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_plan_unknown_symbol_exits_parse_code(self, tmp_path, capsys):
         domain = bundled_data_path("domains", "cube_tabletop.yaml")
         fixtures = tmp_path / "garbage.yaml"
@@ -660,6 +672,16 @@ def _household_force_default(default):
     return case
 
 
+def _scenario_with_wildcard_fact(tmp_path):
+    data = yaml.safe_load(bundled_data_path(
+        "scenarios", "precond_01_blocked_cube.yaml").read_text())
+    data["domain"] = str(bundled_data_path("domains", "cube_tabletop.yaml"))
+    data["initial"]["visible"].append("on(any_object, green_cube)")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return ["run", "--scenario", str(path)], path
+
+
 def _fixture_value_a_mapping(tmp_path):
     path = tmp_path / "fixtures.yaml"
     path.write_text(yaml.safe_dump({"cube_stack_golden/goal": {"a": 1}}))
@@ -674,6 +696,7 @@ _BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS
     (_fixtures_directory, EXIT_FAILURE, "fixtures_directory"),
     (_scenario_with_domain("nowhere.yaml"), EXIT_FAILURE, "scenario_with_missing_domain"),
     (_scenario_with_domain(5), EXIT_SCHEMA, "scenario_domain_not_a_string"),
+    (_scenario_with_wildcard_fact, EXIT_SCHEMA, "scenario_wildcard_fact"),
     (_fixture_value_a_mapping, EXIT_SCHEMA, "fixture_value_a_mapping"),
     (_household_force_default("fast m/s"), EXIT_SCHEMA, "numeric_default_unparsable"),
 ]

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from btpolicy.domain import (DOMAIN_SHAPE, FIXTURES_SHAPE, GOALSET_SHAPE, SCENAR
                              WorldState, literal_holds, load_domain, make_state,
                              parse_domain, rows_matching)
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, NoAchiever,
-                             SchemaError, UnboundSlot, UnknownPredicate)
+                             SchemaError, UnboundSlot, UnknownPredicate, UnknownSkill)
 from btpolicy.grammar import parse_literal
 from btpolicy.planner import GoalSpec, _groundings, expand_condition, init_tree
 from btpolicy.sim import Scenario, bundled_data_path, check_tree_domain, execute
@@ -309,6 +310,32 @@ class TestDomainLoading:
         state = make_state(cube_domain, [], objects=["blue_cube", "table"])
         assert state.object_names == ("blue_cube", "table")
 
+    def test_a_wildcard_state_fact_is_a_schema_error_naming_it(self, cube_domain):
+        """A fact is ground: a wildcard in it, visible or hidden, would be a
+        row no literal could ever match."""
+        for visible, hidden, named in (
+                (["on(red_cube, table)", "on(any_object, table)"], [], "on(any_object, table)"),
+                ([], ["grasped(any_object)"], "grasped(any_object)")):
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"state literal {named!r} may not use any_object")):
+                make_state(cube_domain, visible, hidden)
+
+    def test_a_wildcard_initial_fact_fails_the_scenario_load(self, tmp_path):
+        data = yaml.safe_load(bundled_data_path(
+            "scenarios", "precond_01_blocked_cube.yaml").read_text())
+        data["domain"] = str(bundled_data_path("domains", "cube_tabletop.yaml"))
+        data["initial"]["visible"].append("on(any_object, green_cube)")
+        path = tmp_path / "wildcard_fact.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(SchemaError) as err:
+            sim.load_scenario(path)
+        assert "'on(any_object, green_cube)' may not use any_object" in str(err.value)
+        assert err.value.file == str(path)
+
+    def test_an_unknown_skill_is_named_as_a_skill(self, cube_domain):
+        with pytest.raises(UnknownSkill, match="^unknown skill 'fly'$"):
+            cube_domain.skill("fly")
+
 
 def _table_keys(shape):
     """Every key name a shape table names, at any depth."""
@@ -583,7 +610,10 @@ def test_expand_condition_matches_applied_scoring(state, goals):
         raised = []
         for expand, tree in zip((expand_condition, reference_expand_condition), trees):
             outcome = _outcome(expand, tree, tree.find(cond_id), _INDEX_DOMAIN, state)
-            raised.append(None if outcome is tree else outcome)
+            # the planner returns the Fallback it put in the goal's place
+            made = tree if expand is reference_expand_condition \
+                else tree.root.children[cond_id - 1]
+            raised.append(None if outcome is made else outcome)
         assert raised[0] == raised[1] == (None if ranking else NoAchiever)
         assert bt.serialize(trees[0]) == bt.serialize(trees[1])
         if ranking:

@@ -75,8 +75,8 @@ class TestExpandCondition:
         state = make_state(cube_domain, [], objects=["blue_cube", "green_cube", "table"])
         tree = init_tree(goal("on(blue_cube, green_cube)"))
         cond_id = tree.root.children[0].id
-        expand_condition(tree, tree.find(cond_id), cube_domain, state)
-        fallback = tree.root.children[0]
+        fallback = expand_condition(tree, tree.find(cond_id), cube_domain, state)
+        assert fallback is tree.root.children[0]
         assert fallback.kind is NodeKind.FALLBACK
         assert fallback.children[0].id == cond_id
         branch = fallback.children[1]
@@ -467,7 +467,8 @@ def test_expansions_match_the_reference_ranking_at_tower_scale(
         except BtError as e:
             assert type(e) is want
             raise
-        assert got.compact() == want
+        assert tree.compact() == want
+        assert got.kind is NodeKind.FALLBACK and got.children[0] is node
         counts["expanded"] += 1
         return got
 
@@ -496,6 +497,90 @@ def test_a_negated_target_stays_false_when_the_delta_leaves_its_predicate_alone(
     assert list(map(str, ranking)) == ["unlink(x=a)", "unlink(x=b)"]
     assert bt.serialize(trees[0]) == bt.serialize(trees[1])
     assert "unlink(x=a)" in bt.serialize(trees[0])
+
+
+def test_a_relied_on_literal_on_the_target_predicate_that_is_no_witness_ranks():
+    """Expanding ~on(any_object, x) with w on x: every push(w, x, dst)
+    moves w off x, so each breaks the relied-on witness on(w, x) alike, and
+    that literal is left out of the count. ~on(any_object, y) is on the
+    target's predicate too but is no witness: push(w, x, y) breaks it and
+    push(w, x, z) does not, so the later grounding is picked, as by the
+    reference that counts every relied-on literal."""
+    domain = parse_domain({
+        "schema": "domain/v1", "name": "push",
+        "predicates": [{"name": "on", "arity": 2}],
+        "objects": [{"name": n, "category": "thing"} for n in "wxyz"],
+        "skills": [{"name": "push",
+                    "params": [{"name": "obj"}, {"name": "src"}, {"name": "dst"}],
+                    "preconditions": ["on($obj, $src)"],
+                    "effects": ["~on($obj, $src)", "on($obj, $dst)"]}]})
+    state = make_state(domain, ["on(w, x)"])
+    trees = [init_tree(goal("on(w, x)", "~on(any_object, y)", "~on(any_object, x)"))
+             for _ in range(2)]
+    ranking = reference_ranking(trees[1], trees[1].find(3), domain, state)
+    expand_condition(trees[0], trees[0].find(3), domain, state)
+    reference_expand_condition(trees[1], trees[1].find(3), domain, state)
+    assert list(map(str, ranking)) == ["push(dst=z, obj=w, src=x)",
+                                       "push(dst=y, obj=w, src=x)"]
+    assert bt.serialize(trees[0]) == bt.serialize(trees[1])
+    assert "push(dst=z, obj=w, src=x)" in bt.serialize(trees[0])
+
+
+def test_tower_expansions_score_one_candidate_and_splice_their_failed_tick(
+        monkeypatch, seed7_tower_pool):
+    """While the 64 seed-7 towers resolve, each expansion computes one
+    candidate effect delta: its first candidate is at the floor, which no
+    later one can beat. A simulation resumed after an expansion runs its
+    failed tick again by ``bt.tick_spliced`` alone, so ``tick`` is never
+    called on the state the expansion was made in; one that starts at tick
+    0 ticks in full from its first tick. (A resumed simulation may resume
+    at tick 0, when that tick failed.)"""
+    effect_delta, expand = Domain.effect_delta, planner.expand_condition
+    simulate, full_tick, spliced_tick = planner._simulate, planner.tick, planner.tick_spliced
+    deltas: list[int] = []       # per expansion
+    expanding: list[bool] = []
+    ticks: list[list[str]] = []  # per simulation, the kind of each tick
+
+    def counted_delta(self, state, action):
+        if expanding:
+            deltas[-1] += 1
+        return effect_delta(self, state, action)
+
+    def counted_expand(*args):
+        deltas.append(0)
+        expanding.append(True)
+        try:
+            return expand(*args)
+        finally:
+            expanding.pop()
+
+    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
+        ticks.append(["resumed" if splice else "from tick 0"])
+        assert splice or not traces
+        return simulate(tree, state, domain, max_ticks, traces, seen, splice)
+
+    def spy_full_tick(*args, **kwargs):
+        ticks[-1].append("full")
+        return full_tick(*args, **kwargs)
+
+    def spy_spliced_tick(*args):
+        ticks[-1].append("spliced")
+        return spliced_tick(*args)
+
+    monkeypatch.setattr(Domain, "effect_delta", counted_delta)
+    monkeypatch.setattr(planner, "expand_condition", counted_expand)
+    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "tick", spy_full_tick)
+    monkeypatch.setattr(planner, "tick_spliced", spy_spliced_tick)
+    for scenario in seed7_tower_pool:
+        resolver.resolve_until_success(scenario, scenario.oracle_backend())
+    assert len(deltas) > len(seed7_tower_pool)
+    assert set(deltas) == {1}
+    starts = Counter(run[0] for run in ticks)
+    assert starts["resumed"] > 0 and starts["from tick 0"] > 0
+    for start, *kinds in ticks:
+        assert kinds[0] == ("spliced" if start == "resumed" else "full")
+        assert "spliced" not in kinds[1:]
 
 
 # --- decisions read from the tick trace ----------------------------------------
@@ -551,8 +636,9 @@ def test_trace_decisions_match_the_lookup_references(
 
     def spy_pick(trace):
         got = pick(trace)
-        assert got is reference_pick_expansion_target(trees[-1], trace)
-        seen["target" if got else "no target"] += 1
+        node = None if got is None else trace.nodes[got]
+        assert node is reference_pick_expansion_target(trees[-1], trace)
+        seen["target" if node else "no target"] += 1
         return got
 
     monkeypatch.setattr(planner, "_simulate", spy_simulate)
@@ -682,11 +768,11 @@ def check_resumes_against_reference(monkeypatch) -> Counter:
     counts = Counter()
     real_plan, simulate = planner.plan, planner._simulate
 
-    def spy_simulate(tree, state, domain, max_ticks, traces, seen):
+    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
         resumed = bool(traces)
         counts["resumed" if resumed else "from tick 0"] += 1
         try:
-            return simulate(tree, state, domain, max_ticks, traces, seen)
+            return simulate(tree, state, domain, max_ticks, traces, seen, splice)
         except TickBudgetExceeded:
             counts["budget out in a resumed simulation"] += resumed
             raise
@@ -763,9 +849,9 @@ def test_a_target_that_failed_in_an_earlier_tick_restarts_the_simulation(monkeyp
     starts = []
     simulate = planner._simulate
 
-    def spy_simulate(tree, state, domain, max_ticks, traces, seen):
+    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
         starts.append(len(traces))
-        return simulate(tree, state, domain, max_ticks, traces, seen)
+        return simulate(tree, state, domain, max_ticks, traces, seen, splice)
 
     monkeypatch.setattr(planner, "_simulate", spy_simulate)
     tree = plan(goals, domain, state, tree=hand_built())
