@@ -66,11 +66,15 @@ class ScriptedBackend:
     """Deterministic fixture playback.
 
     Fixtures map ``<key>/<role>`` to a list of responses consumed in call
-    order; the last response repeats once the list is exhausted."""
+    order; the last response repeats once the list is exhausted. An empty
+    list is a ValueError naming its key."""
 
     def __init__(self, fixtures: Mapping[str, Sequence[str]]):
         self.fixtures = {k: list(v) if isinstance(v, (list, tuple)) else [v]
                          for k, v in fixtures.items()}
+        for key, responses in self.fixtures.items():
+            if not responses:
+                raise ValueError(f"fixture {key!r} has no responses")
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 

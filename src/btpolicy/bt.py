@@ -296,22 +296,14 @@ def tick(tree: BehaviorTree, ctx: TickContext, *,
     return status, trace
 
 
-def run_ticks(progress: Callable[[], Hashable], max_ticks: int, *,
-              seen: set | None = None, start: int = 0) -> Iterator[int]:
+def run_ticks(progress: Callable[[], Hashable], max_ticks: int) -> Iterator[int]:
     """The one stop rule for a run of ticks: yields tick indexes, and the
     caller ticks once per index and leaves at the first tick that ends in
     Success or Failure. After every other tick, ``progress()`` keys the
     world; raises TickBudgetExceeded when a key repeats (the start's
-    included) or after ``max_ticks`` ticks.
-
-    A run resumed at tick ``start`` passes ``seen``, the keys of the
-    states its first ``start`` ticks saw, its own start's included; the
-    set is extended in place. The indexes, and the tick counts both
-    messages name, continue from ``start`` as if the run had never
-    stopped."""
-    seen = set() if seen is None else seen
-    seen.add(progress())
-    for index in range(start, max_ticks):
+    included) or after ``max_ticks`` ticks."""
+    seen = {progress()}
+    for index in range(max_ticks):
         yield index
         key = progress()
         if key in seen:
@@ -355,42 +347,30 @@ def _tick_node(node: TreeNode, ctx: TickContext,
 
 def tick_spliced(trace: TickTrace, at: int, node: TreeNode,
                  ctx: TickContext) -> tuple[NodeStatus, TickTrace]:
-    """The tick ``trace`` records, run again after one edit: ``node`` now
-    stands where the trace's leaf at index ``at`` stood. Only ``node`` is
-    ticked, at the leaf's depth, and the rest is read from ``trace``, which
-    is left as it was; returns the status and trace a full ``tick`` of the
-    edited tree gives.
+    """The tick ``trace`` records, run again after one edit: ``node``
+    now stands where the trace's failed leaf at index ``at`` stood. Only
+    ``node`` is ticked, at the leaf's depth, and the rest is read from
+    ``trace``, which is left as it was; returns the status and trace a full
+    ``tick`` of the edited tree gives.
 
-    The nodes before the leaf are visited as they were. When ``node`` ends
-    in the leaf's own status, every node after the leaf is too. Otherwise
-    each of the leaf's ancestors, deepest first, carries on from its child
-    as ``_tick_node`` would: Running leaves them all Running and ends the
-    tick there. This is exact when ``ctx`` answers as it did in ``trace``
-    and ticking ``node`` changes what later leaves see only when it ends
-    in Running, as in the planner's simulation, where a fired action
-    returns Running."""
+    The nodes before the leaf are visited as they were. Either ``node``
+    fails, as the leaf did, and every node after the leaf is visited as it
+    was too; or it is Running, because it fired an action, which leaves
+    each of the leaf's ancestors Running and ends the tick there. That is
+    exact when ``ctx`` answers as it did in ``trace`` and only a Running
+    tick of ``node`` changes what later leaves see, as in the planner's
+    simulation, where a fired action returns Running and no other leaf
+    changes the state."""
     spliced = TickTrace(trace.nodes[:at], trace.statuses[:at], trace.depths[:at])
     status = _tick_node(node, ctx, spliced, trace.depths[at])
-    if status is trace.statuses[at]:
+    if status is _FAILURE:
         spliced.nodes += trace.nodes[at + 1:]
         spliced.statuses += trace.statuses[at + 1:]
         spliced.depths += trace.depths[at + 1:]
         return spliced.statuses[0], spliced
-    child = node
-    for i in reversed(ancestor_indexes(trace.depths, at)):
-        parent = spliced.nodes[i]
-        carry_on = _SUCCESS if parent.kind is _SEQUENCE else _FAILURE
-        if status is carry_on:
-            later = iter(parent.children)
-            for sibling in later:
-                if sibling is child:
-                    break
-            for sibling in later:
-                status = _tick_node(sibling, ctx, spliced, trace.depths[i] + 1)
-                if status is not carry_on:
-                    break
-        spliced.statuses[i] = status
-        child = parent
+    assert status is _RUNNING
+    for i in ancestor_indexes(trace.depths, at):
+        spliced.statuses[i] = _RUNNING
     return status, spliced
 
 

@@ -690,12 +690,15 @@ def make_state(domain: Domain, visible: list[str] | tuple[str, ...],
 
     A state fact is positive and ground: a negated literal or one naming
     ``any_object`` is a SchemaError naming it, as a positive wildcard
-    effect is when a domain loads."""
+    effect is when a domain loads. So is an object ``objects`` names twice."""
     if objects is None:
         registry = tuple(domain.objects.values())
     else:
         registry = tuple(domain.object(name) for name in objects)
     names = tuple(o.name for o in registry)
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise SchemaError(f"object {repeated!r} is listed twice")
 
     def to_set(texts) -> frozenset[Literal]:
         lits = set()

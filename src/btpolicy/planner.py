@@ -51,22 +51,22 @@ subtree the trace names with ``BehaviorTree.move_left``, which keeps the
 tree's index current. A simulation stops by ``bt.run_ticks``, the stop rule
 every tick loop shares.
 
-Resume rule: ``plan`` simulates each tick once where it can. After an
-expansion at failing tick k, the next simulation resumes at tick k, from
-the state that tick saw, with the earlier ticks' traces, state keys and
-tick count, so the stop rule's messages name the same tick numbers as a
-simulation from tick 0. That is exact: the expansion replaces only the
-failed leaf, by ``Fallback(leaf, ...)``, so an earlier tick in which the
-leaf succeeded or was not visited returns the same status after firing the
-same action, and its conflict check finds the same nothing, the new
-Fallback being on no fired action's path. When the leaf failed in an
-earlier tick (the kept traces tell; it takes a hand-built tree, such as a
-Fallback whose later child fires after the leaf's branch fails), and after
-every conflict move, the next simulation starts again at tick 0.
+Tick rule: ``plan`` runs one tick loop, and a failed tick is expanded and
+run again in place, at the same tick index, from the same state, so tick
+numbers, state keys and the stop rule's messages are those of one
+uninterrupted simulation from tick 0. That is exact: the expansion
+replaces only the failed leaf, by ``Fallback(leaf, ...)``, so an earlier
+tick in which the leaf succeeded or was not visited returns the same
+status after firing the same action, and its conflict check finds the
+same nothing, the new Fallback being on no fired action's path. When the
+leaf failed in an earlier tick (the earlier ticks' traces tell; it takes a
+hand-built tree, such as a Fallback whose later child fires after the
+leaf's branch fails), and after every conflict move, the simulation starts
+again at tick 0.
 
-Tick k itself is not run from the root again: ``bt.tick_spliced`` ticks
+The failed tick is not run from the root again: ``bt.tick_spliced`` ticks
 only the new Fallback, in the failed leaf's place, and reads the rest of
-tick k from its trace. That is exact too. Tick k failed, so no action
+the tick from its trace. That is exact too. The tick failed, so no action
 fired in it and every node saw the one state it started from: the nodes
 before the leaf are visited as before, and the leaf fails again inside
 its Fallback. If the Fallback's branch fails as well, the Fallback fails
@@ -298,53 +298,6 @@ def expand_condition(tree: BehaviorTree, node: TreeNode, domain: Domain,
 
 # --- simulation --------------------------------------------------------------
 
-@dataclass
-class _SimResult:
-    status: NodeStatus  # of the last tick; Running only with a conflict
-    state: WorldState   # the state the last tick ended in
-    conflict: TreeNode | None = None  # the subtree a conflict moves left
-
-
-def _simulate(tree: BehaviorTree, state: WorldState, domain: Domain, max_ticks: int,
-              traces: list[TickTrace], seen: set,
-              splice: tuple[TickTrace, int, TreeNode] | None = None) -> _SimResult:
-    """Tick until Success, Failure or a conflict, from ``state`` as tick
-    ``len(traces)``: ``traces`` holds the traces of the ticks run before,
-    and ``seen`` the keys of the states they saw, ``state``'s included.
-    Each tick appends its trace to ``traces``; ``bt.run_ticks``, keyed by
-    the visible facts, extends ``seen`` and raises TickBudgetExceeded on a
-    state cycle or an exhausted budget, counting every tick of the run.
-    With ``splice``, a failed tick's trace, the trace index of the leaf
-    since replaced and the node that replaced it, the first tick is
-    ``bt.tick_spliced`` of them (the module docstring's resume rule).
-
-    Actions fire at most once per tick (Running propagation unwinds the
-    tick), apply their visible effects immediately, and complete by the next
-    tick. A conflict is a fired action whose effects flip a condition that
-    succeeded earlier in the same tick, scoped to a shared Sequence."""
-    current = state
-
-    def step_action(leaf: TreeNode) -> NodeStatus:
-        nonlocal current
-        current = domain.apply_effects(current, leaf.action)
-        return NodeStatus.RUNNING
-
-    ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
-    for _ in run_ticks(lambda: current.true, max_ticks, seen=seen, start=len(traces)):
-        if splice is None:
-            status, trace = tick(tree, ctx)
-        else:
-            status, trace = tick_spliced(*splice, ctx)
-            splice = None
-        assert trace is not None
-        traces.append(trace)
-        if status is not NodeStatus.RUNNING:
-            return _SimResult(status, current)
-        conflict = _detect_conflict(trace, domain, current)
-        if conflict is not None:
-            return _SimResult(status, current, conflict)
-
-
 def _detect_conflict(trace: TickTrace, domain: Domain,
                      after: WorldState) -> TreeNode | None:
     """The subtree to move left when the fired action falsified a condition
@@ -405,11 +358,16 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
          tree: BehaviorTree | None = None) -> BehaviorTree:
     """Grow a tree until its simulated execution achieves every goal conjunct.
 
-    Planning sees only the visible part of the state. On a failed simulated
-    tick the deepest failed unexpanded condition is expanded and the
-    simulation resumes at that tick (the module docstring's resume rule); a
-    detected conflict moves the offending subtree left and restarts it;
-    success returns the tree.
+    Planning sees only the visible part of the state. Simulated actions fire
+    at most once per tick (Running propagation unwinds the tick), apply
+    their visible effects immediately, and complete by the next tick. While
+    a simulated tick fails, the deepest failed unexpanded condition is
+    expanded and the same tick is run again (the module docstring's tick
+    rule); a conflict, a fired action whose effects flip a condition that
+    succeeded earlier in the same tick, scoped to a shared Sequence, moves
+    the offending subtree left and restarts the simulation at tick 0;
+    success returns the tree. ``bt.run_ticks``, keyed by the visible facts,
+    stops a simulation that repeats a state or runs out of ticks.
     Raises Unsolvable when a needed literal has no achiever and
     PlanBudgetExceeded (with the partial tree attached) when budgets run out
     or a simulation stops making progress, with the stop rule's reason.
@@ -424,47 +382,51 @@ def plan(goals: GoalSpec, domain: Domain, state: WorldState,
         domain.check_literal(lit, objects=state.registry)
     if tree is None:
         tree = init_tree(goals)
-    start = state.visible_only()
+    start = current = state.visible_only()
 
-    # the simulation the next one resumes: the state it resumes from, the
-    # traces of its ticks so far, the keys of the states they saw and the
-    # failed tick its first tick splices, if any
-    resume, traces, seen, splice = start, [], set(), None
+    def step_action(leaf: TreeNode) -> NodeStatus:
+        nonlocal current
+        current = domain.apply_effects(current, leaf.action)
+        return NodeStatus.RUNNING
+
+    ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
     expansions = 0
     reorders = 0
-    while True:
-        try:
-            result = _simulate(tree, resume, domain, config.max_sim_ticks, traces, seen,
-                               splice)
-        except TickBudgetExceeded as e:
-            raise PlanBudgetExceeded(str(e), tree) from e
-        if result.status is NodeStatus.SUCCESS:
-            missing = [c for c in goals.conjuncts if not domain.holds(result.state, c)]
-            if missing:
-                raise PlanBudgetExceeded(
-                    f"simulation succeeded without goal {missing[0]}", tree)
-            return tree
-        if result.conflict is not None:
-            if reorders >= config.max_conflict_reorders:
-                raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
-            tree.move_left(result.conflict.id)
-            reorders += 1
-            resume, traces, seen, splice = start, [], set(), None
-            continue
-        # failure: expand, then resume at the failing tick
-        failed = traces.pop()
-        at = _pick_expansion_target(failed)
-        if at is None:
-            raise PlanBudgetExceeded("nothing left to expand", tree)
-        if expansions >= config.max_expansions:
-            raise PlanBudgetExceeded("expansion budget exhausted", tree)
-        target = failed.nodes[at]
-        try:
-            fallback = expand_condition(tree, target, domain, result.state)
-        except NoAchiever as e:
-            raise Unsolvable(e.literal) from e
-        expansions += 1
-        if _failed_in(target, traces):
-            resume, traces, seen, splice = start, [], set(), None
-        else:
-            resume, splice = result.state, (failed, at, fallback)
+    try:
+        while True:  # one simulation from tick 0 per pass
+            current, traces = start, []  # traces: the ticks before this one
+            for _ in run_ticks(lambda: current.true, config.max_sim_ticks):
+                status, trace = tick(tree, ctx)
+                while status is NodeStatus.FAILURE:
+                    at = _pick_expansion_target(trace)
+                    if at is None:
+                        raise PlanBudgetExceeded("nothing left to expand", tree)
+                    if expansions >= config.max_expansions:
+                        raise PlanBudgetExceeded("expansion budget exhausted", tree)
+                    target = trace.nodes[at]
+                    try:
+                        fallback = expand_condition(tree, target, domain, current)
+                    except NoAchiever as e:
+                        raise Unsolvable(e.literal) from e
+                    expansions += 1
+                    if _failed_in(target, traces):
+                        break
+                    status, trace = tick_spliced(trace, at, fallback, ctx)
+                if status is NodeStatus.FAILURE:  # the expansion changed an earlier tick
+                    break
+                if status is NodeStatus.SUCCESS:
+                    missing = [c for c in goals.conjuncts if not domain.holds(current, c)]
+                    if missing:
+                        raise PlanBudgetExceeded(
+                            f"simulation succeeded without goal {missing[0]}", tree)
+                    return tree
+                conflict = _detect_conflict(trace, domain, current)
+                if conflict is not None:
+                    if reorders >= config.max_conflict_reorders:
+                        raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
+                    tree.move_left(conflict.id)
+                    reorders += 1
+                    break
+                traces.append(trace)
+    except TickBudgetExceeded as e:
+        raise PlanBudgetExceeded(str(e), tree) from e

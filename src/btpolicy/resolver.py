@@ -204,8 +204,9 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
     ``answers`` is the run's answer cache (module docstring): an answer
     cached under the failure's key is grounded at the failing action and
     used without a backend call, unless all of it already guards the
-    action. Suggested literals already guarding the failing action are
-    rejected as duplicates; a round whose suggestions are all duplicates
+    action. A literal the answer repeats is inserted once; suggested
+    literals already guarding the failing action are rejected as
+    duplicates; a round whose suggestions are all duplicates
     patches nothing (the record says so) to keep repeated identical advice
     from looping."""
     config = config or ResolveConfig()
@@ -223,7 +224,7 @@ def resolve(tree: BehaviorTree, event: FailureEvent, domain: Domain,
                         lambda raw: parse_precondition_response(
                             raw, domain, objects=world.object_names),
                         error_message=event.error_message, failing_action=event.action)
-        fresh = [lit for lit in exchange.parsed if lit not in existing]
+        fresh = [lit for lit in dict.fromkeys(exchange.parsed) if lit not in existing]
     before = tree_fingerprint(tree)
     if not fresh:
         record = ResolutionRecord(round_index, exchange, tree_before=before,

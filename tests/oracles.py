@@ -22,9 +22,10 @@ each action's enclosing Sequence by a scan, as
 ``verify_tree`` did before its single pass, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
 planner did before it read them from the tick trace, the plan
-reference starts every simulation again at tick 0 and ticks each tick
-in full, as ``plan`` did before it resumed at the failing tick and spliced
-the new branch into it, and the fault-rule reference keeps a
+reference starts every simulation again at tick 0 after each expansion
+and ticks each tick in full from the root in a simulation loop of its
+own, as ``plan`` did before it expanded a failed tick in place and
+spliced the new branch into it, and the fault-rule reference keeps a
 rule's targets in two fields and looks each bound object's category up in
 the domain at every fired action, as ``FaultRule`` did before ``where``
 was resolved at load. ``validate`` (the
@@ -39,16 +40,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickTrace, TreeNode,
-                         iter_preorder, tree_equal)
+from btpolicy.bt import (BehaviorTree, NodeKind, NodeStatus, TickContext, TickTrace,
+                         TreeNode, iter_preorder, run_ticks, tick, tree_equal)
 from btpolicy import verify
 from btpolicy.domain import Domain, SkillTemplate, WorldState
 from btpolicy.errors import (ArityMismatch, BtError, InvalidTarget, NoAchiever,
                              PlanBudgetExceeded, TickBudgetExceeded, TreeInvalid,
                              UnboundSlot, Unsolvable, UnknownNode)
 from btpolicy.grammar import parse_literal
-from btpolicy.planner import (GoalSpec, PlanConfig, _pick_expansion_target, _simulate,
-                              expand_condition, init_tree)
+from btpolicy.planner import (GoalSpec, PlanConfig, _detect_conflict,
+                              _pick_expansion_target, expand_condition, init_tree)
 from btpolicy.sim import check_tree_domain
 from btpolicy.terms import (ANY_OBJECT, GroundAction, Literal, Quantity, is_slot,
                             is_wildcard)
@@ -433,6 +434,29 @@ def reference_pick_expansion_target(tree: BehaviorTree, trace: TickTrace) -> Tre
     return best
 
 
+def _reference_simulate(tree: BehaviorTree, state: WorldState, domain: Domain,
+                        max_ticks: int
+                        ) -> tuple[NodeStatus, WorldState, TickTrace, TreeNode | None]:
+    """Tick from ``state`` until Success, Failure or a conflict, each tick
+    in full from the root: the last tick's status, the state it ended in,
+    its trace and the subtree a conflict moves left, or None."""
+    current = state
+
+    def step_action(leaf: TreeNode) -> NodeStatus:
+        nonlocal current
+        current = domain.apply_effects(current, leaf.action)
+        return NodeStatus.RUNNING
+
+    ctx = TickContext(lambda lit: domain.holds(current, lit), step_action)
+    for _ in run_ticks(lambda: current.true, max_ticks):
+        status, trace = tick(tree, ctx)
+        if status is not NodeStatus.RUNNING:
+            return status, current, trace, None
+        conflict = _detect_conflict(trace, domain, current)
+        if conflict is not None:
+            return status, current, trace, conflict
+
+
 def reference_plan(goals: GoalSpec, domain: Domain, state: WorldState,
                    config: PlanConfig | None = None, *,
                    tree: BehaviorTree | None = None) -> BehaviorTree:
@@ -447,30 +471,30 @@ def reference_plan(goals: GoalSpec, domain: Domain, state: WorldState,
     start = state.visible_only()
     expansions = reorders = 0
     while True:
-        traces: list[TickTrace] = []
         try:
-            result = _simulate(tree, start, domain, config.max_sim_ticks, traces, set())
+            status, end, trace, conflict = _reference_simulate(tree, start, domain,
+                                                               config.max_sim_ticks)
         except TickBudgetExceeded as e:
             raise PlanBudgetExceeded(str(e), tree) from e
-        if result.status is NodeStatus.SUCCESS:
-            missing = [c for c in goals.conjuncts if not domain.holds(result.state, c)]
+        if status is NodeStatus.SUCCESS:
+            missing = [c for c in goals.conjuncts if not domain.holds(end, c)]
             if missing:
                 raise PlanBudgetExceeded(
                     f"simulation succeeded without goal {missing[0]}", tree)
             return tree
-        if result.conflict is not None:
+        if conflict is not None:
             if reorders >= config.max_conflict_reorders:
                 raise PlanBudgetExceeded("conflict reorder budget exhausted", tree)
-            tree.move_left(result.conflict.id)
+            tree.move_left(conflict.id)
             reorders += 1
             continue
-        at = _pick_expansion_target(traces[-1])
+        at = _pick_expansion_target(trace)
         if at is None:
             raise PlanBudgetExceeded("nothing left to expand", tree)
         if expansions >= config.max_expansions:
             raise PlanBudgetExceeded("expansion budget exhausted", tree)
         try:
-            expand_condition(tree, traces[-1].nodes[at], domain, result.state)
+            expand_condition(tree, trace.nodes[at], domain, end)
         except NoAchiever as e:
             raise Unsolvable(e.literal) from e
         expansions += 1

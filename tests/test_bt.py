@@ -144,8 +144,6 @@ def build_with_conditions(tree: BehaviorTree, tuple_tree) -> TreeNode:
 
 @given(status_trees(depth=4), st.lists(status_trees(depth=2), min_size=1, max_size=3),
        st.integers(0, 10_000))
-@example(("seq", (("leaf", S), ("fb", (("leaf", F), ("leaf", F))), ("leaf", S))),
-         [("leaf", S)], 0)
 @example(("fb", (("seq", (("leaf", S), ("leaf", F))), ("leaf", R))), [("leaf", R)], 0)
 @example(("fb", (("leaf", F), ("leaf", S))), [("leaf", F)], 0)
 @example(("leaf", F), [("leaf", S)], 0)
@@ -154,15 +152,16 @@ def test_a_spliced_tick_equals_a_full_tick_of_the_edited_tree(tuple_tree, branch
     """A failed condition leaf of a tick's trace is wrapped in
     ``Fallback(leaf, Sequence(...))``, as an expansion does, and only the
     new Fallback is ticked in its place: the status and the three trace
-    lists are those of a full tick of the edited tree, whichever status
-    the Fallback ends in (the examples: Success carried on by a Sequence,
-    Running, Failure, and the root itself replaced)."""
+    lists are those of a full tick of the edited tree, whether the
+    Fallback ends Running or Failure (the examples: Running, Failure, and
+    the root itself replaced). A branch that succeeds is left out: it
+    takes an action that returns Success, which no planner action does."""
     holder = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
     tree = BehaviorTree(build_with_conditions(holder, tuple_tree), next_id=holder._next_id)
     _, trace = tick(tree, fixed_ctx())
     failed = [i for i, (node, status) in enumerate(zip(trace.nodes, trace.statuses))
               if node.kind is NodeKind.CONDITION and status is F]
-    assume(failed)
+    assume(failed and oracle_status(("seq", tuple(branch))) is not S)
     at = failed[seed % len(failed)]
     before = [list(trace.nodes), list(trace.statuses), list(trace.depths)]
     leaf = trace.nodes[at]
@@ -195,11 +194,11 @@ class TestRunTicks:
     repeats, the start's included, or the budget runs out."""
 
     @staticmethod
-    def ticks_until_stop(keys, max_ticks, **resume):
+    def ticks_until_stop(keys, max_ticks):
         keys = iter(keys)
         ticked = []
         with pytest.raises(TickBudgetExceeded) as err:
-            for index in bt.run_ticks(lambda: next(keys), max_ticks, **resume):
+            for index in bt.run_ticks(lambda: next(keys), max_ticks):
                 ticked.append(index)
         return ticked, str(err.value)
 
@@ -213,18 +212,6 @@ class TestRunTicks:
 
     def test_the_budget_bounds_the_run(self):
         assert self.ticks_until_stop(range(10), 3) == ([0, 1, 2], "tick budget 3 exhausted")
-
-    def test_a_resumed_run_continues_the_keys_and_the_count(self):
-        seen = set()
-        keys = iter([0, 1, 2])
-        for index in bt.run_ticks(lambda: next(keys), 10, seen=seen):
-            if index == 2:
-                break  # the tick a Failure ends, as the planner leaves it
-        assert seen == {0, 1, 2}
-        assert self.ticks_until_stop([2, 3, 1], 10, seen=set(seen), start=2) == \
-            ([2, 3], "stopped making progress after 4 ticks")
-        assert self.ticks_until_stop([2, 3, 4], 4, seen=set(seen), start=2) == \
-            ([2, 3], "tick budget 4 exhausted")
 
 
 class TestFailingAction:

@@ -603,6 +603,7 @@ _BAD_GOALSETS = {
     "entry_without_goal": _entry_without("goal"),
     "scene_visible_a_string": _goalset(scene={"visible": "On(Water, Bar)"}),
     "scene_unknown_object": _goalset(scene={"visible": ["On(Waterx, Bar)"]}),
+    "scene_repeated_object": _goalset(scene={"objects": ["Water", "Bar", "Water"]}),
     "goal_unknown_predicate": _goalset(
         instructions=[{**_ENTRY, "goal": "Onx(Water, Bar)"}]),
 }
@@ -682,6 +683,16 @@ def _scenario_with_wildcard_fact(tmp_path):
     return ["run", "--scenario", str(path)], path
 
 
+def _scenario_with_a_repeated_object(tmp_path):
+    data = yaml.safe_load(bundled_data_path(
+        "scenarios", "precond_01_blocked_cube.yaml").read_text())
+    data["domain"] = str(bundled_data_path("domains", "cube_tabletop.yaml"))
+    data["objects"].append("red_cube")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return ["run", "--scenario", str(path)], path
+
+
 def _fixture_value_a_mapping(tmp_path):
     path = tmp_path / "fixtures.yaml"
     path.write_text(yaml.safe_dump({"cube_stack_golden/goal": {"a": 1}}))
@@ -697,6 +708,7 @@ _BAD_INPUTS = [(_bad_goalset(name), EXIT_SCHEMA, name) for name in _BAD_GOALSETS
     (_scenario_with_domain("nowhere.yaml"), EXIT_FAILURE, "scenario_with_missing_domain"),
     (_scenario_with_domain(5), EXIT_SCHEMA, "scenario_domain_not_a_string"),
     (_scenario_with_wildcard_fact, EXIT_SCHEMA, "scenario_wildcard_fact"),
+    (_scenario_with_a_repeated_object, EXIT_SCHEMA, "scenario_repeated_object"),
     (_fixture_value_a_mapping, EXIT_SCHEMA, "fixture_value_a_mapping"),
     (_household_force_default("fast m/s"), EXIT_SCHEMA, "numeric_default_unparsable"),
 ]

@@ -259,6 +259,10 @@ class TestDomainLoading:
                                {"name": "p", "arity": 1}],
             })
 
+    def test_an_object_listed_twice_is_rejected(self, cube_domain):
+        with pytest.raises(SchemaError, match="object 'red_cube' is listed twice"):
+            make_state(cube_domain, [], objects=["red_cube", "table", "red_cube"])
+
     def test_undeclared_slot_in_effect_rejected(self):
         with pytest.raises(SchemaError):
             parse_domain({

@@ -243,6 +243,10 @@ class TestBackends:
         with pytest.raises(MissingFixture):
             backend.complete("p", RequestMeta(Role.GOAL_INTERPRETATION, "nope"))
 
+    def test_scripted_key_without_responses_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="'k/goal'"):
+            ScriptedBackend({"k/goal": []})
+
     def test_oracle_backend_delegates(self, golden_scenario):
         backend = golden_scenario.oracle_backend()
         meta = RequestMeta(Role.GOAL_INTERPRETATION, golden_scenario.id)

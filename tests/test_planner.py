@@ -526,20 +526,42 @@ def test_a_relied_on_literal_on_the_target_predicate_that_is_no_witness_ranks():
     assert "push(dst=z, obj=w, src=x)" in bt.serialize(trees[0])
 
 
+def test_the_achiever_ranking_decides_a_blocks_plan(monkeypatch, blocks_domain):
+    """With block_a in hand, the goal on(block_b, block_a) needs pick(block_b),
+    which needs the hand free. The first achiever of ~grasped(any_object),
+    stack(block_a, block_b), knocks out the relied-on
+    ~on(any_object, block_b); the ranking picks the clean
+    stack(block_a, block_c) and the plan succeeds. With every score forced
+    to 0 the first achiever is picked, and its conflict repeats until the
+    reorder budget runs out."""
+    state = make_state(blocks_domain, ["grasped(block_a)", "on(block_b, table)",
+                                       "on(block_c, table)"])
+    goals = goal("on(block_b, block_a)")
+    tree = plan(goals, blocks_domain, state)
+    assert "stack(dst=block_c, obj=block_a)" in tree.compact()
+    assert run_tree(tree, blocks_domain, state)[0] is NodeStatus.SUCCESS
+
+    scored = planner._scored_achievers
+    monkeypatch.setattr(planner, "_scored_achievers",
+                        lambda *args: ((0, action) for _, action in scored(*args)))
+    with pytest.raises(PlanBudgetExceeded, match="^conflict reorder budget exhausted$"):
+        plan(goals, blocks_domain, state)
+
+
 def test_tower_expansions_score_one_candidate_and_splice_their_failed_tick(
         monkeypatch, seed7_tower_pool):
     """While the 64 seed-7 towers resolve, each expansion computes one
     candidate effect delta: its first candidate is at the floor, which no
-    later one can beat. A simulation resumed after an expansion runs its
-    failed tick again by ``bt.tick_spliced`` alone, so ``tick`` is never
-    called on the state the expansion was made in; one that starts at tick
-    0 ticks in full from its first tick. (A resumed simulation may resume
-    at tick 0, when that tick failed.)"""
+    later one can beat. A failed tick is run again after an expansion by
+    ``bt.tick_spliced`` alone, at the same tick index, so ``tick`` is never
+    called on the state the expansion was made in; every simulation ticks
+    its tick 0 in full, and each later tick index once in full."""
     effect_delta, expand = Domain.effect_delta, planner.expand_condition
-    simulate, full_tick, spliced_tick = planner._simulate, planner.tick, planner.tick_spliced
+    ticker, full_tick, spliced_tick = planner.run_ticks, planner.tick, planner.tick_spliced
     deltas: list[int] = []       # per expansion
     expanding: list[bool] = []
-    ticks: list[list[str]] = []  # per simulation, the kind of each tick
+    ticks: list[list[tuple[int, str]]] = []  # per simulation, (index, kind) per tick
+    index = [0]                  # the tick index the running simulation is at
 
     def counted_delta(self, state, action):
         if expanding:
@@ -554,33 +576,34 @@ def test_tower_expansions_score_one_candidate_and_splice_their_failed_tick(
         finally:
             expanding.pop()
 
-    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
-        ticks.append(["resumed" if splice else "from tick 0"])
-        assert splice or not traces
-        return simulate(tree, state, domain, max_ticks, traces, seen, splice)
+    def spy_run_ticks(*args):
+        ticks.append([])
+        for index[0] in ticker(*args):
+            yield index[0]
 
     def spy_full_tick(*args, **kwargs):
-        ticks[-1].append("full")
+        ticks[-1].append((index[0], "full"))
         return full_tick(*args, **kwargs)
 
     def spy_spliced_tick(*args):
-        ticks[-1].append("spliced")
+        ticks[-1].append((index[0], "spliced"))
         return spliced_tick(*args)
 
     monkeypatch.setattr(Domain, "effect_delta", counted_delta)
     monkeypatch.setattr(planner, "expand_condition", counted_expand)
-    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "run_ticks", spy_run_ticks)
     monkeypatch.setattr(planner, "tick", spy_full_tick)
     monkeypatch.setattr(planner, "tick_spliced", spy_spliced_tick)
     for scenario in seed7_tower_pool:
         resolver.resolve_until_success(scenario, scenario.oracle_backend())
     assert len(deltas) > len(seed7_tower_pool)
     assert set(deltas) == {1}
-    starts = Counter(run[0] for run in ticks)
-    assert starts["resumed"] > 0 and starts["from tick 0"] > 0
-    for start, *kinds in ticks:
-        assert kinds[0] == ("spliced" if start == "resumed" else "full")
-        assert "spliced" not in kinds[1:]
+    kinds = Counter(kind for run in ticks for _, kind in run)
+    assert kinds["spliced"] > 0 and kinds["full"] > 0
+    for run in ticks:
+        assert run[0] == (0, "full")
+        for (before, _), (at, kind) in zip(run, run[1:]):
+            assert at == (before if kind == "spliced" else before + 1)
 
 
 # --- decisions read from the tick trace ----------------------------------------
@@ -617,14 +640,14 @@ def test_trace_decisions_match_the_lookup_references(
     and the expansion target, read from the tick trace, equal the
     references that ask the tree, over the bundled scenarios, the seed-7
     towers and goal pairs that conflict."""
-    simulate, detect, pick = (planner._simulate, planner._detect_conflict,
-                              planner._pick_expansion_target)
+    full_tick, detect, pick = (planner.tick, planner._detect_conflict,
+                               planner._pick_expansion_target)
     trees: list[BehaviorTree] = []
     seen = Counter()
 
-    def spy_simulate(tree, *args):
+    def spy_tick(tree, *args):
         trees.append(tree)
-        return simulate(tree, *args)
+        return full_tick(tree, *args)
 
     def spy_detect(trace, domain, after):
         fired = [node for node in trace.nodes if node.kind is NodeKind.ACTION]
@@ -641,7 +664,7 @@ def test_trace_decisions_match_the_lookup_references(
         seen["target" if node else "no target"] += 1
         return got
 
-    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "tick", spy_tick)
     monkeypatch.setattr(planner, "_detect_conflict", spy_detect)
     monkeypatch.setattr(planner, "_pick_expansion_target", spy_pick)
     plan_corpus(all_scenarios + seed7_towers, blocks_domain)
@@ -685,26 +708,31 @@ def test_simulation_asks_the_tree_index_nothing(
     """A simulated tick, the conflict check after it included, makes no
     ``find``, ``parent_of`` or ``ancestry`` call and never builds the
     index."""
-    simulate = planner._simulate
     inside = []
     lookups = Counter()
     outcomes = Counter()
 
-    def spy_simulate(*args):
-        inside.append(True)
-        try:
-            result = simulate(*args)
-        finally:
-            inside.pop()
-        outcomes["conflict" if result.conflict else result.status] += 1
-        return result
+    def within(name, count):
+        real = getattr(planner, name)
+
+        def spy(*args, **kwargs):
+            inside.append(True)
+            try:
+                result = real(*args, **kwargs)
+            finally:
+                inside.pop()
+            outcomes[count(result)] += 1
+            return result
+        monkeypatch.setattr(planner, name, spy)
 
     for name in ("find", "parent_of", "ancestry", "_build"):
         def spy(self, *args, _name=name, _real=getattr(BehaviorTree, name)):
             lookups[_name, bool(inside)] += 1
             return _real(self, *args)
         monkeypatch.setattr(BehaviorTree, name, spy)
-    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    for name in ("tick", "tick_spliced"):
+        within(name, lambda result: result[0])
+    within("_detect_conflict", lambda result: "conflict" if result else None)
     plan_corpus(all_scenarios + seed7_towers, blocks_domain)
     assert outcomes["conflict"] > 0 and outcomes[NodeStatus.FAILURE] > 0
     assert not any(during for _, during in lookups)
@@ -745,7 +773,7 @@ def test_plan_looks_no_node_up(monkeypatch, all_scenarios, seed7_towers, blocks_
     assert ("parent_of", None) in lookups  # the spies see the lookups made elsewhere
 
 
-# --- resumed simulations ---------------------------------------------------------
+# --- failed ticks expanded in place --------------------------------------------
 
 def _plan_outcome(call) -> tuple:
     """(what a plan call gave, its tree or exception): the tree's compact
@@ -753,7 +781,7 @@ def _plan_outcome(call) -> tuple:
     try:
         tree = call()
     except BtError as e:
-        partial = getattr(e, "tree", None)
+        partial = getattr(e, "partial_tree", None)
         return (type(e), str(e), None if partial is None else partial.compact()), e
     return tree.compact(), tree
 
@@ -761,21 +789,26 @@ def _plan_outcome(call) -> tuple:
 def check_resumes_against_reference(monkeypatch) -> Counter:
     """Make every ``plan`` call that ``resolver`` or this module makes
     also run ``oracles.reference_plan``, which starts every simulation
-    again at tick 0, on a copy of the tree it is handed, and assert both
-    give the same outcome. The counts returned grow as plans run: plan
-    calls and those stopped by an error, simulations started at tick 0 or
-    resumed past it, and tick budgets run out in a resumed simulation."""
+    again at tick 0 after an expansion, on a copy of the tree it is
+    handed, and assert both give the same outcome. The counts returned
+    grow as plans run: plan calls and those stopped by an error,
+    simulations started at tick 0, failed ticks spliced after an expansion,
+    and tick budgets run out in a simulation after a splice."""
     counts = Counter()
-    real_plan, simulate = planner.plan, planner._simulate
+    real_plan, ticker, spliced_tick = planner.plan, planner.run_ticks, planner.tick_spliced
 
-    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
-        resumed = bool(traces)
-        counts["resumed" if resumed else "from tick 0"] += 1
+    def spy_run_ticks(*args):
+        counts["simulations"] += 1
+        spliced_before = counts["spliced ticks"]
         try:
-            return simulate(tree, state, domain, max_ticks, traces, seen, splice)
+            yield from ticker(*args)
         except TickBudgetExceeded:
-            counts["budget out in a resumed simulation"] += resumed
+            counts["budget out after a splice"] += counts["spliced ticks"] > spliced_before
             raise
+
+    def spy_spliced_tick(*args):
+        counts["spliced ticks"] += 1
+        return spliced_tick(*args)
 
     def checked_plan(goals, domain, state, config=None, *, tree=None):
         reference_tree = copy.deepcopy(tree)
@@ -790,7 +823,8 @@ def check_resumes_against_reference(monkeypatch) -> Counter:
             raise result
         return result
 
-    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "run_ticks", spy_run_ticks)
+    monkeypatch.setattr(planner, "tick_spliced", spy_spliced_tick)
     monkeypatch.setattr(resolver, "plan", checked_plan)
     monkeypatch.setattr(sys.modules[__name__], "plan", checked_plan)
     return counts
@@ -804,13 +838,13 @@ def test_resumed_plans_match_the_restarting_reference(
     counts = check_resumes_against_reference(monkeypatch)
     plan_corpus(all_scenarios + seed7_tower_pool, blocks_domain)
     assert counts["plans"] > 0 and counts["plans stopped"] > 0
-    assert counts["resumed"] > 0 and counts["from tick 0"] > 0
+    assert counts["spliced ticks"] > 0 and counts["simulations"] > counts["plans"]
 
 
 def test_resumed_plans_match_the_reference_under_every_tick_budget(
         monkeypatch, seed7_tower_pool):
     """``max_sim_ticks`` from 1 to 40 on a few towers, so that some budgets
-    run out inside a resumed simulation: the same outcomes, messages
+    run out after a failed tick was spliced: the same outcomes, messages
     included, as restarting at tick 0."""
     counts = check_resumes_against_reference(monkeypatch)
     for scenario in seed7_tower_pool[:3]:
@@ -821,15 +855,15 @@ def test_resumed_plans_match_the_reference_under_every_tick_budget(
             except BtError:
                 pass
     assert counts["plans stopped"] > 0
-    assert counts["budget out in a resumed simulation"] > 0
+    assert counts["budget out after a splice"] > 0
 
 
 def test_a_target_that_failed_in_an_earlier_tick_restarts_the_simulation(monkeypatch):
     """A hand-built root Fallback: in tick 0 ``p`` fails and the second
     branch fires ``finish``; in tick 1 both branches fail and ``p`` is the
     target. Its expansion changes tick 0 (``make_p`` fires instead), so the
-    next simulation starts at tick 0 again and the goal ``~done`` holds;
-    resumed at tick 1 it would succeed with ``done`` true."""
+    simulation starts at tick 0 again and the goal ``~done`` holds; run
+    again in place at tick 1 it would succeed with ``done`` true."""
     domain = parse_domain({
         "schema": "domain/v1", "name": "restart",
         "predicates": [{"name": "p", "arity": 0}, {"name": "done", "arity": 0}],
@@ -847,15 +881,15 @@ def test_a_target_that_failed_in_an_earlier_tick_restarts_the_simulation(monkeyp
         return tree
 
     starts = []
-    simulate = planner._simulate
+    ticker = planner.run_ticks
 
-    def spy_simulate(tree, state, domain, max_ticks, traces, seen, splice):
-        starts.append(len(traces))
-        return simulate(tree, state, domain, max_ticks, traces, seen, splice)
+    def spy_run_ticks(*args):
+        starts.append(True)
+        return ticker(*args)
 
-    monkeypatch.setattr(planner, "_simulate", spy_simulate)
+    monkeypatch.setattr(planner, "run_ticks", spy_run_ticks)
     tree = plan(goals, domain, state, tree=hand_built())
-    assert starts == [0, 0]
+    assert len(starts) == 2
     assert tree.compact() == reference_plan(goals, domain, state, tree=hand_built()).compact()
     actions = [str(n.payload) for n, _ in iter_preorder(tree.root) if n.kind is NodeKind.ACTION]
     assert actions == ["make_p()", "finish()"]
@@ -865,11 +899,11 @@ def test_a_target_that_failed_in_an_earlier_tick_restarts_the_simulation(monkeyp
         plan(goals, domain, state, tree=hand_built())
 
 
-def test_a_resumed_simulation_stops_at_a_state_seen_before_it_resumed():
+def test_a_spliced_tick_that_brings_back_an_earlier_state_stops_the_simulation():
     """``Sequence(~c, make_c)`` fires ``make_c`` in tick 0 and fails at
     ``~c`` in tick 1. Its expansion fires ``clear_c`` there, which brings
-    back tick 0's state: the resumed simulation keeps that state's key, so
-    it stops after 2 ticks, as one from tick 0 does."""
+    back tick 0's state: the simulation keeps that state's key, so it stops
+    after 2 ticks, as one from tick 0 does."""
     domain = parse_domain({
         "schema": "domain/v1", "name": "toggle",
         "predicates": [{"name": "c", "arity": 0}],

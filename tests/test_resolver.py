@@ -98,6 +98,19 @@ class TestResolve:
         assert all(r.rejected for r in result.records)
         assert len(result.records) == ResolveConfig().max_resolution_rounds
 
+    def test_a_literal_repeated_in_one_answer_is_inserted_once(self, all_scenarios):
+        scenario = scenario_by_id(all_scenarios, "precond_01_blocked_cube")
+        backend = ScriptedBackend({
+            f"{scenario.id}/goal": ["ANSWER: on(blue_cube, green_cube)"],
+            f"{scenario.id}/failure": [
+                "ANSWER: ~on(any_object, blue_cube) & ~on(any_object, blue_cube)"]})
+        result = resolve_until_success(scenario, backend)
+        oracle = resolve_until_success(scenario, scenario.oracle_backend())
+        assert result.outcome is Outcome.SUCCESS
+        assert [tuple(map(str, r.inserted)) for r in result.records] == \
+            [("~on(any_object, blue_cube)",)]
+        assert bt.serialize(result.tree) == bt.serialize(oracle.tree)
+
     def test_garbage_rounds_recorded_until_exhaustion(self, golden_scenario):
         backend = ScriptedBackend({
             f"{golden_scenario.id}/goal": ["ANSWER: on(blue_cube, green_cube)"],
