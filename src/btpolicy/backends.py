@@ -13,29 +13,36 @@ against the default CA store and follows no redirect. After each request it
 sets ``TCP_QUICKACK`` where the platform has it, so a server that writes a
 response's headers and body in two writes is not held up by Nagle's
 algorithm meeting the client's delayed ACK (about 40 ms per completion).
+
+The HTTP stack (``http.client``, ``ssl``, ``urllib.request``, ``socket``,
+``base64``) is imported when the first RemoteBackend is constructed, not
+with the package: the oracle and scripted backends never use it, and it is
+about a fifth of the package's import time. No request pays the import.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
-import http.client
 import json
 import math
 import os
-import socket
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from .domain import FIXTURES_SHAPE, check_shape, load_yaml
 from .errors import BackendUnavailable, MissingFixture, RateLimited
 from .llm import Role
+
+if TYPE_CHECKING:       # bound at run time by _import_transport
+    import base64
+    import http.client
+    import socket
+    import ssl
+    import urllib.request
 
 ENDPOINT_ENV = "BTPOLICY_LLM_ENDPOINT"
 API_KEY_ENV = "BTPOLICY_LLM_API_KEY"
@@ -43,9 +50,6 @@ API_KEY_ENV = "BTPOLICY_LLM_API_KEY"
 TEMPERATURE = 0.0   # of every remote request
 MAX_IN_FLIGHT = 4   # remote requests one RemoteBackend has on the wire at
                     # once, and connections it keeps alive
-# Linux only; the kernel leaves quick-ACK mode on its own, so it is set anew
-# after every request write
-_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 @dataclass
@@ -123,6 +127,7 @@ class RemoteBackend:
     _idle_lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
+        _import_transport()
         self.endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV) or ""
         self.api_key = self.api_key or os.environ.get(API_KEY_ENV) or ""
         self._gate = threading.Semaphore(MAX_IN_FLIGHT)
@@ -275,6 +280,19 @@ class RemoteBackend:
                 self._idle.append((origin, conn))
                 return
         conn.close()
+
+
+def _import_transport() -> None:
+    """Import the HTTP stack into this module's namespace, once per process."""
+    global base64, http, socket, ssl, urllib, _QUICKACK
+    import base64
+    import http.client
+    import socket
+    import ssl
+    import urllib.request
+    # Linux only; the kernel leaves quick-ACK mode on its own, so it is set
+    # anew after every request write
+    _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes,

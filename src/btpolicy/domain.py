@@ -493,12 +493,17 @@ def read_input(path: str | Path, kind: str) -> str:
         raise BtError(f"cannot read {kind} file {path}: {reason}") from e
 
 
+# PyYAML's safe loader, on libyaml where PyYAML was built with it: the same
+# data, error classes and error lines as the pure-Python one, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_yaml(path: str | Path, kind: str):
     """The parsed content of a YAML input file (domain, scenario, fixtures,
     goal set); SchemaError naming the file and line when it is not YAML."""
     text = read_input(path, kind)
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         raise SchemaError(f"invalid YAML: {e}", file=str(path),
@@ -683,22 +688,30 @@ def parse_domain(data, *, source: str = "<memory>") -> Domain:
     return dom
 
 
+def scene_objects(domain: Domain, objects: list[str] | None) -> tuple[ObjectRef, ...]:
+    """The object registry of a scene: the named domain objects in order, or
+    all of them when ``objects`` is None. An unknown name is UnknownObject,
+    a name listed twice a SchemaError."""
+    if objects is None:
+        return tuple(domain.objects.values())
+    registry = tuple(domain.object(name) for name in objects)
+    if len(set(objects)) < len(objects):
+        repeated = next(name for i, name in enumerate(objects) if name in objects[:i])
+        raise SchemaError(f"object {repeated!r} is listed twice")
+    return registry
+
+
 def make_state(domain: Domain, visible: list[str] | tuple[str, ...],
                hidden: list[str] | tuple[str, ...] = (),
                objects: list[str] | None = None) -> WorldState:
-    """Build a WorldState from literal strings, defaulting to all domain objects.
+    """Build a WorldState from literal strings over ``scene_objects(domain,
+    objects)``.
 
     A state fact is positive and ground: a negated literal or one naming
     ``any_object`` is a SchemaError naming it, as a positive wildcard
-    effect is when a domain loads. So is an object ``objects`` names twice."""
-    if objects is None:
-        registry = tuple(domain.objects.values())
-    else:
-        registry = tuple(domain.object(name) for name in objects)
+    effect is when a domain loads."""
+    registry = scene_objects(domain, objects)
     names = tuple(o.name for o in registry)
-    if len(set(names)) < len(names):
-        repeated = next(name for i, name in enumerate(names) if name in names[:i])
-        raise SchemaError(f"object {repeated!r} is listed twice")
 
     def to_set(texts) -> frozenset[Literal]:
         lits = set()

@@ -23,7 +23,7 @@ from .backends import OracleBackend, RequestMeta
 from .bt import (_ACTION, _CONDITION, BehaviorTree, NodeStatus, TickContext, TreeNode,
                  iter_preorder, run_ticks, tick)
 from .domain import (SCENARIO_SHAPE, Domain, WorldState, check_shape, load_domain,
-                     load_yaml, make_state)
+                     load_yaml, make_state, scene_objects)
 from .errors import BtError, DomainMismatch, SchemaError, TickBudgetExceeded
 from .llm import Role
 from .terms import GroundAction, Literal, ground
@@ -298,10 +298,15 @@ def load_scenario(path: str | Path, *, domain_cache: dict | None = None) -> Scen
         if domain_cache is not None:
             domain_cache[str(domain_path)] = domain
 
+    objects = data.get("objects")
+    try:
+        scene_objects(domain, objects)      # checked first, so its errors name the list
+    except BtError as e:
+        fail(f"objects: {e}")
     initial = data.get("initial") or {}
     try:
         state = make_state(domain, initial.get("visible") or (),
-                           initial.get("hidden") or (), data.get("objects"))
+                           initial.get("hidden") or (), objects)
     except BtError as e:
         fail(f"bad initial state: {e}")
 

@@ -735,6 +735,28 @@ def test_bad_input_file_exits_with_its_code_and_names_the_file(tmp_path, make_ca
         assert run.stderr.startswith("schema error: ")
 
 
+_TRANSPORT = ("http.client", "ssl", "urllib.request", "email.parser")
+_TRANSPORT_PROBE = """
+import json, sys
+import btpolicy
+loaded = lambda: [name for name in sys.argv[1:] if name in sys.modules]
+before = loaded()
+btpolicy.RemoteBackend(endpoint="http://127.0.0.1:9", api_key="k")
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_the_http_stack_is_imported_with_the_first_remote_backend():
+    """A fresh interpreter: ``import btpolicy`` leaves the HTTP stack out,
+    and constructing a RemoteBackend, before any request, brings it in."""
+    src = Path(btpolicy.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _TRANSPORT_PROBE, *_TRANSPORT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == [[], list(_TRANSPORT)]
+
+
 def test_atomic_write_removes_its_file_when_the_move_fails(tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("cannot move")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from btpolicy import bt, sim
 from btpolicy.bt import BehaviorTree, NodeKind, TreeNode
 from btpolicy.domain import (DOMAIN_SHAPE, FIXTURES_SHAPE, GOALSET_SHAPE, SCENARIO_SHAPE,
-                             WorldState, literal_holds, load_domain, make_state,
+                             WorldState, literal_holds, load_domain, load_yaml, make_state,
                              parse_domain, rows_matching)
 from btpolicy.errors import (ArityMismatch, BtError, DomainMismatch, NoAchiever,
                              SchemaError, UnboundSlot, UnknownPredicate, UnknownSkill)
@@ -339,6 +339,70 @@ class TestDomainLoading:
     def test_an_unknown_skill_is_named_as_a_skill(self, cube_domain):
         with pytest.raises(UnknownSkill, match="^unknown skill 'fly'$"):
             cube_domain.skill("fly")
+
+
+# --- the YAML loader -------------------------------------------------------------
+#
+# PyYAML's pure-Python safe loader is the reference. ``load_yaml`` uses
+# libyaml's where PyYAML was built with it; the ``pure`` runs put it on the
+# reference loader, so the fallback path stays tested too.
+
+@pytest.fixture(params=["default", "pure"])
+def yaml_loader(request, monkeypatch):
+    if request.param == "pure":
+        monkeypatch.setattr("btpolicy.domain._YAML_LOADER", yaml.SafeLoader)
+    return request.param
+
+
+def test_load_yaml_uses_libyaml_where_pyyaml_has_it():
+    from btpolicy import domain
+    assert domain._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                   else yaml.SafeLoader)
+
+
+def _same_data(a, b) -> bool:
+    """Equal values of the same types, and mappings with the same key order,
+    at every depth."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return (len(a) == len(b)
+                and all(_same_data(k, j) for k, j in zip(a, b))
+                and all(_same_data(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_data, a, b))
+    return a == b
+
+
+def test_every_bundled_file_loads_as_the_reference_loader_reads_it(yaml_loader):
+    paths = sorted(bundled_data_path().rglob("*.yaml"))
+    assert len(paths) > 20
+    for path in paths:
+        reference = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert _same_data(load_yaml(path, "test"), reference), path
+
+
+@pytest.mark.parametrize("text", [
+    "schema: goalbench/v1\ndomain: [unclosed\n",
+    "schema: scenario/v1\nobjects:\n\t- red_cube\n",
+    "schema: scenario/v1\n---\nschema: scenario/v1\n",
+    "schema: scenario/v1\nid: x\ndomain: *nowhere\n",
+    "schema: scenario/v1\nid: !!python/object:os.system {}\n",
+], ids=["unclosed_flow_sequence", "tab_indent", "two_documents", "undefined_alias",
+        "python_object_tag"])
+def test_malformed_yaml_fails_as_the_reference_loader_fails(tmp_path, yaml_loader, text):
+    """The same error class at the same line, as a SchemaError naming the
+    file; only the wording comes from the parser that read it."""
+    with pytest.raises(yaml.YAMLError) as reference:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        load_yaml(path, "test")
+    assert type(err.value.__cause__) is reference.type
+    assert err.value.file == str(path)
+    assert err.value.line == reference.value.problem_mark.line + 1
+    assert str(err.value).startswith("invalid YAML: ")
 
 
 def _table_keys(shape):

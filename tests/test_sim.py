@@ -258,6 +258,31 @@ class TestScenarioLoading:
         with pytest.raises(SchemaError):
             load_scenario(tmp_path / "broken.yaml")
 
+    _OBJECTS = "objects: [blue_cube, green_cube, red_cube, table]"
+
+    @pytest.mark.parametrize("line, broken, message", [
+        (_OBJECTS, "objects: [blue_cube, green_cube, red_cube, table, red_cube]",
+         "objects: object 'red_cube' is listed twice"),
+        (_OBJECTS, "objects: [blue_cube, green_cube, red_cube, table, purple_cube]",
+         "objects: unknown object 'purple_cube'"),
+        ('- "on(green_cube, table)"', '- "on(green_cube, purple_cube)"',
+         "bad initial state: unknown object 'purple_cube'"),
+        ("hidden: []", 'hidden: ["~on(red_cube, table)"]',
+         "bad initial state: state literal '~on(red_cube, table)' must be positive"),
+    ], ids=["objects_repeated", "objects_unknown", "visible_unknown_object",
+            "hidden_negated"])
+    def test_an_error_names_the_objects_list_or_the_initial_state(
+            self, tmp_path, line, broken, message):
+        """The ``objects`` list is the scene's registry, not part of the
+        initial state, and its errors say so."""
+        source = self._portable_source()
+        assert line in source
+        path = tmp_path / "broken.yaml"
+        path.write_text(source.replace(line, broken))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{message} [{path}]"
+
     def test_scenario_objects_restrict_registry(self, golden_scenario):
         assert golden_scenario.initial.object_names == \
             ("blue_cube", "green_cube", "red_cube", "table")
