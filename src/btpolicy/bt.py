@@ -455,13 +455,16 @@ def parse(text: str) -> BehaviorTree:
     ids are all preserved. Each distinct payload text is parsed once per
     call; leaves with equal text share the (frozen) payload value. The walk
     that builds the nodes raises TreeInvalid on a repeated id, so ids are
-    checked without a second walk.
+    checked without a second walk. A tree nested deeper than the JSON
+    decoder can recurse is a ParseError too.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid tree file: {e.msg}", line=e.lineno,
                          column=e.colno, expected="well-formed JSON") from e
+    except RecursionError:
+        raise ParseError("invalid tree file: the tree is nested too deeply") from None
     if not isinstance(data, dict) or "root" not in data:
         raise ParseError("tree file must be an object with a 'root' key",
                          expected="{'schema': ..., 'root': ...}")

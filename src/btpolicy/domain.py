@@ -135,6 +135,19 @@ class _Grounded(NamedTuple):
     deletes: frozenset[Literal]
     wildcard_deletes: tuple[Literal, ...]
 
+    def delta(self, state: WorldState) -> tuple[set[Literal], set[Literal]]:
+        """The (add, remove) fact sets of the visible effects in ``state``.
+
+        Only the wildcard deletes are matched against the state, each
+        deleting every matching ground literal. Additions win over
+        deletions (delete-then-add)."""
+        remove = set(self.deletes)
+        index = state._index
+        for lit in self.wildcard_deletes:
+            remove.update(Literal(lit.predicate, args) for args in
+                          rows_matching(lit.args, index.get(lit.predicate, ())))
+        return set(self.adds), remove
+
 
 @dataclass(frozen=True)
 class WorldState:
@@ -203,8 +216,13 @@ class WorldState:
         return index
 
     def with_changes(self, add: set[Literal] = frozenset(),
-                     remove: set[Literal] = frozenset()) -> "WorldState":
-        child = WorldState(self.objects, (self.true - remove) | add, self.hidden)
+                     remove: set[Literal] = frozenset(), *,
+                     true: frozenset[Literal] | None = None) -> "WorldState":
+        """The state with ``remove`` deleted, then ``add`` added. ``true``,
+        when given, is that result's fact set, already computed."""
+        if true is None:
+            true = (self.true - remove) | add
+        child = WorldState(self.objects, true, self.hidden)
         if "_index" in self.__dict__:
             index = dict(self._index)
             for pred, rows in self.changed_rows(add, remove).items():
@@ -400,18 +418,9 @@ class Domain:
 
     def effect_delta(self, state: WorldState,
                      action: GroundAction) -> tuple[set[Literal], set[Literal]]:
-        """The (add, remove) fact sets of the action's visible effects.
-
-        Read from the grounding's effect split: only the wildcard deletes
-        are matched against the state, each deleting every matching ground
-        literal. Additions win over deletions (delete-then-add)."""
-        grounded = self.skill(action.skill).grounded(action)
-        remove = set(grounded.deletes)
-        index = state._index
-        for lit in grounded.wildcard_deletes:
-            remove.update(Literal(lit.predicate, args) for args in
-                          rows_matching(lit.args, index.get(lit.predicate, ())))
-        return set(grounded.adds), remove
+        """The (add, remove) fact sets of the action's visible effects, read
+        from the grounding's effect split (``_Grounded.delta``)."""
+        return self.skill(action.skill).grounded(action).delta(state)
 
     def apply_effects(self, state: WorldState, action: GroundAction) -> WorldState:
         """Delete-then-add application of the action's visible effects.

@@ -5,6 +5,12 @@ binding consistency, goal coverage, precondition rows, duplicate fallback
 branches, and (for small domains) a bounded exhaustive check that repeated
 ticking from every reachable state terminates in Success or Failure rather
 than livelocking.
+
+The exhaustive check does each reachable state's work once: the search
+evaluates each distinct ground precondition at most once per state, and
+the ticking keeps each state's outcome for the rest of the check, so a
+walk that reaches a state already walked from stops there. Nothing is
+kept past one ``verify_tree`` call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .bt import (_ACTION, _CONDITION, _SEQUENCE, BehaviorTree, NodeStatus, TickContext,
                  TreeNode, run_ticks, tick)
-from .domain import Domain, WorldState
+from .domain import Domain, WorldState, literal_holds
 from .errors import DomainMismatch, TickBudgetExceeded
 from .planner import GoalSpec, _groundings, _head_literal
 from .sim import leaf_mismatch
@@ -206,29 +212,45 @@ def reachable_states(domain: Domain, initial: WorldState,
     order, at most ``limit`` of them.
 
     Actions never change the object registry, so the ground actions are
-    enumerated once, from the start state, and a successor is built, from
-    the effect delta already in hand, only when its fact set is new."""
+    enumerated, and each one's grounding read, once, from the start state.
+    In each state a distinct ground precondition is evaluated at most once,
+    by ``literal_holds`` on the rows of the state's index; an action whose
+    preconditions hold gives its effect delta, and a successor is built
+    from the fact set the seen check computed, only when that set is new."""
     start = initial.visible_only()
-    steps = [(action, domain.ground_preconditions(action))
-             for action in _all_ground_actions(domain, start)]
+    registry = start.registry
+    numbers: dict[Literal, int] = {}   # each distinct precondition's place in ``truth``
+    steps = []
+    for action in _all_ground_actions(domain, start):
+        grounded = domain.skill(action.skill).grounded(action)
+        steps.append((grounded, [numbers.setdefault(lit, len(numbers))
+                                 for lit in grounded.preconditions]))
+    literals = list(numbers)
     seen = {start.true}
     order = [start]
     queue = deque(order)
     while queue:
         state = queue.popleft()
-        for action, required in steps:
-            if not all(domain.holds(state, lit) for lit in required):
-                continue
-            add, remove = domain.effect_delta(state, action)
-            true = (state.true - remove) | add
-            if true in seen:
-                continue
-            if len(order) >= limit:
-                return order
-            seen.add(true)
-            nxt = state.with_changes(add, remove)
-            order.append(nxt)
-            queue.append(nxt)
+        truth: list[bool | None] = [None] * len(literals)
+        for grounded, required in steps:
+            for at in required:
+                holds = truth[at]
+                if holds is None:
+                    lit = literals[at]
+                    holds = truth[at] = literal_holds(lit, state.rows(lit.predicate), registry)
+                if not holds:
+                    break
+            else:
+                add, remove = grounded.delta(state)
+                true = (state.true - remove) | add
+                if true in seen:
+                    continue
+                if len(order) >= limit:
+                    return order
+                seen.add(true)
+                nxt = state.with_changes(add, remove, true=true)
+                order.append(nxt)
+                queue.append(nxt)
     return order
 
 
@@ -239,8 +261,24 @@ def _all_ground_actions(domain: Domain, state: WorldState) -> list[GroundAction]
     return actions
 
 
+#: what ticking from a state comes to: the terminal status and the ticks
+#: taken to reach it, the last one included, or None when ticking from the
+#: state repeats a state or takes more than LIVELOCK_TICK_LIMIT ticks
+_Outcome = tuple[NodeStatus, int] | None
+
+
 def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
                             initial: WorldState, found: list[Violation]) -> None:
+    """A finding for each reachable state from which ticking, with plain
+    effect application, reaches no Success or Failure within
+    LIVELOCK_TICK_LIMIT ticks, in the order of ``reachable_states``.
+
+    A tick is memoryless: its status and the state it leaves depend only
+    on the visible facts it starts from. So ``outcomes``, owned by this
+    check and dropped when it returns, keeps each state's outcome by its
+    facts, and a walk from a start state (``_walk``) leaves at the first
+    state whose outcome is known: each state is ticked once, however many
+    walks pass through it."""
     states = reachable_states(domain, initial, REACHABLE_STATE_LIMIT + 1)
     if len(states) > REACHABLE_STATE_LIMIT:
         del states[REACHABLE_STATE_LIMIT:]
@@ -248,18 +286,27 @@ def _check_bounded_livelock(tree: BehaviorTree, domain: Domain,
             "bounded_livelock", None,
             f"more than {REACHABLE_STATE_LIMIT} states are reachable; "
             f"ticking was checked from the first {REACHABLE_STATE_LIMIT} only"))
+    outcomes: dict[frozenset[Literal], _Outcome] = {}
     for state in states:
-        outcome = _run_to_terminal(tree, domain, state)
-        if outcome is None:
+        outcome = _walk(tree, domain, state, outcomes)
+        if outcome is None or outcome[1] > LIVELOCK_TICK_LIMIT:
             found.append(Violation(
                 "bounded_livelock", None,
                 f"ticking livelocks from state {{{', '.join(state.sorted_literals())}}}"))
 
 
-def _run_to_terminal(tree: BehaviorTree, domain: Domain,
-                     start: WorldState) -> NodeStatus | None:
-    """Tick with plain effect application until Success/Failure; None = livelock."""
+def _walk(tree: BehaviorTree, domain: Domain, start: WorldState,
+          outcomes: dict[frozenset[Literal], _Outcome]) -> _Outcome:
+    """Tick from ``start`` under ``run_ticks`` until Success, Failure or a
+    state whose outcome ``outcomes`` holds; enter the outcome of each state
+    ticked on the way, counting ticks back from the end, and return the
+    start's.
+
+    A repeated state makes every state on the walk livelock. A walk that
+    uses up its LIVELOCK_TICK_LIMIT ticks marks only its start: a later
+    state on it may still end within the limit."""
     state = start
+    path: list[frozenset[Literal]] = []   # the facts of each state ticked, in order
 
     def step_action(leaf: TreeNode) -> NodeStatus:
         nonlocal state
@@ -269,8 +316,19 @@ def _run_to_terminal(tree: BehaviorTree, domain: Domain,
     ctx = TickContext(lambda lit: domain.holds(state, lit), step_action)
     try:
         for _ in run_ticks(lambda: state.true, LIVELOCK_TICK_LIMIT):
+            if state.true in outcomes:
+                end = outcomes[state.true]
+                break
+            path.append(state.true)
             status, _trace = tick(tree, ctx, record_trace=False)
             if status is not NodeStatus.RUNNING:
-                return status
+                end = (status, 0)
+                break
     except TickBudgetExceeded:
-        return None
+        if len(path) == LIVELOCK_TICK_LIMIT:   # out of ticks, or a repeat at the last one
+            outcomes[start.true] = None
+            return None
+        end = None
+    for ticks, true in enumerate(reversed(path), 1):
+        outcomes[true] = None if end is None else (end[0], end[1] + ticks)
+    return outcomes[start.true]

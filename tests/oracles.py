@@ -19,7 +19,10 @@ state it expands, the grounding reference is the recursion over the free
 slots that ``_groundings`` was before it became one product, and the
 verification reference makes each check in a walk of its own and finds
 each action's enclosing Sequence by a scan, as
-``verify_tree`` did before its single pass, and the conflict check and
+``verify_tree`` did before its single pass, the livelock reference ticks
+from every reachable state to a terminal status on its own, as
+``_check_bounded_livelock`` did before it kept each state's outcome for
+the walks that reach it later, and the conflict check and
 expansion-target pick ask the tree's index where each node sits, as the
 planner did before it read them from the tick trace, the plan
 reference starts every simulation again at tick 0 after each expansion
@@ -29,8 +32,9 @@ spliced the new branch into it, and the fault-rule reference keeps a
 rule's targets in two fields and looks each bound object's category up in
 the domain at every fired action, as ``FaultRule`` did before ``where``
 was resolved at load. ``validate`` (the
-structural invariants of an edited tree), ``is_expanded`` and
-``failing_action`` are helpers that only tests ask.
+structural invariants of an edited tree), ``is_expanded``,
+``failing_action`` and ``nested_tree_text`` are helpers that only tests
+ask.
 """
 
 from __future__ import annotations
@@ -301,6 +305,16 @@ def validate(tree: BehaviorTree) -> None:
                 raise TreeInvalid(f"condition node {node.id} lacks a literal payload")
             if node.kind is NodeKind.ACTION and not isinstance(node.payload, GroundAction):
                 raise TreeInvalid(f"action node {node.id} lacks an action payload")
+
+
+def nested_tree_text(depth: int) -> str:
+    """``bt/v1`` text of ``depth`` Sequences, each the only child of the
+    one above, around one condition leaf; built as a string, since
+    ``json.dumps`` cannot recurse that deep either."""
+    text = '{"id": %d, "kind": "condition", "payload": "on(red_cube, table)"}' % depth
+    for node_id in range(depth - 1, -1, -1):
+        text = '{"id": %d, "kind": "sequence", "children": [%s]}' % (node_id, text)
+    return '{"schema": "bt/v1", "root": %s}' % text
 
 
 def is_expanded(tree: BehaviorTree, node: TreeNode) -> bool:
@@ -608,13 +622,57 @@ def reference_reachable_states(domain: Domain, initial: WorldState) -> list[Worl
     return order
 
 
+def reference_run_to_terminal(tree: BehaviorTree, domain: Domain, start: WorldState,
+                              ) -> tuple[NodeStatus | None, list[frozenset[Literal]]]:
+    """Tick from ``start``, with plain effect application, under ``run_ticks``
+    and ``verify.LIVELOCK_TICK_LIMIT``: the terminal status (None for a
+    livelock) and the facts of each state ticked, in order."""
+    state = start
+    ticked: list[frozenset[Literal]] = []
+
+    def step_action(leaf: TreeNode) -> NodeStatus:
+        nonlocal state
+        state = domain.apply_effects(state, leaf.action)
+        return NodeStatus.RUNNING
+
+    ctx = TickContext(lambda lit: domain.holds(state, lit), step_action)
+    try:
+        for _ in run_ticks(lambda: state.true, verify.LIVELOCK_TICK_LIMIT):
+            ticked.append(state.true)
+            status, _trace = tick(tree, ctx, record_trace=False)
+            if status is not NodeStatus.RUNNING:
+                return status, ticked
+    except TickBudgetExceeded:
+        return None, ticked
+
+
+def reference_bounded_livelock(tree: BehaviorTree, domain: Domain, initial: WorldState,
+                               found: list[Violation]) -> None:
+    """The ``bounded_livelock`` findings, from a walk of its own from each
+    state of ``reference_reachable_states`` (the first
+    ``verify.REACHABLE_STATE_LIMIT`` of them)."""
+    states = reference_reachable_states(domain, initial)
+    limit = verify.REACHABLE_STATE_LIMIT
+    if len(states) > limit:
+        del states[limit:]
+        found.append(Violation(
+            "bounded_livelock", None,
+            f"more than {limit} states are reachable; "
+            f"ticking was checked from the first {limit} only"))
+    for state in states:
+        if reference_run_to_terminal(tree, domain, state)[0] is None:
+            found.append(Violation(
+                "bounded_livelock", None,
+                f"ticking livelocks from state {{{', '.join(state.sorted_literals())}}}"))
+
+
 def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *,
                           initial_state: WorldState | None = None) -> VerificationReport:
     """``verify.verify_tree`` with one walk per check: action bindings,
     condition literals and goal coverage, precondition rows (each action's
     Sequence found by ``scan_parent_of``) and pairwise duplicate Fallback
     children, then the whole-tree gate ``check_tree_domain`` before the
-    (shared) livelock check."""
+    livelock reference."""
     livelock = initial_state is not None and \
         len(initial_state.objects) <= verify.LIVELOCK_OBJECT_LIMIT
     report = VerificationReport(CHECKS if livelock else CHECKS[:-1])
@@ -641,7 +699,7 @@ def reference_verify_tree(tree: BehaviorTree, domain: Domain, goals: GoalSpec, *
     out.extend(pairwise_duplicate_violations(tree))
     if livelock:
         check_tree_domain(tree, domain)
-        verify._check_bounded_livelock(tree, domain, initial_state, out)
+        reference_bounded_livelock(tree, domain, initial_state, out)
     return report
 
 

@@ -15,8 +15,8 @@ from btpolicy.errors import (InvalidTarget, ParseError, TickBudgetExceeded, Tree
                              UnknownNode)
 from btpolicy.terms import GroundAction, Literal
 
-from oracles import (failing_action, oracle_status, scan_find, scan_id_index,
-                     scan_lca_child, scan_parent_of, trace_status, validate)
+from oracles import (failing_action, nested_tree_text, oracle_status, scan_find,
+                     scan_id_index, scan_lca_child, scan_parent_of, trace_status, validate)
 
 S, F, R = NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING
 
@@ -398,6 +398,12 @@ class TestSerialization:
             if not node.is_control:
                 assert first.setdefault((node.kind, str(node.payload)),
                                         node.payload) is node.payload
+
+    def test_deeply_nested_tree_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="the tree is nested too deeply"):
+            bt.parse(nested_tree_text(600))
+        tree = bt.parse(nested_tree_text(300))
+        assert tree.node_count() == 301
 
     def test_to_dot_conventions(self):
         tree = make_tree(lambda t: [

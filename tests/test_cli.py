@@ -17,6 +17,8 @@ from btpolicy.planner import PlanConfig, plan
 from btpolicy.resolver import interpret_goals
 from btpolicy.sim import bundled_data_path, load_scenario
 
+from oracles import nested_tree_text
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -733,6 +735,24 @@ def test_bad_input_file_exits_with_its_code_and_names_the_file(tmp_path, make_ca
         assert run.stderr.startswith("error: cannot read ")
     else:
         assert run.stderr.startswith("schema error: ")
+
+
+@pytest.mark.parametrize("command", [("verify",), ("run", "--no-resolve")])
+def test_deeply_nested_tree_file_exits_with_one_parse_error(tmp_path, command):
+    """Run as ``python -m btpolicy``: a tree file nested deeper than the
+    JSON decoder recurses is a parse error (exit 3) on one line, with no
+    traceback, for both commands that read a tree file."""
+    (tmp_path / "deep.json").write_text(nested_tree_text(600))
+    src = Path(btpolicy.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "btpolicy", *command, "--tree", "deep.json",
+                          "--scenario", "cube_stack_golden"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_PARSE, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [
+        "parse error: invalid tree file: the tree is nested too deeply"]
 
 
 _TRANSPORT = ("http.client", "ssl", "urllib.request", "email.parser")

@@ -7,13 +7,14 @@ from btpolicy.bt import BehaviorTree, NodeKind, TreeNode, iter_preorder
 from btpolicy.domain import load_domain, make_state, parse_domain
 from btpolicy.errors import DomainMismatch
 from btpolicy.grammar import parse_literal
-from btpolicy.planner import GoalSpec
+from btpolicy.planner import GoalSpec, PlanConfig, plan
 from btpolicy.resolver import resolve_until_success
 from btpolicy.sim import bundled_data_path, check_tree_domain
 from btpolicy.terms import GroundAction, Literal, Quantity
 from btpolicy.verify import CHECKS, LIVELOCK_OBJECT_LIMIT, reachable_states, verify_tree
 
-from oracles import (pairwise_duplicate_violations, reference_reachable_states,
+from oracles import (pairwise_duplicate_violations, reference_bounded_livelock,
+                     reference_reachable_states, reference_run_to_terminal,
                      reference_verify_tree)
 
 
@@ -37,6 +38,22 @@ def flipflop_domain():
             {"name": "lower_flag", "params": [], "effects": ["~up(flag)"]},
         ],
     })
+
+
+def flipflop_tree():
+    """Lower the flag when it is up, raise it when it is down: from every
+    state, ticking undoes its last tick."""
+    tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
+    tree.root.children.append(tree.new_node(NodeKind.FALLBACK, children=[
+        tree.new_condition(lit("goal_met")),
+        tree.new_node(NodeKind.SEQUENCE, children=[
+            tree.new_condition(lit("up(flag)")),
+            tree.new_action(GroundAction("lower_flag"))]),
+        tree.new_node(NodeKind.SEQUENCE, children=[
+            tree.new_condition(lit("~up(flag)")),
+            tree.new_action(GroundAction("raise_flag"))]),
+    ]))
+    return tree
 
 
 class TestChecksOnGoodTrees:
@@ -117,19 +134,8 @@ class TestViolations:
 
     def test_livelock_detected_on_mutually_undoing_actions(self):
         domain = flipflop_domain()
-        tree = BehaviorTree(TreeNode(0, NodeKind.SEQUENCE), next_id=1)
-        fallback = tree.new_node(NodeKind.FALLBACK, children=[
-            tree.new_condition(lit("goal_met")),
-            tree.new_node(NodeKind.SEQUENCE, children=[
-                tree.new_condition(lit("up(flag)")),
-                tree.new_action(GroundAction("lower_flag"))]),
-            tree.new_node(NodeKind.SEQUENCE, children=[
-                tree.new_condition(lit("~up(flag)")),
-                tree.new_action(GroundAction("raise_flag"))]),
-        ])
-        tree.root.children.append(fallback)
         state = make_state(domain, [])
-        report = verify_tree(tree, domain, goal("goal_met"),
+        report = verify_tree(flipflop_tree(), domain, goal("goal_met"),
                              initial_state=state)
         assert any(v.check == "bounded_livelock" for v in report.violations)
 
@@ -463,3 +469,74 @@ def test_truncated_livelock_search_is_a_finding(monkeypatch, golden_scenario):
     assert livelock_findings(count - 1) == [
         f"more than {count - 1} states are reachable; ticking was checked "
         f"from the first {count - 1} only"]
+
+
+# --- the livelock check against a walk from every state --------------------------
+
+def findings_of(check, tree, domain, initial):
+    found = []
+    check(tree, domain, initial, found)
+    return found
+
+
+@pytest.fixture(scope="module")
+def livelock_cases(all_scenarios):
+    """(name, tree, domain, initial): the planned and the patched tree of
+    each bundled scenario small enough for the livelock check, and the
+    flip-flop livelock."""
+    cases = []
+    for scenario in all_scenarios:
+        if len(scenario.initial.objects) > LIVELOCK_OBJECT_LIMIT:
+            continue
+        result = resolve_until_success(scenario, scenario.oracle_backend())
+        planned = plan(result.goals, scenario.domain, scenario.initial, PlanConfig())
+        for tree in (planned, result.tree):
+            cases.append((scenario.id, tree, scenario.domain, scenario.initial))
+    domain = flipflop_domain()
+    cases.append(("flipflop", flipflop_tree(), domain, make_state(domain, [])))
+    return cases
+
+
+def test_livelock_check_matches_a_walk_from_every_state(livelock_cases):
+    assert len(livelock_cases) == 2 * 15 + 1
+    for name, tree, domain, initial in livelock_cases:
+        assert findings_of(verify._check_bounded_livelock, tree, domain, initial) == \
+            findings_of(reference_bounded_livelock, tree, domain, initial), name
+    assert findings_of(verify._check_bounded_livelock, *livelock_cases[-1][1:])
+
+
+@pytest.mark.parametrize("name", ["cube_stack_golden", "flipflop"])
+def test_livelock_check_at_every_tick_limit(monkeypatch, livelock_cases, name):
+    """From a limit of one tick up to one past the longest walk, the
+    findings equal the reference's: a walk that ends at a known state
+    counts its ticks to the end, and one that runs out of ticks marks only
+    its start."""
+    _, tree, domain, initial = [case for case in livelock_cases if case[0] == name][-1]
+    longest = max(len(reference_run_to_terminal(tree, domain, state)[1])
+                  for state in reference_reachable_states(domain, initial))
+    by_limit = []
+    for limit in range(1, longest + 2):
+        monkeypatch.setattr(verify, "LIVELOCK_TICK_LIMIT", limit)
+        found = findings_of(verify._check_bounded_livelock, tree, domain, initial)
+        assert found == findings_of(reference_bounded_livelock, tree, domain, initial)
+        by_limit.append(len(found))
+    assert by_limit[0] > 0
+    if name == "cube_stack_golden":
+        assert longest > 2 and by_limit[-2] == by_limit[-1] == 0
+
+
+def test_livelock_check_ticks_each_state_once(monkeypatch, livelock_cases):
+    """Each state is ticked once, however many walks pass through it; a
+    walk from every state ticks 113 times on the golden policy."""
+    _, tree, domain, initial = [case for case in livelock_cases
+                                if case[0] == "cube_stack_golden"][-1]
+    walks = [reference_run_to_terminal(tree, domain, state)[1]
+             for state in reference_reachable_states(domain, initial)]
+    visited = set().union(*walks)
+    ticks = []
+    real_tick = verify.tick
+    monkeypatch.setattr(verify, "tick",
+                        lambda *args, **kwargs: ticks.append(1) or real_tick(*args, **kwargs))
+    assert findings_of(verify._check_bounded_livelock, tree, domain, initial) == []
+    assert len(ticks) <= len(visited) == 54
+    assert sum(map(len, walks)) == 113
